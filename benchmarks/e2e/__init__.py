@@ -1,0 +1,1 @@
+"""Fleet-scale end-to-end benchmark (see README.md in this directory)."""
