@@ -544,9 +544,10 @@ class DecisionEngine:
         evaluated against :meth:`FleetState.signatures` and immediately
         applied with :meth:`FleetState.place`, so the index a policy
         returned can never be re-interpreted against a stale pool.
-        The fleet maintains those signatures incrementally under
-        mutation, so presenting the pool here is a pool-order list copy
-        rather than a per-server canonicalization on every arrival.
+        The fleet maintains those signatures, and their grouping by
+        distinct signature, incrementally under mutation: the pool
+        presented here is a list copy carrying that index, and policies
+        scan its groups rather than its servers.
         When a quality actuator rewrote the session, the rewritten
         session is the one placed.
         """

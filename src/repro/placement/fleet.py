@@ -35,11 +35,18 @@ without the fleet knowing anything about QoS.
 from __future__ import annotations
 
 import heapq
+from bisect import insort
 from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.games.resolution import Resolution
-from repro.placement.signature import Signature, entry_of, signature_add
+from repro.placement.signature import (
+    Signature,
+    SignatureIndex,
+    SignaturePool,
+    entry_of,
+    signature_add,
+)
 
 __all__ = ["Session", "FleetState", "degraded_to", "promoted_to"]
 
@@ -112,10 +119,15 @@ class FleetState:
 
     The pool grows on demand (:meth:`place` with ``choice=None``) and
     shrinks when servers empty; ``peak`` records the largest
-    simultaneous pool observed after any placement.  Iteration order of
-    the open servers is insertion order (stable ids ascending within one
-    run), and the index a policy returns is interpreted against exactly
-    the :meth:`signatures` list of the same instant.
+    simultaneous pool observed after any placement.  Server ids are
+    monotonic — never reused, each larger than every id before it — so
+    pool order (insertion order) *is* ascending id, and the index a
+    policy returns is interpreted against exactly the :meth:`signatures`
+    list of the same instant.
+
+    The verbs keep a :class:`~repro.placement.signature.SignatureIndex`
+    (one group per distinct live signature) current, one server per
+    mutation; scanning it makes a decision cost O(distinct signatures).
     """
 
     def __init__(self, observer=None) -> None:
@@ -124,15 +136,9 @@ class FleetState:
         self.observer = observer
         # server id -> members as (member_id, session), departure-ordered.
         self._servers: dict[int, list[tuple[int, Session]]] = {}
-        # server id -> canonical signature, maintained incrementally in
-        # lockstep with _servers (same insertion order, same deletions)
-        # so signatures() is a values() copy instead of a per-server
-        # re-sort on every decision.
-        self._signatures: dict[int, Signature] = {}
-        # Open-server ids in pool order, mirrored from _servers so
-        # place() resolves a policy's index without materializing the
-        # key list per decision.
-        self._ids: list[int] = []
+        # Per-server signatures (same order as _servers), pool-order ids
+        # and signature -> servers groups; a verb moves just its server.
+        self._index = SignatureIndex()
         self._departures: list[tuple[float, int, int]] = []  # (time, seq, server)
         self._next_server_id = 0
         self._next_member_id = 0
@@ -185,7 +191,7 @@ class FleetState:
 
     def server_signature(self, server_id: int) -> Signature:
         """Canonical signature of one open server."""
-        return self._signatures[server_id]
+        return self._index.signatures[server_id]
 
     def loads(self) -> dict[int, int]:
         """Member count per open server, in pool (decision-index) order."""
@@ -198,17 +204,17 @@ class FleetState:
 
     def server_ids(self) -> list[int]:
         """Stable ids of the open servers, in pool (decision-index) order."""
-        return list(self._ids)
+        return list(self._index.ids)
 
-    def signatures(self) -> list[Signature]:
+    def signatures(self) -> SignaturePool:
         """Canonical signatures of the open servers, in pool order.
 
         This is the list placement policies decide against; the index a
-        policy returns is a position in this list.  Signatures are
-        maintained under mutation (each verb touches only the affected
-        server), so this is a pool-order copy, not a recomputation.
+        policy returns is a position in this list.  It is a snapshot
+        (one C-level copy) carrying the live signature index policies
+        scan instead, valid for it until the next mutation.
         """
-        return list(self._signatures.values())
+        return SignaturePool(self._index)
 
     def members(self, server_id: int) -> list[Session]:
         """Live sessions hosted on ``server_id``, departure-ordered."""
@@ -221,7 +227,7 @@ class FleetState:
 
         ``choice`` is a policy's index into the current :meth:`signatures`
         list, or ``None`` to open a fresh server.  The session's
-        departure is scheduled and the member list re-sorted so the
+        departure is scheduled and the member inserted so the
         earliest-ending session leaves first.
         """
         member = (self._next_member_id, session)
@@ -230,17 +236,14 @@ class FleetState:
             server_id = self._next_server_id
             self._next_server_id += 1
             self._servers[server_id] = [member]
-            self._signatures[server_id] = (entry_of(session),)
-            self._ids.append(server_id)
+            self._index.move(server_id, (entry_of(session),))
         else:
-            server_id = self._ids[choice]
-            hosted = self._servers[server_id]
-            hosted.append(member)
-            # Keep departure order: earliest-ending session leaves first.
-            hosted.sort(key=lambda m: m[1].departure)
-            self._signatures[server_id] = signature_add(
-                self._signatures[server_id], entry_of(session)
-            )
+            server_id = self._index.ids[choice]
+            # Keep departure order: earliest-ending session leaves first
+            # (right-biased, so equal departures stay in admission order).
+            insort(self._servers[server_id], member, key=lambda m: m[1].departure)
+            sig = self._index.signatures[server_id]
+            self._index.move(server_id, signature_add(sig, entry_of(session)))
         heapq.heappush(self._departures, (session.departure, self._seq, server_id))
         self._seq += 1
         self._n_live += 1
@@ -275,14 +278,13 @@ class FleetState:
             member_id, session = members.pop(0)
             if not members:
                 del self._servers[server_id]
-                del self._signatures[server_id]
-                self._ids.remove(server_id)
+                self._index.move(server_id, None)
             else:
                 # Drop one occurrence of the departing entry; removal
                 # from a sorted tuple keeps it canonical.
-                sig = self._signatures[server_id]
+                sig = self._index.signatures[server_id]
                 i = sig.index(entry_of(session))
-                self._signatures[server_id] = sig[:i] + sig[i + 1 :]
+                self._index.move(server_id, sig[:i] + sig[i + 1 :])
             removed += 1
             if session.degraded:
                 self._n_degraded -= 1
@@ -318,10 +320,10 @@ class FleetState:
                 "update_resolution may only change the resolution of a session"
             )
         members[pos] = (member_id, session)
-        sig = self._signatures[server_id]
+        sig = self._index.signatures[server_id]
         i = sig.index(entry_of(old))
-        self._signatures[server_id] = signature_add(
-            sig[:i] + sig[i + 1 :], entry_of(session)
+        self._index.move(
+            server_id, signature_add(sig[:i] + sig[i + 1 :], entry_of(session))
         )
         self._n_degraded += int(session.degraded) - int(old.degraded)
         hook = getattr(self.observer, "fleet_resolution_changed", None)
@@ -339,8 +341,7 @@ class FleetState:
         are skipped by :meth:`pop_departures`.
         """
         members = self._servers.pop(server_id)
-        del self._signatures[server_id]
-        self._ids.remove(server_id)
+        self._index.move(server_id, None)
         self._n_live -= len(members)
         self._n_degraded -= sum(1 for _, s in members if s.degraded)
         ordered = sorted(members, key=lambda m: m[0])

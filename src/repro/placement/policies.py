@@ -9,12 +9,12 @@ factories over the classes here, and the serving stack dispatches them
 through :class:`repro.placement.DecisionEngine`, so offline/online
 decision parity holds by construction rather than by duplicated code.
 
-The prediction-guided policies route all model queries through a shared
-:class:`PredictionCache` and the predictor's batched API — one
-``predict_batch`` call scores every uncached candidate for an arrival —
-so scanning a pool of candidate servers costs one model invocation, not
-one per candidate.  Predictors that lack the batched endpoints are
-still served via per-candidate calls.
+A decision depends only on the multiset of signatures, so every policy
+walks the pool's :class:`~repro.placement.signature.SignatureIndex` — one
+group per distinct signature, in first-occurrence pool order — not its
+servers.  The prediction-guided ones probe a shared
+:class:`PredictionCache` once per distinct candidate and score all misses
+with one batched predictor call (per-candidate where none exists).
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ from repro.placement.signature import (
     Signature,
     colocation_key,
     entry_of,
+    index_of,
     signature_add,
 )
 
@@ -68,18 +69,6 @@ class AdmissionPolicy(Protocol):
         ...
 
 
-def _candidates(
-    signatures: list[Signature], session, max_colocation: int
-) -> list[tuple[int, Signature]]:
-    """Non-full servers with the candidate signature after adding the session."""
-    entry = entry_of(session)
-    return [
-        (idx, signature_add(sig, entry))
-        for idx, sig in enumerate(signatures)
-        if len(sig) < max_colocation
-    ]
-
-
 class _InstrumentedPolicy:
     """Shared observability plumbing for the prediction-guided policies.
 
@@ -89,9 +78,14 @@ class _InstrumentedPolicy:
     evaluation all land in the same per-request trace.
     """
 
-    predictor = None
     telemetry = None
     tracer = NOOP_TRACER
+
+    def __init__(self, predictor, qos: float, *, cache=None, max_colocation: int = 4):
+        self.predictor = predictor
+        self.qos = float(qos)
+        self.max_colocation = int(max_colocation)
+        self.cache = cache if cache is not None else PredictionCache()
 
     def instrument(self, telemetry=None, tracer=None) -> None:
         """Attach telemetry/tracer sinks, forwarding to the predictor."""
@@ -103,9 +97,56 @@ class _InstrumentedPolicy:
         if callable(forward):
             forward(telemetry=telemetry, tracer=tracer)
 
-    def _count(self, name: str, **labels) -> None:
-        if self.telemetry is not None:
-            self.telemetry.counter(name, **labels).inc()
+    def _resolve(self, pairs: list[tuple[Signature, tuple]], query) -> list:
+        """Values for distinct ``(signature, cache key)`` pairs, in order.
+
+        The one cache-then-single-batch path: every key is probed exactly
+        once and all misses are scored by one ``query(specs)`` call, whose
+        answers fill the cache in the same order.
+        """
+        with self.tracer.span("cache", policy=self.name) as span:
+            lookup = self.cache.lookup
+            values = [lookup(key, None) for _, key in pairs]
+            unknown = [i for i, value in enumerate(values) if value is None]
+            span.set(hits=len(pairs) - len(unknown), misses=len(unknown))
+        with self.tracer.span(
+            "predict", policy=self.name, batched=len(unknown), cached=not unknown
+        ):
+            if not unknown:
+                if self.telemetry is not None:
+                    self.telemetry.counter(
+                        "predict_cache_shortcuts", policy=self.name
+                    ).inc()
+                return values
+            answers = query([ColocationSpec(pairs[i][0]) for i in unknown])
+            for i, value in zip(unknown, answers):
+                values[i] = value
+                self.cache.put(pairs[i][1], value)
+        if len(answers) < len(unknown):  # e.g. a stale replayed batch
+            raise KeyError(pairs[unknown[len(answers)]][0])
+        return values
+
+    def _scan(self, signatures, session, floor: float | None, query):
+        """``(index, open groups, value of each once session joins it)``.
+
+        Groups come in first-occurrence pool order, so a strict ``>`` walk
+        keeps a per-server scan's lowest-pool-index tie-break; one entry
+        added to distinct signatures gives distinct candidates, so
+        :meth:`_resolve` never sees a repeat.
+        """
+        index = index_of(signatures)
+        groups = index.open_groups(self.max_colocation)
+        entry = entry_of(session)
+        arrival = colocation_key((entry,), floor)
+        pairs = []
+        for group in groups:
+            pair = group.memo.get(arrival)
+            if pair is None:
+                candidate = signature_add(group.signature, entry)
+                pair = (candidate, colocation_key(candidate, floor))
+                group.memo[arrival] = pair
+            pairs.append(pair)
+        return index, groups, self._resolve(pairs, query)
 
 
 class CMFeasiblePolicy(_InstrumentedPolicy):
@@ -136,68 +177,33 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
     ):
         if margin < 1.0:
             raise ValueError("margin must be >= 1.0")
-        self.predictor = predictor
-        self.qos = float(qos)
+        super().__init__(predictor, qos, cache=cache, max_colocation=max_colocation)
         self.margin = float(margin)
-        self.max_colocation = int(max_colocation)
-        self.cache = cache if cache is not None else PredictionCache()
 
-    def _query(self, specs: list[ColocationSpec], floor: float) -> list[bool]:
+    def _query(self, specs: list[ColocationSpec]) -> list[bool]:
+        floor = self.qos * self.margin
         batched = getattr(self.predictor, "predict_batch", None)
         if batched is not None:
-            # One predict_batch call scores every uncached candidate:
-            # feature rows for the whole pool hit the CM in a single
-            # model invocation (models=("cm",) skips the RM, whose
-            # output this policy would discard).
+            # One call scores every miss; models=("cm",) skips the RM,
+            # whose output this policy would discard.
             results = batched(specs, qos=floor, models=("cm",))
             return [bool(np.all(result["feasible"])) for result in results]
         legacy = getattr(self.predictor, "colocations_feasible", None)
         if legacy is not None:
-            return legacy(specs, floor)
+            return [bool(v) for v in legacy(specs, floor)]
         # Predictors without any batched endpoint (duck-typed baselines)
         # still answer, one colocation at a time.
-        return [self.predictor.colocation_feasible(spec, floor) for spec in specs]
-
-    def _verdicts(self, candidate_sigs: list[Signature]) -> dict[Signature, bool]:
-        floor = self.qos * self.margin
-        verdicts: dict[Signature, bool] = {}
-        unknown: list[Signature] = []
-        # Set mirror of `unknown` so the seen-check is O(1); the list
-        # keeps the deterministic query order the cache-fill relies on.
-        pending: set[Signature] = set()
-        with self.tracer.span("cache", policy=self.name) as span:
-            for sig in candidate_sigs:
-                if sig in verdicts or sig in pending:
-                    continue
-                hit = self.cache.lookup(colocation_key(sig, floor), None)
-                if hit is not None:
-                    verdicts[sig] = hit
-                else:
-                    unknown.append(sig)
-                    pending.add(sig)
-            span.set(hits=len(verdicts), misses=len(unknown))
-        with self.tracer.span(
-            "predict", policy=self.name, batched=len(unknown), cached=not unknown
-        ):
-            if unknown:
-                feasible = self._query([ColocationSpec(sig) for sig in unknown], floor)
-                for sig, verdict in zip(unknown, feasible):
-                    verdict = bool(verdict)
-                    verdicts[sig] = verdict
-                    self.cache.put(colocation_key(sig, floor), verdict)
-            else:
-                self._count("predict_cache_shortcuts", policy=self.name)
-        return verdicts
+        return [bool(self.predictor.colocation_feasible(spec, floor)) for spec in specs]
 
     def select(self, signatures: list[Signature], session) -> int | None:
         """Fullest server the CM predicts stays feasible; ``None`` otherwise."""
-        candidates = _candidates(signatures, session, self.max_colocation)
-        verdicts = self._verdicts([sig for _, sig in candidates])
+        floor = self.qos * self.margin
+        index, groups, verdicts = self._scan(signatures, session, floor, self._query)
         best, best_size = None, -1
-        for idx, candidate in candidates:
-            if verdicts[candidate] and len(signatures[idx]) > best_size:
-                best, best_size = idx, len(signatures[idx])
-        return best
+        for group, feasible in zip(groups, verdicts):
+            if feasible and len(group.signature) > best_size:
+                best, best_size = group, len(group.signature)
+        return index.position(best)
 
     def group_feasible(self, signature: Signature) -> bool:
         """CM verdict for one whole colocation (the restore-loop query).
@@ -208,7 +214,8 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
         """
         if len(signature) > self.max_colocation:
             return False
-        return self._verdicts([signature])[signature]
+        key = colocation_key(signature, self.qos * self.margin)
+        return self._resolve([(signature, key)], self._query)[0]
 
 
 class MaxFPSPolicy(_InstrumentedPolicy):
@@ -223,75 +230,45 @@ class MaxFPSPolicy(_InstrumentedPolicy):
 
     name = "max-fps"
 
-    def __init__(
-        self,
-        predictor,
-        qos: float,
-        *,
-        cache: PredictionCache | None = None,
-        max_colocation: int = 4,
-    ):
-        self.predictor = predictor
-        self.qos = float(qos)
-        self.max_colocation = int(max_colocation)
-        self.cache = cache if cache is not None else PredictionCache()
-
-    def _fps(self, candidate_sigs: list[Signature]) -> dict[Signature, tuple]:
-        fps: dict[Signature, tuple] = {}
-        unknown: list[Signature] = []
-        # Set mirror of `unknown` so the seen-check is O(1); the list
-        # keeps the deterministic query order the cache-fill relies on.
-        pending: set[Signature] = set()
-        with self.tracer.span("cache", policy=self.name) as span:
-            for sig in candidate_sigs:
-                if sig in fps:
-                    continue
-                hit = self.cache.lookup(colocation_key(sig), None)
-                if hit is not None:
-                    fps[sig] = hit
-                elif sig not in pending:
-                    unknown.append(sig)
-                    pending.add(sig)
-            span.set(hits=len(fps), misses=len(unknown))
-        with self.tracer.span(
-            "predict", policy=self.name, batched=len(unknown), cached=not unknown
-        ):
-            if unknown:
-                batched = self.predictor.predict_fps_batch(
-                    [ColocationSpec(sig) for sig in unknown]
-                )
-                for sig, values in zip(unknown, batched):
-                    values = tuple(float(v) for v in values)
-                    fps[sig] = values
-                    self.cache.put(colocation_key(sig), values)
-            else:
-                self._count("predict_cache_shortcuts", policy=self.name)
-        return fps
+    def _query(self, specs: list[ColocationSpec]) -> list[tuple]:
+        batched = self.predictor.predict_fps_batch(specs)
+        return [tuple(float(v) for v in values) for values in batched]
 
     def select(self, signatures: list[Signature], session) -> int | None:
         """Feasible server maximizing predicted total FPS; ``None`` otherwise."""
-        candidates = _candidates(signatures, session, self.max_colocation)
-        fps = self._fps([sig for _, sig in candidates])
-        if not candidates:
-            return None
+        index, groups, fps = self._scan(signatures, session, None, self._query)
         best, best_total = None, -np.inf
-        for idx, candidate in candidates:
-            values = fps[candidate]
-            if min(values) < self.qos:
-                continue
+        for group, values in zip(groups, fps):
             total = sum(values)
-            if total > best_total:
-                best, best_total = idx, total
-        return best
+            if min(values) >= self.qos and total > best_total:
+                best, best_total = group, total
+        return index.position(best)
 
     def group_feasible(self, signature: Signature) -> bool:
         """RM verdict for one whole colocation: every member meets the floor."""
         if len(signature) > self.max_colocation:
             return False
-        return min(self._fps([signature])[signature]) >= self.qos
+        values = self._resolve([(signature, colocation_key(signature))], self._query)[0]
+        return min(values) >= self.qos
 
 
-class WorstFitPolicy:
+class _VBPPolicy:
+    """Shared scan of the model-free VBP baselines (demand vectors only)."""
+
+    def __init__(self, vbp: VBPJudge, *, max_colocation: int = 4):
+        self.vbp = vbp
+        self.max_colocation = int(max_colocation)
+
+    def _fitting(self, signatures, session):
+        """``(pool index, spec)`` of each open group the session still fits."""
+        index = index_of(signatures)
+        for group in index.open_groups(self.max_colocation):
+            spec = ColocationSpec(group.signature) if group.signature else None
+            if self.vbp.fits_after_adding(spec, session.game, session.resolution):
+                yield index.position(group), spec
+
+
+class WorstFitPolicy(_VBPPolicy):
     """VBP worst-fit: the fitting server with the most remaining capacity.
 
     The model-free conservative baseline — also the default fallback when
@@ -301,26 +278,17 @@ class WorstFitPolicy:
 
     name = "worst-fit"
 
-    def __init__(self, vbp: VBPJudge, *, max_colocation: int = 4):
-        self.vbp = vbp
-        self.max_colocation = int(max_colocation)
-
     def select(self, signatures: list[Signature], session) -> int | None:
         """Fitting server with maximal slack; ``None`` when nothing fits."""
         best, best_slack = None, -np.inf
-        for idx, sig in enumerate(signatures):
-            if len(sig) >= self.max_colocation:
-                continue
-            spec = ColocationSpec(sig) if sig else None
-            if not self.vbp.fits_after_adding(spec, session.game, session.resolution):
-                continue
+        for position, spec in self._fitting(signatures, session):
             slack = self.vbp.remaining_capacity(spec)
             if slack > best_slack:
-                best, best_slack = idx, slack
+                best, best_slack = position, slack
         return best
 
 
-class VBPFirstFitPolicy:
+class VBPFirstFitPolicy(_VBPPolicy):
     """VBP first fit: the first server whose summed demand still fits.
 
     The offline baseline from Section 2.2 (the canonical implementation
@@ -331,19 +299,9 @@ class VBPFirstFitPolicy:
 
     name = "vbp-first-fit"
 
-    def __init__(self, vbp: VBPJudge, *, max_colocation: int = 4):
-        self.vbp = vbp
-        self.max_colocation = int(max_colocation)
-
     def select(self, signatures: list[Signature], session) -> int | None:
         """First fitting server in pool order; ``None`` when nothing fits."""
-        for idx, sig in enumerate(signatures):
-            if len(sig) >= self.max_colocation:
-                continue
-            spec = ColocationSpec(sig) if sig else None
-            if self.vbp.fits_after_adding(spec, session.game, session.resolution):
-                return idx
-        return None
+        return next((p for p, _ in self._fitting(signatures, session)), None)
 
 
 class DedicatedPolicy:

@@ -15,10 +15,17 @@ Everything placement-shaped builds on these helpers: the
 :class:`~repro.placement.fleet.FleetState` bookkeeping, the admission
 policies' candidate construction, and the
 :class:`~repro.placement.cache.PredictionCache` key schema.
+
+Placement depends only on the *multiset* of signatures in the pool, so
+the module also owns the grouping every policy scans: a
+:class:`SignatureIndex` of one :class:`SignatureGroup` per distinct
+signature, attached to the :class:`SignaturePool` list policies receive
+(:func:`index_of` groups a plain list on the spot).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections.abc import Iterable
 
 from repro.games.resolution import Resolution
@@ -29,6 +36,10 @@ __all__ = [
     "signature_of",
     "signature_add",
     "colocation_key",
+    "SignatureGroup",
+    "SignatureIndex",
+    "SignaturePool",
+    "index_of",
 ]
 
 #: A server signature: sorted tuple of (game, resolution) entries.
@@ -69,3 +80,93 @@ def colocation_key(
         sorted((name, res.width, res.height) for name, res in entries)
     )
     return (signature, None if qos is None else float(qos))
+
+
+class SignatureGroup:
+    """One distinct signature: the ascending ids of the servers holding it.
+
+    ``memo`` maps an arrival (``colocation_key((entry,), floor)``) to the
+    ``(candidate signature, cache key)`` this group yields when that entry
+    joins it — filled lazily by the policies, gone with the group, so
+    bounded by the live pool.
+    """
+
+    __slots__ = ("signature", "ids", "memo")
+
+    def __init__(self, signature: Signature):
+        self.signature = signature
+        self.ids: list[int] = []
+        self.memo: dict[tuple, tuple[Signature, tuple]] = {}
+
+
+class SignatureIndex:
+    """Per-server signatures of a pool, grouped by distinct signature.
+
+    Ids only ever grow (a plain list's positions serve as its ids), so
+    ``signatures`` (insertion-ordered), ``ids`` and each group's ``ids``
+    stay ascending: pool order *is* ascending id and a pool position is a
+    ``bisect``.  Once built, :meth:`move` is the only mutation; it bumps
+    ``epoch`` and never leaves an empty group behind.
+    """
+
+    def __init__(self, signatures: Iterable[Signature] = ()) -> None:
+        self.signatures: dict[int, Signature] = dict(enumerate(signatures))
+        self.ids: list[int] = list(self.signatures)
+        self.groups: dict[Signature, SignatureGroup] = {}
+        self.epoch = 0
+        for position, signature in self.signatures.items():
+            self._group(signature).ids.append(position)
+
+    def _group(self, signature: Signature) -> SignatureGroup:
+        group = self.groups.get(signature)
+        return group or self.groups.setdefault(signature, SignatureGroup(signature))
+
+    def move(self, server_id: int, new: Signature | None) -> None:
+        """Set ``server_id``'s signature: its first opens it, ``None`` closes it."""
+        self.epoch += 1
+        old = self.signatures.get(server_id)
+        if old is None:
+            self.ids.append(server_id)
+        else:
+            group = self.groups[old]
+            del group.ids[bisect_left(group.ids, server_id)]
+            if not group.ids:
+                del self.groups[old]
+        if new is None:
+            del self.signatures[server_id]
+            del self.ids[bisect_left(self.ids, server_id)]
+        else:
+            self.signatures[server_id] = new
+            insort(self._group(new).ids, server_id)
+
+    def open_groups(self, limit: int) -> list[SignatureGroup]:
+        """Groups of fewer than ``limit`` members, in first-occurrence pool order."""
+        groups = (g for g in self.groups.values() if len(g.signature) < limit)
+        return sorted(groups, key=lambda g: g.ids[0])
+
+    def position(self, group: SignatureGroup | None) -> int | None:
+        """Pool index of ``group``'s first server (``None`` for no group)."""
+        return None if group is None else bisect_left(self.ids, group.ids[0])
+
+
+class SignaturePool(list):
+    """Pool-order signatures — a plain ``list`` to callers — plus their index.
+
+    The list is a snapshot; ``grouped`` is its maintainer's index and
+    describes it only while ``epoch == grouped.epoch`` (:func:`index_of`).
+    """
+
+    __slots__ = ("grouped", "epoch")
+
+    def __init__(self, index: SignatureIndex):
+        super().__init__(index.signatures.values())
+        self.grouped = index
+        self.epoch = index.epoch
+
+
+def index_of(signatures) -> SignatureIndex:
+    """The current index of ``signatures``, grouping a plain (or outdated) list."""
+    index = signatures.grouped if isinstance(signatures, SignaturePool) else None
+    if index is None or index.epoch != signatures.epoch:
+        index = SignatureIndex(signatures)
+    return index

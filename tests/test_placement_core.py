@@ -17,13 +17,17 @@ from repro.placement import (
     DecisionEngine,
     DedicatedPolicy,
     FleetState,
+    MaxFPSPolicy,
     Session,
+    VBPFirstFitPolicy,
     build_policy,
+    colocation_key,
     entry_of,
     signature_add,
     signature_of,
     simulate_sessions,
 )
+from repro.placement.signature import index_of
 from repro.scheduling.dynamic import cm_feasible_policy, generate_sessions
 from repro.serving import (
     AdmissionController,
@@ -117,6 +121,139 @@ class TestFleetState:
         fleet.pop_departures(2.0)
         # Index 0 now refers to server id 1 (the only open server).
         assert fleet.place(0, _session("c", arrival=2.0)) == 1
+
+    def test_ids_are_monotonic_so_pool_order_is_ascending_id(self):
+        # The invariant the signature index leans on: ids are never
+        # reused and only grow, so a pool position is a bisect on ids.
+        fleet = FleetState()
+        for n in range(6):
+            fleet.place(None, _session(f"g{n}", duration=1.0 + n))
+        fleet.crash(2)
+        fleet.pop_departures(1.5)  # closes server 0
+        assert fleet.place(None, _session("late", arrival=2.0)) == 6
+        ids = fleet.server_ids()
+        assert ids == sorted(ids) == [1, 3, 4, 5, 6]
+        for position, server_id in enumerate(ids):
+            assert fleet.place(position, _session("x", arrival=2.0)) == server_id
+
+    def test_equal_departures_keep_admission_order(self):
+        fleet = FleetState()
+        for game in ("first", "second", "third"):
+            fleet.place(None if game == "first" else 0, _session(game, duration=5.0))
+        fleet.place(0, _session("early", duration=1.0))
+        assert [s.game for s in fleet.members(0)] == [
+            "early", "first", "second", "third",
+        ]
+
+
+class TestSignaturePool:
+    def _fleet(self):
+        fleet = FleetState()
+        fleet.place(None, _session("a"))
+        fleet.place(None, _session("b"))
+        fleet.place(None, _session("a"))
+        return fleet
+
+    def test_pool_is_a_plain_list_to_callers(self):
+        pool = self._fleet().signatures()
+        a, b = (("a", R1080),), (("b", R1080),)
+        assert pool == [a, b, a] and len(pool) == 3
+        assert pool[1] == b and list(pool) == [a, b, a]
+        assert pool.index(b) == 1 and pool.count(a) == 2
+
+    def test_groups_follow_first_occurrence_order(self):
+        fleet = self._fleet()
+        index = index_of(fleet.signatures())
+        groups = index.open_groups(4)
+        assert [g.ids for g in groups] == [[0, 2], [1]]
+        assert [index.position(g) for g in groups] == [0, 1]
+        assert index.open_groups(1) == [] and index.position(None) is None
+        fleet.crash(0)
+        groups = index_of(fleet.signatures()).open_groups(4)
+        assert [g.ids for g in groups] == [[1], [2]]
+
+    def test_outdated_pool_is_regrouped_from_its_snapshot(self):
+        fleet = self._fleet()
+        stale = fleet.signatures()
+        fleet.crash(0)
+        # The fleet moved on; the old list still means what it says.
+        assert index_of(stale) is not index_of(fleet.signatures())
+        assert [g.ids for g in index_of(stale).open_groups(4)] == [[0, 2], [1]]
+        policy = VBPFirstFitPolicy(_FitsOnly("b"))
+        assert policy.select(stale, _session("z")) == 1
+        assert policy.select(fleet.signatures(), _session("z")) == 0
+
+    def test_memo_dies_with_its_group(self):
+        fleet = self._fleet()
+        policy = MaxFPSPolicy(_ConstantFPS(), 60.0)
+        assert policy.select(fleet.signatures(), _session("c")) == 0
+        index = index_of(fleet.signatures())
+        assert all(len(g.memo) == 1 for g in index.groups.values())
+        fleet.crash(1)
+        assert set(index.groups) == {(("a", R1080),)}
+        fleet.place(None, _session("b"))
+        assert not index.groups[(("b", R1080),)].memo
+
+
+class _FitsOnly:
+    """A VBP judge that lets a session join only servers hosting ``game``."""
+
+    def __init__(self, game):
+        self.game = game
+
+    def fits_after_adding(self, spec, _game, _resolution):
+        return spec is not None and self.game in spec.names
+
+
+class _ConstantFPS:
+    """An RM whose every prediction clears the floor."""
+
+    def predict_fps_batch(self, specs):
+        return [[90.0] * spec.size for spec in specs]
+
+
+class TestOneProbePerDistinctCandidate:
+    """Regression: max-fps used to re-probe every duplicate uncached candidate."""
+
+    @pytest.mark.parametrize("as_fleet", [False, True])
+    def test_cold_duplicates_cost_one_lookup_and_one_put(self, as_fleet):
+        fleet = FleetState()
+        fleet.place(None, _session("a"))
+        fleet.place(None, _session("a"))
+        pool = fleet.signatures() if as_fleet else list(fleet.signatures())
+        from tests.test_vectorized_parity import _RecordingCache
+
+        cache = _RecordingCache()
+        policy = MaxFPSPolicy(_ConstantFPS(), 60.0, cache=cache)
+        assert policy.select(pool, _session("b")) == 0
+        key = colocation_key((("a", R1080), ("b", R1080)))
+        assert cache.log == [("lookup", key), ("put", key)]
+        assert (cache.hits, cache.misses) == (0, 1)
+        assert policy.select(pool, _session("b")) == 0
+        assert cache.log[2:] == [("lookup", key)]
+        assert (cache.hits, cache.misses) == (1, 1)
+
+    def test_short_answer_raises_keyerror_after_the_predict_span(self):
+        # A predictor answering fewer rows than asked (a stale replayed
+        # batch): the answered prefix is cached, then the first unanswered
+        # candidate raises KeyError once the predict span has closed clean.
+        from repro.obs.tracing import Tracer
+
+        class _FirstRowOnly(_ConstantFPS):
+            def predict_fps_batch(self, specs):
+                return super().predict_fps_batch(specs[:1])
+
+        a, b, z = ("a", R1080), ("b", R1080), ("z", R1080)
+        tracer = Tracer()
+        policy = MaxFPSPolicy(_FirstRowOnly(), 60.0)
+        policy.instrument(tracer=tracer)
+        with pytest.raises(KeyError) as raised:
+            policy.select([(a,), (b,)], _session("z"))
+        assert raised.value.args == ((b, z),)
+        assert policy.cache.lookup(colocation_key((a, z)), None) == (90.0, 90.0)
+        assert len(policy.cache) == 1
+        assert [s.name for s in tracer.spans] == ["cache", "predict"]
+        assert all("error" not in s.attributes for s in tracer.spans)
 
 
 class TestStrictEngine:

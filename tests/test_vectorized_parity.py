@@ -1,10 +1,13 @@
 """Bitwise-parity locks for the vectorized cold-path pipeline.
 
-Three properties pin the fast paths to the scalar implementations they
+Properties pinning the fast paths to the scalar implementations they
 replaced: batch feature matrices equal row-by-row feature vectors
 (exactly — same bits, not just close), packed ensemble evaluation equals
-the per-tree Python loop, and incrementally maintained fleet signatures
-equal a from-scratch recomputation after arbitrary mutation sequences.
+the per-tree Python loop, incrementally maintained fleet signatures
+equal a from-scratch recomputation after arbitrary mutation sequences,
+the fleet's signature index equals a from-scratch grouping of them, and
+a policy's scan over that index picks the server — through the same
+cache probes — that a straight-line per-server scan picks.
 """
 
 import numpy as np
@@ -19,6 +22,7 @@ from repro.core.features import (
     rm_feature_matrix,
     rm_feature_vector,
 )
+from repro.core.training import ColocationSpec
 from repro.games.resolution import Resolution
 from repro.hardware.resources import NUM_RESOURCES
 from repro.ml import (
@@ -27,8 +31,30 @@ from repro.ml import (
     RandomForestClassifier,
     RandomForestRegressor,
 )
+from repro.obs import QoSLedger, Telemetry
+from repro.placement import BreakerConfig
+from repro.placement.cache import PredictionCache
 from repro.placement.fleet import FleetState, Session
-from repro.placement.signature import signature_of
+from repro.placement.policies import (
+    CMFeasiblePolicy,
+    MaxFPSPolicy,
+    VBPFirstFitPolicy,
+    WorstFitPolicy,
+)
+from repro.placement.signature import (
+    colocation_key,
+    entry_of,
+    signature_add,
+    signature_of,
+)
+from repro.serving import (
+    AdmissionController,
+    FaultConfig,
+    FaultInjector,
+    RequestBroker,
+    TraceConfig,
+    generate_trace,
+)
 
 finite = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
@@ -189,3 +215,355 @@ class TestIncrementalSignatureParity:
                 signature_of(fleet.members(sid)) for sid in fleet.server_ids()
             ]
             assert fleet.signatures() == recomputed
+
+
+# ----------------------------------------------------------------------
+# The signature index: the fleet's groups equal a from-scratch grouping,
+# and a grouped policy scan equals a straight-line per-server scan.
+
+ENTRIES = [(game, res) for game in GAMES[:3] for res in RESOLUTIONS]
+QOS = 60.0
+
+
+def _score(entries) -> int:
+    """A pure, order-insensitive stand-in for "what the models think"."""
+    return sum((GAMES.index(g) + 2) * (r.width // 640 + 1) for g, r in entries)
+
+
+class _FakePredictor:
+    """Deterministic CM/RM answers that are a function of the multiset only."""
+
+    def predict_batch(self, specs, qos, models):
+        assert models == ("cm",)
+        return [
+            {"feasible": np.array([(_score(s.entries) + int(qos)) % 3 != 0])}
+            for s in specs
+        ]
+
+    def predict_fps_batch(self, specs):
+        return [
+            [50.0 + (_score(s.entries) * (i + 3)) % 23 for i in range(s.size)]
+            for s in specs
+        ]
+
+
+class _FakeVBP:
+    """Pure fit/slack answers with plenty of ties."""
+
+    def fits_after_adding(self, spec, game, resolution):
+        base = _score(spec.entries) if spec is not None else 0
+        return (base + _score(((game, resolution),))) % 4 != 0
+
+    def remaining_capacity(self, spec):
+        return 7.0 - (_score(spec.entries) % 3 if spec is not None else 0)
+
+
+class _RecordingCache(PredictionCache):
+    """A real LRU that also logs every probe and store, in order."""
+
+    def __init__(self, capacity=64):
+        super().__init__(capacity)
+        self.log = []
+
+    def lookup(self, key, default=None):
+        self.log.append(("lookup", key))
+        return super().lookup(key, default)
+
+    def put(self, key, value):
+        self.log.append(("put", key))
+        super().put(key, value)
+
+
+def _linear_resolve(cache, candidates, floor, query, policy=None):
+    """Cache-then-one-batch over per-server candidates, repeats skipped."""
+    values, unknown = {}, []
+    for candidate in candidates:
+        if candidate in values or candidate in unknown:
+            continue
+        hit = cache.lookup(colocation_key(candidate, floor), None)
+        if hit is not None:
+            values[candidate] = hit
+        else:
+            unknown.append(candidate)
+    if unknown:
+        answers = query([ColocationSpec(c) for c in unknown])
+        for candidate, value in zip(unknown, answers):
+            values[candidate] = value
+            cache.put(colocation_key(candidate, floor), value)
+    elif getattr(policy, "telemetry", None) is not None:
+        name = "predict_cache_shortcuts"
+        policy.telemetry.counter(name, policy=policy.name).inc()
+    return values
+
+
+def _linear_candidates(pool, session, limit):
+    entry = entry_of(session)
+    return [
+        (i, signature_add(sig, entry)) for i, sig in enumerate(pool) if len(sig) < limit
+    ]
+
+
+def _linear_verdicts(policy, signatures):
+    floor = policy.qos * policy.margin
+
+    def query(specs):
+        out = policy.predictor.predict_batch(specs, qos=floor, models=("cm",))
+        return [bool(np.all(r["feasible"])) for r in out]
+
+    return _linear_resolve(policy.cache, signatures, floor, query, policy)
+
+
+def linear_cm(policy, pool, session):
+    """Fullest feasible server, lowest pool index on ties — one server at a time."""
+    candidates = _linear_candidates(pool, session, policy.max_colocation)
+    verdicts = _linear_verdicts(policy, [c for _, c in candidates])
+    best, best_size = None, -1
+    for i, candidate in candidates:
+        if verdicts[candidate] and len(pool[i]) > best_size:
+            best, best_size = i, len(pool[i])
+    return best
+
+
+def linear_max_fps(policy, pool, session):
+    """Feasible server with the highest predicted total FPS, first on ties."""
+
+    def query(specs):
+        out = policy.predictor.predict_fps_batch(specs)
+        return [tuple(float(v) for v in values) for values in out]
+
+    candidates = _linear_candidates(pool, session, policy.max_colocation)
+    fps = _linear_resolve(policy.cache, [c for _, c in candidates], None, query)
+    best, best_total = None, -np.inf
+    for i, candidate in candidates:
+        values = fps[candidate]
+        if min(values) >= policy.qos and sum(values) > best_total:
+            best, best_total = i, sum(values)
+    return best
+
+
+def _linear_fits(policy, pool, session):
+    for i, sig in enumerate(pool):
+        if len(sig) >= policy.max_colocation:
+            continue
+        spec = ColocationSpec(sig) if sig else None
+        if policy.vbp.fits_after_adding(spec, session.game, session.resolution):
+            yield i, spec
+
+
+def linear_worst_fit(policy, pool, session):
+    """Fitting server with the most slack, first on ties."""
+    best, best_slack = None, -np.inf
+    for i, spec in _linear_fits(policy, pool, session):
+        slack = policy.vbp.remaining_capacity(spec)
+        if slack > best_slack:
+            best, best_slack = i, slack
+    return best
+
+
+def linear_first_fit(policy, pool, session):
+    """First fitting server in pool order."""
+    return next((i for i, _ in _linear_fits(policy, pool, session)), None)
+
+
+def _make_policies():
+    """Fresh ``(policy, straight-line reference)`` pairs for all four scans."""
+    predictor, vbp = _FakePredictor(), _FakeVBP()
+    return [
+        (CMFeasiblePolicy(predictor, QOS, cache=_RecordingCache(), margin=1.1), linear_cm),
+        (MaxFPSPolicy(predictor, QOS, cache=_RecordingCache()), linear_max_fps),
+        (WorstFitPolicy(vbp), linear_worst_fit),
+        (VBPFirstFitPolicy(vbp), linear_first_fit),
+    ]
+
+
+def _arrival(r: int) -> Session:
+    game, resolution = ENTRIES[r % len(ENTRIES)]
+    return Session(game, resolution, arrival=0.0, duration=1.0 + r % 5)
+
+
+def _fleet_hosting(pool, decoys):
+    """A fleet whose pool is exactly ``pool``, with id gaps where decoys crashed."""
+    fleet = FleetState()
+    doomed = []
+    for position, sig in enumerate(pool):
+        if position in decoys:
+            doomed.append(fleet.place(None, _arrival(position)))
+        for n, (game, resolution) in enumerate(sig):
+            session = Session(game, resolution, arrival=0.0, duration=2.0 + n)
+            fleet.place(None if n == 0 else fleet.n_open - 1, session)
+    for server_id in doomed:
+        fleet.crash(server_id)
+    return fleet
+
+
+signatures_st = st.lists(st.sampled_from(ENTRIES), min_size=0, max_size=4).map(
+    lambda entries: tuple(sorted(entries))
+)
+pools_st = st.lists(signatures_st, min_size=0, max_size=14)
+index_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["place_new", "place_join", "depart", "crash", "resolution", "probe"]
+        ),
+        st.integers(0, 10 ** 6),
+    ),
+    min_size=1,
+    max_size=50,
+)
+
+
+class TestSignatureIndexParity:
+    @given(index_ops)
+    @settings(max_examples=80, deadline=None)
+    def test_index_matches_regrouping_under_mutation(self, ops):
+        fleet = FleetState()
+        policy = CMFeasiblePolicy(_FakePredictor(), QOS, cache=PredictionCache(64))
+        clock, highest, before = 0.0, -1, {}
+        for op, r in ops:
+            if op == "probe":
+                pool = fleet.signatures()
+                assert policy.select(pool, _arrival(r)) == linear_cm(
+                    policy, list(pool), _arrival(r)
+                )
+            elif op == "place_new" or fleet.n_open == 0:
+                session = _arrival(r)
+                server_id = fleet.place(None, Session(
+                    session.game, session.resolution, clock, session.duration
+                ))
+                # Ids are monotonic: never reused, always the largest so far.
+                assert server_id > highest
+                highest = server_id
+            elif op == "place_join":
+                session = _arrival(r // 3)
+                fleet.place(r % fleet.n_open, Session(
+                    session.game, session.resolution, clock, session.duration
+                ))
+            elif op == "depart":
+                clock += 1.0 + (r % 3)
+                fleet.pop_departures(clock)
+            elif op == "crash":
+                fleet.crash(fleet.server_ids()[r % fleet.n_open])
+            else:
+                server_id = fleet.server_ids()[r % fleet.n_open]
+                member_id, old = fleet._servers[server_id][0]
+                fleet.update_resolution(server_id, member_id, Session(
+                    old.game, RESOLUTIONS[r % 2], old.arrival, old.duration
+                ))
+            index = fleet._index
+            # ... so pool order is ascending id, and a position is a bisect.
+            assert fleet.server_ids() == sorted(fleet.server_ids()) == index.ids
+            regrouped = {}
+            for server_id, sig in zip(fleet.server_ids(), fleet.signatures()):
+                regrouped.setdefault(sig, []).append(server_id)
+            assert {s: g.ids for s, g in index.groups.items()} == regrouped
+            assert all(g.signature == s for s, g in index.groups.items())
+            for sig, group in index.groups.items():
+                # A group that was not there a step ago starts without a
+                # memo: entries live and die with their group.
+                if op != "probe" and before.get(sig) is not group:
+                    assert not group.memo
+                for arrival, (candidate, key) in group.memo.items():
+                    ((game, width, height),), floor = arrival
+                    entry = (game, Resolution(width, height))
+                    assert candidate == signature_add(sig, entry)
+                    assert key == colocation_key(candidate, floor)
+            before = dict(index.groups)
+
+    @given(pools_st, st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4), st.data())
+    @settings(max_examples=120, deadline=None)
+    def test_grouped_select_matches_linear_scan(self, pool, arrivals, data):
+        hosted = [sig for sig in pool if sig]
+        decoys = data.draw(st.sets(st.integers(0, max(len(hosted) - 1, 0))))
+        fleet = _fleet_hosting(hosted, decoys)
+        assert fleet.signatures() == hosted
+        # A plain list (lifted at the boundary) and a fleet's own pool.
+        for present, straight in ((lambda: pool, pool), (fleet.signatures, hosted)):
+            for (policy, linear), (reference, _) in zip(
+                _make_policies(), _make_policies()
+            ):
+                # Several arrivals through one cache: hits, misses and LRU
+                # order have to stay in lockstep, not just the answer.
+                for r in arrivals:
+                    session = _arrival(r)
+                    expected = linear(reference, straight, session)
+                    assert policy.select(present(), session) == expected
+                    if hasattr(policy, "cache"):
+                        assert policy.cache.log == reference.cache.log
+
+
+class _LinearCMFeasible(CMFeasiblePolicy):
+    """``cm-feasible`` deciding by the straight-line per-server scan."""
+
+    def select(self, signatures, session):
+        return linear_cm(self, list(signatures), session)
+
+    def group_feasible(self, signature):
+        if len(signature) > self.max_colocation:
+            return False
+        return _linear_verdicts(self, [signature])[signature]
+
+
+class _LinearWorstFit(WorstFitPolicy):
+    """``worst-fit`` deciding by the straight-line per-server scan."""
+
+    def select(self, signatures, session):
+        return linear_worst_fit(self, list(signatures), session)
+
+
+class TestGroupedScanUnderChaos:
+    """A ``ledger_churn``-shaped run decides, counts and draws identically.
+
+    Crashes and readmissions, predictor *and* cache faults (errors, stale
+    answers and lost entries, corrupt values), breakers, a downscale
+    ladder with its restore loop, and the QoS ledger: any extra or missing
+    cache probe shifts the fault RNG stream, so equal reports mean the
+    grouped scan makes the same probes in the same order as the per-server
+    one, not just the same choices.
+    """
+
+    def _report(self, minilab, cm_policy, worst_fit):
+        from tests.test_serving_degrade import LADDER, normalized
+
+        telemetry = Telemetry()
+        injector = FaultInjector(
+            FaultConfig(error_rate=0.03, corrupt_rate=0.04, stale_rate=0.08, seed=13),
+            telemetry=telemetry,
+        )
+        controller = AdmissionController(
+            cm_policy(
+                injector.wrap_predictor(minilab.predictor),
+                45.0,
+                cache=injector.wrap_cache(PredictionCache(96)),
+                margin=1.05,
+            ),
+            fallback=worst_fit(minilab.vbp),
+            telemetry=telemetry,
+            breaker=BreakerConfig(
+                failure_threshold=0.5, window=12, min_requests=4, cooldown=10
+            ),
+            downscale_ladder=LADDER,
+        )
+        ledger = QoSLedger(
+            minilab.catalog, minilab.predictor, slo_fps=45.0, server=minilab.server
+        )
+        broker = RequestBroker(
+            controller, crash_rate=0.03, crash_seed=13, ledger=ledger,
+            restore_interval=16,
+        )
+        trace = TraceConfig(n_requests=320, arrival_rate=9.0, mean_duration=25.0, seed=13)
+        sessions = generate_trace(minilab.predictor.db.names(), trace)
+        return normalized(broker.run(list(sessions)).to_dict())
+
+    def test_same_report_as_the_per_server_scan(self, minilab):
+        grouped = self._report(minilab, CMFeasiblePolicy, WorstFitPolicy)
+        linear = self._report(minilab, _LinearCMFeasible, _LinearWorstFit)
+        counters = grouped["telemetry"]["counters"]
+        for exercised in (
+            "server_crashes", "readmissions", "faults_stale", "faults_corrupt",
+            "faults_error", "fallbacks", "restore_queries",
+        ):
+            assert counters.get(exercised, 0) > 0, exercised
+        assert grouped["telemetry"]["caches"]["cm-feasible"]["evictions"] > 0
+        assert grouped["telemetry"]["caches"] == linear["telemetry"]["caches"]
+        assert grouped["placements"] == linear["placements"]
+        assert grouped == linear
