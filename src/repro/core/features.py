@@ -15,6 +15,7 @@ Observation 5 forbids the naive alternative of summing intensities.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import cache
 
 import numpy as np
 
@@ -117,10 +118,13 @@ def cm_feature_vector(
 # leading axes.
 
 
+@cache  # one small read-only matrix per colocation size ever seen
 def _loo_indices(n: int) -> np.ndarray:
     """``(n, n-1)`` co-runner index matrix: row ``i`` lists ``j != i`` ascending."""
     base = np.arange(n - 1)
-    return base[None, :] + (base[None, :] >= np.arange(n)[:, None])
+    indices = base[None, :] + (base[None, :] >= np.arange(n)[:, None])
+    indices.setflags(write=False)
+    return indices
 
 
 def aggregate_intensity_matrix(stacks: np.ndarray) -> np.ndarray:

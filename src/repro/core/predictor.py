@@ -67,20 +67,16 @@ class InterferencePredictor:
         self.regressor = regressor
         self.telemetry = None
         self.tracer = NOOP_TRACER
-        # (game, width, height) -> (profile, intensity values, solo FPS,
-        # sensitivity vector).  Profiles are immutable once loaded and
-        # these derivations are pure, so the memo never invalidates; it
-        # is bounded by games x preset resolutions.  Caching them turns
-        # the cold-decision feature assembly from per-candidate
-        # interpolation work into list indexing.
-        self._feature_cache: dict[tuple, tuple] = {}
-        # spec.entries -> (profiles, intensity matrix (n, 7), solo FPS
-        # vector (n,), sensitivity matrix (n, d)).  The pre-stacked form
-        # of the blocks above, so batched featurization is pure array
-        # indexing per spec.  Derivations are pure but the key space is
-        # the colocation multiset space, so the memo is cleared (cheaply,
-        # rarely) rather than allowed to grow without bound.
-        self._spec_cache: dict[tuple, tuple] = {}
+        # The entry table: (game, width, height) -> row of three parallel
+        # arrays — intensity (E, 7), solo FPS (E,), sensitivity (E, d).
+        # Profiles are immutable once loaded and the derivations are
+        # pure, so rows never invalidate; E is bounded by games x
+        # resolutions ever seen.  A colocation is a list of row ids, so
+        # featurizing a batch is a few dict lookups per spec and three
+        # gathers per size group.  Growing rebinds the arrays: resolve
+        # ids first, read the arrays after.
+        self._rows: dict[tuple, int] = {}
+        self._intensity = self._solo = self._sens = None
 
     def instrument(self, telemetry=None, tracer=None) -> "InterferencePredictor":
         """Attach observability sinks (both optional, chainable).
@@ -113,46 +109,34 @@ class InterferencePredictor:
         if missing:
             raise MissingProfileError(missing)
 
-    def _entry_block(self, name: str, res) -> tuple:
-        """Memoized (profile, intensity, solo FPS, sensitivity) for one entry."""
-        key = (name, res.width, res.height)
-        block = self._feature_cache.get(key)
-        if block is None:
-            profile = self.db.get(name)
-            block = (
-                profile,
-                profile.intensity_at(res).values,
-                profile.solo_fps_at(res),
-                profile.sensitivity_vector(),
-            )
-            self._feature_cache[key] = block
-        return block
-
-    def _spec_arrays(self, spec: ColocationSpec) -> tuple:
-        """Pre-stacked per-spec arrays: (profiles, intensity matrix ``(n, 7)``,
-        solo FPS vector ``(n,)``, sensitivity matrix ``(n, d)``), memoized
-        per entries tuple so repeat evaluations are one dict lookup.
-        """
-        cached = self._spec_cache.get(spec.entries)
-        if cached is None:
+    def _entry_ids(self, spec: ColocationSpec) -> list[int]:
+        """Entry-table row of each entry of ``spec``; a spec with an entry
+        never seen before is validated whole, then its new rows are added."""
+        rows = self._rows
+        try:
+            return [rows[name, res.width, res.height] for name, res in spec.entries]
+        except KeyError:
             self.validate_spec(spec)
-            blocks = [self._entry_block(name, res) for name, res in spec.entries]
-            if len(self._spec_cache) >= 65536:
-                self._spec_cache.clear()
-            cached = self._spec_cache[spec.entries] = (
-                tuple(b[0] for b in blocks),
-                np.vstack([b[1] for b in blocks]),
-                np.asarray([b[2] for b in blocks], dtype=float),
-                np.vstack([b[3] for b in blocks]),
-            )
-        return cached
+        for name, res in spec.entries:
+            key = (name, res.width, res.height)
+            if key not in rows:
+                profile = self.db.get(name)
+                new = (
+                    profile.intensity_at(res).values[None],
+                    np.asarray([profile.solo_fps_at(res)], dtype=float),
+                    profile.sensitivity_vector()[None],
+                )
+                if rows:
+                    old = (self._intensity, self._solo, self._sens)
+                    new = [np.concatenate(pair) for pair in zip(old, new)]
+                self._intensity, self._solo, self._sens = new
+                rows[key] = len(rows)
+        return [rows[name, res.width, res.height] for name, res in spec.entries]
 
-    def _inputs(self, spec: ColocationSpec):
-        """Parallel per-entry lists: profiles, intensities, solo FPS,
-        sensitivity vectors (the legacy list view of :meth:`_spec_arrays`).
-        """
-        profiles, stack, solo, sensitivities = self._spec_arrays(spec)
-        return list(profiles), list(stack), [float(s) for s in solo], list(sensitivities)
+    def _solo_fps(self, spec: ColocationSpec) -> np.ndarray:
+        """Solo FPS per entry of ``spec``, shape ``(n,)``."""
+        ids = self._entry_ids(spec)
+        return self._solo[ids]
 
     def _grouped_matrix(self, specs: Sequence[ColocationSpec], qos: float | None):
         """Feature rows for every entry of every size->=2 spec, grouped by size.
@@ -162,24 +146,26 @@ class InterferencePredictor:
         ``slots`` lists ``(spec_index, row_start, size)`` blocks mapping
         contiguous row ranges of ``X`` back to their spec.  Grouping
         specs by size keeps the construction free of per-row Python:
-        each distinct colocation size costs one set of numpy ops.
+        each distinct colocation size costs one ``(g, n)`` id array and
+        one set of numpy ops.
         """
-        groups: dict[int, list[int]] = {}
+        groups: dict[int, tuple[list[int], list[int]]] = {}
         for si, spec in enumerate(specs):
             if spec.size >= 2:
-                groups.setdefault(spec.size, []).append(si)
+                members, ids = groups.setdefault(spec.size, ([], []))
+                members.append(si)
+                ids += self._entry_ids(spec)
         if not groups:
             return None, []
         blocks, slots, row = [], [], 0
-        for size, members in groups.items():
-            arrays = [self._spec_arrays(specs[si]) for si in members]
-            stacks = np.stack([a[1] for a in arrays])
-            sens = np.stack([a[3] for a in arrays])
+        for size, (members, ids) in groups.items():
+            idx = np.asarray(ids).reshape(-1, size)
             if qos is None:
-                block = rm_feature_matrix(sens, stacks)
+                block = rm_feature_matrix(self._sens[idx], self._intensity[idx])
             else:
-                solo = np.stack([a[2] for a in arrays])
-                block = cm_feature_matrix(qos, solo, sens, stacks)
+                block = cm_feature_matrix(
+                    qos, self._solo[idx], self._sens[idx], self._intensity[idx]
+                )
             blocks.append(block)
             for si in members:
                 slots.append((si, row, size))
@@ -234,10 +220,7 @@ class InterferencePredictor:
     def predict_fps_batch(self, specs: Sequence[ColocationSpec]) -> list[np.ndarray]:
         """Predicted colocated FPS per entry for each spec (batched RM)."""
         degradations = self.predict_degradations_batch(specs)
-        return [
-            deg * self._spec_arrays(spec)[2]
-            for spec, deg in zip(specs, degradations)
-        ]
+        return [deg * self._solo_fps(spec) for spec, deg in zip(specs, degradations)]
 
     def predict_feasible_batch(
         self, specs: Sequence[ColocationSpec], qos: float
@@ -249,12 +232,9 @@ class InterferencePredictor:
         start = time.perf_counter()
         with self.tracer.span("featurize", model="cm", specs=len(specs)):
             for spec in specs:
-                if spec.size < 2:
-                    # A game running alone is feasible iff its solo FPS
-                    # meets QoS.
-                    out.append(self._spec_arrays(spec)[2] >= qos)
-                else:
-                    out.append(np.zeros(spec.size, dtype=bool))
+                # A game running alone is feasible iff its solo FPS meets
+                # QoS; colocations are filled in from ``slots`` below.
+                out.append(self._solo_fps(spec) >= qos if spec.size < 2 else None)
             X, slots = self._grouped_matrix(specs, qos)
         self._observe_stage("featurize", "cm", time.perf_counter() - start)
         if X is not None:
@@ -300,6 +280,11 @@ class InterferencePredictor:
         ``predict_featurize_s`` / ``predict_model_eval_s``, giving the
         per-decision latency attribution the serving layer reports.
         """
+        unknown = set(models or ()) - {"rm", "cm"}
+        if unknown:
+            raise ValueError(
+                f"models must be drawn from ('rm', 'cm'), got {sorted(unknown)}"
+            )
         start = time.perf_counter()
         run_rm = self.regressor is not None and (models is None or "rm" in models)
         run_cm = (
@@ -313,7 +298,7 @@ class InterferencePredictor:
                 degradations = self.predict_degradations_batch(specs)
                 for spec, result, deg in zip(specs, results, degradations):
                     result["degradations"] = deg
-                    result["fps"] = deg * self._spec_arrays(spec)[2]
+                    result["fps"] = deg * self._solo_fps(spec)
             if run_cm:
                 for result, verdicts in zip(
                     results, self.predict_feasible_batch(specs, qos)

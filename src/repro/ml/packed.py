@@ -1,23 +1,24 @@
-"""Packed tree-ensemble evaluation: all trees x all rows in one traversal.
+"""Packed tree-ensemble evaluation: all trees x all rows in one descent.
 
-The ensembles in :mod:`repro.ml.forest` and :mod:`repro.ml.gbdt` used to
-evaluate their trees one Python iteration at a time — ``T`` separate
-breadth-parallel descents per prediction call, which made the serving
-cold path (a 300-tree GBDT per decision) pure interpreter overhead.  A
-:class:`PackedTrees` concatenates every tree's flat node arrays
-(``feature``/``threshold``/``left``/``right``/``value``) once, with
-child pointers rebased to absolute node ids, so a single breadth-first
-loop advances every (tree, row) pair simultaneously: the loop body runs
-``O(max depth)`` times total instead of per tree.
+A :class:`PackedTrees` concatenates every tree's flat node arrays once,
+with child pointers rebased to absolute node ids, so one loop advances
+every (tree, row) cursor simultaneously.  The loop is *fixed-trip*: it
+runs exactly ``depth`` levels (the longest root-to-leaf path in the
+pack), with no liveness mask and no compaction, because a leaf is stored
+as a self-loop — ``feature 0``, ``threshold +inf``, both children =
+itself — so a cursor that arrives early just stays put.  Children sit
+interleaved ``[right, left]`` in one array, so the next node is
+``children[2 * node + (x <= threshold)]``: the same comparison on the
+same operands as a per-row walk, hence the same leaf.  A single tree
+(:meth:`repro.ml.tree._Tree.apply`) is a pack of one — there is one
+descent in the repo.
 
 Packing is a *derived cache*: it is built lazily from the fitted
 per-tree arrays (after :meth:`fit` or deserialization) and never
 serialized — bundles written by :mod:`repro.ml.serialization` are
-unchanged.  Every evaluator here is bitwise identical to the per-tree
-loop it replaces: node descents perform the same comparisons, and the
-ensemble folds (forest mean, soft-vote sum, boosted accumulation) reduce
-over the outer axis of a C-contiguous array, which numpy evaluates in
-tree order exactly like the original Python accumulation.
+unchanged.  The ensemble folds (forest mean, soft-vote sum, boosted
+accumulation) reduce over the outer axis of a C-contiguous array, which
+numpy evaluates in tree order exactly like a per-tree Python loop.
 """
 
 from __future__ import annotations
@@ -48,45 +49,33 @@ def _stage_sum(terms: np.ndarray) -> np.ndarray:
     return np.add.reduce(terms, axis=0)
 
 
-def traverse(
-    feature: np.ndarray,
-    threshold: np.ndarray,
-    left: np.ndarray,
-    right: np.ndarray,
-    node: np.ndarray,
-    rows: np.ndarray,
-    X: np.ndarray,
-) -> np.ndarray:
-    """Advance every cursor in ``node`` to its leaf; returns ``node``.
-
-    The shared breadth-parallel descent kernel: ``node[k]`` is a cursor
-    into the flat node arrays and ``rows[k]`` names the row of ``X`` it
-    descends with.  Used with one cursor per row for a single tree
-    (:meth:`repro.ml.tree._Tree.apply`) and one cursor per (tree, row)
-    pair for a packed ensemble — the loop body executes once per tree
-    *level*, not per tree.
-    """
-    while True:
-        feat = feature[node]
-        internal = feat != _LEAF
-        if not internal.any():
-            return node
-        idx = np.where(internal)[0]
-        f = feat[idx]
-        go_left = X[rows[idx], f] <= threshold[node[idx]]
-        node[idx] = np.where(go_left, left[node[idx]], right[node[idx]])
-
-
 class PackedTrees:
-    """An ensemble's trees concatenated into one set of flat node arrays."""
+    """An ensemble's trees concatenated into one set of flat node arrays.
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "roots")
+    ``feature``/``threshold`` hold the self-looping-leaf form described
+    in the module docstring; ``children[2 * i]`` / ``[2 * i + 1]`` are
+    node ``i``'s right / left child; ``depth`` is the descent's trip
+    count and ``width`` the number of columns the splits read.
+    """
+
+    __slots__ = ("feature", "threshold", "children", "value", "roots", "depth", "width")
 
     def __init__(self, feature, threshold, left, right, value, roots):
-        self.feature = feature
-        self.threshold = threshold
-        self.left = left
-        self.right = right
+        leaf = feature == _LEAF
+        self.width = int(feature.max()) + 1
+        self.depth, frontier = 0, roots
+        while True:
+            frontier = frontier[~leaf[frontier]]
+            if frontier.size == 0:
+                break
+            frontier = np.concatenate([left[frontier], right[frontier]])
+            self.depth += 1
+        ids = np.arange(feature.shape[0])
+        self.children = np.empty(2 * ids.shape[0], dtype=np.int64)
+        self.children[0::2] = np.where(leaf, ids, right)
+        self.children[1::2] = np.where(leaf, ids, left)
+        self.feature = np.where(leaf, 0, feature)
+        self.threshold = np.where(leaf, np.inf, threshold)
         self.value = value
         self.roots = roots
 
@@ -97,10 +86,23 @@ class PackedTrees:
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Absolute leaf id per (tree, row): shape ``(n_trees, n)``."""
-        n = X.shape[0]
+        n, p = X.shape
+        if p < self.width:
+            # The flat offsets below would read the next row's cells
+            # where a 2-D index raises.
+            raise IndexError(
+                f"X has {p} column(s) but the trees split on column {self.width - 1}"
+            )
+        flat = X.ravel()
+        base = np.tile(np.arange(n) * p, self.n_trees)
         node = np.repeat(self.roots, n)
-        rows = np.tile(np.arange(n), self.n_trees)
-        traverse(self.feature, self.threshold, self.left, self.right, node, rows, X)
+        for _ in range(self.depth):
+            at = self.feature.take(node)
+            at += base
+            go_left = flat.take(at) <= self.threshold.take(node)
+            node += node
+            node += go_left
+            node = self.children.take(node)
         return node.reshape(self.n_trees, n)
 
     def leaf_values(self, X: np.ndarray) -> np.ndarray:
@@ -145,19 +147,13 @@ def pack_trees(
         raise ValueError("pack_trees needs at least one tree")
     sizes = np.asarray([t.feature.shape[0] for t in trees], dtype=np.int64)
     offsets = np.concatenate([[0], np.cumsum(sizes)])
-    lefts, rights = [], []
-    for t, off in zip(trees, offsets):
-        left = t.left.copy()
-        right = t.right.copy()
-        left[left != _LEAF] += off
-        right[right != _LEAF] += off
-        lefts.append(left)
-        rights.append(right)
+    # A leaf's rebased pointer is meaningless; the constructor replaces
+    # it with a self-loop.
     return PackedTrees(
         feature=np.concatenate([t.feature for t in trees]),
         threshold=np.concatenate([t.threshold for t in trees]),
-        left=np.concatenate(lefts),
-        right=np.concatenate(rights),
+        left=np.concatenate([t.left + off for t, off in zip(trees, offsets)]),
+        right=np.concatenate([t.right + off for t, off in zip(trees, offsets)]),
         value=np.vstack(list(values) if values is not None else [t.value for t in trees]),
         roots=offsets[:-1],
     )

@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.ml.base import BaseEstimator, check_array, check_X_y
-from repro.ml.packed import traverse
+from repro.ml.packed import PackedTrees, pack_trees
 
 __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor"]
 
@@ -24,7 +24,9 @@ _LEAF = -1
 class _Tree:
     """Flat-array binary tree produced by :class:`_TreeBuilder`."""
 
-    __slots__ = ("feature", "threshold", "left", "right", "value", "n_node_samples")
+    __slots__ = (
+        "feature", "threshold", "left", "right", "value", "n_node_samples", "_pack",
+    )
 
     def __init__(self, feature, threshold, left, right, value, n_node_samples):
         self.feature = feature
@@ -33,19 +35,23 @@ class _Tree:
         self.right = right
         self.value = value
         self.n_node_samples = n_node_samples
+        self._pack = None
 
     @property
     def n_nodes(self) -> int:
         return self.feature.shape[0]
 
+    def packed(self) -> PackedTrees:
+        """This tree as a pack of one, built once: the structure is fixed
+        after growth.  Its ``value`` is a copy — boosting rewrites leaf
+        values in place, so read ``self.value``."""
+        if self._pack is None:
+            self._pack = pack_trees([self])
+        return self._pack
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for every row of ``X``."""
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        return traverse(
-            self.feature, self.threshold, self.left, self.right,
-            node, np.arange(n), X,
-        )
+        return self.packed().apply(X)[0]
 
     def predict_value(self, X: np.ndarray) -> np.ndarray:
         """Leaf value matrix ``(n, d)`` for every row of ``X``."""
@@ -230,12 +236,7 @@ class _BaseDecisionTree(BaseEstimator):
     def depth_(self) -> int:
         """Maximum depth of the fitted tree (root = 0)."""
         self._check_fitted("tree_")
-        depth = np.zeros(self.tree_.n_nodes, dtype=int)
-        for node in range(self.tree_.n_nodes):
-            if self.tree_.feature[node] != _LEAF:
-                for child in (self.tree_.left[node], self.tree_.right[node]):
-                    depth[child] = depth[node] + 1
-        return int(depth.max())
+        return self.tree_.packed().depth
 
 
 class DecisionTreeRegressor(_BaseDecisionTree):

@@ -1,11 +1,16 @@
 """Tests for the predictor's batched API and up-front profile validation."""
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core import InterferencePredictor, MissingProfileError
+from repro.core.features import cm_feature_vector, rm_feature_vector
 from repro.core.training import ColocationSpec, generate_colocations
-from repro.games.resolution import REFERENCE_RESOLUTION
+from repro.games.resolution import REFERENCE_RESOLUTION, Resolution
 
 
 class CountingModel:
@@ -146,3 +151,127 @@ class TestMissingProfileValidation:
     def test_validate_spec_passes_on_known_games(self, minilab):
         spec = ColocationSpec(((minilab.names[0], REFERENCE_RESOLUTION),))
         minilab.predictor.validate_spec(spec)
+
+
+def _fresh(minilab):
+    return InterferencePredictor(
+        minilab.db, classifier=minilab.cm_model, regressor=minilab.rm_model
+    )
+
+
+def _scalar_rows(db, spec, qos):
+    """One scalar-builder feature row per entry of ``spec``."""
+    intensities = [db.get(name).intensity_at(res).values for name, res in spec.entries]
+    rows = []
+    for i, (name, res) in enumerate(spec.entries):
+        profile = db.get(name)
+        co = intensities[:i] + intensities[i + 1 :]
+        sens = profile.sensitivity_vector()
+        if qos is None:
+            rows.append(rm_feature_vector(sens, co))
+        else:
+            rows.append(cm_feature_vector(qos, profile.solo_fps_at(res), sens, co))
+    return rows
+
+
+class TestEntryTable:
+    """Featurization gathers from one (game, width, height) -> row table."""
+
+    @given(st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_grouped_matrix_rows_equal_scalar_builders(self, minilab, data):
+        # One title at two resolutions, and entries the predictor has
+        # never seen arriving in the middle of a batch: the table grows
+        # while ids are being resolved.
+        entries = [(minilab.names[0], Resolution(1280, 720))] + [
+            (name, res)
+            for name in minilab.names[:4]
+            for res in (REFERENCE_RESOLUTION, Resolution(1600, 900))
+        ]
+        spec_of = st.lists(st.sampled_from(entries), min_size=2, max_size=4).map(
+            lambda chosen: ColocationSpec(tuple(chosen))
+        )
+        specs = data.draw(st.lists(spec_of, min_size=1, max_size=8))
+        qos = data.draw(st.sampled_from([None, 30.0, 60.0]))
+        predictor = _fresh(minilab)
+        predictor.predict_feasible(specs[0], 60.0)
+        X, slots = predictor._grouped_matrix(specs, qos)
+        assert sorted(si for si, _, _ in slots) == list(range(len(specs)))
+        for si, row, size in slots:
+            expected = _scalar_rows(minilab.db, specs[si], qos)
+            assert size == len(expected)
+            for got, want in zip(X[row : row + size], expected):
+                assert np.array_equal(got, want)
+        seen = {entry for spec in specs for entry in spec.entries}
+        assert len(predictor._rows) == len(seen)
+
+    def test_solo_fps_of_an_entry_first_seen_in_the_call(self, minilab):
+        predictor = _fresh(minilab)
+        name = minilab.names[1]
+        first = ColocationSpec(((minilab.names[0], REFERENCE_RESOLUTION),))
+        assert predictor.predict_feasible(first, 60.0).shape == (1,)
+        spec = ColocationSpec(((name, Resolution(1600, 900)),))
+        solo = minilab.db.get(name).solo_fps_at(Resolution(1600, 900))
+        (verdict,) = predictor.predict_feasible_batch([spec], solo)
+        assert np.array_equal(verdict, [True])
+        assert np.array_equal(predictor.predict_fps(spec), [solo])
+
+    def test_unknown_games_are_named_before_the_table_is_touched(self, minilab):
+        predictor = _fresh(minilab)
+        predictor.predict_fps(
+            ColocationSpec(((minilab.names[0], REFERENCE_RESOLUTION),))
+        )
+        spec = ColocationSpec(
+            (
+                (minilab.names[1], REFERENCE_RESOLUTION),
+                ("GhostA", REFERENCE_RESOLUTION),
+                ("GhostB", REFERENCE_RESOLUTION),
+            )
+        )
+        for call in (
+            lambda: predictor.predict_fps_batch([spec]),
+            lambda: predictor.predict_batch([spec], qos=60.0, models=("cm",)),
+        ):
+            with pytest.raises(MissingProfileError) as excinfo:
+                call()
+            assert excinfo.value.missing == ("GhostA", "GhostB")
+            assert len(predictor._rows) == predictor._solo.shape[0] == 1
+
+    def test_memory_is_bounded_by_entries_not_colocations(self, minilab):
+        predictor = _fresh(minilab)
+        entries = [
+            (name, res)
+            for name in minilab.names[:3]
+            for res in (REFERENCE_RESOLUTION, Resolution(1280, 720))
+        ]
+        specs = [
+            ColocationSpec(combo)
+            for size in (2, 3, 4, 5)
+            for combo in itertools.product(entries, repeat=size)
+        ][:5000]
+        assert len(set(specs)) == 5000
+
+        def lengths():
+            return {
+                name: len(value)
+                for name, value in vars(predictor).items()
+                if hasattr(value, "__len__")
+            }
+
+        predictor._grouped_matrix(specs[:100], 60.0)
+        early = lengths()
+        for start in range(100, 5000, 100):
+            predictor._grouped_matrix(specs[start : start + 100], 60.0)
+        assert lengths() == early
+        assert len(predictor._rows) == 6
+        assert predictor._intensity.shape[0] == predictor._sens.shape[0] == 6
+        assert predictor._solo.shape == (6,)
+
+
+class TestModelsArgument:
+    def test_unknown_model_name_is_rejected_up_front(self, minilab):
+        spec = ColocationSpec(((minilab.names[0], REFERENCE_RESOLUTION),))
+        with pytest.raises(ValueError, match=r"\('rm', 'cm'\).*'CM'"):
+            minilab.predictor.predict_batch([spec], qos=60.0, models=("CM",))
+        (result,) = minilab.predictor.predict_batch([spec], qos=60.0, models=("cm",))
+        assert set(result) == {"feasible"}

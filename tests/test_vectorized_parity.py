@@ -11,6 +11,7 @@ cache probes — that a straight-line per-server scan picks.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -31,6 +32,8 @@ from repro.ml import (
     RandomForestClassifier,
     RandomForestRegressor,
 )
+from repro.ml.packed import pack_trees
+from repro.ml.tree import _Tree
 from repro.obs import QoSLedger, Telemetry
 from repro.placement import BreakerConfig
 from repro.placement.cache import PredictionCache
@@ -168,6 +171,145 @@ class TestPackedEnsembleParity:
             for t in model.estimators_:
                 expected += model.learning_rate * t.predict(X)
             assert np.array_equal(getattr(model, raw_of)(X), expected)
+
+
+# After the fixed-trip kernel a single tree's ``predict`` *is* a pack of
+# one, so the class above compares the kernel's folds with the kernel.
+# The properties below pin the descent itself to a per-row, per-tree
+# walk written here, over hand-built ragged ensembles.
+
+#: Cell and threshold values share this grid so rows tie exactly on
+#: thresholds; cells may also be non-finite.
+GRID = [-2.0, -0.5, 0.0, 0.5, 2.0]
+CELLS = st.sampled_from(GRID + [np.inf, -np.inf, np.nan])
+WIDTH = 4
+
+
+def _tree(feature, threshold, left, right, value):
+    """A ``_Tree`` from plain node lists (``-1`` / NaN mark a leaf)."""
+    return _Tree(
+        feature=np.asarray(feature, dtype=np.int64),
+        threshold=np.asarray(threshold, dtype=float),
+        left=np.asarray(left, dtype=np.int64),
+        right=np.asarray(right, dtype=np.int64),
+        value=np.asarray(value, dtype=float),
+        n_node_samples=np.ones(len(feature), dtype=np.int64),
+    )
+
+
+@st.composite
+def _ragged_tree(draw, max_depth, d):
+    """A random ``_Tree`` over ``WIDTH`` columns, at most ``max_depth`` deep."""
+    feature, threshold, left, right = [], [], [], []
+
+    def grow(depth):
+        node = len(feature)
+        feature.append(-1)
+        threshold.append(np.nan)
+        left.append(-1)
+        right.append(-1)
+        if depth < max_depth and draw(st.booleans()):
+            feature[node] = draw(st.integers(0, WIDTH - 1))
+            threshold[node] = draw(st.sampled_from(GRID))
+            left[node] = grow(depth + 1)
+            right[node] = grow(depth + 1)
+        return node
+
+    grow(0)
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    return _tree(feature, threshold, left, right, rng.normal(size=(len(feature), d)))
+
+
+@st.composite
+def _ragged_ensemble(draw, d=1):
+    """Mixed-depth trees plus, always, a stump (root is a leaf)."""
+    depths = draw(st.lists(st.integers(0, 5), min_size=1, max_size=6))
+    trees = [draw(_ragged_tree(depth, d)) for depth in depths]
+    trees.insert(draw(st.integers(0, len(trees))), draw(_ragged_tree(0, d)))
+    return trees
+
+
+def _walk(tree, row):
+    """Reference descent: one row down one tree, one node at a time."""
+    node = 0
+    while tree.feature[node] != -1:
+        if row[tree.feature[node]] <= tree.threshold[node]:
+            node = tree.left[node]
+        else:
+            node = tree.right[node]
+    return node
+
+
+def _walked_leaves(trees, X):
+    """Per-tree local leaf ids ``(n_trees, n)`` by the reference walk."""
+    return np.asarray([[_walk(t, row) for row in X] for t in trees])
+
+
+def _layouts(X):
+    """``X`` as C-ordered, Fortran-ordered and a non-contiguous slice."""
+    wide = np.full((2 * X.shape[0], X.shape[1] + 2), 777.0)
+    wide[::2, 1:-1] = X
+    return [X, np.asfortranarray(X), wide[::2, 1:-1]]
+
+
+class TestFixedTripKernel:
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_apply_matches_per_row_walk(self, data):
+        trees = data.draw(_ragged_ensemble())
+        n = data.draw(st.integers(1, 7))
+        X = _array(data, (n, WIDTH), elements=CELLS)
+        pack = pack_trees(trees)
+        expected = _walked_leaves(trees, X) + pack.roots[:, None]
+        assert pack.depth == max(t.packed().depth for t in trees)
+        for layout in _layouts(X):
+            leaves = pack.apply(layout)
+            assert leaves.shape == (len(trees), n)
+            assert np.array_equal(leaves, expected)
+        for t, local in zip(trees, expected - pack.roots[:, None]):
+            assert np.array_equal(t.apply(X), local)
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_folds_match_per_tree_loops(self, data):
+        d = data.draw(st.integers(1, 3))
+        trees = data.draw(_ragged_ensemble(d))
+        n = data.draw(st.integers(1, 5))
+        X = _array(data, (n, WIDTH), elements=CELLS)
+        per_tree = [t.value[leaf] for t, leaf in zip(trees, _walked_leaves(trees, X))]
+        pack = pack_trees(trees)
+
+        mean = np.mean([v[:, 0] for v in per_tree], axis=0)
+        assert np.array_equal(pack.mean_predict(X), mean)
+
+        total = np.zeros((n, d))
+        for v in per_tree:
+            total += v
+        assert np.array_equal(pack.sum_values(X), total)
+
+        boosted = np.full(n, 0.25)
+        for v in per_tree:
+            boosted += 0.1 * v[:, 0]
+        assert np.array_equal(pack.boosted_predict(X, 0.25, 0.1), boosted)
+
+    def test_all_stump_pack_has_depth_zero_and_reads_no_column(self):
+        stump = _tree([-1], [np.nan], [-1], [-1], [[3.0]])
+        pack = pack_trees([stump, stump])
+        assert (pack.depth, pack.width) == (0, 0)
+        assert np.array_equal(pack.apply(np.empty((3, 0))), [[0, 0, 0], [1, 1, 1]])
+
+    def test_too_narrow_X_raises_instead_of_reading_the_next_row(self):
+        # Splits on column 2: a 2-column X's flat offset 0*2 + 2 is row
+        # 1's first cell, which would send row 0 left instead of raising.
+        tree = _tree(
+            [2, -1, -1], [0.0, np.nan, np.nan], [1, -1, -1], [2, -1, -1],
+            [[0.0], [1.0], [2.0]],
+        )
+        X = np.asarray([[5.0, 5.0, 5.0], [-5.0, -5.0, -5.0]])
+        assert np.array_equal(tree.apply(X), [2, 1])
+        for apply in (tree.apply, pack_trees([tree, tree]).apply):
+            with pytest.raises(IndexError, match="column 2"):
+                apply(X[:, :2])
 
 
 GAMES = ["dota2", "csgo", "hl2", "tf2"]
