@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.utils.validation import check_in_range
 
-__all__ = ["CurveShape", "SensitivityShape"]
+__all__ = ["CurveShape", "SensitivityShape", "PackedResponse"]
 
 
 class CurveShape(enum.Enum):
@@ -143,33 +143,50 @@ def pack_shapes(
     return mag, code, param
 
 
+class PackedResponse:
+    """Normalized responses ``g(p)`` for one fixed layout of packed shapes.
+
+    What depends only on the shapes — which cells follow the power, sigmoid
+    or cliff formula, their gathered parameters, the sigmoid end points — is
+    worked out once; a call evaluates pressures of the layout's shape.  The
+    simulator builds one per colocation and calls it every iteration.
+    """
+
+    def __init__(self, code: np.ndarray, param: np.ndarray):
+        code = np.asarray(code)
+        flat = np.asarray(param, dtype=float).ravel()
+        self.shape = code.shape
+        self._power, self._sig, self._cliff = (
+            np.flatnonzero(code.ravel() == c) for c in range(3)
+        )
+        self._exponent = flat[self._power]
+        self._k = flat[self._sig]
+        self._lo = _sigmoid(-self._k / 2.0)
+        self._span = _sigmoid(self._k / 2.0) - self._lo
+        self._t = flat[self._cliff]
+        self._width = 1.0 - self._t
+
+    def __call__(self, pressures: np.ndarray) -> np.ndarray:
+        # minimum(maximum()) is np.clip without its Python dispatch.
+        p = np.minimum(np.maximum(np.asarray(pressures, dtype=float), 0.0), 1.0)
+        if p.shape != self.shape:
+            raise IndexError(f"expected pressures of shape {self.shape}, got {p.shape}")
+        p = p.ravel()
+        g = np.empty_like(p)
+        g[self._power] = p[self._power] ** self._exponent
+        z = self._k * (p[self._sig] - 0.5)
+        g[self._sig] = (_sigmoid(z) - self._lo) / self._span
+        u = np.minimum(np.maximum((p[self._cliff] - self._t) / self._width, 0.0), 1.0)
+        g[self._cliff] = u * u * (3.0 - 2.0 * u)
+        return g.reshape(self.shape)
+
+
 def vector_response(
     pressures: np.ndarray, code: np.ndarray, param: np.ndarray
 ) -> np.ndarray:
     """Evaluate normalized responses ``g(p)`` elementwise for packed shapes.
 
-    Equivalent to calling :meth:`SensitivityShape.response` per element but
-    in a handful of vectorized operations — the simulator evaluates this in
-    every fixed-point iteration.
+    Equivalent to calling :meth:`SensitivityShape.response` per element;
+    the one-shot form of :class:`PackedResponse`.
     """
-    p = np.clip(np.asarray(pressures, dtype=float), 0.0, 1.0)
-    g = np.empty_like(p)
-
-    power = code == 0
-    if power.any():
-        g[power] = p[power] ** param[power]
-
-    sig = code == 1
-    if sig.any():
-        k = param[sig]
-        lo = _sigmoid(-k / 2.0)
-        hi = _sigmoid(k / 2.0)
-        g[sig] = (_sigmoid(k * (p[sig] - 0.5)) - lo) / (hi - lo)
-
-    cliff = code == 2
-    if cliff.any():
-        t = param[cliff]
-        u = np.clip((p[cliff] - t) / (1.0 - t), 0.0, 1.0)
-        g[cliff] = u * u * (3.0 - 2.0 * u)
-
-    return g
+    return PackedResponse(code, param)(pressures)

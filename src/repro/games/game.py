@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from repro.games.curves import SensitivityShape, pack_shapes, vector_response
+from repro.games.curves import PackedResponse, SensitivityShape, pack_shapes
 from repro.games.genres import Genre
 from repro.games.resolution import REFERENCE_RESOLUTION, Resolution
 from repro.hardware.resources import (
@@ -37,20 +37,15 @@ from repro.hardware.resources import (
 )
 from repro.utils.validation import check_fraction, check_positive
 
-__all__ = ["GameSpec"]
+__all__ = ["GameSpec", "StageInflationModel"]
 
 #: Resources whose utilization scales with pixel count (Observation 8).
 PIXEL_SCALED_RESOURCES: tuple[Resource, ...] = GPU_RESOURCES + (Resource.PCIE_BW,)
 
-# Index arrays for the three pipeline stages (used by stage_inflations).
-_CPU_IDX = np.array(
-    [int(r) for r in Resource if r.domain is ResourceDomain.CPU], dtype=int
-)
-_GPU_IDX = np.array(
-    [int(r) for r in Resource if r.domain is ResourceDomain.GPU], dtype=int
-)
-_LINK_IDX = np.array(
-    [int(r) for r in Resource if r.domain is ResourceDomain.LINK], dtype=int
+#: Resource columns feeding each pipeline stage, in (CPU, GPU, link) order.
+_STAGE_IDX = tuple(
+    np.array([int(r) for r in Resource if r.domain is domain], dtype=int)
+    for domain in (ResourceDomain.CPU, ResourceDomain.GPU, ResourceDomain.LINK)
 )
 
 
@@ -160,19 +155,11 @@ class GameSpec:
     def stage_inflations(self, pressures: np.ndarray) -> tuple[float, float, float]:
         """(CPU, GPU, link) stage multipliers for a ``(7,)`` pressure vector.
 
-        Per-resource stall contributions within a stage add up:
-        ``1 + sum_r magnitude_r * g_r(p_r)`` over the stage's resources.
-        Additive composition keeps the single-resource semantics of
-        ``magnitude`` (profiled against one benchmark at a time) while
-        avoiding the unrealistically harsh multiplicative compounding.
+        The one-row case of :class:`StageInflationModel`.
         """
-        pressures = np.asarray(pressures, dtype=float)
-        mag, code, param = self._packed_sensitivity
-        contrib = mag * vector_response(pressures, code, param)
-        cpu = 1.0 + float(contrib[_CPU_IDX].sum())
-        gpu = 1.0 + float(contrib[_GPU_IDX].sum())
-        link = 1.0 + float(contrib[_LINK_IDX].sum())
-        return cpu, gpu, link
+        row = np.asarray(pressures, dtype=float)[None, :]
+        cpu, gpu, link = StageInflationModel([self])(row)[0]
+        return float(cpu), float(gpu), float(link)
 
     # ------------------------------------------------------------------
 
@@ -209,3 +196,31 @@ class GameSpec:
             for label, sd in kwargs["sensitivity"].items()
         }
         return cls(**kwargs)
+
+
+class StageInflationModel:
+    """Batched (CPU, GPU, link) stage multipliers for a fixed list of games.
+
+    Per-resource stall contributions within a stage add up:
+    ``1 + sum_r magnitude_r * g_r(p_r)`` over the stage's resources.
+    Additive composition keeps the single-resource semantics of
+    ``magnitude`` (profiled against one benchmark at a time) while
+    avoiding the unrealistically harsh multiplicative compounding.
+    """
+
+    def __init__(self, specs: "list[GameSpec]"):
+        packed = [spec._packed_sensitivity for spec in specs]
+        self._magnitude, code, param = (
+            np.array([p[k] for p in packed]).reshape(-1, len(Resource))
+            for k in range(3)
+        )
+        self._response = PackedResponse(code, param)
+
+    def __call__(self, pressures: np.ndarray) -> np.ndarray:
+        """``(m, 7)`` pressures, one row per game -> ``(m, 3)`` multipliers."""
+        contrib = self._magnitude * self._response(pressures)
+        out = np.empty((len(contrib), 3))
+        # Per-stage row sums: ``np.add.reduceat`` adds in another order.
+        for stage, idx in enumerate(_STAGE_IDX):
+            out[:, stage] = contrib[:, idx].sum(axis=1)
+        return 1.0 + out

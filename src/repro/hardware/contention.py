@@ -40,6 +40,13 @@ __all__ = [
 ]
 
 
+#: Row indices of each contention class in a resource-major ``(7, n)`` block.
+_COMPUTE_ROWS, _BANDWIDTH_ROWS, _CACHE_ROWS = (
+    np.array([int(r) for r in Resource if r.kind is kind])
+    for kind in (ResourceKind.COMPUTE, ResourceKind.BANDWIDTH, ResourceKind.CACHE)
+)
+
+
 def _as_util_array(utils: Iterable[float]) -> np.ndarray:
     arr = np.asarray(list(utils) if not isinstance(utils, np.ndarray) else utils,
                      dtype=float)
@@ -154,36 +161,39 @@ class ContentionModel:
         if u.ndim != 2 or u.shape[1] != len(Resource):
             raise ValueError(f"expected shape (n, {len(Resource)}), got {u.shape}")
         n = u.shape[0]
-        out = np.zeros_like(u)
         if n <= 1:
-            return out
+            return np.zeros_like(u)
+        # Resource-major: reducing along a contiguous row adds in the order
+        # a lone column's ``sum()`` does; an axis-0 reduction does not.
+        ut = np.ascontiguousarray(u.T)
+        out = np.empty_like(ut)
 
-        for res in Resource:
-            col = u[:, int(res)]
-            kind = res.kind
-            if kind is ResourceKind.COMPUTE:
-                one_minus = 1.0 - col
-                if np.any(one_minus <= 1e-12):
-                    # A saturated co-runner: fall back to exact per-row products.
-                    loo_prod = np.array(
-                        [np.prod(np.delete(one_minus, i)) for i in range(n)]
-                    )
-                else:
-                    loo_prod = np.prod(one_minus) / one_minus
-                out[:, int(res)] = 1.0 - loo_prod
-            elif kind is ResourceKind.BANDWIDTH:
-                loo_sum = col.sum() - col
-                excess = np.maximum(0.0, loo_sum - self.bandwidth_knee)
-                pressured = loo_sum + self.bandwidth_overshoot * excess * excess / max(
-                    self.bandwidth_knee, 1e-9
-                )
-                out[:, int(res)] = np.minimum(1.0, pressured)
-            else:  # CACHE
-                loo_sum = col.sum() - col
-                out[:, int(res)] = 1.0 - np.exp(
-                    -((loo_sum / self.cache_knee) ** self.cache_sharpness)
-                )
-        return out
+        one_minus = 1.0 - ut[_COMPUTE_ROWS]
+        if (one_minus <= 1e-12).any():
+            # A saturated co-runner: exact per-row products for that column.
+            loo_prod = np.array([
+                [np.prod(np.delete(row, i)) for i in range(n)]
+                if (row <= 1e-12).any() else np.prod(row) / row
+                for row in one_minus
+            ])
+        else:
+            loo_prod = one_minus.prod(axis=1, keepdims=True) / one_minus
+        out[_COMPUTE_ROWS] = 1.0 - loo_prod
+
+        bw = ut[_BANDWIDTH_ROWS]
+        loo_sum = bw.sum(axis=1, keepdims=True) - bw
+        excess = np.maximum(0.0, loo_sum - self.bandwidth_knee)
+        pressured = loo_sum + self.bandwidth_overshoot * excess * excess / max(
+            self.bandwidth_knee, 1e-9
+        )
+        out[_BANDWIDTH_ROWS] = np.minimum(1.0, pressured)
+
+        cache = ut[_CACHE_ROWS]
+        loo_sum = cache.sum(axis=1, keepdims=True) - cache
+        out[_CACHE_ROWS] = 1.0 - np.exp(
+            -((loo_sum / self.cache_knee) ** self.cache_sharpness)
+        )
+        return np.ascontiguousarray(out.T)
 
     def pressure_vector(self, util_rows: np.ndarray) -> np.ndarray:
         """Aggregate a ``(n_workloads, 7)`` utilization matrix column-wise.

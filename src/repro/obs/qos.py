@@ -99,6 +99,8 @@ class _OpenRecord:
     opened_at: float
     promised_fps: float = 0.0
     current_fps: float = 0.0
+    # Index in the group's canonical ordering; refreshed by every recompute.
+    slot: int = 0
     last_time: float = 0.0
     minutes: float = 0.0
     fps_minutes: float = 0.0
@@ -160,8 +162,11 @@ class QoSLedger:
         self.predictor = predictor
         self.slo_fps = float(slo_fps)
         self.budget_fraction = float(budget_fraction)
+        from repro.simulator.engine import ColocationEngine
+
         self.server = server
         self.config = config
+        self._engine = ColocationEngine(server)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._measured: dict[tuple, tuple[float, ...]] = {}
@@ -223,8 +228,8 @@ class QoSLedger:
             was_degraded=degraded,
         )
         members[member_id] = record
-        self._recompute(server_id, members, op="place")
-        record.promised_fps = self._promise_for(members, record)
+        sig = self._recompute(server_id, members, op="place")
+        record.promised_fps = self._promise_for(sig, record.slot)
         self.opened += 1
         t = self.telemetry
         t.counter("qos_sessions_opened").inc()
@@ -290,8 +295,8 @@ class QoSLedger:
         record.entry = self._entry(new)
         record.degraded = degraded
         record.was_degraded = record.was_degraded or degraded
-        self._recompute(server_id, members, op="restore")
-        record.promised_fps = self._promise_for(members, record)
+        sig = self._recompute(server_id, members, op="restore")
+        record.promised_fps = self._promise_for(sig, record.slot)
         self.telemetry.event(
             "resolution_change",
             time=now,
@@ -400,8 +405,8 @@ class QoSLedger:
             "slo_burn", game=record.session.game, server_id=record.server_id
         )
 
-    def _group_signature(self, members) -> tuple[tuple, ...]:
-        """Canonical signature of a live group, slot-aligned with members.
+    def _group_signature(self, members) -> tuple[tuple, list[_OpenRecord]]:
+        """Canonical signature of a live group and its slot-aligned members.
 
         Members sort by (entry, member_id): identical entries (same game
         and resolution colocated twice) map onto the measurement's slots
@@ -411,16 +416,22 @@ class QoSLedger:
         ordered = sorted(members, key=lambda r: (r.entry, r.member_id))
         return tuple(r.entry for r in ordered), ordered
 
-    def _recompute(self, server_id: int, members: dict, *, op: str) -> None:
-        """Refresh every member's current ground-truth FPS for the group."""
+    def _recompute(self, server_id: int, members: dict, *, op: str) -> tuple:
+        """Refresh every member's slot and ground-truth FPS for the group.
+
+        Returns the group's signature, so a caller that goes on to read a
+        promise does not sort the group again.
+        """
         sig, ordered = self._group_signature(members.values())
         cached = sig in self._measured
         with self.tracer.span(
             "qos", op=op, server_id=server_id, group=len(ordered), cached=cached
         ):
             fps = self._measure(sig)
-        for record, value in zip(ordered, fps):
+        for slot, (record, value) in enumerate(zip(ordered, fps)):
+            record.slot = slot
             record.current_fps = value
+        return sig
 
     def _measure(self, sig: tuple) -> tuple[float, ...]:
         fps = self._measured.get(sig)
@@ -432,15 +443,15 @@ class QoSLedger:
                 ColocationSpec(sig).instances(self.catalog),
                 server=self.server,
                 config=self.config,
+                engine=self._engine,
             )
             fps = tuple(float(f) for f in result.fps)
             self._measured[sig] = fps
             self.telemetry.counter("qos_measurements").inc()
         return fps
 
-    def _promise_for(self, members: dict, record: _OpenRecord) -> float:
-        """The predictor's FPS claim for ``record`` in its current group."""
-        sig, ordered = self._group_signature(members.values())
+    def _promise_for(self, sig: tuple, slot: int) -> float:
+        """The predictor's FPS claim for slot ``slot`` of the group ``sig``."""
         promised = self._promised.get(sig)
         if promised is None:
             from repro.core.training import ColocationSpec
@@ -449,9 +460,6 @@ class QoSLedger:
             promised = tuple(float(f) for f in predicted)
             self._promised[sig] = promised
             self.telemetry.counter("qos_predictions").inc()
-        slot = next(
-            i for i, r in enumerate(ordered) if r.member_id == record.member_id
-        )
         return promised[slot]
 
     def _close(self, record: _OpenRecord, *, reason: str) -> None:

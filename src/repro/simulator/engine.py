@@ -18,8 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.games.game import StageInflationModel
 from repro.hardware.contention import ContentionModel
-from repro.hardware.resources import NUM_RESOURCES, Resource
+from repro.hardware.resources import Resource
 from repro.hardware.server import DEFAULT_SERVER, ServerSpec
 from repro.simulator.workload import (
     RATE_SCALED_MASK,
@@ -51,6 +52,8 @@ class SteadyState:
         Whether the fixed point met tolerance within the iteration budget.
     iterations:
         Fixed-point iterations performed.
+    thrash:
+        Memory-oversubscription multiplier inside ``frame_times_ms`` (>= 1).
     """
 
     pressures: np.ndarray
@@ -60,6 +63,7 @@ class SteadyState:
     slowdowns: np.ndarray
     converged: bool
     iterations: int
+    thrash: float
 
 
 class ColocationEngine:
@@ -136,63 +140,51 @@ class ColocationEngine:
             raise ValueError("steady_state requires at least one workload")
 
         # Base utilizations normalized to this server's capacities.
-        base_util = np.zeros((n, NUM_RESOURCES), dtype=float)
-        scales = np.array(
-            [self.server.domain_scale(res) for res in Resource], dtype=float
+        server = self.server
+        scales = np.array([server.domain_scale(res) for res in Resource], dtype=float)
+        base_util = np.clip(
+            np.array([w.base_utilization() for w in workloads]) / scales, 0.0, 1.0
         )
-        for i, w in enumerate(workloads):
-            base_util[i] = np.clip(w.base_utilization() / scales, 0.0, 1.0)
-
         is_game = np.array([w.is_game for w in workloads], dtype=bool)
+        games = np.flatnonzero(is_game)
+        # Cells whose exerted pressure follows the achieved frame rate.
+        rate_scaled = is_game[:, None] & RATE_SCALED_MASK
         thrash = self._memory_thrash_factor(workloads)
 
-        # Stage times on this server (faster hardware shrinks stages).
-        stage_times = np.zeros((n, 3), dtype=float)
-        solo_frame = np.zeros(n, dtype=float)
-        for i, w in enumerate(workloads):
-            if isinstance(w, GameInstance):
-                tc, tg, tx = w.stage_times_ms()
-                stage_times[i] = (
-                    tc / self.server.cpu_scale,
-                    tg / self.server.gpu_scale,
-                    tx / self.server.link_scale,
-                )
-                solo_frame[i] = max(stage_times[i, 0], stage_times[i, 1]) + stage_times[i, 2]
+        # Game rows only: stage times on this server (faster hardware
+        # shrinks stages) and the packed sensitivity curves.
+        stage_ms = np.array(
+            [workloads[i].stage_times_ms() for i in games], dtype=float
+        ).reshape(-1, 3) / (server.cpu_scale, server.gpu_scale, server.link_scale)
+        solo_frame = np.maximum(stage_ms[:, 0], stage_ms[:, 1]) + stage_ms[:, 2]
+        inflate = StageInflationModel([workloads[i].spec for i in games])
 
+        fb = self.rate_feedback
         rate = np.ones(n, dtype=float)
-        pressures = np.zeros((n, NUM_RESOURCES), dtype=float)
-        inflations = np.ones((n, 3), dtype=float)
-        frame_times = np.full(n, np.nan, dtype=float)
         converged = False
-        iteration = 0
-
+        # One iteration: a fixed sequence of array operations, none per game.
         for iteration in range(1, self.max_iterations + 1):
-            eff_util = base_util.copy()
-            fb = self.rate_feedback
-            scale_rows = np.where(is_game, (1.0 - fb) + fb * rate, 1.0)[:, None]
-            eff_util[:, RATE_SCALED_MASK] *= scale_rows
-
+            scale_rows = ((1.0 - fb) + fb * rate)[:, None]
+            eff_util = base_util * np.where(rate_scaled, scale_rows, 1.0)
             pressures = self.contention.pressures_leave_one_out(eff_util)
 
+            inflations = inflate(pressures[games])
+            busy = stage_ms * inflations
+            frame_times = (np.maximum(busy[:, 0], busy[:, 1]) + busy[:, 2]) * thrash
             new_rate = rate.copy()
-            for i, w in enumerate(workloads):
-                if not isinstance(w, GameInstance):
-                    continue
-                ic, ig, il = w.spec.stage_inflations(pressures[i])
-                inflations[i] = (ic, ig, il)
-                tf = (
-                    max(stage_times[i, 0] * ic, stage_times[i, 1] * ig)
-                    + stage_times[i, 2] * il
-                ) * thrash
-                frame_times[i] = tf
-                new_rate[i] = solo_frame[i] / tf
+            new_rate[games] = solo_frame / frame_times
 
-            delta = float(np.max(np.abs(new_rate - rate))) if n else 0.0
+            delta = np.abs(new_rate - rate).max()
             rate = (1.0 - self.damping) * rate + self.damping * new_rate
             if delta < self.tolerance:
                 converged = True
                 break
 
+        # Benchmark rows: inflation 1, no frame time, rate 1.
+        all_inflations = np.ones((n, 3), dtype=float)
+        all_inflations[games] = inflations
+        all_frame_times = np.full(n, np.nan, dtype=float)
+        all_frame_times[games] = frame_times
         slowdowns = np.full(n, np.nan, dtype=float)
         for i, w in enumerate(workloads):
             if isinstance(w, BenchmarkInstance):
@@ -201,9 +193,10 @@ class ColocationEngine:
         return SteadyState(
             pressures=pressures,
             rate_factors=np.where(is_game, rate, 1.0),
-            stage_inflations=inflations,
-            frame_times_ms=frame_times,
+            stage_inflations=all_inflations,
+            frame_times_ms=all_frame_times,
             slowdowns=slowdowns,
             converged=converged,
             iterations=iteration,
+            thrash=thrash,
         )

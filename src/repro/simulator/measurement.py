@@ -78,9 +78,8 @@ def _scene_rng(config: MeasurementConfig, workload: Workload):
     return spawn_rng(config.seed, "scene", workload.identity())
 
 
-def _noise_rng(config: MeasurementConfig, workloads: list[Workload], index: int):
+def _noise_rng(config: MeasurementConfig, identity: tuple, index: int):
     """Measurement-noise RNG — independent across colocations and slots."""
-    identity = tuple(w.identity() for w in workloads)
     return spawn_rng(config.seed, "noise", identity, index)
 
 
@@ -101,13 +100,13 @@ def run_colocation(
     elif engine.server is not server:
         raise ValueError("engine.server must match the server argument")
     state = engine.steady_state(workloads)
-    thrash = engine._memory_thrash_factor(workloads)
+    identity = tuple(w.identity() for w in workloads)
     server_scales = (server.cpu_scale, server.gpu_scale, server.link_scale)
 
     fps: list[float] = []
     slowdowns: list[float] = []
     for i, w in enumerate(workloads):
-        noise_rng = _noise_rng(config, workloads, i)
+        noise_rng = _noise_rng(config, identity, i)
         noise = (
             float(noise_rng.lognormal(0.0, config.noise_sigma))
             if config.noise_sigma
@@ -118,7 +117,7 @@ def run_colocation(
                 w.spec,
                 w.resolution,
                 stage_inflations=tuple(state.stage_inflations[i]),
-                thrash=thrash,
+                thrash=state.thrash,
                 n_frames=config.n_frames,
                 rng=_scene_rng(config, w),
                 server_scales=server_scales,

@@ -1,11 +1,23 @@
 """Property-based tests over the simulator on random colocations."""
 
 import numpy as np
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.bench.suite import make_benchmark
 from repro.games import build_catalog
-from repro.simulator import ColocationEngine, GameInstance, run_colocation
+from repro.games.game import StageInflationModel
+from repro.games.resolution import NAMED_RESOLUTIONS
+from repro.hardware.contention import ContentionModel
+from repro.hardware.resources import NUM_RESOURCES, Resource
+from repro.simulator import (
+    BenchmarkInstance,
+    ColocationEngine,
+    GameInstance,
+    run_colocation,
+)
+from tests import _reference_simulator as reference
 
 CATALOG = build_catalog()
 NAMES = CATALOG.names()
@@ -60,3 +72,154 @@ class TestSteadyStateProperties:
         coloc = run_colocation([target_instance] + co)
         # 6% slack: measurement noise of two independent runs.
         assert coloc.fps[0] <= solo.fps[0] * 1.06
+
+
+# ----------------------------------------------------------------------
+# The array-program solver against the straight-line loops it replaced.
+
+RESOLUTIONS = sorted(set(NAMED_RESOLUTIONS.values()), key=lambda r: r.pixels)
+STATE_ARRAYS = (
+    "pressures", "rate_factors", "stage_inflations", "frame_times_ms", "slowdowns",
+)
+
+game_instances = st.builds(
+    lambda name, res: GameInstance(CATALOG.get(name), res),
+    st.sampled_from(NAMES),
+    st.sampled_from(RESOLUTIONS),
+)
+bench_instances = st.builds(
+    lambda res, dial: BenchmarkInstance(make_benchmark(res, dial)),
+    st.sampled_from(list(Resource)),
+    # Dial 1.0 saturates the target column (the np.delete fallback).
+    st.one_of(st.just(1.0), st.floats(0.0, 1.0)),
+)
+engines = st.builds(
+    lambda damping, feedback: (
+        ColocationEngine(damping=damping, rate_feedback=feedback),
+        reference.ReferenceEngine(damping=damping, rate_feedback=feedback),
+    ),
+    st.sampled_from([0.3, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+)
+
+
+def assert_same_state(workloads, engine=None, oracle=None):
+    """Every SteadyState field equal to the last bit (NaNs included)."""
+    got = (engine or ColocationEngine()).steady_state(workloads)
+    want = (oracle or reference.ReferenceEngine()).steady_state(workloads)
+    for name in STATE_ARRAYS:
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.shape == b.shape and a.dtype == b.dtype, name
+        assert a.tobytes() == b.tobytes(), name
+    assert (got.converged, got.iterations) == (want.converged, want.iterations)
+    assert got.thrash == want.thrash
+    return got
+
+
+class TestArrayFixedPoint:
+    # n up to 12 puts columns on both sides of numpy's 8-element switch
+    # from a sequential to a pairwise sum.
+    @given(
+        st.lists(st.one_of(game_instances, bench_instances), min_size=1, max_size=12),
+        engines,
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_mixed_colocations_bitwise(self, workloads, pair):
+        assert_same_state(workloads, *pair)
+
+    @pytest.mark.parametrize("n", [1, 2, 4, 7, 8, 9, 12])
+    def test_games_only_bitwise(self, n):
+        workloads = [
+            GameInstance(CATALOG.get(NAMES[(5 * i) % len(NAMES)]), RESOLUTIONS[i % len(RESOLUTIONS)])
+            for i in range(n)
+        ]
+        state = assert_same_state(workloads)
+        assert not np.isnan(state.frame_times_ms).any()
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 11])
+    def test_benchmarks_only_bitwise_and_silent(self, n):
+        workloads = [
+            BenchmarkInstance(make_benchmark(Resource(i % 7), 0.1 + 0.05 * i))
+            for i in range(n)
+        ]
+        # No game rows: the solver must not evaluate 0/0 (or anything
+        # else that raises a floating-point flag) on their behalf.
+        with np.errstate(all="raise"):
+            state = assert_same_state(workloads)
+        assert state.converged and state.iterations == 1
+        assert np.array_equal(state.stage_inflations, np.ones((n, 3)))
+        assert np.isnan(state.frame_times_ms).all()
+        assert np.array_equal(state.rate_factors, np.ones(n))
+
+    def test_one_title_twice_at_two_resolutions(self):
+        spec = CATALOG.get(NAMES[3])
+        workloads = [
+            GameInstance(spec, RESOLUTIONS[0]),
+            GameInstance(CATALOG.get(NAMES[8])),
+            GameInstance(spec, RESOLUTIONS[3]),
+        ]
+        state = assert_same_state(workloads)
+        assert state.frame_times_ms[0] != state.frame_times_ms[2]
+
+    @pytest.mark.parametrize("resource", [Resource.CPU_CE, Resource.GPU_CE])
+    def test_saturated_compute_column(self, resource):
+        workloads = [
+            GameInstance(CATALOG.get(NAMES[0])),
+            BenchmarkInstance(make_benchmark(resource, 1.0)),
+            GameInstance(CATALOG.get(NAMES[1])),
+            BenchmarkInstance(make_benchmark(resource, 0.4)),
+        ]
+        state = assert_same_state(workloads)
+        assert state.pressures[0, int(resource)] == 1.0
+
+    def test_measured_fps_unchanged(self):
+        workloads = [GameInstance(CATALOG.get(n)) for n in NAMES[:3]]
+        got = run_colocation(workloads)
+        want = run_colocation(workloads, engine=reference.ReferenceEngine())
+        assert got.fps == want.fps
+
+    @given(
+        st.integers(0, 16),
+        st.integers(0, 2**32 - 1),
+        st.sampled_from(["C", "F", "sliced"]),
+        st.booleans(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_leave_one_out_bitwise(self, n, seed, layout, saturate):
+        rng = np.random.default_rng(seed)
+        u = rng.uniform(-0.1, 1.1, size=(n, NUM_RESOURCES))
+        if saturate and n:
+            u[rng.integers(n), rng.choice([0, 3])] = 1.0
+        if layout == "F":
+            u = np.asfortranarray(u)
+        elif layout == "sliced":
+            u = np.repeat(u, 2, axis=0)[::2]
+        model = ContentionModel()
+        got = model.pressures_leave_one_out(u)
+        want = reference.leave_one_out(model, u)
+        assert got.shape == want.shape == (n, NUM_RESOURCES)
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 8), (3, 6), (7,), (2, 7, 1), (0, 6)], ids=str
+    )
+    def test_leave_one_out_rejects_bad_shapes(self, shape):
+        with pytest.raises(ValueError, match=r"expected shape \(n, 7\)"):
+            ContentionModel().pressures_leave_one_out(np.zeros(shape))
+
+    @given(st.lists(st.sampled_from(NAMES), min_size=1, max_size=12), st.integers(0, 2**32 - 1))
+    @settings(max_examples=50, deadline=None)
+    def test_one_row_is_a_row_of_the_batch(self, names, seed):
+        specs = [CATALOG.get(name) for name in names]
+        pressures = np.random.default_rng(seed).uniform(-0.1, 1.1, (len(specs), 7))
+        batch = StageInflationModel(specs)(pressures)
+        for i, spec in enumerate(specs):
+            row = spec.stage_inflations(pressures[i])
+            assert row == tuple(batch[i])
+            assert row == reference.stage_inflations(spec, pressures[i])
+
+    def test_batch_rejects_misshapen_pressures(self):
+        model = StageInflationModel([CATALOG.get(NAMES[0]), CATALOG.get(NAMES[1])])
+        for bad in (np.zeros((2, 6)), np.zeros((3, 7)), np.zeros(7)):
+            with pytest.raises(IndexError, match="expected pressures of shape"):
+                model(bad)

@@ -16,6 +16,7 @@ import json
 
 import pytest
 
+from repro.games import DegradeLadder
 from repro.games.resolution import Resolution
 from repro.obs import QoSLedger, Tracer, build_qos_section
 from repro.scheduling import generate_sessions
@@ -24,9 +25,12 @@ from repro.serving import (
     AdmissionController,
     CMFeasiblePolicy,
     RequestBroker,
+    TraceConfig,
     build_policy,
+    generate_trace,
 )
 from repro.sharding import ShardConfig, ShardedBroker, build_shard_brokers
+from tests._reference_simulator import ReferenceEngine
 
 R1080 = Resolution(1920, 1080)
 SLO_FPS = 30.0
@@ -216,3 +220,48 @@ class TestShardedLedger:
             report.telemetry, slo_fps=SLO_FPS, budget_fraction=0.05
         )
         assert rebuilt == report.qos
+
+
+class TestGroundTruthDidNotMove:
+    """The oracle got cheaper, not different.
+
+    The ledger re-measures every fleet mutation through
+    ``ColocationEngine.steady_state``.  Swapping that solver for the
+    straight-line loops in :mod:`tests._reference_simulator` must leave
+    the whole ``qos`` section — counts, minutes, residuals, per-game and
+    per-genre groups — equal to the digit.
+    """
+
+    def serve(self, minilab, *, reference_solver):
+        controller = AdmissionController(
+            CMFeasiblePolicy(minilab.predictor, 45.0),
+            downscale_ladder=DegradeLadder.from_str("1080p,900p,720p"),
+        )
+        ledger = QoSLedger(
+            minilab.catalog, minilab.predictor, slo_fps=45.0, server=minilab.server
+        )
+        if reference_solver:
+            ledger._engine = ReferenceEngine(minilab.server)
+        broker = RequestBroker(
+            controller, crash_rate=0.03, crash_seed=5, ledger=ledger,
+            restore_interval=25,
+        )
+        config = TraceConfig(
+            n_requests=220, arrival_rate=9.0, mean_duration=25.0, seed=3
+        )
+        return broker.run(generate_trace(minilab.predictor.db.names(), config))
+
+    def test_qos_section_equal_under_reference_solver(self, minilab):
+        report = self.serve(minilab, reference_solver=False)
+        oracle = self.serve(minilab, reference_solver=True)
+        qos = report.qos
+        # The run exercises what it claims to: crashes, downscales, and
+        # a few hundred distinct ground-truth measurements.
+        assert qos["sessions"]["close_reasons"].get("evicted", 0) > 0
+        assert qos["degraded"]["sessions"] > 0
+        counters = report.telemetry["counters"]
+        assert counters["qos_measurements"] > 50
+        assert counters == oracle.telemetry["counters"]
+        assert json.dumps(qos, sort_keys=True) == json.dumps(
+            oracle.qos, sort_keys=True
+        )
