@@ -26,7 +26,12 @@ from repro.core import (
 from repro.games import REFERENCE_RESOLUTION, Resolution, build_catalog
 from repro.hardware import DEFAULT_SERVER, Resource, ServerSpec
 from repro.profiling import ContentionProfiler, ProfileDatabase
-from repro.simulator import GameInstance, MeasurementConfig, run_colocation
+from repro.simulator import (
+    GameInstance,
+    MeasurementConfig,
+    run_colocation,
+    run_colocations,
+)
 
 __version__ = "1.0.0"
 
@@ -43,6 +48,7 @@ __all__ = [
     "GameInstance",
     "MeasurementConfig",
     "run_colocation",
+    "run_colocations",
     "ColocationSpec",
     "GAugurClassifier",
     "GAugurRegressor",

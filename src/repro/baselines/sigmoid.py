@@ -18,7 +18,6 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from repro.core.training import ColocationSpec, MeasuredColocation
 
@@ -36,6 +35,9 @@ def _fit_params(n_values: np.ndarray, ratios: np.ndarray) -> tuple | None:
     """Least-squares logistic fit; None when the optimizer cannot fit."""
     if n_values.size < 3 or np.unique(n_values).size < 2:
         return None
+    # Imported where it is used: scipy is most of ``import repro``'s cost.
+    from scipy.optimize import curve_fit
+
     try:
         params, _ = curve_fit(
             _sigmoid_model,

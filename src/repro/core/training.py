@@ -24,7 +24,7 @@ from repro.core.profiles import GameProfile
 from repro.games.catalog import GameCatalog
 from repro.games.resolution import PRESET_RESOLUTIONS, Resolution
 from repro.hardware.server import DEFAULT_SERVER, ServerSpec
-from repro.simulator.measurement import MeasurementConfig, run_colocation
+from repro.simulator.measurement import MeasurementConfig, run_colocations
 from repro.simulator.workload import GameInstance
 from repro.utils.rng import spawn_rng
 
@@ -184,12 +184,17 @@ def measure_colocations(
     server: ServerSpec = DEFAULT_SERVER,
     config: MeasurementConfig | None = None,
 ) -> list[MeasuredColocation]:
-    """Run each colocation on the (simulated) testbed, recording frame rates."""
-    measured = []
-    for spec in colocations:
-        result = run_colocation(spec.instances(catalog), server=server, config=config)
-        measured.append(MeasuredColocation(spec=spec, fps=result.fps))
-    return measured
+    """Run each colocation on the (simulated) testbed, recording frame rates.
+
+    The campaign is known up front, so it is measured as one batch.
+    """
+    results = run_colocations(
+        [spec.instances(catalog) for spec in colocations], server=server, config=config
+    )
+    return [
+        MeasuredColocation(spec=spec, fps=result.fps)
+        for spec, result in zip(colocations, results)
+    ]
 
 
 def _profile_inputs(

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.hardware.resources import Resource, ResourceKind
+from repro.hardware.resources import NUM_RESOURCES, Resource, ResourceKind
 
 __all__ = [
     "compute_pressure",
@@ -152,36 +152,54 @@ class ContentionModel:
         """Pressure each workload *suffers* from all the others.
 
         Given a ``(n, 7)`` utilization matrix, returns a ``(n, 7)`` matrix
-        whose row ``i`` is the aggregate pressure over rows ``!= i``.
-        Computed from column aggregates in O(n * 7) instead of the naive
-        O(n^2 * 7): compute columns use a product trick, bandwidth/cache
-        columns a sum trick.  This is the simulator's hot path.
+        whose row ``i`` is the aggregate pressure over rows ``!= i``; a
+        ``(b, n, 7)`` stack of colocations is solved in the same array
+        expressions, each colocation on its own.  Computed from column
+        aggregates in O(n * 7) instead of the naive O(n^2 * 7): compute
+        columns use a product trick, bandwidth/cache columns a sum trick.
+        This is the simulator's hot path.
+
+        An all-zero row is a workload that is not there: it adds ``0.0`` to
+        every sum and multiplies every product by ``1.0``, so (below numpy's
+        switch to pairwise summation at 8 addends) padding a colocation
+        with trailing zero rows leaves its real rows bitwise unchanged.
         """
         u = np.clip(np.asarray(util_rows, dtype=float), 0.0, 1.0)
-        if u.ndim != 2 or u.shape[1] != len(Resource):
-            raise ValueError(f"expected shape (n, {len(Resource)}), got {u.shape}")
-        n = u.shape[0]
+        if u.ndim not in (2, 3) or u.shape[-1] != NUM_RESOURCES:
+            raise ValueError(
+                f"expected shape (n, {NUM_RESOURCES}) or (b, n, {NUM_RESOURCES}), "
+                f"got {u.shape}"
+            )
+        n = u.shape[-2]
         if n <= 1:
             return np.zeros_like(u)
-        # Resource-major: reducing along a contiguous row adds in the order
-        # a lone column's ``sum()`` does; an axis-0 reduction does not.
-        ut = np.ascontiguousarray(u.T)
+        # Resource-major ``(7, b, n)``: reducing along a contiguous row adds
+        # in the order a lone column's ``sum()`` does; an axis-0 reduction
+        # does not.
+        ut = np.ascontiguousarray(u.reshape(-1, n, NUM_RESOURCES).transpose(2, 0, 1))
         out = np.empty_like(ut)
 
         one_minus = 1.0 - ut[_COMPUTE_ROWS]
         if (one_minus <= 1e-12).any():
-            # A saturated co-runner: exact per-row products for that column.
-            loo_prod = np.array([
-                [np.prod(np.delete(row, i)) for i in range(n)]
-                if (row <= 1e-12).any() else np.prod(row) / row
-                for row in one_minus
-            ])
+            # A saturated co-runner: the quotient would divide by ~0, so
+            # that colocation's resource row gets exact products — the row
+            # with 1.0 in place ``i`` multiplies to what the row without
+            # element ``i`` does.  Every other row keeps the quotient.
+            rows = one_minus.reshape(-1, n)
+            saturated = (rows <= 1e-12).any(axis=1)
+            loo_prod = rows.prod(axis=1, keepdims=True) / np.where(
+                saturated[:, None], 1.0, rows
+            )
+            loo_prod[saturated] = np.where(
+                np.eye(n, dtype=bool), 1.0, rows[saturated][:, None, :]
+            ).prod(axis=2)
+            loo_prod = loo_prod.reshape(one_minus.shape)
         else:
-            loo_prod = one_minus.prod(axis=1, keepdims=True) / one_minus
+            loo_prod = one_minus.prod(axis=2, keepdims=True) / one_minus
         out[_COMPUTE_ROWS] = 1.0 - loo_prod
 
         bw = ut[_BANDWIDTH_ROWS]
-        loo_sum = bw.sum(axis=1, keepdims=True) - bw
+        loo_sum = bw.sum(axis=2, keepdims=True) - bw
         excess = np.maximum(0.0, loo_sum - self.bandwidth_knee)
         pressured = loo_sum + self.bandwidth_overshoot * excess * excess / max(
             self.bandwidth_knee, 1e-9
@@ -189,11 +207,11 @@ class ContentionModel:
         out[_BANDWIDTH_ROWS] = np.minimum(1.0, pressured)
 
         cache = ut[_CACHE_ROWS]
-        loo_sum = cache.sum(axis=1, keepdims=True) - cache
+        loo_sum = cache.sum(axis=2, keepdims=True) - cache
         out[_CACHE_ROWS] = 1.0 - np.exp(
             -((loo_sum / self.cache_knee) ** self.cache_sharpness)
         )
-        return np.ascontiguousarray(out.T)
+        return np.ascontiguousarray(out.transpose(1, 2, 0)).reshape(u.shape)
 
     def pressure_vector(self, util_rows: np.ndarray) -> np.ndarray:
         """Aggregate a ``(n_workloads, 7)`` utilization matrix column-wise.

@@ -15,7 +15,6 @@ class of models the paper evaluates; inputs should be standardized
 from __future__ import annotations
 
 import numpy as np
-from scipy.optimize import minimize
 
 from repro.ml.base import BaseEstimator, check_array, check_X_y
 
@@ -71,6 +70,9 @@ class _BaseKernelMachine(BaseEstimator):
 
     def _optimize(self, K: np.ndarray, loss_grad) -> tuple[np.ndarray, float]:
         """Minimize 0.5 b^T K b + C * loss(K b + b0) over (beta, b0)."""
+        # Imported where it is used: scipy is most of ``import repro``'s cost.
+        from scipy.optimize import minimize
+
         n = K.shape[0]
 
         def objective(theta):

@@ -12,8 +12,10 @@ that loop:
   observer hooks,
 * recomputes **ground-truth FPS** for every session in each affected
   colocation group with the simulator's interference model
-  (:func:`repro.simulator.measurement.run_colocation` — the same oracle
-  the offline simulator scores against), and
+  (:func:`repro.simulator.measurement.run_colocations` — the same oracle
+  the offline simulator scores against) — not inside the hook, where no
+  decision would read it, but when the ledger itself first needs the
+  value, together with every other composition waiting by then — and
 * fixes each session's **promise** at admission time: the FPS the
   predictor's regression model claimed the session would get in its
   post-placement group.
@@ -177,8 +179,11 @@ class QoSLedger:
     # -- lifecycle ------------------------------------------------------
 
     def reset(self) -> "QoSLedger":
-        """Clear per-run state (open records and the clock), keep caches."""
+        """Clear per-run state (records, pending marks, the clock), keep caches."""
         self._servers: dict[int, dict[int, _OpenRecord]] = {}
+        # server id -> (signature, slot-ordered records) of a composition
+        # not measured yet; see :meth:`_flush`.
+        self._pending: dict[int, tuple[tuple, list[_OpenRecord]]] = {}
         self._now = 0.0
         self._evict_reason = "evicted"
         self.opened = 0
@@ -214,7 +219,7 @@ class QoSLedger:
         """A session was placed (admission, readmission, or migration-in)."""
         now = self._now
         members = self._servers.setdefault(server_id, {})
-        self._accrue(members.values(), now)
+        self._accrue(server_id, members.values(), now)
         degraded = bool(getattr(session, "degraded", False))
         record = _OpenRecord(
             member_id=member_id,
@@ -242,13 +247,13 @@ class QoSLedger:
         members = self._servers.get(server_id)
         if members is None or member_id not in members:
             return
-        self._accrue(members.values(), when)
+        self._accrue(server_id, members.values(), when)
         record = members.pop(member_id)
         self._close(record, reason="departed")
         if members:
             self._recompute(server_id, members, op="depart")
         else:
-            del self._servers[server_id]
+            self._forget(server_id)
 
     def fleet_evicted(self, server_id: int, members: list) -> None:
         """A whole server was evicted (crash or planned migration)."""
@@ -256,7 +261,7 @@ class QoSLedger:
         if open_members is None:
             return
         now = self._now
-        self._accrue(open_members.values(), now)
+        self._accrue(server_id, open_members.values(), now)
         reason = self._evict_reason
         self._evict_reason = "evicted"
         for member_id, _ in members:
@@ -267,6 +272,7 @@ class QoSLedger:
         # closes, so conservation cannot silently break.
         for member_id in sorted(open_members):
             self._close(open_members[member_id], reason=reason)
+        self._pending.pop(server_id, None)
 
     def fleet_resolution_changed(
         self, server_id: int, member_id: int, _old: "Session", new: "Session"
@@ -287,7 +293,7 @@ class QoSLedger:
         if members is None or member_id not in members:
             return
         now = self._now
-        self._accrue(members.values(), now)
+        self._accrue(server_id, members.values(), now)
         record = members[member_id]
         old_resolution = str(record.session.resolution)
         degraded = bool(getattr(new, "degraded", False))
@@ -333,13 +339,13 @@ class QoSLedger:
             members = self._servers.get(server_id)
             if members is None or member_id not in members:
                 continue
-            self._accrue(members.values(), when)
+            self._accrue(server_id, members.values(), when)
             record = members.pop(member_id)
             self._close(record, reason="departed")
             if members:
                 self._recompute(server_id, members, op="finalize")
             else:
-                del self._servers[server_id]
+                self._forget(server_id)
         self.telemetry.gauge("qos_open_sessions").set(self.open_records)
 
     # -- report ---------------------------------------------------------
@@ -369,8 +375,22 @@ class QoSLedger:
             self._genres[game] = genre
         return genre
 
-    def _accrue(self, records, until: float) -> None:
-        """Advance every record's integrals to ``until`` at current FPS."""
+    def _forget(self, server_id: int) -> None:
+        """Drop an emptied server, and whatever it was waiting to measure."""
+        del self._servers[server_id]
+        self._pending.pop(server_id, None)
+
+    def _accrue(self, server_id: int, records, until: float) -> None:
+        """Advance every record's integrals to ``until`` at current FPS.
+
+        ``records`` are server ``server_id``'s.  If its composition is not
+        measured yet and time has passed under it, this is the first read
+        of that ground truth — the one place a measurement is needed.
+        """
+        if server_id in self._pending and any(
+            until > record.last_time for record in records
+        ):
+            self._flush(server_id)
         for record in records:
             dt = until - record.last_time
             if dt <= 0:
@@ -417,38 +437,65 @@ class QoSLedger:
         return tuple(r.entry for r in ordered), ordered
 
     def _recompute(self, server_id: int, members: dict, *, op: str) -> tuple:
-        """Refresh every member's slot and ground-truth FPS for the group.
+        """Refresh every member's slot, and its ground-truth FPS if known.
+
+        A composition met before is applied from the memo.  A new one is
+        only marked pending: no decision reads ground truth, and the
+        ledger's own first read is the next :meth:`_accrue` over elapsed
+        time (or the close of a zero-lifetime record), so a composition
+        replaced before then is never measured at all.  Until the flush,
+        members keep the previous composition's ``current_fps``, unread.
 
         Returns the group's signature, so a caller that goes on to read a
         promise does not sort the group again.
         """
         sig, ordered = self._group_signature(members.values())
-        cached = sig in self._measured
+        fps = self._measured.get(sig)
         with self.tracer.span(
-            "qos", op=op, server_id=server_id, group=len(ordered), cached=cached
+            "qos", op=op, server_id=server_id, group=len(ordered),
+            cached=fps is not None,
         ):
-            fps = self._measure(sig)
-        for slot, (record, value) in enumerate(zip(ordered, fps)):
-            record.slot = slot
-            record.current_fps = value
+            for slot, record in enumerate(ordered):
+                record.slot = slot
+            if fps is None:
+                self._pending[server_id] = (sig, ordered)
+            else:
+                self._pending.pop(server_id, None)
+                for record, value in zip(ordered, fps):
+                    record.current_fps = value
         return sig
 
-    def _measure(self, sig: tuple) -> tuple[float, ...]:
-        fps = self._measured.get(sig)
-        if fps is None:
-            from repro.core.training import ColocationSpec
-            from repro.simulator.measurement import run_colocation
+    def _flush(self, server_id: int) -> None:
+        """Measure every pending composition in one batch.
 
-            result = run_colocation(
-                ColocationSpec(sig).instances(self.catalog),
+        ``server_id`` is the server whose read forced the flush.  Each
+        distinct signature is measured once (``qos_measurements`` counts
+        them) and written to the records it was marked with — which may
+        already have left ``_servers``: an evicted server is accrued and
+        closed after it is popped.  A measurement is a pure function of
+        its signature, so when it runs cannot change what it returns.
+        """
+        from repro.core.training import ColocationSpec
+        from repro.simulator.measurement import run_colocations
+
+        pending = self._pending
+        sigs = list(dict.fromkeys(sig for sig, _ in pending.values()))
+        with self.tracer.span(
+            "qos", op="flush", server_id=server_id, compositions=len(sigs)
+        ):
+            results = run_colocations(
+                [ColocationSpec(sig).instances(self.catalog) for sig in sigs],
                 server=self.server,
                 config=self.config,
                 engine=self._engine,
             )
-            fps = tuple(float(f) for f in result.fps)
-            self._measured[sig] = fps
-            self.telemetry.counter("qos_measurements").inc()
-        return fps
+            for sig, result in zip(sigs, results):
+                self._measured[sig] = tuple(float(f) for f in result.fps)
+            self.telemetry.counter("qos_measurements").inc(len(sigs))
+            for sig, ordered in pending.values():
+                for record, value in zip(ordered, self._measured[sig]):
+                    record.current_fps = value
+        self._pending = {}
 
     def _promise_for(self, sig: tuple, slot: int) -> float:
         """The predictor's FPS claim for slot ``slot`` of the group ``sig``."""
@@ -465,6 +512,9 @@ class QoSLedger:
     def _close(self, record: _OpenRecord, *, reason: str) -> None:
         """Book the record's single calibration + SLO sample."""
         minutes = record.minutes
+        if minutes <= 0 and record.server_id in self._pending:
+            # A zero-lifetime record reads its FPS without ever accruing.
+            self._flush(record.server_id)
         actual = record.fps_minutes / minutes if minutes > 0 else record.current_fps
         residual = record.promised_fps - actual
         game = record.session.game

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 import numpy as np
 
@@ -15,9 +16,9 @@ from repro.hardware.resources import NUM_RESOURCES, Resource, ResourceVector
 from repro.hardware.server import DEFAULT_SERVER, ServerSpec
 from repro.profiling.database import ProfileDatabase
 from repro.simulator.measurement import (
+    ColocationResult,
     MeasurementConfig,
-    measure_solo_fps,
-    run_colocation,
+    run_colocations,
 )
 from repro.simulator.workload import BenchmarkInstance, GameInstance
 from repro.utils.rng import spawn_rng
@@ -104,49 +105,63 @@ class ContentionProfiler:
             true_util = true_util * rng.lognormal(0.0, noise_level, NUM_RESOURCES)
         return ResourceVector(np.clip(true_util, 0.0, 1.0))
 
+    @staticmethod
+    def _runs(instance: GameInstance, dials: np.ndarray) -> list[list]:
+        """One resolution's runs: solo, then the benchmark sweep.
+
+        The sweep is resource-major: ``[game, benchmark]`` per (resource, dial).
+        """
+        return [[instance]] + [
+            [instance, BenchmarkInstance(make_benchmark(res, float(dial)))]
+            for res in Resource
+            for dial in dials
+        ]
+
+    @staticmethod
     def _sweep(
-        self, instance: GameInstance, solo_fps: float, dials: np.ndarray
+        results: Iterator[ColocationResult], solo_fps: float, dials: np.ndarray
     ) -> tuple[dict[Resource, SensitivityCurve], ResourceVector]:
-        """Benchmark sweep at one resolution -> (curves, intensity vector)."""
+        """Read one benchmark sweep off ``results`` -> (curves, intensity vector)."""
         curves: dict[Resource, SensitivityCurve] = {}
         intensity = np.zeros(NUM_RESOURCES, dtype=float)
         for res in Resource:
-            degradations = []
-            slowdowns = []
-            for dial in dials:
-                bench = BenchmarkInstance(make_benchmark(res, float(dial)))
-                result = run_colocation(
-                    [instance, bench], server=self.server, config=self.config.measurement
-                )
-                degradations.append(result.fps[0] / solo_fps)
-                slowdowns.append(result.slowdowns[1])
+            swept = list(islice(results, len(dials)))
             curves[res] = SensitivityCurve(
                 resource=res,
                 pressures=tuple(float(d) for d in dials),
-                degradations=tuple(degradations),
+                degradations=tuple(r.fps[0] / solo_fps for r in swept),
             )
-            intensity[int(res)] = float(np.mean(slowdowns)) - 1.0
+            intensity[int(res)] = float(np.mean([r.slowdowns[1] for r in swept])) - 1.0
         return curves, ResourceVector(np.maximum(intensity, 0.0))
 
     def profile_game(self, spec: GameSpec) -> GameProfile:
-        """Profile one game at the configured resolutions."""
+        """Profile one game at the configured resolutions.
+
+        Every run is known up front — per resolution a solo run and a
+        benchmark sweep — so the game is measured as one batch.
+        """
         solo_fps: dict[Resolution, float] = {}
         intensity: dict[Resolution, ResourceVector] = {}
         demand: dict[Resolution, ResourceVector] = {}
         sensitivity: dict[Resource, SensitivityCurve] | None = None
 
+        plan = []
         for resolution in self.config.resolutions:
-            instance = GameInstance(spec, resolution)
-            fps = measure_solo_fps(
-                instance, server=self.server, config=self.config.measurement
-            )
-            solo_fps[resolution] = fps
-            demand[resolution] = self._measure_demand(instance)
             is_sens = resolution == self.config.sensitivity_resolution
             dials = self.config.dials if is_sens else self.config.intensity_dials
-            curves, intensity_vec = self._sweep(instance, fps, dials)
-            intensity[resolution] = intensity_vec
-            if is_sens:
+            plan.append((resolution, GameInstance(spec, resolution), dials))
+        runs = [
+            run for _, instance, dials in plan for run in self._runs(instance, dials)
+        ]
+        results = iter(
+            run_colocations(runs, server=self.server, config=self.config.measurement)
+        )
+        for resolution, instance, dials in plan:
+            fps = next(results).fps[0]
+            solo_fps[resolution] = fps
+            demand[resolution] = self._measure_demand(instance)
+            curves, intensity[resolution] = self._sweep(results, fps, dials)
+            if resolution == self.config.sensitivity_resolution:
                 sensitivity = curves
 
         assert sensitivity is not None  # guaranteed by config validation

@@ -17,6 +17,7 @@ from repro.simulator.measurement import (
     MeasurementConfig,
     measure_solo_fps,
     run_colocation,
+    run_colocations,
 )
 from repro.simulator.workload import BenchmarkInstance, GameInstance, Workload
 
@@ -32,6 +33,7 @@ __all__ = [
     "simulate_frame_times",
     "MeasurementConfig",
     "ColocationResult",
+    "run_colocations",
     "run_colocation",
     "measure_solo_fps",
 ]

@@ -14,13 +14,14 @@ Figure 6).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.games.game import StageInflationModel
 from repro.hardware.contention import ContentionModel
-from repro.hardware.resources import Resource
+from repro.hardware.resources import NUM_RESOURCES, Resource
 from repro.hardware.server import DEFAULT_SERVER, ServerSpec
 from repro.simulator.workload import (
     RATE_SCALED_MASK,
@@ -30,6 +31,11 @@ from repro.simulator.workload import (
 )
 
 __all__ = ["SteadyState", "ColocationEngine"]
+
+#: numpy adds fewer than 8 addends in sequence and pairs them up from 8 on;
+#: trailing zeros leave a sequential sum bitwise unchanged but would
+#: re-pair the real addends of a pairwise one.
+_PAIRWISE_SUM_MIN = 8
 
 
 @dataclass(frozen=True)
@@ -115,6 +121,11 @@ class ColocationEngine:
         if not (0.0 <= rate_feedback <= 1.0):
             raise ValueError("rate_feedback must lie in [0, 1]")
         self.rate_feedback = float(rate_feedback)
+        #: Powered scene-complexity series of the game instances measured
+        #: through this engine (filled by
+        #: :func:`repro.simulator.measurement.run_colocations`); lives as
+        #: long as the engine, bounded by games x resolutions seen.
+        self.scenes: dict[tuple, tuple[np.ndarray, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
 
@@ -134,69 +145,134 @@ class ColocationEngine:
         return 1.0 + self.thrash_penalty * over
 
     def steady_state(self, workloads: list[Workload]) -> SteadyState:
-        """Resolve the colocation to a contention fixed point."""
-        n = len(workloads)
-        if n == 0:
+        """Resolve one colocation to a contention fixed point."""
+        return self.steady_states([workloads])[0]
+
+    def steady_states(
+        self, colocations: Sequence[Sequence[Workload]]
+    ) -> list[SteadyState]:
+        """Resolve every colocation to its own fixed point, in one program.
+
+        Colocations do not interact: each result is bitwise what solving
+        that colocation alone gives, whatever else is in the batch and in
+        whatever order.  Colocations of fewer than 8 workloads share one
+        state, zero-padded to the widest of them; wider ones share a state
+        only with colocations of their own width (``_PAIRWISE_SUM_MIN``).
+        """
+        colocations = list(colocations)
+        if not all(len(workloads) for workloads in colocations):
             raise ValueError("steady_state requires at least one workload")
+        by_width: dict[int, list[int]] = {}
+        for b, workloads in enumerate(colocations):
+            n = len(workloads)
+            by_width.setdefault(n if n >= _PAIRWISE_SUM_MIN else 0, []).append(b)
+        states: list = [None] * len(colocations)
+        for members in by_width.values():
+            solved = self._solve([colocations[b] for b in members])
+            for b, state in zip(members, solved):
+                states[b] = state
+        return states
 
-        # Base utilizations normalized to this server's capacities.
+    def _solve(self, batch: list[Sequence[Workload]]) -> list[SteadyState]:
+        """The damped fixed point over a ``(B, N, 7)`` zero-padded state."""
         server = self.server
-        scales = np.array([server.domain_scale(res) for res in Resource], dtype=float)
-        base_util = np.clip(
-            np.array([w.base_utilization() for w in workloads]) / scales, 0.0, 1.0
-        )
-        is_game = np.array([w.is_game for w in workloads], dtype=bool)
-        games = np.flatnonzero(is_game)
-        # Cells whose exerted pressure follows the achieved frame rate.
-        rate_scaled = is_game[:, None] & RATE_SCALED_MASK
-        thrash = self._memory_thrash_factor(workloads)
+        sizes = np.array([len(workloads) for workloads in batch])
+        B, N = len(batch), int(sizes.max())
+        # Row-major over (colocation, member): the order of ``flat``.
+        real = np.arange(N) < sizes[:, None]
+        flat = [w for workloads in batch for w in workloads]
 
-        # Game rows only: stage times on this server (faster hardware
-        # shrinks stages) and the packed sensitivity curves.
+        # Base utilizations normalized to this server's capacities; a
+        # padding row stays all zero — a workload that is not there.
+        scales = np.array([server.domain_scale(res) for res in Resource], dtype=float)
+        base_util = np.zeros((B, N, NUM_RESOURCES), dtype=float)
+        base_util[real] = np.clip(
+            np.array([w.base_utilization() for w in flat]) / scales, 0.0, 1.0
+        )
+        is_game = np.zeros((B, N), dtype=bool)
+        is_game[real] = [w.is_game for w in flat]
+        # Cells whose exerted pressure follows the achieved frame rate.
+        rate_scaled = is_game[:, :, None] & RATE_SCALED_MASK
+
+        # Game rows only, as flat (colocation, member) cells: stage times
+        # on this server (faster hardware shrinks stages), the packed
+        # sensitivity curves and the owning colocation's thrash factor.
+        cells = np.flatnonzero(is_game)
+        owner = cells // N
+        games = [w for w in flat if w.is_game]
+        thrash = np.array(
+            [self._memory_thrash_factor(workloads) for workloads in batch], dtype=float
+        )
+        game_thrash = thrash[owner]
         stage_ms = np.array(
-            [workloads[i].stage_times_ms() for i in games], dtype=float
+            [w.stage_times_ms() for w in games], dtype=float
         ).reshape(-1, 3) / (server.cpu_scale, server.gpu_scale, server.link_scale)
         solo_frame = np.maximum(stage_ms[:, 0], stage_ms[:, 1]) + stage_ms[:, 2]
-        inflate = StageInflationModel([workloads[i].spec for i in games])
+        inflate = StageInflationModel([w.spec for w in games])
 
         fb = self.rate_feedback
-        rate = np.ones(n, dtype=float)
-        converged = False
-        # One iteration: a fixed sequence of array operations, none per game.
+        rate = np.ones((B, N), dtype=float)
+        # Each colocation's outputs as of the iteration it stopped at.
+        # Benchmark (and padding) rows: inflation 1, no frame time.
+        final_pressures = np.empty_like(base_util)
+        final_rate = np.empty_like(rate)
+        final_inflations = np.ones((B * N, 3), dtype=float)
+        final_frame_times = np.full(B * N, np.nan, dtype=float)
+        iterations = np.zeros(B, dtype=int)
+        converged = np.zeros(B, dtype=bool)
+        running = np.ones(B, dtype=bool)
+        # One iteration: a fixed sequence of array operations, none per
+        # game and none per colocation.
         for iteration in range(1, self.max_iterations + 1):
-            scale_rows = ((1.0 - fb) + fb * rate)[:, None]
+            scale_rows = ((1.0 - fb) + fb * rate)[:, :, None]
             eff_util = base_util * np.where(rate_scaled, scale_rows, 1.0)
             pressures = self.contention.pressures_leave_one_out(eff_util)
 
-            inflations = inflate(pressures[games])
+            inflations = inflate(pressures.reshape(-1, NUM_RESOURCES)[cells])
             busy = stage_ms * inflations
-            frame_times = (np.maximum(busy[:, 0], busy[:, 1]) + busy[:, 2]) * thrash
+            frame_times = (
+                np.maximum(busy[:, 0], busy[:, 1]) + busy[:, 2]
+            ) * game_thrash
             new_rate = rate.copy()
-            new_rate[games] = solo_frame / frame_times
+            new_rate.reshape(-1)[cells] = solo_frame / frame_times
 
-            delta = np.abs(new_rate - rate).max()
+            met = np.abs(new_rate - rate).max(axis=1) < self.tolerance
             rate = (1.0 - self.damping) * rate + self.damping * new_rate
-            if delta < self.tolerance:
-                converged = True
-                break
+            # Freeze what stops here; it keeps iterating, unread.
+            stopped = running & met if iteration < self.max_iterations else running
+            if stopped.any():
+                final_pressures[stopped] = pressures[stopped]
+                final_rate[stopped] = rate[stopped]
+                theirs = stopped[owner]
+                final_inflations[cells[theirs]] = inflations[theirs]
+                final_frame_times[cells[theirs]] = frame_times[theirs]
+                iterations[stopped] = iteration
+                converged[stopped] = met[stopped]
+                running = running & ~stopped
+                if not running.any():
+                    break
 
-        # Benchmark rows: inflation 1, no frame time, rate 1.
-        all_inflations = np.ones((n, 3), dtype=float)
-        all_inflations[games] = inflations
-        all_frame_times = np.full(n, np.nan, dtype=float)
-        all_frame_times[games] = frame_times
-        slowdowns = np.full(n, np.nan, dtype=float)
-        for i, w in enumerate(workloads):
-            if isinstance(w, BenchmarkInstance):
-                slowdowns[i] = w.bench.slowdown(pressures[i])
+        final_inflations = final_inflations.reshape(B, N, 3)
+        final_frame_times = final_frame_times.reshape(B, N)
+        rate_factors = np.where(is_game, final_rate, 1.0)
 
-        return SteadyState(
-            pressures=pressures,
-            rate_factors=np.where(is_game, rate, 1.0),
-            stage_inflations=all_inflations,
-            frame_times_ms=all_frame_times,
-            slowdowns=slowdowns,
-            converged=converged,
-            iterations=iteration,
-            thrash=thrash,
-        )
+        states = []
+        for b, workloads in enumerate(batch):
+            n = len(workloads)
+            slowdowns = np.full(n, np.nan, dtype=float)
+            for i, w in enumerate(workloads):
+                if isinstance(w, BenchmarkInstance):
+                    slowdowns[i] = w.bench.slowdown(final_pressures[b, i])
+            states.append(
+                SteadyState(
+                    pressures=final_pressures[b, :n],
+                    rate_factors=rate_factors[b, :n],
+                    stage_inflations=final_inflations[b, :n],
+                    frame_times_ms=final_frame_times[b, :n],
+                    slowdowns=slowdowns,
+                    converged=bool(converged[b]),
+                    iterations=int(iterations[b]),
+                    thrash=float(thrash[b]),
+                )
+            )
+        return states

@@ -11,12 +11,17 @@ frame-time series.
 from __future__ import annotations
 
 import numpy as np
-from scipy.signal import lfilter
 
 from repro.games.game import GameSpec
 from repro.games.resolution import Resolution
 
-__all__ = ["scene_complexity", "simulate_frame_times", "fps_from_frame_times"]
+__all__ = [
+    "scene_complexity",
+    "scene_powers",
+    "frame_times_from_scene",
+    "simulate_frame_times",
+    "fps_from_frame_times",
+]
 
 
 def scene_complexity(
@@ -36,12 +41,57 @@ def scene_complexity(
         raise ValueError("sigma must be >= 0")
     if sigma == 0.0:
         return np.ones(n_frames, dtype=float)
+    # Imported where it is used: scipy is most of ``import repro``'s cost,
+    # and the serving stack only gets here with a QoS ledger attached.
+    from scipy.signal import lfilter
+
     eps = rng.normal(0.0, sigma, size=n_frames)
     # Start from the stationary distribution to avoid a warm-up transient.
     stationary_var = sigma * sigma / (1.0 - rho * rho)
     x0 = rng.normal(0.0, np.sqrt(stationary_var))
     x = lfilter([1.0], [1.0, -rho], eps, zi=np.array([rho * x0]))[0]
     return np.exp(x - stationary_var / 2.0)
+
+
+def scene_powers(
+    spec: GameSpec, n_frames: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """The game's scene series raised to its CPU and GPU complexity exponents.
+
+    Depends on the game and the scene RNG only — not on the colocation —
+    so a measurer may compute it once per game instance and reuse it; the
+    arrays are read-only for that reason.
+    """
+    c = scene_complexity(spec.scene_rho, spec.scene_sigma, n_frames, rng)
+    powers = (c**spec.cpu_complexity_exp, c**spec.gpu_complexity_exp)
+    for series in powers:
+        series.flags.writeable = False
+    return powers
+
+
+def frame_times_from_scene(
+    spec: GameSpec,
+    resolution: Resolution,
+    scene: tuple[np.ndarray, np.ndarray],
+    *,
+    stage_inflations: tuple[float, float, float] = (1.0, 1.0, 1.0),
+    thrash: float = 1.0,
+    server_scales: tuple[float, float, float] = (1.0, 1.0, 1.0),
+) -> np.ndarray:
+    """Per-frame times (ms) for one game under fixed contention inflations.
+
+    The steady-state engine provides mean-field stage inflations; here the
+    scene-complexity process (``scene``, from :func:`scene_powers`)
+    modulates the CPU and GPU stages around them, reproducing intra-run
+    frame-rate variance.
+    """
+    ic, ig, il = stage_inflations
+    cs, gs, ls = server_scales
+    cpu_scene, gpu_scene = scene
+    t_cpu = (spec.cpu_time_ms / cs) * ic * cpu_scene
+    t_gpu = (spec.gpu_time_ms(resolution) / gs) * ig * gpu_scene
+    t_link = (spec.xfer_time_ms(resolution) / ls) * il
+    return (np.maximum(t_cpu, t_gpu) + t_link) * thrash
 
 
 def simulate_frame_times(
@@ -54,19 +104,15 @@ def simulate_frame_times(
     rng: np.random.Generator,
     server_scales: tuple[float, float, float] = (1.0, 1.0, 1.0),
 ) -> np.ndarray:
-    """Per-frame times (ms) for one game under fixed contention inflations.
-
-    The steady-state engine provides mean-field stage inflations; here the
-    scene-complexity process modulates the CPU and GPU stages around them,
-    reproducing intra-run frame-rate variance.
-    """
-    ic, ig, il = stage_inflations
-    cs, gs, ls = server_scales
-    c = scene_complexity(spec.scene_rho, spec.scene_sigma, n_frames, rng)
-    t_cpu = (spec.cpu_time_ms / cs) * ic * c**spec.cpu_complexity_exp
-    t_gpu = (spec.gpu_time_ms(resolution) / gs) * ig * c**spec.gpu_complexity_exp
-    t_link = (spec.xfer_time_ms(resolution) / ls) * il
-    return (np.maximum(t_cpu, t_gpu) + t_link) * thrash
+    """:func:`frame_times_from_scene` over a scene series drawn from ``rng``."""
+    return frame_times_from_scene(
+        spec,
+        resolution,
+        scene_powers(spec, n_frames, rng),
+        stage_inflations=stage_inflations,
+        thrash=thrash,
+        server_scales=server_scales,
+    )
 
 
 def fps_from_frame_times(frame_times_ms: np.ndarray) -> float:

@@ -9,17 +9,28 @@ colocations observe independent noise streams.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.hardware.server import DEFAULT_SERVER, ServerSpec
 from repro.simulator.engine import ColocationEngine, SteadyState
-from repro.simulator.frames import fps_from_frame_times, simulate_frame_times
+from repro.simulator.frames import (
+    fps_from_frame_times,
+    frame_times_from_scene,
+    scene_powers,
+)
 from repro.simulator.workload import GameInstance, Workload
 from repro.utils.rng import spawn_rng
 
-__all__ = ["MeasurementConfig", "ColocationResult", "run_colocation", "measure_solo_fps"]
+__all__ = [
+    "MeasurementConfig",
+    "ColocationResult",
+    "run_colocations",
+    "run_colocation",
+    "measure_solo_fps",
+]
 
 
 @dataclass(frozen=True)
@@ -67,15 +78,31 @@ class ColocationResult:
         return self.slowdowns[index]
 
 
-def _scene_rng(config: MeasurementConfig, workload: Workload):
-    """Scene-trace RNG — depends only on the game, not the colocation.
+def _scene(config: MeasurementConfig, workload: GameInstance, memo: dict):
+    """The game's powered scene series — one per game, not per colocation.
 
     The paper measures every run of a game on the *same* popular scene
     (Section 3.2), so the rendering workload trace is common across solo
     and colocated runs.  Common random numbers reproduce that: degradation
-    ratios are not polluted by trace resampling variance.
+    ratios are not polluted by trace resampling variance.  ``memo`` is the
+    measuring engine's: the key names everything the series depends on.
     """
-    return spawn_rng(config.seed, "scene", workload.identity())
+    spec = workload.spec
+    identity = workload.identity()
+    key = (
+        config.seed,
+        config.n_frames,
+        identity,
+        spec.scene_rho,
+        spec.scene_sigma,
+        spec.cpu_complexity_exp,
+        spec.gpu_complexity_exp,
+    )
+    scene = memo.get(key)
+    if scene is None:
+        rng = spawn_rng(config.seed, "scene", identity)
+        scene = memo[key] = scene_powers(spec, config.n_frames, rng)
+    return scene
 
 
 def _noise_rng(config: MeasurementConfig, identity: tuple, index: int):
@@ -83,23 +110,14 @@ def _noise_rng(config: MeasurementConfig, identity: tuple, index: int):
     return spawn_rng(config.seed, "noise", identity, index)
 
 
-def run_colocation(
-    workloads: list[Workload],
-    server: ServerSpec = DEFAULT_SERVER,
-    config: MeasurementConfig | None = None,
-    engine: ColocationEngine | None = None,
+def _read(
+    workloads: Sequence[Workload],
+    state: SteadyState,
+    server: ServerSpec,
+    config: MeasurementConfig,
+    scenes: dict,
 ) -> ColocationResult:
-    """Colocate ``workloads`` on ``server`` and measure each one.
-
-    Games report FPS (mean over the simulated run, or a low percentile in
-    ``min_fps_mode``); benchmarks report completion-time slowdown.
-    """
-    config = config if config is not None else MeasurementConfig()
-    if engine is None:
-        engine = ColocationEngine(server)
-    elif engine.server is not server:
-        raise ValueError("engine.server must match the server argument")
-    state = engine.steady_state(workloads)
+    """Read every workload's FPS or slowdown off one solved colocation."""
     identity = tuple(w.identity() for w in workloads)
     server_scales = (server.cpu_scale, server.gpu_scale, server.link_scale)
 
@@ -113,13 +131,12 @@ def run_colocation(
             else 1.0
         )
         if isinstance(w, GameInstance):
-            times = simulate_frame_times(
+            times = frame_times_from_scene(
                 w.spec,
                 w.resolution,
+                _scene(config, w, scenes),
                 stage_inflations=tuple(state.stage_inflations[i]),
                 thrash=state.thrash,
-                n_frames=config.n_frames,
-                rng=_scene_rng(config, w),
                 server_scales=server_scales,
             )
             if config.min_fps_mode:
@@ -139,6 +156,42 @@ def run_colocation(
         slowdowns=tuple(slowdowns),
         state=state,
     )
+
+
+def run_colocations(
+    colocations: Sequence[Sequence[Workload]],
+    server: ServerSpec = DEFAULT_SERVER,
+    config: MeasurementConfig | None = None,
+    engine: ColocationEngine | None = None,
+) -> list[ColocationResult]:
+    """Colocate each workload list on its own ``server`` and measure it.
+
+    Games report FPS (mean over the simulated run, or a low percentile in
+    ``min_fps_mode``); benchmarks report completion-time slowdown.  The
+    colocations are independent runs — each result is what measuring that
+    colocation alone gives — solved as one batch
+    (:meth:`ColocationEngine.steady_states`).
+    """
+    config = config if config is not None else MeasurementConfig()
+    if engine is None:
+        engine = ColocationEngine(server)
+    elif engine.server is not server:
+        raise ValueError("engine.server must match the server argument")
+    colocations = list(colocations)
+    return [
+        _read(workloads, state, server, config, engine.scenes)
+        for workloads, state in zip(colocations, engine.steady_states(colocations))
+    ]
+
+
+def run_colocation(
+    workloads: list[Workload],
+    server: ServerSpec = DEFAULT_SERVER,
+    config: MeasurementConfig | None = None,
+    engine: ColocationEngine | None = None,
+) -> ColocationResult:
+    """Measure one colocation: :func:`run_colocations` on a batch of one."""
+    return run_colocations([workloads], server=server, config=config, engine=engine)[0]
 
 
 def measure_solo_fps(

@@ -94,6 +94,10 @@ def stage_inflations(spec, pressures):
 class ReferenceEngine(ColocationEngine):
     """A :class:`ColocationEngine` whose solver is the loops above."""
 
+    def steady_states(self, colocations):
+        """One colocation at a time: what a batch must reproduce."""
+        return [self.steady_state(workloads) for workloads in colocations]
+
     def steady_state(self, workloads):
         n = len(workloads)
         if n == 0:

@@ -81,6 +81,18 @@ class TestMeasureColocations:
             assert len(m.fps) == m.spec.size
             assert all(f > 0 for f in m.fps)
 
+    def test_batch_equals_one_run_at_a_time(self, catalog):
+        """The campaign is measured as one batch; no reading may notice."""
+        from repro.simulator import run_colocation
+
+        names = ["Dota2", "H1Z1", "Stardew Valley"]
+        specs = generate_colocations(names, sizes={1: 3, 2: 6, 3: 4}, seed=5)
+        specs += [specs[4], ColocationSpec((("H1Z1", R1080),) * 4)]
+        measured = measure_colocations(catalog, specs)
+        assert [m.spec for m in measured] == specs
+        for m in measured:
+            assert m.fps == run_colocation(m.spec.instances(catalog)).fps
+
     def test_misaligned_fps_rejected(self):
         spec = ColocationSpec((("A", R1080), ("B", R1080)))
         with pytest.raises(ValueError):

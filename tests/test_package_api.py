@@ -45,3 +45,31 @@ class TestPublicApi:
             obj = getattr(repro, name)
             if callable(obj):
                 assert obj.__doc__, f"repro.{name} missing docstring"
+
+
+class TestImportCost:
+    def test_serving_stack_imports_without_scipy(self):
+        """scipy is a call-time import: three functions use it, nothing else.
+
+        At module level it was most of what ``import repro`` cost (~1 s and
+        ~70 MiB), paid by every serving process whether or not it ever
+        fitted a curve or measured a frame series.  Run in a child process:
+        this one has long since imported scipy through some other test.
+        """
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys; import repro, repro.serving, repro.sharding; "
+            "sys.exit('scipy' in sys.modules)"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr or "scipy was imported"

@@ -94,6 +94,56 @@ class TestProfileGame:
             assert measured[res] == pytest.approx(true[res], rel=0.08)
 
 
+class TestBatchedProfiling:
+    """A game's runs are measured as one batch; the profile cannot tell."""
+
+    def one_at_a_time(self, profiler, spec):
+        """Solo FPS, curves and intensity from one ``run_colocation`` per run."""
+        from repro.bench.suite import make_benchmark
+        from repro.simulator import BenchmarkInstance, GameInstance, run_colocation
+
+        config = profiler.config
+        measure = dict(server=profiler.server, config=config.measurement)
+        solo, degradations, intensity = {}, {}, {}
+        for resolution in config.resolutions:
+            game = GameInstance(spec, resolution)
+            solo[resolution] = run_colocation([game], **measure).fps[0]
+            is_sens = resolution == config.sensitivity_resolution
+            dials = config.dials if is_sens else config.intensity_dials
+            means = []
+            for res in Resource:
+                runs = [
+                    run_colocation(
+                        [game, BenchmarkInstance(make_benchmark(res, float(d)))],
+                        **measure,
+                    )
+                    for d in dials
+                ]
+                if is_sens:
+                    degradations[res] = tuple(
+                        r.fps[0] / solo[resolution] for r in runs
+                    )
+                means.append(float(np.mean([r.slowdowns[1] for r in runs])) - 1.0)
+            intensity[resolution] = np.maximum(np.array(means), 0.0)
+        return solo, degradations, intensity
+
+    def test_profile_equals_one_run_at_a_time(self, catalog):
+        profiler = ContentionProfiler(
+            config=ProfilerConfig(pressure_levels=4, intensity_levels=2)
+        )
+        for name in ("Dota2", "H1Z1", "Stardew Valley"):
+            spec = catalog.get(name)
+            profile = profiler.profile_game(spec)
+            solo, degradations, intensity = self.one_at_a_time(profiler, spec)
+            assert profile.solo_fps == solo
+            for res in Resource:
+                assert profile.sensitivity[res].degradations == degradations[res]
+            for resolution, vector in intensity.items():
+                assert profile.intensity[resolution].values.tobytes() == (
+                    vector.tobytes()
+                )
+
+
 class TestProfileDatabase:
     def test_add_get_len(self, profile):
         db = ProfileDatabase()

@@ -103,16 +103,21 @@ engines = st.builds(
 )
 
 
-def assert_same_state(workloads, engine=None, oracle=None):
+def assert_states_equal(got, want):
     """Every SteadyState field equal to the last bit (NaNs included)."""
-    got = (engine or ColocationEngine()).steady_state(workloads)
-    want = (oracle or reference.ReferenceEngine()).steady_state(workloads)
     for name in STATE_ARRAYS:
         a, b = getattr(got, name), getattr(want, name)
         assert a.shape == b.shape and a.dtype == b.dtype, name
         assert a.tobytes() == b.tobytes(), name
     assert (got.converged, got.iterations) == (want.converged, want.iterations)
     assert got.thrash == want.thrash
+
+
+def assert_same_state(workloads, engine=None, oracle=None):
+    got = (engine or ColocationEngine()).steady_state(workloads)
+    assert_states_equal(
+        got, (oracle or reference.ReferenceEngine()).steady_state(workloads)
+    )
     return got
 
 
@@ -223,3 +228,117 @@ class TestArrayFixedPoint:
         for bad in (np.zeros((2, 6)), np.zeros((3, 7)), np.zeros(7)):
             with pytest.raises(IndexError, match="expected pressures of shape"):
                 model(bad)
+
+
+# ----------------------------------------------------------------------
+# The batch solver against the same loops, one colocation at a time.
+
+batch_engines = st.builds(
+    lambda damping, feedback, budget: (
+        ColocationEngine(
+            damping=damping, rate_feedback=feedback, max_iterations=budget
+        ),
+        reference.ReferenceEngine(
+            damping=damping, rate_feedback=feedback, max_iterations=budget
+        ),
+    ),
+    st.sampled_from([0.3, 0.5, 1.0]),
+    st.sampled_from([0.0, 0.5, 1.0]),
+    # 3 stops most colocations unconverged, at the same iteration count.
+    st.sampled_from([3, 60]),
+)
+
+
+def colocation_lists(max_size):
+    return st.lists(
+        st.one_of(game_instances, bench_instances), min_size=1, max_size=max_size
+    )
+
+
+class TestBatchFixedPoint:
+    """``steady_states`` gives each colocation what solving it alone gives.
+
+    The ledger hands it whatever compositions happen to be pending and the
+    profiler a whole sweep; neither may see a digit depend on the company
+    a colocation kept.  Sizes 1-4 share one zero-padded state; the wider
+    strangers land on both sides of numpy's 8-addend switch to pairwise
+    summation, where padding would re-pair a sum.
+    """
+
+    @given(
+        st.lists(colocation_lists(4), min_size=1, max_size=7),
+        st.lists(colocation_lists(12), max_size=3),
+        batch_engines,
+        st.data(),
+    )
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_each_colocation_as_if_alone(self, batch, strangers, pair, data):
+        engine, oracle = pair
+        # The same colocation twice in one batch, as two servers with one
+        # composition are in one flush.
+        batch = batch + [list(batch[data.draw(st.integers(0, len(batch) - 1))])]
+        want = [oracle.steady_state(workloads) for workloads in batch]
+        for got, expected in zip(engine.steady_states(batch), want, strict=True):
+            assert_states_equal(got, expected)
+
+        order = data.draw(st.permutations(range(len(batch))))
+        permuted = engine.steady_states([batch[i] for i in order])
+        for got, i in zip(permuted, order, strict=True):
+            assert_states_equal(got, want[i])
+
+        grown = engine.steady_states(strangers + batch)
+        for got, expected in zip(grown[len(strangers):], want, strict=True):
+            assert_states_equal(got, expected)
+
+    def test_saturated_corunner_stays_in_its_own_colocation(self):
+        saturating = make_benchmark(Resource.GPU_CE, 1.0)
+        assert 1.0 - saturating.utilization().values[int(Resource.GPU_CE)] <= 1e-12
+        games = [GameInstance(CATALOG.get(name)) for name in NAMES[:4]]
+        batch = [
+            [games[0], BenchmarkInstance(saturating), games[1]],
+            [games[0]],
+            [games[0], games[1], games[2], games[3]],
+            [BenchmarkInstance(saturating), games[2]],
+        ]
+        oracle = reference.ReferenceEngine()
+        states = ColocationEngine().steady_states(batch)
+        for got, workloads in zip(states, batch, strict=True):
+            assert_states_equal(got, oracle.steady_state(workloads))
+        assert states[0].pressures[0, int(Resource.GPU_CE)] == 1.0
+        assert states[2].pressures[0, int(Resource.GPU_CE)] < 1.0
+
+    def test_one_colocation_is_a_batch_of_one(self):
+        workloads = [GameInstance(CATALOG.get(name)) for name in NAMES[:3]]
+        engine = ColocationEngine()
+        assert_states_equal(
+            engine.steady_state(workloads), engine.steady_states([workloads])[0]
+        )
+        assert engine.steady_states([]) == []
+
+    def test_an_empty_colocation_is_rejected(self):
+        game = GameInstance(CATALOG.get(NAMES[0]))
+        with pytest.raises(ValueError, match="at least one workload"):
+            ColocationEngine().steady_states([[game], []])
+        with pytest.raises(ValueError, match="at least one workload"):
+            ColocationEngine().steady_state([])
+
+    @given(
+        st.lists(st.integers(0, 7), min_size=1, max_size=6),
+        st.integers(0, 2**32 - 1),
+        st.booleans(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_leave_one_out_over_a_zero_padded_stack(self, sizes, seed, saturate):
+        rng = np.random.default_rng(seed)
+        width = max(sizes)
+        stack = np.zeros((len(sizes), width, NUM_RESOURCES))
+        for b, n in enumerate(sizes):
+            stack[b, :n] = rng.uniform(-0.1, 1.1, size=(n, NUM_RESOURCES))
+            if saturate and n:
+                stack[b, rng.integers(n), rng.choice([0, 3])] = 1.0
+        model = ContentionModel()
+        got = model.pressures_leave_one_out(stack)
+        assert got.shape == stack.shape
+        for b, n in enumerate(sizes):
+            want = reference.leave_one_out(model, stack[b, :n])
+            assert got[b, :n].tobytes() == want.tobytes()

@@ -23,9 +23,15 @@ from repro.scheduling import generate_sessions
 from repro.scheduling.dynamic import simulate_sessions
 from repro.serving import (
     AdmissionController,
+    BreakerConfig,
     CMFeasiblePolicy,
+    FaultConfig,
+    FaultInjector,
+    PredictionCache,
     RequestBroker,
+    Telemetry,
     TraceConfig,
+    WorstFitPolicy,
     build_policy,
     generate_trace,
 )
@@ -265,3 +271,202 @@ class TestGroundTruthDidNotMove:
         assert json.dumps(qos, sort_keys=True) == json.dumps(
             oracle.qos, sort_keys=True
         )
+
+
+class EagerLedger(QoSLedger):
+    """Measures a new composition the moment it forms.
+
+    What the ledger did before it deferred ground truth to the first read:
+    every recompute that misses the memo is flushed on the spot, a batch
+    of one.  The deferred ledger must book the same report.
+    """
+
+    def _recompute(self, server_id, members, *, op):
+        sig = super()._recompute(server_id, members, op=op)
+        if self._pending:
+            self._flush(server_id)
+        return sig
+
+
+def without_measurement_count(payload):
+    """A normalized report minus the one number deferral may change."""
+    payload["telemetry"]["counters"].pop("qos_measurements")
+    payload["qos"]["sessions"].pop("measurements")
+    return payload
+
+
+class TestDeferredGroundTruth:
+    """When a composition is measured cannot change what is booked.
+
+    The deferred ledger measures on first read, in batches of whatever is
+    pending; :class:`EagerLedger` measures inside every hook, one at a
+    time.  A measurement is a pure function of the signature, and accrual,
+    burn events and closes run at the same points in both, so everything
+    but the count of measurements (and wall-clock histograms) is equal.
+    """
+
+    def serve(self, minilab, ledger_cls, tracer=None):
+        from tests.test_serving_degrade import LADDER, normalized
+
+        telemetry = Telemetry()
+        injector = FaultInjector(
+            FaultConfig(error_rate=0.03, corrupt_rate=0.04, stale_rate=0.08, seed=13),
+            telemetry=telemetry,
+        )
+        controller = AdmissionController(
+            CMFeasiblePolicy(
+                injector.wrap_predictor(minilab.predictor),
+                45.0,
+                cache=injector.wrap_cache(PredictionCache(96)),
+                margin=1.05,
+            ),
+            fallback=WorstFitPolicy(minilab.vbp),
+            telemetry=telemetry,
+            breaker=BreakerConfig(
+                failure_threshold=0.5, window=12, min_requests=4, cooldown=10
+            ),
+            downscale_ladder=LADDER,
+        )
+        ledger = ledger_cls(
+            minilab.catalog, minilab.predictor, slo_fps=45.0, server=minilab.server
+        )
+        broker = RequestBroker(
+            controller, crash_rate=0.03, crash_seed=13, ledger=ledger,
+            restore_interval=16, tracer=tracer,
+        )
+        config = TraceConfig(
+            n_requests=320, arrival_rate=9.0, mean_duration=25.0, seed=13
+        )
+        sessions = sorted(
+            generate_trace(minilab.predictor.db.names(), config),
+            key=lambda s: s.arrival,
+        )
+        broker.start()
+        for index, session in enumerate(sessions):
+            broker.submit(session, index)
+            if index == 150:
+                # A planned migration of the fullest server, back into the
+                # same fleet: closed "migrated" and re-placed at one instant.
+                now = session.arrival
+                signatures = broker.fleet.signatures()
+                fullest = max(range(len(signatures)), key=lambda i: len(signatures[i]))
+                moved = broker.evict_for_migration(
+                    broker.fleet.server_ids()[fullest], now=now, index=index
+                )
+                assert len(moved) >= 2
+                broker.admit_migrations(moved, index, now=now)
+        return normalized(broker.finish().to_dict())
+
+    def test_chaos_run_books_the_same_report(self, minilab):
+        deferred = self.serve(minilab, QoSLedger)
+        eager = self.serve(minilab, EagerLedger)
+        counters = deferred["telemetry"]["counters"]
+        for exercised in (
+            "server_crashes", "readmissions", "faults_stale", "faults_error",
+            "fallbacks", "restore_queries", "migrations", "slo_burn_events",
+        ):
+            assert counters.get(exercised, 0) > 0, exercised
+        assert deferred["qos"]["degraded"]["sessions"] > 0
+        sessions = deferred["qos"]["sessions"]
+        assert sessions["opened"] == sessions["closed"] > 320
+        assert sessions["close_reasons"]["migrated"] >= 2
+        # Deferral can only skip measurements (compositions replaced before
+        # any time passed), never add one.
+        assert 50 < counters["qos_measurements"] <= (
+            eager["telemetry"]["counters"]["qos_measurements"]
+        )
+        deferred, eager = map(without_measurement_count, (deferred, eager))
+        assert deferred["telemetry"]["events"] == eager["telemetry"]["events"]
+        assert deferred["qos"] == eager["qos"]
+        assert deferred == eager
+
+    def test_flush_spans_name_the_trigger_and_the_batch(self, minilab):
+        tracer = Tracer(enabled=True)
+        report = self.serve(minilab, QoSLedger, tracer=tracer)
+        flushes = [
+            s for s in tracer.spans
+            if s.name == "qos" and s.attributes["op"] == "flush"
+        ]
+        assert flushes
+        assert all("server_id" in s.attributes for s in flushes)
+        measured = sum(s.attributes["compositions"] for s in flushes)
+        assert measured == report["telemetry"]["counters"]["qos_measurements"]
+        # Need is the only trigger, yet most flushes find company.
+        assert measured > len(flushes)
+
+    # -- the reads that force a flush, one at a time ---------------------
+
+    def pair(self, minilab):
+        a, b = minilab.names[:2]
+        return (
+            generate_sessions([a], 1, seed=1)[0],
+            generate_sessions([b], 1, seed=2)[0],
+        )
+
+    def both(self, minilab, run):
+        """``run`` under a deferred and an eager ledger; books must agree."""
+        deferred = run(make_ledger(minilab))
+        eager = run(EagerLedger(minilab.catalog, minilab.predictor, slo_fps=SLO_FPS))
+        booked = []
+        for ledger in (deferred, eager):
+            snapshot = ledger.telemetry.snapshot()
+            snapshot["counters"].pop("qos_measurements", None)
+            booked.append(json.dumps(snapshot, sort_keys=True))
+        assert booked[0] == booked[1]
+        return deferred, eager
+
+    def test_zero_lifetime_close_reads_ground_truth(self, minilab):
+        def run(ledger):
+            s1, s2 = self.pair(minilab)
+            ledger.advance(3.0)
+            ledger.fleet_placed(0, 0, s1)
+            ledger.fleet_placed(0, 1, s2)
+            # No time has passed: the close itself is the first read.
+            ledger.fleet_departed(0, 1, s2, 3.0)
+            ledger.finalize()
+            return ledger
+
+        deferred, _ = self.both(minilab, run)
+        counters = deferred.telemetry.snapshot()["counters"]
+        assert counters["qos_sessions_closed"] == 2
+        # The pair (read by the close) and s1 alone (read at finalize).
+        assert counters["qos_measurements"] == 2
+
+    def test_server_evicted_while_pending(self, minilab):
+        def run(ledger):
+            s1, s2 = self.pair(minilab)
+            ledger.advance(1.0)
+            ledger.fleet_placed(4, 0, s1)
+            ledger.fleet_placed(4, 1, s2)
+            ledger.advance(6.0)
+            # The server is popped before it is accrued: the flush has to
+            # fill the records it was handed, not the ones it can look up.
+            ledger.fleet_evicted(4, [(0, s1), (1, s2)])
+            assert not ledger._pending and not ledger._servers
+            return ledger
+
+        deferred, eager = self.both(minilab, run)
+        section = deferred.section()
+        assert section["sessions"]["close_reasons"] == {"evicted": 2}
+        assert section["slo"]["session_minutes"] == 10.0
+        # s1 was alone for an instant only: that composition was replaced
+        # unread, so only the pair was ever measured.
+        assert section["sessions"]["measurements"] == 1
+        assert eager.section()["sessions"]["measurements"] == 2
+
+    def test_reset_drops_pending_marks(self, minilab):
+        s1, s2 = self.pair(minilab)
+        ledger = make_ledger(minilab)
+        ledger.advance(1.0)
+        ledger.fleet_placed(0, 0, s1)
+        assert list(ledger._pending) == [0]
+        ledger.reset()
+        assert not ledger._pending
+        # The next run reuses server id 0; nothing of the abandoned run's
+        # composition is measured or written to.
+        ledger.advance(2.0)
+        ledger.fleet_placed(0, 0, s2)
+        ledger.finalize()
+        counters = ledger.telemetry.snapshot()["counters"]
+        assert counters["qos_measurements"] == 1
+        assert list(ledger._measured) == [((s2.game, s2.resolution),)]

@@ -97,6 +97,50 @@ class TestCommonRandomNumbers:
         assert coloc.fps[0] / solo == pytest.approx(1.0, abs=0.02)
 
 
+class TestSceneSeriesOncePerGame:
+    """An engine keeps each game's scene series; readings cannot tell."""
+
+    def test_memo_is_bitwise_and_bounded_by_game_instances(self, catalog, pair):
+        from repro.simulator import ColocationEngine, run_colocations
+
+        h1z1_720p = GameInstance(catalog.get("H1Z1"), Resolution(1280, 720))
+        idle = BenchmarkInstance(make_benchmark(Resource.GPU_CE, 0.3))
+        runs = [pair, [pair[0]], [pair[1], idle], [h1z1_720p, pair[0]], pair[::-1]]
+        engine = ColocationEngine()
+        batched = run_colocations(runs, engine=engine)
+        # Three game instances in nine game rows: H1Z1, H1Z1@720p, Dota2.
+        assert len(engine.scenes) == 3
+        for workloads, result in zip(runs, batched, strict=True):
+            fresh = run_colocation(workloads)
+            # NaN marks the other kind of workload: compare bit patterns.
+            assert np.array(result.fps).tobytes() == np.array(fresh.fps).tobytes()
+            assert np.array(result.slowdowns).tobytes() == (
+                np.array(fresh.slowdowns).tobytes()
+            )
+        # Measuring again through the same engine reads the memo.
+        again = run_colocations(runs, engine=engine)
+        assert repr([r.fps for r in again]) == repr([r.fps for r in batched])
+        assert len(engine.scenes) == 3
+        assert not any(
+            series.flags.writeable
+            for scene in engine.scenes.values()
+            for series in scene
+        )
+
+    def test_memo_key_names_the_measurement_config(self, pair):
+        from repro.simulator import ColocationEngine
+
+        engine = ColocationEngine()
+        for config in (
+            MeasurementConfig(),
+            MeasurementConfig(seed=1),
+            MeasurementConfig(n_frames=100),
+        ):
+            got = run_colocation(pair, config=config, engine=engine)
+            assert got.fps == run_colocation(pair, config=config).fps
+        assert len(engine.scenes) == 6
+
+
 class TestMeasurementConfigValidation:
     def test_bad_frames(self):
         with pytest.raises(ValueError):
