@@ -16,8 +16,8 @@ from repro.games import DegradeLadder
 from repro.obs import QoSLedger
 from repro.scheduling.dynamic import generate_sessions
 from repro.serving import (
-    AdmissionController,
     CMFeasiblePolicy,
+    DecisionEngine,
     PredictionCache,
     RequestBroker,
 )
@@ -35,7 +35,7 @@ def _sessions(lab):
 
 def _replay(lab, sessions, cache, *, ledger=None):
     policy = CMFeasiblePolicy(lab.predictor, 60.0, cache=cache)
-    return RequestBroker(AdmissionController(policy), ledger=ledger).run(sessions)
+    return RequestBroker(DecisionEngine(policy), ledger=ledger).run(sessions)
 
 
 def test_serving_throughput_cold_vs_warm(lab, benchmark):
@@ -143,7 +143,7 @@ def test_serving_degrade_capacity(lab, benchmark):
 
     def replay(ladder, restore_interval):
         policy = CMFeasiblePolicy(lab.predictor, 60.0, cache=PredictionCache(8192))
-        controller = AdmissionController(policy, downscale_ladder=ladder)
+        controller = DecisionEngine(policy, downscale_ladder=ladder)
         ledger = QoSLedger(lab.catalog, lab.predictor, slo_fps=SLO_FPS)
         broker = RequestBroker(
             controller, ledger=ledger, restore_interval=restore_interval

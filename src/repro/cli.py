@@ -19,15 +19,18 @@ Wraps the library's offline/online workflow in seven subcommands::
 Colocations are written ``Game@WxH`` entries joined with commas; the
 resolution suffix is optional and defaults to 1080p.  ``serve`` replays a
 synthetic arrival trace through the online serving broker and emits the
-telemetry snapshot (JSON) — see :mod:`repro.serving`; ``--shards N``
-routes the trace across N consistent-hash broker shards with optional
-occupancy rebalancing and emits the shard-labeled merged snapshot — see
-:mod:`repro.sharding`; the ``--shard-crash-rate`` / ``--shard-flake-rate``
-/ ``--shard-outage-window`` chaos flags kill whole shards on a seeded
-schedule and engage the shard supervisor (ring ejection, session
-failover, half-open readmission); ``--trace-out`` additionally records a
-per-request span trace (Chrome trace-event JSON by default,
-Perfetto-loadable).  ``metrics`` post-processes snapshot and
+telemetry snapshot (JSON) — see :mod:`repro.serving`.  Every run is
+wired by :func:`repro.sharding.build_shard_brokers`: without ``--shards``
+it is shard 0 of a one-shard stack driven by ``RequestBroker.run`` (so
+its chaos substreams are shard 0's, and ``--shards 1`` reproduces it);
+``--shards N`` routes the trace across N consistent-hash broker shards
+with optional occupancy rebalancing and emits the shard-labeled merged
+snapshot — see :mod:`repro.sharding`; the ``--shard-crash-rate`` /
+``--shard-flake-rate`` / ``--shard-outage-window`` chaos flags kill whole
+shards on a seeded schedule and engage the shard supervisor (ring
+ejection, session failover, half-open readmission); ``--trace-out``
+additionally records a per-request span trace (Chrome trace-event JSON
+by default, Perfetto-loadable).  ``metrics`` post-processes snapshot and
 trace files: human summaries, run-to-run regression diffs with
 ``--fail-on`` thresholds, bucket-wise snapshot merging, and exports to
 Prometheus text exposition or Chrome trace format — see
@@ -161,110 +164,105 @@ def _cmd_predict(args) -> int:
     return 0 if feasible else 2
 
 
-def _parse_number(flag: str, text: str) -> float:
-    """Parse a numeric flag kept as a string so malformed input exits 1.
+#: ``serve`` flag -> accepted range; a value outside it exits 1 with a
+#: one-line ``error:`` (raised as ValueError, printed by ``main``).
+_SERVE_RANGES = (
+    ("--shards", lambda v: v >= 1, ">= 1"),
+    ("--rebalance-interval", lambda v: v >= 1, ">= 1"),
+    ("--shard-crash-rate", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("--shard-flake-rate", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
+    ("--shard-outage-chunks", lambda v: v >= 1, ">= 1"),
+    ("--min-healthy-shards", lambda v: v >= 1, ">= 1"),
+    ("--slo-fps", lambda v: v > 0, "positive"),
+    ("--qos-budget", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+)
 
-    argparse's ``type=float`` rejects bad values with its own exit code 2
-    and a usage dump; the serve QoS flags instead follow the repo's
-    one-line ``error:`` convention for malformed user input.
+#: ``serve`` flags that only mean something next to another flag; a
+#: violated row exits 2 (a usage error, not a bad value).
+_SERVE_REQUIRES = (
+    (
+        "--qos-budget requires --slo-fps",
+        lambda a: a.qos_budget is not None and a.slo_fps is None,
+    ),
+    (
+        "--restore-interval requires --degrade-ladder",
+        lambda a: a.restore_interval is not None and a.degrade_ladder is None,
+    ),
+    (
+        "--rebalance-interval requires --shards",
+        lambda a: a.rebalance_interval is not None and a.shards is None,
+    ),
+    (
+        "shard chaos flags require --shards",
+        lambda a: a.shards is None
+        and (a.shard_crash_rate or a.shard_flake_rate or a.shard_outage_window),
+    ),
+)
+
+
+def _checked(args, flag: str, accepts, wording: str):
+    """``args``' value for ``flag``, range-checked; ``None`` when not given.
+
+    The QoS flags reach here as strings: argparse's ``type=float`` rejects
+    bad values with its own exit code 2 and a usage dump, while malformed
+    user input follows the repo's one-line ``error:`` convention (exit 1).
     """
-    try:
-        return float(text)
-    except ValueError:
-        raise ValueError(f"{flag} expects a number, got {text!r}") from None
+    raw = getattr(args, flag[2:].replace("-", "_"))
+    if raw is None:
+        return None
+    value = shown = raw
+    if isinstance(raw, str):
+        try:
+            value = float(raw)
+        except ValueError:
+            raise ValueError(f"{flag} expects a number, got {raw!r}") from None
+        shown = f"{value:g}"
+    if not accepts(value):
+        raise ValueError(f"{flag} must be {wording}, got {shown}")
+    return value
 
 
-def _parse_slo_flags(args) -> tuple[float | None, float]:
-    """Validate ``--slo-fps`` / ``--qos-budget``; raises ValueError."""
-    slo_fps = None
-    if args.slo_fps is not None:
-        slo_fps = _parse_number("--slo-fps", args.slo_fps)
-        if not slo_fps > 0:
-            raise ValueError(f"--slo-fps must be positive, got {slo_fps:g}")
-    qos_budget = 0.05
-    if args.qos_budget is not None:
-        qos_budget = _parse_number("--qos-budget", args.qos_budget)
-        if not 0.0 < qos_budget <= 1.0:
-            raise ValueError(
-                f"--qos-budget must be in (0, 1], got {qos_budget:g}"
-            )
-    return slo_fps, qos_budget
-
-
-def _parse_degrade_flags(args):
-    """Validate ``--degrade-ladder`` / ``--restore-interval``.
-
-    Returns ``(ladder, restore_interval)``.  Malformed ladder text raises
-    ValueError (one-line ``error:`` exit 1 via ``main``); ``--no-degrade``
-    disarms the actuator even when a ladder string is present, which lets
-    wrapper scripts pin the pre-actuator byte-identical behavior.
-    """
-    from repro.games import DegradeLadder
-
-    ladder = None
-    if args.degrade_ladder is not None and not args.no_degrade:
-        ladder = DegradeLadder.from_str(args.degrade_ladder)
-    restore_interval = None
-    if ladder is not None:
-        restore_interval = args.restore_interval
-        if restore_interval is None:
-            restore_interval = 256
-        elif restore_interval < 1:
-            raise ValueError(
-                f"--restore-interval must be >= 1, got {restore_interval}"
-            )
-    return ladder, restore_interval
+def _shard_trace_path(base: str, shard_id: int) -> str:
+    stem, ext = os.path.splitext(base)
+    return f"{stem}.shard{shard_id}{ext}"
 
 
 def _cmd_serve(args) -> int:
+    from repro.games import DegradeLadder
     from repro.obs import Telemetry, Tracer
-    from repro.placement import BreakerConfig, PredictionCache, build_policy
-    from repro.serving import (
-        AdmissionController,
-        FaultConfig,
-        FaultInjector,
-        RequestBroker,
-        TraceConfig,
-        generate_trace,
+    from repro.serving import TraceConfig, generate_trace
+    from repro.sharding import (
+        RebalanceConfig,
+        Rebalancer,
+        ShardChaos,
+        ShardChaosConfig,
+        ShardConfig,
+        ShardedBroker,
+        ShardSupervisor,
+        SupervisorConfig,
+        build_shard_brokers,
+        parse_outage_window,
     )
 
-    if args.shards is not None and args.shards < 1:
-        raise ValueError(f"--shards must be >= 1, got {args.shards}")
-    if args.rebalance_interval is not None and args.rebalance_interval < 1:
-        raise ValueError(
-            f"--rebalance-interval must be >= 1, got {args.rebalance_interval}"
+    checked = {
+        flag: _checked(args, flag, accepts, wording)
+        for flag, accepts, wording in _SERVE_RANGES
+    }
+    slo_fps, qos_budget = checked["--slo-fps"], checked["--qos-budget"]
+    if qos_budget is None:
+        qos_budget = 0.05
+    for message, violated in _SERVE_REQUIRES:
+        if violated(args):
+            print(message, file=sys.stderr)
+            return 2
+    ladder = restore_interval = None
+    if args.degrade_ladder is not None:
+        ladder = DegradeLadder.from_str(args.degrade_ladder)
+        restore_interval = _checked(
+            args, "--restore-interval", lambda v: v >= 1, ">= 1"
         )
-    for flag, rate in (
-        ("--shard-crash-rate", args.shard_crash_rate),
-        ("--shard-flake-rate", args.shard_flake_rate),
-    ):
-        if not 0.0 <= rate <= 1.0:
-            raise ValueError(f"{flag} must be in [0, 1], got {rate}")
-    if args.shard_outage_chunks < 1:
-        raise ValueError(
-            f"--shard-outage-chunks must be >= 1, got {args.shard_outage_chunks}"
-        )
-    if args.min_healthy_shards < 1:
-        raise ValueError(
-            f"--min-healthy-shards must be >= 1, got {args.min_healthy_shards}"
-        )
-    slo_fps, qos_budget = _parse_slo_flags(args)
-    if args.qos_budget is not None and slo_fps is None:
-        print("--qos-budget requires --slo-fps", file=sys.stderr)
-        return 2
-    if args.restore_interval is not None and args.degrade_ladder is None:
-        print("--restore-interval requires --degrade-ladder", file=sys.stderr)
-        return 2
-    ladder, restore_interval = _parse_degrade_flags(args)
-    if args.rebalance_interval and not args.shards:
-        print("--rebalance-interval requires --shards", file=sys.stderr)
-        return 2
-    shard_chaos_requested = bool(
-        args.shard_crash_rate or args.shard_flake_rate or args.shard_outage_window
-    )
-    if shard_chaos_requested and not args.shards:
-        print("shard chaos flags require --shards", file=sys.stderr)
-        return 2
+        if restore_interval is None:
+            restore_interval = 256
     predictor = InterferencePredictor.load(args.predictor)
     if slo_fps is not None and predictor.regressor is None:
         raise ValueError(
@@ -279,203 +277,97 @@ def _cmd_serve(args) -> int:
         seed=args.trace_seed,
     )
     sessions = generate_trace(predictor.db.names(), trace_config)
-    if args.shards:
-        return _serve_sharded(
-            args, predictor, sessions, trace_config,
-            slo_fps=slo_fps, qos_budget=qos_budget,
-            ladder=ladder, restore_interval=restore_interval,
-        )
-    telemetry = Telemetry()
-    fault_config = FaultConfig(error_rate=args.fault_rate, seed=args.trace_seed)
-    injector = (
-        FaultInjector(fault_config, telemetry=telemetry)
-        if fault_config.active
-        else None
-    )
-    cache = PredictionCache(args.cache_size)
-    policy, fallback = build_policy(
-        args.policy,
-        predictor=predictor,
-        qos=args.qos,
-        cache=cache,
-        max_colocation=args.max_colocation,
-        injector=injector,
-    )
-    deadline_s = (
-        args.decision_deadline_ms / 1000.0
-        if args.decision_deadline_ms is not None
-        else None
-    )
-    tracer = Tracer(enabled=args.trace_out is not None)
-    controller = AdmissionController(
-        policy,
-        fallback=fallback,
-        telemetry=telemetry,
-        breaker=BreakerConfig(failure_threshold=args.breaker_threshold),
-        decision_deadline_s=deadline_s,
-        tracer=tracer,
-        downscale_ladder=ladder,
-    )
-    ledger = None
-    if slo_fps is not None:
-        from repro.obs import QoSLedger
-
-        ledger = QoSLedger(
-            build_catalog(args.seed),
-            predictor,
-            slo_fps=slo_fps,
-            budget_fraction=qos_budget,
-        )
-    broker = RequestBroker(
-        controller,
-        crash_rate=args.crash_rate,
-        crash_seed=args.trace_seed,
-        ledger=ledger,
-        restore_interval=restore_interval,
-    )
-    report = broker.run(sessions)
-    if args.trace_out:
-        if args.trace_format == "chrome":
-            tracer.export_chrome_trace(args.trace_out)
-        else:
-            tracer.export_jsonl(args.trace_out)
-        print(f"wrote {args.trace_out} ({tracer.n_traces} request traces)")
-    payload = report.to_dict()
-    payload["config"] = {
-        "policy": args.policy,
-        "qos": args.qos,
-        "cache_size": args.cache_size,
-        "max_colocation": args.max_colocation,
-        "fault_rate": args.fault_rate,
-        "crash_rate": args.crash_rate,
-        "decision_deadline_ms": args.decision_deadline_ms,
-        "breaker_threshold": args.breaker_threshold,
-        "trace": trace_config.to_dict(),
-    }
-    if slo_fps is not None:
-        # QoS keys appear only when the ledger ran, so ledger-less
-        # reports stay byte-identical to previous releases.
-        payload["config"]["slo_fps"] = slo_fps
-        payload["config"]["qos_budget"] = qos_budget
-    if ladder is not None:
-        # Degrade keys likewise appear only when the actuator is armed.
-        payload["config"]["degrade_ladder"] = ladder.to_list()
-        payload["config"]["restore_interval"] = restore_interval
-    text = json.dumps(payload, indent=2)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text + "\n")
-        print(f"wrote {args.out}")
-    else:
-        print(text)
-    return 0
-
-
-def _shard_trace_path(base: str, shard_id: int) -> str:
-    stem, ext = os.path.splitext(base)
-    return f"{stem}.shard{shard_id}{ext}"
-
-
-def _serve_sharded(
-    args, predictor, sessions, trace_config, *, slo_fps=None, qos_budget=0.05,
-    ladder=None, restore_interval=None,
-) -> int:
-    from repro.obs import Telemetry, Tracer
-    from repro.sharding import (
-        RebalanceConfig,
-        Rebalancer,
-        ShardChaos,
-        ShardChaosConfig,
-        ShardConfig,
-        ShardedBroker,
-        ShardSupervisor,
-        SupervisorConfig,
-        build_shard_brokers,
-        parse_outage_window,
-    )
-
+    # One stack constructor for every run: without --shards the run is
+    # shard 0 of a one-shard stack, driven directly instead of routed.
+    n_shards = args.shards or 1
     tracing = args.trace_out is not None
-    telemetry = Telemetry()
-    tracer = Tracer(enabled=tracing)
-    deadline_s = (
-        args.decision_deadline_ms / 1000.0
-        if args.decision_deadline_ms is not None
-        else None
-    )
-    config = ShardConfig(
-        policy=args.policy,
-        qos=args.qos,
-        cache_size=args.cache_size,
-        max_colocation=args.max_colocation,
-        fault_rate=args.fault_rate,
-        crash_rate=args.crash_rate,
-        decision_deadline_s=deadline_s,
-        breaker_threshold=args.breaker_threshold,
-        seed=args.trace_seed,
-        slo_fps=slo_fps,
-        qos_budget=qos_budget,
-        degrade_ladder=ladder,
-    )
     shard_tracers = (
-        [Tracer(enabled=True) for _ in range(args.shards)] if tracing else None
+        [Tracer(enabled=True) for _ in range(n_shards)] if tracing else None
     )
     brokers = build_shard_brokers(
         predictor,
-        args.shards,
-        config,
+        n_shards,
+        ShardConfig(
+            policy=args.policy,
+            qos=args.qos,
+            cache_size=args.cache_size,
+            max_colocation=args.max_colocation,
+            fault_rate=args.fault_rate,
+            crash_rate=args.crash_rate,
+            decision_deadline_s=(
+                args.decision_deadline_ms / 1000.0
+                if args.decision_deadline_ms is not None
+                else None
+            ),
+            breaker_threshold=args.breaker_threshold,
+            seed=args.trace_seed,
+            slo_fps=slo_fps,
+            qos_budget=qos_budget,
+            degrade_ladder=ladder,
+        ),
         tracers=shard_tracers,
         catalog=build_catalog(args.seed) if slo_fps is not None else None,
     )
-    rebalancer = (
-        Rebalancer(
-            RebalanceConfig(interval=args.rebalance_interval),
+    supervisor = None
+    if args.shards is None:
+        (broker,) = brokers
+        # The timer-driven restore clock; the sharded tier restores at
+        # its chunk barriers instead.
+        broker.restore_interval = restore_interval
+        report = broker.run(sessions)
+        if tracing:
+            exports = [(args.trace_out, shard_tracers[0])]
+            exported = f"{shard_tracers[0].n_traces} request traces"
+    else:
+        telemetry = Telemetry()
+        tracer = Tracer(enabled=tracing)
+        rebalancer = (
+            Rebalancer(
+                RebalanceConfig(interval=args.rebalance_interval),
+                telemetry=telemetry,
+                tracer=tracer,
+            )
+            if args.rebalance_interval
+            else None
+        )
+        chaos_config = ShardChaosConfig(
+            outage_rate=args.shard_crash_rate,
+            flake_rate=args.shard_flake_rate,
+            outage_chunks=args.shard_outage_chunks,
+            windows=tuple(
+                parse_outage_window(text) for text in args.shard_outage_window
+            ),
+            seed=args.trace_seed,
+        )
+        if chaos_config.active:
+            supervisor = ShardSupervisor(
+                ShardChaos(chaos_config, n_shards),
+                SupervisorConfig(min_healthy=args.min_healthy_shards),
+            )
+        report = ShardedBroker(
+            brokers,
+            rebalancer=rebalancer,
+            supervisor=supervisor,
             telemetry=telemetry,
             tracer=tracer,
-        )
-        if args.rebalance_interval
-        else None
-    )
-    chaos_config = ShardChaosConfig(
-        outage_rate=args.shard_crash_rate,
-        flake_rate=args.shard_flake_rate,
-        outage_chunks=args.shard_outage_chunks,
-        windows=tuple(
-            parse_outage_window(text) for text in args.shard_outage_window
-        ),
-        seed=args.trace_seed,
-    )
-    supervisor = (
-        ShardSupervisor(
-            ShardChaos(chaos_config, args.shards),
-            SupervisorConfig(min_healthy=args.min_healthy_shards),
-        )
-        if chaos_config.active
-        else None
-    )
-    broker = ShardedBroker(
-        brokers,
-        rebalancer=rebalancer,
-        supervisor=supervisor,
-        telemetry=telemetry,
-        tracer=tracer,
-    )
-    report = broker.run(sessions)
+        ).run(sessions)
+        if tracing:
+            # Coordinator spans (route/migrate) go to the named file; each
+            # shard's request spans to a .shardN sibling (span ids are only
+            # unique within one tracer, so the files must not be merged).
+            exports = [(args.trace_out, tracer)] + [
+                (_shard_trace_path(args.trace_out, shard_id), shard_tracer)
+                for shard_id, shard_tracer in enumerate(shard_tracers)
+            ]
+            exported = f"+{n_shards} shard trace files"
     if tracing:
-        # Coordinator spans (route/migrate) go to the named file; each
-        # shard's request spans to a .shardN sibling (span ids are only
-        # unique within one tracer, so the files must not be merged).
-        exports = [(args.trace_out, tracer)] + [
-            (_shard_trace_path(args.trace_out, shard_id), shard_tracer)
-            for shard_id, shard_tracer in enumerate(shard_tracers)
-        ]
         for path, t in exports:
             if args.trace_format == "chrome":
                 t.export_chrome_trace(path)
             else:
                 t.export_jsonl(path)
-        print(f"wrote {args.trace_out} (+{len(shard_tracers)} shard trace files)")
-    payload = report.to_dict()
-    payload["config"] = {
+        print(f"wrote {args.trace_out} ({exported})")
+    config = {
         "policy": args.policy,
         "qos": args.qos,
         "cache_size": args.cache_size,
@@ -484,21 +376,24 @@ def _serve_sharded(
         "crash_rate": args.crash_rate,
         "decision_deadline_ms": args.decision_deadline_ms,
         "breaker_threshold": args.breaker_threshold,
-        "shards": args.shards,
-        "rebalance_interval": args.rebalance_interval or 0,
-        "trace": trace_config.to_dict(),
     }
+    if args.shards is not None:
+        config["shards"] = args.shards
+        config["rebalance_interval"] = args.rebalance_interval or 0
+    config["trace"] = trace_config.to_dict()
+    # Optional keys appear only when their feature ran, so reports from
+    # runs without it stay byte-identical to previous releases.
     if supervisor is not None:
-        # Chaos/supervision keys appear only when the supervisor ran, so
-        # zero-chaos reports stay byte-identical to pre-supervision runs.
-        payload["config"]["shard_chaos"] = chaos_config.to_dict()
-        payload["config"]["min_healthy_shards"] = args.min_healthy_shards
+        config["shard_chaos"] = chaos_config.to_dict()
+        config["min_healthy_shards"] = args.min_healthy_shards
     if slo_fps is not None:
-        payload["config"]["slo_fps"] = slo_fps
-        payload["config"]["qos_budget"] = qos_budget
+        config["slo_fps"] = slo_fps
+        config["qos_budget"] = qos_budget
     if ladder is not None:
-        payload["config"]["degrade_ladder"] = ladder.to_list()
-        payload["config"]["restore_interval"] = restore_interval
+        config["degrade_ladder"] = ladder.to_list()
+        config["restore_interval"] = restore_interval
+    payload = report.to_dict()
+    payload["config"] = config
     _write_or_print(json.dumps(payload, indent=2), args.out)
     return 0
 
@@ -522,17 +417,24 @@ def _cmd_metrics_summary(args) -> int:
     return 0
 
 
-def _cmd_metrics_diff(args) -> int:
+def _cmd_diff(args) -> int:
+    """``metrics diff`` and ``slo diff``: one body, two loader/differ pairs."""
     from repro.obs import (
         check_regressions,
+        diff_qos,
         diff_snapshots,
         load_snapshot,
         parse_fail_spec,
         render_diff,
     )
 
+    load, differ = (
+        (_load_qos, diff_qos)
+        if args.command == "slo"
+        else (load_snapshot, diff_snapshots)
+    )
     specs = [parse_fail_spec(s) for s in args.fail_on]
-    rows = diff_snapshots(load_snapshot(args.old), load_snapshot(args.new))
+    rows = differ(load(args.old), load(args.new))
     print(render_diff(rows, only_changed=not args.all))
     breaches = check_regressions(rows, specs)
     for breach in breaches:
@@ -599,23 +501,6 @@ def _cmd_slo_summary(args) -> int:
         title = path if len(args.files) > 1 else "qos"
         print(summarize_qos(_load_qos(path), title=title))
     return 0
-
-
-def _cmd_slo_diff(args) -> int:
-    from repro.obs import check_regressions, diff_qos, parse_fail_spec, render_diff
-
-    specs = [parse_fail_spec(s) for s in args.fail_on]
-    rows = diff_qos(_load_qos(args.old), _load_qos(args.new))
-    print(render_diff(rows, only_changed=not args.all))
-    breaches = check_regressions(rows, specs)
-    for breach in breaches:
-        print(
-            f"REGRESSION {breach['metric']}.{breach['stat']}: "
-            f"{breach['old']:g} -> {breach['new']:g} "
-            f"(breaches {breach['spec']})",
-            file=sys.stderr,
-        )
-    return 3 if breaches else 0
 
 
 def _cmd_experiments(args) -> int:
@@ -718,7 +603,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=None,
         help="route arrivals by game signature across N independent broker "
-        "shards (omit for the classic single-broker path; see repro.sharding)",
+        "shards (omit to drive shard 0 of a one-shard stack directly, "
+        "unrouted; see repro.sharding)",
     )
     p.add_argument(
         "--rebalance-interval",
@@ -787,12 +673,6 @@ def build_parser() -> argparse.ArgumentParser:
         "before a placement opens a new server",
     )
     p.add_argument(
-        "--no-degrade",
-        action="store_true",
-        help="disarm the downscale actuator even when --degrade-ladder is "
-        "present (pins the pre-actuator byte-identical behavior)",
-    )
-    p.add_argument(
         "--restore-interval",
         type=int,
         default=None,
@@ -839,7 +719,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument(
         "--all", action="store_true", help="show unchanged metrics too"
     )
-    m.set_defaults(fn=_cmd_metrics_diff)
+    m.set_defaults(fn=_cmd_diff)
 
     m = msub.add_parser("merge", help="combine snapshots bucket-wise")
     m.add_argument("files", nargs="+", help="snapshot/report JSON files")
@@ -883,7 +763,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument(
         "--all", action="store_true", help="show unchanged stats too"
     )
-    s.set_defaults(fn=_cmd_slo_diff)
+    s.set_defaults(fn=_cmd_diff)
 
     p = sub.add_parser("experiments", help="run the evaluation harness")
     p.add_argument("--extensions", action="store_true", help="include extensions")

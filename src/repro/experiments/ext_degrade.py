@@ -26,8 +26,8 @@ from repro.experiments.lab import Lab
 from repro.experiments.tables import format_table
 from repro.games import DegradeLadder
 from repro.obs import QoSLedger, Telemetry
-from repro.placement import CMFeasiblePolicy
-from repro.serving import AdmissionController, RequestBroker, TraceConfig, generate_trace
+from repro.placement import CMFeasiblePolicy, DecisionEngine
+from repro.serving import RequestBroker, TraceConfig, generate_trace
 
 __all__ = ["run", "render"]
 
@@ -37,7 +37,7 @@ LADDER = DegradeLadder.from_str("1080p,900p,720p")
 
 def _serve(lab: Lab, sessions, *, qos: float, ladder, restore_interval, margin=1.0):
     telemetry = Telemetry()
-    controller = AdmissionController(
+    controller = DecisionEngine(
         CMFeasiblePolicy(lab.predictor, qos, margin=margin),
         telemetry=telemetry,
         downscale_ladder=ladder,

@@ -47,11 +47,11 @@ under any chaos.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
 from repro.obs.metrics import LatencyHistogram, Telemetry
+from repro.obs.snapshots import diff_row
 from repro.obs.tracing import NOOP_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover - type-only imports
@@ -822,31 +822,10 @@ def diff_qos(old: dict, new: dict) -> list[dict]:
     """Row-wise diff of two qos sections (union of keys, old-first order)."""
     old_rows = flatten_qos(old)
     new_rows = flatten_qos(new)
-    rows = []
-    for metric, stat in sorted(set(old_rows) | set(new_rows)):
-        old_value = old_rows.get((metric, stat), 0.0)
-        new_value = new_rows.get((metric, stat), 0.0)
-        if new_value == old_value:
-            # Covers inf == inf (overflowed histogram quantiles), where
-            # naive subtraction would yield nan and read as a change.
-            delta, ratio = 0.0, 1.0
-        elif old_value:
-            delta = new_value - old_value
-            ratio = new_value / old_value
-        else:
-            delta = new_value - old_value
-            ratio = math.inf
-        rows.append(
-            {
-                "metric": metric,
-                "stat": stat,
-                "old": old_value,
-                "new": new_value,
-                "delta": delta,
-                "ratio": ratio,
-            }
-        )
-    return rows
+    return [
+        diff_row(*key, old_rows.get(key, 0.0), new_rows.get(key, 0.0))
+        for key in sorted(set(old_rows) | set(new_rows))
+    ]
 
 
 # -- rendering ----------------------------------------------------------

@@ -23,6 +23,7 @@ from repro.obs.metrics import merge_all, merge_snapshots, snapshot_to_prometheus
 __all__ = [
     "load_snapshot",
     "summarize_snapshot",
+    "diff_row",
     "diff_snapshots",
     "FailSpec",
     "parse_fail_spec",
@@ -112,50 +113,56 @@ def summarize_snapshot(snapshot: dict, title: str = "") -> str:
 # Diffing
 
 
+def diff_row(metric: str, stat: str, old, new) -> dict:
+    """One diff row: ``{"metric", "stat", "old", "new", "delta", "ratio"}``.
+
+    ``ratio`` is ``new / old`` (``inf`` for growth from zero).  Equal
+    values — including ``inf == inf``, the quantiles of two histograms
+    that both overflowed — are delta 0, ratio 1: naive arithmetic gives
+    ``nan`` there, which would read as a change.
+    """
+    if new == old:
+        delta, ratio = 0, 1.0
+    else:
+        delta = new - old
+        ratio = new / old if old else math.inf
+    return {
+        "metric": metric,
+        "stat": stat,
+        "old": old,
+        "new": new,
+        "delta": delta,
+        "ratio": ratio,
+    }
+
+
 def diff_snapshots(old: dict, new: dict) -> list[dict]:
     """Per-metric deltas between two snapshots.
 
-    Returns rows ``{"metric", "stat", "old", "new", "delta", "ratio"}``
-    — one per counter and one per (histogram, stat) pair, where ``ratio``
-    is ``new / old`` (``inf`` for growth from zero, 1.0 for 0 -> 0).
+    Returns one :func:`diff_row` per counter and one per (histogram,
+    stat) pair.
     """
     rows: list[dict] = []
-
-    def ratio(old_v: float, new_v: float) -> float:
-        if old_v == 0:
-            return 1.0 if new_v == 0 else math.inf
-        return new_v / old_v
-
     old_counters = old.get("counters", {})
     new_counters = new.get("counters", {})
     for name in sorted(set(old_counters) | set(new_counters)):
-        o, n = old_counters.get(name, 0), new_counters.get(name, 0)
         rows.append(
-            {
-                "metric": name,
-                "stat": "value",
-                "old": o,
-                "new": n,
-                "delta": n - o,
-                "ratio": ratio(o, n),
-            }
+            diff_row(
+                name, "value", old_counters.get(name, 0), new_counters.get(name, 0)
+            )
         )
     old_hists = old.get("histograms", {})
     new_hists = new.get("histograms", {})
     for name in sorted(set(old_hists) | set(new_hists)):
         o_hist, n_hist = old_hists.get(name, {}), new_hists.get(name, {})
         for stat in _HIST_STATS:
-            o = float(o_hist.get(stat, 0.0))
-            n = float(n_hist.get(stat, 0.0))
             rows.append(
-                {
-                    "metric": name,
-                    "stat": stat,
-                    "old": o,
-                    "new": n,
-                    "delta": n - o,
-                    "ratio": ratio(o, n),
-                }
+                diff_row(
+                    name,
+                    stat,
+                    float(o_hist.get(stat, 0.0)),
+                    float(n_hist.get(stat, 0.0)),
+                )
             )
     return rows
 

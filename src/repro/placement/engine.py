@@ -218,19 +218,11 @@ class ResolutionDownscaleActuator:
                     return None
                 if choice is None:
                     continue
-                try:
-                    index = operator.index(choice)
-                except TypeError:
-                    index = -1
-                if not 0 <= index < len(signatures):
-                    if engine.strict:
-                        raise IndexError(
-                            f"policy {policy.name!r} returned server index "
-                            f"{choice!r} for a pool of {len(signatures)} "
-                            f"servers during downscale"
-                        )
-                    t.counter("invalid_choices").inc()
-                    t.counter("downscale_errors").inc()
+                index = engine._valid_index(
+                    policy, choice, len(signatures), "downscale_errors",
+                    " during downscale",
+                )
+                if index is None:
                     span.set(outcome="error")
                     return None
                 t.counter("downscales", resolution=str(rung)).inc()
@@ -352,24 +344,6 @@ class DecisionEngine:
 
     # -- pipeline views -------------------------------------------------
 
-    @property
-    def policy(self) -> AdmissionPolicy:
-        """The first (primary) policy in the pipeline."""
-        return self.pipeline[0].policy
-
-    @property
-    def fallback(self) -> AdmissionPolicy | None:
-        """The second policy in the pipeline, if any (historical accessor)."""
-        return self.pipeline[1].policy if len(self.pipeline) > 1 else None
-
-    @property
-    def _primary_breaker(self) -> CircuitBreaker | None:
-        return self.pipeline[0].breaker
-
-    @property
-    def _fallback_breaker(self) -> CircuitBreaker | None:
-        return self.pipeline[1].breaker if len(self.pipeline) > 1 else None
-
     def actuators(self) -> list[Actuator]:
         """The full pipeline in escalation order, downscale included."""
         steps: list[Actuator] = list(self.pipeline)
@@ -399,14 +373,38 @@ class DecisionEngine:
 
     # ------------------------------------------------------------------
 
+    def _valid_index(
+        self, policy: AdmissionPolicy, choice, n_servers: int, error_counter: str,
+        context: str = "",
+    ) -> int | None:
+        """``choice`` as an index into the pool, or ``None`` for a bad answer.
+
+        A buggy policy return value is a policy error, not a crash in the
+        fleet bookkeeping downstream: counted (``invalid_choices``, then
+        ``error_counter``) and absorbed, or raised under ``strict``.
+        """
+        try:
+            index = operator.index(choice)
+        except TypeError:
+            index = -1
+        if 0 <= index < n_servers:
+            return index
+        if self.strict:
+            raise IndexError(
+                f"policy {policy.name!r} returned server index {choice!r} "
+                f"for a pool of {n_servers} servers{context}"
+            )
+        self.telemetry.counter("invalid_choices").inc()
+        self.telemetry.counter(error_counter).inc()
+        return None
+
     def _attempt(
-        self, policy: AdmissionPolicy, signatures: list[Signature], session, *,
-        is_fallback: bool,
+        self, step: PolicyActuator, signatures: list[Signature], session
     ) -> tuple[bool, int | None]:
-        """Run one policy, validating its answer.  Returns (ok, choice)."""
-        error_counter = "fallback_errors" if is_fallback else "policy_errors"
+        """Run one step's policy, validating its answer.  Returns (ok, choice)."""
+        policy = step.policy
         span = self.tracer.span(
-            "policy", policy=policy.name, fallback=is_fallback
+            "policy", policy=policy.name, fallback=step.is_fallback
         )
         try:
             with span:
@@ -414,26 +412,14 @@ class DecisionEngine:
         except Exception:
             if self.strict:
                 raise
-            self.telemetry.counter(error_counter).inc()
+            self.telemetry.counter(step.error_counter).inc()
             return False, None
         if choice is None:
             return True, None
-        try:
-            index = operator.index(choice)
-        except TypeError:
-            index = -1
-        if not 0 <= index < len(signatures):
-            # A buggy policy return value is a policy error, not a crash
-            # in the fleet bookkeeping downstream.
-            if self.strict:
-                raise IndexError(
-                    f"policy {policy.name!r} returned server index {choice!r} "
-                    f"for a pool of {len(signatures)} servers"
-                )
-            self.telemetry.counter("invalid_choices").inc()
-            self.telemetry.counter(error_counter).inc()
-            return False, None
-        return True, index
+        index = self._valid_index(
+            policy, choice, len(signatures), step.error_counter
+        )
+        return index is not None, index
 
     def decide(self, signatures: list[Signature], session) -> AdmissionDecision:
         """Place ``session`` against the open-server ``signatures``.
@@ -467,9 +453,7 @@ class DecisionEngine:
             first_ok: bool | None = None
             first_allowed = first.breaker.allow() if first.breaker else True
             if first_allowed:
-                first_ok, choice = self._attempt(
-                    first.policy, signatures, session, is_fallback=False
-                )
+                first_ok, choice = self._attempt(first, signatures, session)
                 attempted.append((first, first_ok))
                 if first_ok:
                     policy_used = first.name
@@ -485,9 +469,7 @@ class DecisionEngine:
                     if not (step.breaker.allow() if step.breaker else True):
                         t.counter(step.skip_counter).inc()
                         continue
-                    ok, choice = self._attempt(
-                        step.policy, signatures, session, is_fallback=True
-                    )
+                    ok, choice = self._attempt(step, signatures, session)
                     attempted.append((step, ok))
                     if ok:
                         policy_used = step.name

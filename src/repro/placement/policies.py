@@ -4,8 +4,7 @@ Every policy answers the same question in both the offline scheduling
 simulator and the online serving broker — given the signatures of the
 currently open servers and an arriving session, which server takes it
 (``None`` opens a fresh one)?  These are the *only* implementations:
-:func:`repro.scheduling.dynamic.cm_feasible_policy` and friends are thin
-factories over the classes here, and the serving stack dispatches them
+the offline simulator and the serving stack dispatch the same objects
 through :class:`repro.placement.DecisionEngine`, so offline/online
 decision parity holds by construction rather than by duplicated code.
 
@@ -14,7 +13,7 @@ walks the pool's :class:`~repro.placement.signature.SignatureIndex` — one
 group per distinct signature, in first-occurrence pool order — not its
 servers.  The prediction-guided ones probe a shared
 :class:`PredictionCache` once per distinct candidate and score all misses
-with one batched predictor call (per-candidate where none exists).
+with one batched predictor call.
 """
 
 from __future__ import annotations
@@ -152,9 +151,8 @@ class _InstrumentedPolicy:
 class CMFeasiblePolicy(_InstrumentedPolicy):
     """CM-guided packing: fullest feasible server wins (paper Section 5.1).
 
-    The one canonical implementation behind both
-    :func:`repro.scheduling.dynamic.cm_feasible_policy` (offline) and the
-    serving broker's ``cm-feasible`` policy (online): whole-colocation CM
+    The one canonical implementation behind both the offline simulator
+    and the serving broker's ``cm-feasible`` policy: whole-colocation CM
     verdicts resolve through the LRU cache and all uncached candidates
     are scored with a single ``predict_batch`` call (CM only — the RM is
     skipped).  ``margin`` scales the
@@ -181,19 +179,12 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
         self.margin = float(margin)
 
     def _query(self, specs: list[ColocationSpec]) -> list[bool]:
-        floor = self.qos * self.margin
-        batched = getattr(self.predictor, "predict_batch", None)
-        if batched is not None:
-            # One call scores every miss; models=("cm",) skips the RM,
-            # whose output this policy would discard.
-            results = batched(specs, qos=floor, models=("cm",))
-            return [bool(np.all(result["feasible"])) for result in results]
-        legacy = getattr(self.predictor, "colocations_feasible", None)
-        if legacy is not None:
-            return [bool(v) for v in legacy(specs, floor)]
-        # Predictors without any batched endpoint (duck-typed baselines)
-        # still answer, one colocation at a time.
-        return [bool(self.predictor.colocation_feasible(spec, floor)) for spec in specs]
+        # One call scores every miss; models=("cm",) skips the RM, whose
+        # output this policy would discard.
+        results = self.predictor.predict_batch(
+            specs, qos=self.qos * self.margin, models=("cm",)
+        )
+        return [bool(np.all(result["feasible"])) for result in results]
 
     def select(self, signatures: list[Signature], session) -> int | None:
         """Fullest server the CM predicts stays feasible; ``None`` otherwise."""
@@ -291,10 +282,9 @@ class WorstFitPolicy(_VBPPolicy):
 class VBPFirstFitPolicy(_VBPPolicy):
     """VBP first fit: the first server whose summed demand still fits.
 
-    The offline baseline from Section 2.2 (the canonical implementation
-    behind :func:`repro.scheduling.dynamic.vbp_policy`): scan the open
-    servers in order and join the first one where the demand-vector sum
-    stays within capacity on every dimension.
+    The offline baseline from Section 2.2: scan the open servers in
+    order and join the first one where the demand-vector sum stays within
+    capacity on every dimension.
     """
 
     name = "vbp-first-fit"

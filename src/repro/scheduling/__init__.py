@@ -22,12 +22,9 @@ from repro.placement.assignment import (
 from repro.scheduling.dynamic import (
     DynamicMetrics,
     Session,
-    cm_feasible_policy,
-    dedicated_policy,
     generate_sessions,
     recording_policy,
     simulate_sessions,
-    vbp_policy,
 )
 from repro.scheduling.feasible import (
     FeasibilityReport,
@@ -63,9 +60,6 @@ __all__ = [
     "generate_sessions",
     "simulate_sessions",
     "DynamicMetrics",
-    "cm_feasible_policy",
-    "vbp_policy",
-    "dedicated_policy",
     "recording_policy",
     "FleetSummary",
     "jain_fairness",

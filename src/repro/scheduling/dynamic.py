@@ -5,11 +5,10 @@ arrive continuously, sessions end, and migration is off the table once a
 game is placed (Section 1, challenge 1).  This module is the offline
 frontend over the shared placement core (:mod:`repro.placement`): it
 generates Poisson arrival traces and exposes the batch-clocked simulator
-(:func:`repro.placement.offline.simulate_sessions`) together with thin
-policy factories over the canonical implementations in
-:mod:`repro.placement.policies`.  The online serving broker
-(:mod:`repro.serving`) drives the *same* core, so offline/online
-placement parity holds by construction.
+(:func:`repro.placement.offline.simulate_sessions`), which takes the
+canonical policy objects of :mod:`repro.placement.policies` directly.
+The online serving broker (:mod:`repro.serving`) drives the *same* core,
+so offline/online placement parity holds by construction.
 
 Metrics separate the two costs the paper trades off — server-hours
 (utilization) and QoS-violation session-time (experience).  Ground truth
@@ -24,11 +23,6 @@ from collections.abc import Callable, Sequence
 from repro.games.resolution import REFERENCE_RESOLUTION, Resolution
 from repro.placement.fleet import Session
 from repro.placement.offline import DynamicMetrics, simulate_sessions
-from repro.placement.policies import (
-    CMFeasiblePolicy,
-    DedicatedPolicy,
-    VBPFirstFitPolicy,
-)
 from repro.placement.signature import Signature
 from repro.utils.rng import spawn_rng
 
@@ -37,9 +31,6 @@ __all__ = [
     "generate_sessions",
     "DynamicMetrics",
     "simulate_sessions",
-    "cm_feasible_policy",
-    "vbp_policy",
-    "dedicated_policy",
     "recording_policy",
 ]
 
@@ -78,37 +69,6 @@ def generate_sessions(
             )
         )
     return sessions
-
-
-# ----------------------------------------------------------------------
-# Policy factories: thin wrappers over repro.placement.policies returning
-# offline-style callables (the bound ``select`` method of the canonical
-# policy object), so existing call sites keep working unchanged.
-
-
-def cm_feasible_policy(
-    predictor, qos: float, *, max_colocation: int = 4, margin: float = 1.0
-) -> Policy:
-    """Pack onto the fullest existing server the CM predicts stays feasible.
-
-    ``margin`` scales the floor the CM is queried with: a value of 1.1
-    demands 10% headroom above the player-facing QoS, trading some
-    consolidation for fewer violations when the CM's boundary is noisy —
-    the knob the Section 7 discussion implies for production deployments.
-    """
-    return CMFeasiblePolicy(
-        predictor, qos, max_colocation=max_colocation, margin=margin
-    ).select
-
-
-def vbp_policy(vbp, *, max_colocation: int = 4) -> Policy:
-    """First fit by summed demand vectors (the VBP baseline, Section 2.2)."""
-    return VBPFirstFitPolicy(vbp, max_colocation=max_colocation).select
-
-
-def dedicated_policy() -> Policy:
-    """No colocation: every session gets its own server."""
-    return DedicatedPolicy().select
 
 
 def recording_policy(policy: Policy) -> tuple[Policy, list[int | None]]:

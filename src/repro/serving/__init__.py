@@ -4,21 +4,25 @@ The paper's predictions are cheap enough to run at request-arrival time
 (Section 5); this package supplies the component that actually does so in
 a fleet — a discrete-event :class:`RequestBroker` consuming a session
 trace and driving the shared placement core (:mod:`repro.placement`):
-the :class:`AdmissionController` (the serving face of
-:class:`repro.placement.DecisionEngine`) evaluates candidate servers
-through pluggable policies with graceful fallback, a canonical-key LRU
+the :class:`DecisionEngine` evaluates candidate servers through
+pluggable policies with graceful fallback, a canonical-key LRU
 :class:`PredictionCache` over the predictor's batched API, and
 :class:`Telemetry` (counters + latency histograms + event log) exposed as
-one JSON snapshot.  ``python -m repro serve`` wires it all together.
-The policy, cache, breaker and telemetry names re-exported here live in
-:mod:`repro.placement` and :mod:`repro.obs` since the placement-core
-refactor; importing them from ``repro.serving`` remains supported.
+one JSON snapshot.  The engine, policy, cache, breaker and telemetry
+names re-exported here live in :mod:`repro.placement` and
+:mod:`repro.obs`.
+
+There is one stack constructor,
+:func:`repro.sharding.build_shard_brokers`: it wires telemetry, fault
+injector, cache, policies, engine, ledger and broker for every shard,
+and ``python -m repro serve`` without ``--shards`` drives shard 0 of a
+one-shard stack through :meth:`RequestBroker.run`.
 
 The fault-tolerance layer keeps the dispatcher up when components fail:
 a seeded :class:`FaultInjector` wraps policies/predictors/caches with
 deterministic chaos (errors, latency spikes, stale answers, corrupted
 predictions), a :class:`CircuitBreaker` per policy drives the
-controller's NORMAL → DEGRADED → CONSERVATIVE state machine, and the
+engine's NORMAL → DEGRADED → CONSERVATIVE state machine, and the
 broker survives server crashes by re-admitting evicted sessions — all
 surfaced in the report's resilience section.
 """
@@ -34,6 +38,7 @@ from repro.obs.metrics import (
 )
 from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.cache import PredictionCache, colocation_key
+from repro.placement.engine import AdmissionDecision, DecisionEngine, Mode
 from repro.placement.policies import (
     POLICY_NAMES,
     AdmissionPolicy,
@@ -44,7 +49,6 @@ from repro.placement.policies import (
     WorstFitPolicy,
     build_policy,
 )
-from repro.serving.admission import AdmissionController, AdmissionDecision, Mode
 from repro.serving.broker import PlacementRecord, RequestBroker, ServingReport
 from repro.serving.faults import (
     FaultConfig,
@@ -57,7 +61,7 @@ from repro.serving.faults import (
 from repro.serving.loadgen import TraceConfig, generate_trace
 
 __all__ = [
-    "AdmissionController",
+    "DecisionEngine",
     "AdmissionDecision",
     "Mode",
     "BreakerConfig",

@@ -1,10 +1,11 @@
 """The request broker: a discrete-event online serving loop.
 
 Replays a session trace (arrivals and departures) against a growing and
-shrinking server pool, asking the :class:`AdmissionController` for a
-placement at every arrival — the role a cloud-gaming fleet's dispatcher
-plays, with GAugur's predictions on the hot path (paper Section 5,
-Algorithm 1's online setting).
+shrinking server pool, asking the
+:class:`~repro.placement.DecisionEngine` for a placement at every
+arrival — the role a cloud-gaming fleet's dispatcher plays, with
+GAugur's predictions on the hot path (paper Section 5, Algorithm 1's
+online setting).
 
 The pool bookkeeping is the shared
 :class:`repro.placement.FleetState` — the *same* implementation the
@@ -43,8 +44,8 @@ from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.obs.tracing import Tracer
+from repro.placement.engine import DecisionEngine
 from repro.placement.fleet import FleetState, Session
-from repro.serving.admission import AdmissionController
 from repro.utils.rng import spawn_rng
 
 __all__ = ["PlacementRecord", "ServingReport", "RequestBroker"]
@@ -169,7 +170,7 @@ class RequestBroker:
 
     def __init__(
         self,
-        controller: AdmissionController,
+        controller: DecisionEngine,
         *,
         crash_rate: float = 0.0,
         crash_seed: int = 0,

@@ -80,7 +80,14 @@ class TraceConfig:
             want = known[key]
             if isinstance(value, bool) and want is not bool:
                 raise ValueError(f"trace config {key!r} must be {want.__name__}")
+            # Coercion must not change the value: bool("false") is True
+            # and int(2.7) is 2.
+            lossy = (want is bool and not isinstance(value, bool)) or (
+                want is int and isinstance(value, float) and not value.is_integer()
+            )
             try:
+                if lossy:
+                    raise ValueError(value)
                 kwargs[key] = want(value)
             except (TypeError, ValueError) as exc:
                 raise ValueError(

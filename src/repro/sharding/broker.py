@@ -24,10 +24,14 @@ Reporting merges the per-shard telemetry snapshots with
 :func:`~repro.obs.label_snapshot` + :func:`~repro.obs.merge_snapshots`:
 the merged snapshot carries fleet-wide totals at the top level and
 intact per-shard series (``shard`` label) underneath, so one Prometheus
-exposition shows both views.  With one shard the worker replays exactly
-the unsharded broker's code path — ``--shards 1`` telemetry is
-byte-identical to :meth:`RequestBroker.run` at the same seed (the
-parity tests pin this).
+exposition shows both views.
+
+:func:`build_shard_brokers` is the one constructor of a serving stack —
+telemetry, fault injector, prediction cache, policies, decision engine,
+QoS ledger, broker — for the CLI and the benchmarks alike.  An unsharded
+``repro serve`` is shard 0 of a one-shard stack driven by
+:meth:`RequestBroker.run`, so ``--shards 1`` telemetry is byte-identical
+to it at the same seed, chaos runs included (the parity tests pin this).
 """
 
 from __future__ import annotations
@@ -114,8 +118,12 @@ def build_shard_brokers(
     merge exactly through the labeled-snapshot machinery.
     """
     from repro.core.predictor import InterferencePredictor
-    from repro.placement import BreakerConfig, PredictionCache, build_policy
-    from repro.serving.admission import AdmissionController
+    from repro.placement import (
+        BreakerConfig,
+        DecisionEngine,
+        PredictionCache,
+        build_policy,
+    )
     from repro.serving.faults import FaultConfig, FaultInjector
 
     if n_shards < 1:
@@ -150,7 +158,7 @@ def build_shard_brokers(
             max_colocation=config.max_colocation,
             injector=injector,
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             policy,
             fallback=fallback,
             telemetry=telemetry,

@@ -360,7 +360,18 @@ class TestServeSharded:
         assert rc == 2
         assert "--shards" in capsys.readouterr().err
 
-    def test_shards_one_matches_unsharded(self, predictor_path, capsys):
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            [],
+            ["--fault-rate", "0.2", "--crash-rate", "0.05"],
+            ["--slo-fps", "30"],
+            ["--slo-fps", "30", "--degrade-ladder", "1080p,900p,720p"],
+        ],
+        ids=["plain", "chaos", "slo", "degrade"],
+    )
+    def test_shards_one_matches_unsharded(self, predictor_path, capsys, flags):
+        """An unsharded run is shard 0 of a one-shard stack, chaos included."""
         argv = [
             "serve",
             "--predictor",
@@ -371,6 +382,7 @@ class TestServeSharded:
             "4.0",
             "--trace-seed",
             "3",
+            *flags,
         ]
         assert main(argv) == 0
         unsharded = json.loads(capsys.readouterr().out)
@@ -380,10 +392,36 @@ class TestServeSharded:
         assert sharded["n_shards"] == 1
         assert sharded["n_sessions"] == unsharded["n_sessions"]
         (shard,) = sharded["shards"]
-        assert _strip_wall_clock(shard["telemetry"]) == _strip_wall_clock(
-            unsharded["telemetry"]
-        )
         assert shard["placements"] == unsharded["placements"]
+        assert shard["readmissions"] == unsharded["readmissions"]
+        if "--degrade-ladder" not in flags:
+            assert _strip_wall_clock(shard["telemetry"]) == _strip_wall_clock(
+                unsharded["telemetry"]
+            )
+            assert shard["resilience"] == unsharded["resilience"]
+            return
+        # The restore clock is the one designed difference: an arrival
+        # timer unsharded (256 > this trace, so it never fires), the chunk
+        # barrier sharded (here once, after the last arrival).  Every
+        # admission is shared; only that final restore's footprint — its
+        # queries, promotions and ledger re-measurements — is not.
+        assert unsharded["resilience"]["downscale"].pop("restore_interval") == 256
+        assert shard["resilience"]["downscale"].pop("restore_interval") is None
+        assert shard["resilience"] == unsharded["resilience"]
+        restore_footprint = {"restore_queries", "qos_measurements", "qos_predictions"}
+        for report in (shard, unsharded):
+            counters = report["telemetry"]["counters"]
+            for name in restore_footprint:
+                counters.pop(name, None)
+        assert shard["telemetry"]["counters"] == unsharded["telemetry"]["counters"]
+        labeled = [
+            {
+                name: report["telemetry"]["labeled"]["counters"][name]
+                for name in ("decisions", "downscale_queries", "downscales")
+            }
+            for report in (shard, unsharded)
+        ]
+        assert labeled[0] == labeled[1]
 
     def test_sharded_run_with_rebalancing(self, predictor_path, capsys):
         rc = main(

@@ -53,12 +53,18 @@ class TestSummary:
 
 
 class TestDiff:
-    def test_identical_exits_zero(self, snap_path, capsys):
-        rc = main(
-            ["metrics", "diff", snap_path, snap_path, "--fail-on", "p99_s:+20%"]
-        )
-        assert rc == 0
-        assert "no differences" in capsys.readouterr().out
+    def test_identical_exits_zero(self, snap_path, tmp_path, capsys):
+        # The second snapshot's histogram overflowed (p99_s is inf):
+        # inf - inf is nan, which must not read as a change.
+        overflowed = tmp_path / "overflowed.json"
+        overflowed.write_text(json.dumps(_snapshot([0.25, 5.0, 7.0])))
+        assert json.loads(overflowed.read_text())["histograms"][
+            "decision_latency_s"
+        ]["p99_s"] == float("inf")
+        for path in (snap_path, str(overflowed)):
+            rc = main(["metrics", "diff", path, path, "--fail-on", "p99_s:+20%"])
+            assert rc == 0
+            assert capsys.readouterr().out.strip() == "no differences"
 
     def test_regression_exits_nonzero(self, snap_path, regressed_path, capsys):
         rc = main(

@@ -80,8 +80,8 @@ class TestPipelineStructure:
         primary = StubPolicy(lambda s, x: None)
         fb = StubPolicy(lambda s, x: None)
         engine = DecisionEngine(primary, fallback=fb)
-        assert engine.policy is primary
-        assert engine.fallback is fb
+        assert engine.pipeline[0].policy is primary
+        assert engine.pipeline[1].policy is fb
 
 
 class TestDownscaleDecision:

@@ -28,9 +28,8 @@ from repro.placement import (
     simulate_sessions,
 )
 from repro.placement.signature import index_of
-from repro.scheduling.dynamic import cm_feasible_policy, generate_sessions
+from repro.scheduling.dynamic import generate_sessions
 from repro.serving import (
-    AdmissionController,
     BreakerConfig,
     FaultConfig,
     FaultInjector,
@@ -309,7 +308,7 @@ class TestOfflineFrontend:
         as_callable = simulate_sessions(
             minilab.catalog,
             sessions,
-            cm_feasible_policy(minilab.predictor, 60.0),
+            CMFeasiblePolicy(minilab.predictor, 60.0).select,
             server=minilab.server,
         )
         assert as_object == as_callable
@@ -351,7 +350,7 @@ class TestSameSeedDeterminism:
             cache=PredictionCache(512),
             injector=injector,
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             injector.wrap_policy(policy),
             fallback=fallback,
             telemetry=injector.telemetry,

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 
 from repro.games.resolution import Resolution
-from repro.scheduling.dynamic import (
-    Session,
-    cm_feasible_policy,
-    dedicated_policy,
-    generate_sessions,
-    simulate_sessions,
-    vbp_policy,
-)
+from repro.placement import CMFeasiblePolicy, DedicatedPolicy, VBPFirstFitPolicy
+from repro.scheduling.dynamic import Session, generate_sessions, simulate_sessions
 
 R1080 = Resolution(1920, 1080)
 
@@ -45,37 +39,37 @@ class TestGenerateSessions:
 
 class TestPolicies:
     def test_dedicated_never_reuses(self):
-        policy = dedicated_policy()
+        policy = DedicatedPolicy().select
         session = Session("a", R1080, 0.0, 10.0)
         assert policy([(("a", R1080),)], session) is None
 
     def test_cm_policy_packs_when_feasible(self, minilab):
-        policy = cm_feasible_policy(minilab.predictor, qos=1.0)
+        policy = CMFeasiblePolicy(minilab.predictor, qos=1.0).select
         session = Session(minilab.names[0], R1080, 0.0, 10.0)
         # With a trivial QoS floor every colocation is feasible: reuse.
         servers = [((minilab.names[1], R1080),)]
         assert policy(servers, session) == 0
 
     def test_cm_policy_opens_when_infeasible(self, minilab):
-        policy = cm_feasible_policy(minilab.predictor, qos=10000.0)
+        policy = CMFeasiblePolicy(minilab.predictor, qos=10000.0).select
         session = Session(minilab.names[0], R1080, 0.0, 10.0)
         servers = [((minilab.names[1], R1080),)]
         assert policy(servers, session) is None
 
     def test_cm_policy_respects_max_colocation(self, minilab):
-        policy = cm_feasible_policy(minilab.predictor, qos=1.0, max_colocation=2)
+        policy = CMFeasiblePolicy(minilab.predictor, qos=1.0, max_colocation=2).select
         session = Session(minilab.names[0], R1080, 0.0, 10.0)
         full = tuple((minilab.names[i], R1080) for i in (1, 2))
         assert policy([full], session) is None
 
     def test_vbp_policy_first_fit(self, minilab):
-        policy = vbp_policy(minilab.vbp)
+        policy = VBPFirstFitPolicy(minilab.vbp).select
         session = Session(minilab.names[0], R1080, 0.0, 10.0)
         assert policy([()], session) == 0
 
     def test_margin_validated(self, minilab):
         with pytest.raises(ValueError, match="margin"):
-            cm_feasible_policy(minilab.predictor, 60.0, margin=0.5)
+            CMFeasiblePolicy(minilab.predictor, 60.0, margin=0.5)
 
     def test_margin_never_packs_more(self, minilab):
         sessions = generate_sessions(
@@ -84,13 +78,13 @@ class TestPolicies:
         loose = simulate_sessions(
             minilab.catalog,
             sessions,
-            cm_feasible_policy(minilab.predictor, 60.0),
+            CMFeasiblePolicy(minilab.predictor, 60.0),
             qos=60.0,
         )
         strict = simulate_sessions(
             minilab.catalog,
             sessions,
-            cm_feasible_policy(minilab.predictor, 60.0, margin=1.3),
+            CMFeasiblePolicy(minilab.predictor, 60.0, margin=1.3),
             qos=60.0,
         )
         # A stricter floor cannot systematically pack tighter (small slack
@@ -102,7 +96,7 @@ class TestSimulateSessions:
     def test_dedicated_baseline_invariants(self, minilab):
         sessions = generate_sessions(minilab.names[:4], 40, seed=2)
         metrics = simulate_sessions(
-            minilab.catalog, sessions, dedicated_policy(), qos=60.0
+            minilab.catalog, sessions, DedicatedPolicy(), qos=60.0
         )
         assert metrics.n_sessions == 40
         assert metrics.server_minutes == pytest.approx(
@@ -116,12 +110,12 @@ class TestSimulateSessions:
             minilab.names[:4], 60, arrival_rate=4.0, seed=3
         )
         dedicated = simulate_sessions(
-            minilab.catalog, sessions, dedicated_policy(), qos=60.0
+            minilab.catalog, sessions, DedicatedPolicy(), qos=60.0
         )
         packed = simulate_sessions(
             minilab.catalog,
             sessions,
-            cm_feasible_policy(minilab.predictor, 60.0),
+            CMFeasiblePolicy(minilab.predictor, 60.0),
             qos=60.0,
         )
         assert packed.server_minutes < dedicated.server_minutes
@@ -132,7 +126,7 @@ class TestSimulateSessions:
         metrics = simulate_sessions(
             minilab.catalog,
             sessions,
-            vbp_policy(minilab.vbp),
+            VBPFirstFitPolicy(minilab.vbp),
             qos=60.0,
         )
         # Up to `size` games can violate simultaneously on one server, but

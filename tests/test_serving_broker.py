@@ -13,14 +13,13 @@ import pytest
 from repro.core import InterferencePredictor
 from repro.games.resolution import Resolution
 from repro.scheduling.dynamic import (
-    cm_feasible_policy,
     generate_sessions,
     recording_policy,
     simulate_sessions,
 )
 from repro.serving import (
-    AdmissionController,
     CMFeasiblePolicy,
+    DecisionEngine,
     DedicatedPolicy,
     MaxFPSPolicy,
     OfflinePolicyAdapter,
@@ -36,7 +35,7 @@ R1080 = Resolution(1920, 1080)
 
 
 def _run(policy, sessions, *, fallback=None):
-    controller = AdmissionController(policy, fallback=fallback)
+    controller = DecisionEngine(policy, fallback=fallback)
     return controller, RequestBroker(controller).run(sessions)
 
 
@@ -50,7 +49,7 @@ class TestPolicyParity:
         controller, report = _run(serving, sessions)
 
         offline = OfflinePolicyAdapter(
-            cm_feasible_policy(minilab.predictor, 60.0), name="offline-cm"
+            CMFeasiblePolicy(minilab.predictor, 60.0).select, name="offline-cm"
         )
         _, offline_report = _run(offline, sessions)
 
@@ -69,7 +68,7 @@ class TestPolicyParity:
             minilab.names[:4], 60, arrival_rate=4.0, seed=11
         )
         wrapped, record = recording_policy(
-            cm_feasible_policy(minilab.predictor, 60.0)
+            CMFeasiblePolicy(minilab.predictor, 60.0).select
         )
         simulate_sessions(minilab.catalog, sessions, wrapped, qos=60.0)
 
@@ -244,3 +243,9 @@ class TestBrokerAccounting:
             TraceConfig.from_dict({"arrival_rate": "fast"})
         with pytest.raises(ValueError, match="n_requests"):
             TraceConfig.from_dict({"n_requests": True})
+        # Coercion that would change the value: bool("false") is True,
+        # int(2.7) is 2.
+        with pytest.raises(ValueError, match="mixed_resolutions.*bool"):
+            TraceConfig.from_dict({"mixed_resolutions": "false"})
+        with pytest.raises(ValueError, match="n_requests.*int"):
+            TraceConfig.from_dict({"n_requests": 2.7})

@@ -1,8 +1,8 @@
 """Serving-tier tests for the downscale actuator and restore loop.
 
 Covers the refactor's byte-parity contract (the default pipeline vs the
-frozen pre-refactor engine under seeded chaos, and ``--no-degrade`` vs a
-flag-less serve), the degraded placement surface of the broker report,
+frozen pre-refactor engine under seeded chaos), the degraded placement
+surface of the broker report,
 restore at arrival intervals and sharded chunk barriers, and degraded
 sessions surviving crash/migration/failover with conservation intact.
 """
@@ -17,7 +17,7 @@ from repro.obs import QoSLedger, Telemetry
 from repro.placement import BreakerConfig, CMFeasiblePolicy, PredictionCache
 from repro.placement.policies import WorstFitPolicy
 from repro.serving import (
-    AdmissionController,
+    DecisionEngine,
     FaultConfig,
     FaultInjector,
     RequestBroker,
@@ -108,14 +108,14 @@ class TestPreRefactorParity:
             report = broker.run(list(sessions))
             return normalized(report.to_dict())
 
-        new = serve(AdmissionController)
+        new = serve(DecisionEngine)
         old = serve(frozen.DecisionEngine)
         assert new == old
 
     def test_resilience_snapshot_keys_unchanged(self, minilab):
         from tests import _reference_engine as frozen
 
-        new = build_controller(minilab, AdmissionController)
+        new = build_controller(minilab, DecisionEngine)
         old = build_controller(minilab, frozen.DecisionEngine)
         assert new.resilience_snapshot() == old.resilience_snapshot()
 
@@ -123,7 +123,7 @@ class TestPreRefactorParity:
 class TestDegradedServing:
     def run_broker(self, minilab, *, ladder=None, restore_interval=None, qos=45.0):
         telemetry = Telemetry()
-        controller = AdmissionController(
+        controller = DecisionEngine(
             CMFeasiblePolicy(minilab.predictor, qos),
             telemetry=telemetry,
             downscale_ladder=ladder,
@@ -295,38 +295,6 @@ class TestServeCliDegrade:
         payload = json.loads(out.read_text())
         assert "degrade_ladder" not in payload["config"]
         assert "restore_interval" not in payload["config"]
-
-    def test_no_degrade_byte_identical_to_flagless(self, predictor_path, tmp_path):
-        rc1, out1 = self.serve(predictor_path, tmp_path, "--crash-rate", "0.02")
-        rc2, out2 = self.serve(
-            predictor_path,
-            tmp_path,
-            "--crash-rate",
-            "0.02",
-            "--degrade-ladder",
-            "1080p,900p,720p",
-            "--no-degrade",
-        )
-        assert rc1 == rc2 == 0
-        a = normalized(json.loads(out1.read_text()))
-        b = normalized(json.loads(out2.read_text()))
-        assert a == b
-
-    def test_no_degrade_sharded_byte_identical(self, predictor_path, tmp_path):
-        common = ("--shards", "2", "--rebalance-interval", "50")
-        rc1, out1 = self.serve(predictor_path, tmp_path, *common)
-        rc2, out2 = self.serve(
-            predictor_path,
-            tmp_path,
-            *common,
-            "--degrade-ladder",
-            "1080p,720p",
-            "--no-degrade",
-        )
-        assert rc1 == rc2 == 0
-        a = normalized(json.loads(out1.read_text()))
-        b = normalized(json.loads(out2.read_text()))
-        assert a == b
 
     def test_sharded_degrade_end_to_end(self, predictor_path, tmp_path):
         rc, out = self.serve(

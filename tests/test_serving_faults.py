@@ -12,10 +12,11 @@ import json
 
 import pytest
 
-from repro.scheduling.dynamic import cm_feasible_policy, generate_sessions
+from repro.scheduling.dynamic import generate_sessions
 from repro.serving import (
-    AdmissionController,
     BreakerConfig,
+    CMFeasiblePolicy,
+    DecisionEngine,
     DedicatedPolicy,
     FaultConfig,
     FaultInjector,
@@ -177,7 +178,7 @@ class TestDegradedModes:
         config = BreakerConfig(
             failure_threshold=0.5, window=4, min_requests=2, cooldown=3, probe_window=2
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             _FailsFirstN(4), fallback=_OpensServer(), breaker=config
         )
         for _ in range(25):
@@ -199,7 +200,7 @@ class TestDegradedModes:
         config = BreakerConfig(
             failure_threshold=0.5, window=4, min_requests=2, cooldown=5, probe_window=2
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             _AlwaysFails(), fallback=_AlwaysFails(), breaker=config
         )
         saw_conservative = False
@@ -217,7 +218,7 @@ class TestDegradedModes:
         config = BreakerConfig(
             failure_threshold=0.5, window=4, min_requests=2, cooldown=50, probe_window=2
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             _OpensServer(),
             fallback=_OpensServer(),
             breaker=config,
@@ -231,10 +232,10 @@ class TestDegradedModes:
 
     def test_deadline_validation(self):
         with pytest.raises(ValueError, match="decision_deadline_s"):
-            AdmissionController(_OpensServer(), decision_deadline_s=0)
+            DecisionEngine(_OpensServer(), decision_deadline_s=0)
 
     def test_no_breaker_keeps_legacy_shape(self):
-        controller = AdmissionController(_OpensServer())
+        controller = DecisionEngine(_OpensServer())
         controller.decide([], object())
         snap = controller.resilience_snapshot()
         assert snap["enabled"] is False
@@ -245,13 +246,13 @@ class TestDegradedModes:
 class TestServerCrashes:
     def test_crash_rate_validation(self):
         with pytest.raises(ValueError, match="crash_rate"):
-            RequestBroker(AdmissionController(DedicatedPolicy()), crash_rate=1.5)
+            RequestBroker(DecisionEngine(DedicatedPolicy()), crash_rate=1.5)
 
     def test_crashes_evict_and_readmit(self, minilab):
         sessions = generate_sessions(
             minilab.names[:4], 80, arrival_rate=6.0, seed=21
         )
-        controller = AdmissionController(DedicatedPolicy())
+        controller = DecisionEngine(DedicatedPolicy())
         broker = RequestBroker(controller, crash_rate=0.25, crash_seed=21)
         report = broker.run(sessions)
         counters = report.telemetry["counters"]
@@ -275,7 +276,7 @@ class TestServerCrashes:
 
         def run():
             broker = RequestBroker(
-                AdmissionController(DedicatedPolicy()),
+                DecisionEngine(DedicatedPolicy()),
                 crash_rate=0.3,
                 crash_seed=5,
             )
@@ -287,9 +288,9 @@ class TestServerCrashes:
 
     def test_zero_crash_rate_never_touches_rng(self, minilab):
         sessions = generate_sessions(minilab.names[:3], 20, seed=23)
-        baseline = RequestBroker(AdmissionController(DedicatedPolicy())).run(sessions)
+        baseline = RequestBroker(DecisionEngine(DedicatedPolicy())).run(sessions)
         guarded = RequestBroker(
-            AdmissionController(DedicatedPolicy()), crash_rate=0.0, crash_seed=999
+            DecisionEngine(DedicatedPolicy()), crash_rate=0.0, crash_seed=999
         ).run(sessions)
         assert baseline.choices() == guarded.choices()
         assert "server_crashes" not in guarded.telemetry["counters"]
@@ -311,7 +312,7 @@ class TestChaosEndToEnd:
             cache=cache,
             injector=injector,
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             policy,
             fallback=fallback,
             telemetry=injector.telemetry,
@@ -361,7 +362,7 @@ class TestChaosEndToEnd:
             cache=cache,
             injector=injector,
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             injector.wrap_policy(primary),
             fallback=fallback,
             telemetry=injector.telemetry,
@@ -394,7 +395,7 @@ class TestChaosEndToEnd:
             cache=cache,
             injector=injector,
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             injector.wrap_policy(policy),
             fallback=fallback,
             telemetry=injector.telemetry,
@@ -406,9 +407,9 @@ class TestChaosEndToEnd:
         )
 
         offline = OfflinePolicyAdapter(
-            cm_feasible_policy(minilab.predictor, 60.0), name="offline-cm"
+            CMFeasiblePolicy(minilab.predictor, 60.0).select, name="offline-cm"
         )
-        offline_report = RequestBroker(AdmissionController(offline)).run(sessions)
+        offline_report = RequestBroker(DecisionEngine(offline)).run(sessions)
 
         assert report.choices() == offline_report.choices()
         assert report.server_ids() == offline_report.server_ids()
@@ -424,7 +425,7 @@ class TestFallbackChainCounters:
     """Satellite: the full primary -> fallback -> dedicated chain."""
 
     def test_primary_and_fallback_both_raise(self):
-        controller = AdmissionController(_AlwaysFails(), fallback=_AlwaysFails())
+        controller = DecisionEngine(_AlwaysFails(), fallback=_AlwaysFails())
         for _ in range(7):
             decision = controller.decide([((), ())], object())  # never raises
             assert decision.server is None
@@ -439,7 +440,7 @@ class TestFallbackChainCounters:
 
     def test_primary_raises_fallback_answers(self, minilab):
         fallback = WorstFitPolicy(minilab.vbp)
-        controller = AdmissionController(_AlwaysFails(), fallback=fallback)
+        controller = DecisionEngine(_AlwaysFails(), fallback=fallback)
         session = generate_sessions(minilab.names[:2], 1, seed=1)[0]
         decision = controller.decide([], session)
         assert decision.fallback
@@ -466,7 +467,7 @@ class TestInvalidChoiceValidation:
             return "server-3"
 
     def test_out_of_range_index_falls_back(self):
-        controller = AdmissionController(self._OutOfRange(), fallback=_OpensServer())
+        controller = DecisionEngine(self._OutOfRange(), fallback=_OpensServer())
         decision = controller.decide([((), ())], object())
         assert decision.server is None
         assert decision.fallback
@@ -483,13 +484,13 @@ class TestInvalidChoiceValidation:
                 return -1
 
         for bad in (Negative(), self._WrongType()):
-            controller = AdmissionController(bad)
+            controller = DecisionEngine(bad)
             decision = controller.decide([((), ())], object())
             assert decision.server is None
             assert controller.telemetry.snapshot()["counters"]["invalid_choices"] == 1
 
     def test_invalid_fallback_answer_degrades_to_dedicated(self):
-        controller = AdmissionController(
+        controller = DecisionEngine(
             _AlwaysFails(), fallback=self._OutOfRange()
         )
         decision = controller.decide([((), ())], object())
@@ -508,7 +509,7 @@ class TestInvalidChoiceValidation:
             def select(self, signatures, session):
                 return np.int64(0)
 
-        controller = AdmissionController(NumpyChooser())
+        controller = DecisionEngine(NumpyChooser())
         decision = controller.decide([((), ())], object())
         assert decision.server == 0
         assert not decision.fallback
@@ -517,7 +518,7 @@ class TestInvalidChoiceValidation:
         """The exact crash from the issue: ids[decision.server] blowing up."""
         sessions = generate_sessions(minilab.names[:3], 25, seed=41)
         report = RequestBroker(
-            AdmissionController(self._OutOfRange())
+            DecisionEngine(self._OutOfRange())
         ).run(sessions)
         assert report.n_sessions == 25
         assert all(p.choice is None for p in report.placements)

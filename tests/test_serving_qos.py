@@ -22,9 +22,9 @@ from repro.obs import QoSLedger, Tracer, build_qos_section
 from repro.scheduling import generate_sessions
 from repro.scheduling.dynamic import simulate_sessions
 from repro.serving import (
-    AdmissionController,
     BreakerConfig,
     CMFeasiblePolicy,
+    DecisionEngine,
     FaultConfig,
     FaultInjector,
     PredictionCache,
@@ -54,7 +54,7 @@ def make_ledger(minilab, **kwargs):
 
 def run_broker(minilab, sessions, *, ledger, crash_rate=0.0):
     policy, fallback = build_policy("cm-feasible", predictor=minilab.predictor)
-    controller = AdmissionController(policy, fallback=fallback)
+    controller = DecisionEngine(policy, fallback=fallback)
     broker = RequestBroker(
         controller, crash_rate=crash_rate, crash_seed=3, ledger=ledger
     )
@@ -109,7 +109,7 @@ class TestBrokerLedger:
 
     def test_qos_spans_emitted_when_tracing(self, minilab, trace):
         policy, fallback = build_policy("cm-feasible", predictor=minilab.predictor)
-        controller = AdmissionController(policy, fallback=fallback)
+        controller = DecisionEngine(policy, fallback=fallback)
         tracer = Tracer(enabled=True)
         broker = RequestBroker(
             controller, tracer=tracer, ledger=make_ledger(minilab)
@@ -239,7 +239,7 @@ class TestGroundTruthDidNotMove:
     """
 
     def serve(self, minilab, *, reference_solver):
-        controller = AdmissionController(
+        controller = DecisionEngine(
             CMFeasiblePolicy(minilab.predictor, 45.0),
             downscale_ladder=DegradeLadder.from_str("1080p,900p,720p"),
         )
@@ -313,7 +313,7 @@ class TestDeferredGroundTruth:
             FaultConfig(error_rate=0.03, corrupt_rate=0.04, stale_rate=0.08, seed=13),
             telemetry=telemetry,
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             CMFeasiblePolicy(
                 injector.wrap_predictor(minilab.predictor),
                 45.0,

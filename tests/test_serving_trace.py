@@ -13,8 +13,8 @@ import pytest
 from repro.obs import TickClock, Tracer
 from repro.scheduling.dynamic import generate_sessions
 from repro.serving import (
-    AdmissionController,
     CMFeasiblePolicy,
+    DecisionEngine,
     PredictionCache,
     RequestBroker,
 )
@@ -33,7 +33,7 @@ def traced_run(minilab):
     )
     tracer = Tracer(clock=TickClock())
     policy = CMFeasiblePolicy(minilab.predictor, 60.0, cache=PredictionCache(4096))
-    broker = RequestBroker(AdmissionController(policy), tracer=tracer)
+    broker = RequestBroker(DecisionEngine(policy), tracer=tracer)
     report = broker.run(sessions)
     return tracer, report
 
@@ -109,7 +109,7 @@ class TestTraceDeterminism:
         policy = CMFeasiblePolicy(
             minilab.predictor, 60.0, cache=PredictionCache(4096)
         )
-        RequestBroker(AdmissionController(policy), tracer=tracer).run(sessions)
+        RequestBroker(DecisionEngine(policy), tracer=tracer).run(sessions)
         return tracer
 
     def test_same_seed_and_clock_byte_identical(self, minilab):
@@ -126,7 +126,7 @@ class TestDisabledTracing:
             policy = CMFeasiblePolicy(
                 minilab.predictor, 60.0, cache=PredictionCache(4096)
             )
-            controller = AdmissionController(policy)
+            controller = DecisionEngine(policy)
             broker = (
                 RequestBroker(controller, tracer=tracer)
                 if tracer is not None

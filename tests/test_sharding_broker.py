@@ -21,10 +21,10 @@ import pytest
 from repro.games.resolution import Resolution
 from repro.obs.metrics import Telemetry, snapshot_to_prometheus
 from repro.obs.snapshots import validate_prometheus
+from repro.placement.engine import DecisionEngine
 from repro.placement.fleet import Session
 from repro.placement.policies import DedicatedPolicy
 from repro.scheduling import generate_sessions
-from repro.serving.admission import AdmissionController
 from repro.serving.broker import RequestBroker
 from repro.sharding import (
     RebalanceConfig,
@@ -94,7 +94,7 @@ class TestShardsOneParity:
             cache=PredictionCache(4096),
             max_colocation=4,
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             policy,
             fallback=fallback,
             telemetry=telemetry,
@@ -215,7 +215,7 @@ class TestShardedRun:
 
 
 def _dedicated_broker() -> RequestBroker:
-    return RequestBroker(AdmissionController(DedicatedPolicy()))
+    return RequestBroker(DecisionEngine(DedicatedPolicy()))
 
 
 def _fill(broker: RequestBroker, n: int, *, start_index: int = 0) -> None:

@@ -51,7 +51,7 @@ from repro.placement.signature import (
     signature_of,
 )
 from repro.serving import (
-    AdmissionController,
+    DecisionEngine,
     FaultConfig,
     FaultInjector,
     RequestBroker,
@@ -671,7 +671,7 @@ class TestGroupedScanUnderChaos:
             FaultConfig(error_rate=0.03, corrupt_rate=0.04, stale_rate=0.08, seed=13),
             telemetry=telemetry,
         )
-        controller = AdmissionController(
+        controller = DecisionEngine(
             cm_policy(
                 injector.wrap_predictor(minilab.predictor),
                 45.0,
