@@ -10,12 +10,15 @@ where ``mean_r`` / ``var_r`` aggregate the co-runners' per-resource
 intensities.  Note the paper's ``var`` is a scaled root-sum-of-squares,
 ``(1/|G|) * sqrt(sum (I - mean)^2)`` — we implement that formula verbatim.
 Observation 5 forbids the naive alternative of summing intensities.
+
+The scalar builders define the rows; :func:`feature_rows` builds many at
+once — any mix of co-runner counts, padded into one block — bitwise equal
+to them, and the ``*_matrix`` builders and the predictor go through it.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from functools import cache
 
 import numpy as np
 
@@ -25,6 +28,7 @@ __all__ = [
     "aggregate_intensity",
     "rm_feature_vector",
     "cm_feature_vector",
+    "feature_rows",
     "aggregate_intensity_matrix",
     "rm_feature_matrix",
     "cm_feature_matrix",
@@ -105,66 +109,94 @@ def cm_feature_vector(
 
 
 # ----------------------------------------------------------------------
-# Batched construction: whole-colocation feature matrices in a handful of
-# numpy ops.  Each builder takes every same-size colocation of a batch at
-# once — ``stacks[g, i]`` is the intensity vector of member ``i`` of
-# colocation ``g`` — and produces one feature row per member, in
-# colocation-major, member order.  Outputs are bitwise identical to the
-# per-row builders above: the leave-one-out co-runner subsets are gathered
-# explicitly (rather than derived via the ``(S - I_i)/(n-1)``
-# sum-minus-self identity, whose different floating-point summation order
-# would drift in the last ulp) so every reduction runs over the same
-# values in the same order as the scalar path, just batched along
-# leading axes.
+# Batched construction: ``m`` targets, each with its own number of
+# co-runners stacked into one ``(m, k, 7)`` block padded to the widest,
+# become ``m`` rows in a handful of numpy ops.  Every sum sees the same
+# values in the same order as the scalar builders': co-runners are
+# gathered explicitly, ascending (the ``(S - I_i)/(n-1)`` sum-minus-self
+# identity adds in another order and drifts in the last ulp); sums run
+# along a non-contiguous axis, which numpy adds sequentially; pads come
+# last and hold the additive identity — ``x + -0.0`` is ``x`` for every
+# ``x``, signed zeros included — and a pad's deviation is zeroed before
+# it is squared (``s + 0.0`` is ``s`` for a sum of squares).
 
 
-@cache  # one small read-only matrix per colocation size ever seen
-def _loo_indices(n: int) -> np.ndarray:
-    """``(n, n-1)`` co-runner index matrix: row ``i`` lists ``j != i`` ascending."""
+def feature_rows(
+    sensitivities: np.ndarray,
+    co_intensities: np.ndarray,
+    counts: np.ndarray,
+    qos: float | None = None,
+    solo_fps: np.ndarray | None = None,
+) -> np.ndarray:
+    """One model input row per target: RM rows, or CM rows given ``qos``.
+
+    ``sensitivities`` is ``(m, d)`` and ``solo_fps`` ``(m,)`` (CM rows
+    only; all positive), one entry per target.  ``co_intensities`` is
+    ``(m, k, 7)``: the first ``counts[r]`` vectors of row ``r`` — between
+    1 and ``k`` — are target ``r``'s co-runners, and whatever sits in the
+    remaining slots is ignored.  Row ``r`` is bitwise
+    :func:`rm_feature_vector` / :func:`cm_feature_vector` of target ``r``
+    next to those co-runners.
+    """
+    co, counts = np.asarray(co_intensities, dtype=float), np.asarray(counts)
+    if co.ndim != 3 or co.shape[2] != NUM_RESOURCES:
+        raise ValueError(
+            f"co-runner stacks must be (m, k, {NUM_RESOURCES}), got {co.shape}"
+        )
+    real = (np.arange(co.shape[1]) < counts[:, None])[:, :, None]
+    size = counts[:, None].astype(float)
+    co = np.where(real, co, -0.0)
+    mean = co.sum(axis=1) / size
+    deviation = (co - mean[:, None, :]) * real
+    head = 0 if qos is None else 3
+    tail = head + np.shape(sensitivities)[1]
+    X = np.empty((co.shape[0], tail + AGGREGATE_DIM), dtype=float)
+    if head:
+        solo_fps = np.asarray(solo_fps, dtype=float)
+        if solo_fps.min() <= 0:
+            bad = float(solo_fps[solo_fps <= 0][0])
+            raise ValueError(f"solo_fps must be positive, got {bad}")
+        X[:, 0] = qos
+        X[:, 1] = solo_fps
+        np.divide(float(qos), solo_fps, out=X[:, 2])
+    X[:, head:tail] = sensitivities
+    X[:, tail] = counts
+    X[:, tail + 1 :: 2] = mean
+    # The paper's variance term: (1/|G|) * sqrt(sum (I - mean)^2).
+    X[:, tail + 2 :: 2] = np.sqrt((deviation**2).sum(axis=1)) / size
+    return X
+
+
+def _leave_one_out(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(g, n, 7)`` member stacks -> ``(g * n, n - 1, 7)`` co-runner stacks
+    (row ``g * n + i``: the members ``j != i`` of ``g``, ascending) + counts."""
+    stacks = np.asarray(stacks, dtype=float)
+    if stacks.ndim != 3:
+        raise ValueError(f"stacks must be (g, n, {NUM_RESOURCES}), got {stacks.shape}")
+    g, n, width = stacks.shape
+    if n < 2:
+        raise ValueError("leave-one-out aggregation needs colocations of >= 2 games")
     base = np.arange(n - 1)
-    indices = base[None, :] + (base[None, :] >= np.arange(n)[:, None])
-    indices.setflags(write=False)
-    return indices
+    others = base + (base >= np.arange(n)[:, None])
+    return stacks[:, others, :].reshape(g * n, n - 1, width), np.full(g * n, n - 1)
 
 
 def aggregate_intensity_matrix(stacks: np.ndarray) -> np.ndarray:
     """Eq. 5 leave-one-out aggregates for every member of every colocation.
 
-    Parameters
-    ----------
-    stacks:
-        ``(g, n, 7)`` intensity matrices of ``g`` colocations, all of the
-        same size ``n >= 2``.
-
-    Returns
-    -------
-    ``(g, n, 15)`` array whose ``[g, i]`` block equals
-    ``aggregate_intensity`` of member ``i``'s co-runners (every member of
-    colocation ``g`` except ``i``), bitwise.
+    ``stacks`` is the ``(g, n, 7)`` intensity matrices of ``g``
+    colocations, all of the same size ``n >= 2``; block ``[g, i]`` of the
+    ``(g, n, 15)`` result equals ``aggregate_intensity`` of member
+    ``i``'s co-runners (every member of colocation ``g`` except ``i``),
+    bitwise.
     """
-    stacks = np.asarray(stacks, dtype=float)
-    if stacks.ndim != 3:
-        raise ValueError(f"stacks must be (g, n, {NUM_RESOURCES}), got {stacks.shape}")
-    g, n, width = stacks.shape
-    if width != NUM_RESOURCES:
-        raise ValueError(
-            f"intensity vectors must have {NUM_RESOURCES} entries, got {width}"
-        )
-    if n < 2:
-        raise ValueError("leave-one-out aggregation needs colocations of >= 2 games")
-    co = stacks[:, _loo_indices(n), :]  # (g, n, n-1, 7)
-    mean = co.mean(axis=2)
-    var = np.sqrt(np.sum((co - mean[:, :, None, :]) ** 2, axis=2)) / (n - 1)
-    out = np.empty((g, n, AGGREGATE_DIM), dtype=float)
-    out[..., 0] = float(n - 1)
-    out[..., 1::2] = mean
-    out[..., 2::2] = var
-    return out
+    co, counts = _leave_one_out(stacks)
+    # An RM row of a target without sensitivity columns is the Eq. 5 block.
+    rows = feature_rows(np.empty((counts.shape[0], 0)), co, counts)
+    return rows.reshape(*np.shape(stacks)[:2], AGGREGATE_DIM)
 
 
-def rm_feature_matrix(
-    sensitivities: np.ndarray, stacks: np.ndarray
-) -> np.ndarray:
+def rm_feature_matrix(sensitivities: np.ndarray, stacks: np.ndarray) -> np.ndarray:
     """Batched :func:`rm_feature_vector`: one row per colocation member.
 
     ``sensitivities`` is ``(g, n, d)`` (member sensitivity vectors) and
@@ -173,10 +205,8 @@ def rm_feature_matrix(
     colocation-major, member order, each bitwise equal to the scalar
     builder applied to that member.
     """
-    sensitivities = np.asarray(sensitivities, dtype=float)
-    agg = aggregate_intensity_matrix(stacks)
-    g, n, d = sensitivities.shape
-    return np.concatenate([sensitivities, agg], axis=2).reshape(g * n, d + AGGREGATE_DIM)
+    co, counts = _leave_one_out(stacks)
+    return feature_rows(np.reshape(sensitivities, (counts.shape[0], -1)), co, counts)
 
 
 def cm_feature_matrix(
@@ -191,20 +221,9 @@ def cm_feature_matrix(
     the other arguments and the row order match
     :func:`rm_feature_matrix`.
     """
-    solo_fps = np.asarray(solo_fps, dtype=float)
-    if np.any(solo_fps <= 0):
-        bad = float(solo_fps[solo_fps <= 0].flat[0])
-        raise ValueError(f"solo_fps must be positive, got {bad}")
-    sensitivities = np.asarray(sensitivities, dtype=float)
-    agg = aggregate_intensity_matrix(stacks)
-    g, n, d = sensitivities.shape
-    head = np.empty((g, n, 3), dtype=float)
-    head[..., 0] = float(qos)
-    head[..., 1] = solo_fps
-    head[..., 2] = float(qos) / solo_fps
-    return np.concatenate([head, sensitivities, agg], axis=2).reshape(
-        g * n, 3 + d + AGGREGATE_DIM
-    )
+    co, counts = _leave_one_out(stacks)
+    flat = np.reshape(sensitivities, (counts.shape[0], -1))
+    return feature_rows(flat, co, counts, qos, np.ravel(solo_fps))
 
 
 def _sensitivity_names(samples_per_curve: int) -> list[str]:

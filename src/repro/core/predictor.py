@@ -11,6 +11,14 @@ entry of every candidate are assembled into one matrix and pushed through
 the CM/RM exactly once, which is what makes scanning a whole server pool
 per request-arrival cheap (the serving hot path of
 :mod:`repro.serving`).
+
+Admission asks less — does *every* member meet QoS (Section 5.1)? — and a
+conjunction is settled by its first failure, so
+:meth:`InterferencePredictor.colocations_feasible` evaluates one *pivot*
+row per colocation first (the member with the lowest solo FPS, hence the
+largest required ratio ``qos / solo_fps``) and the other members only
+where it passed: exactly ``all(predict_feasible(spec, qos))`` whatever
+the model, in at most two model invocations.
 """
 
 from __future__ import annotations
@@ -22,7 +30,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.classification import GAugurClassifier
-from repro.core.features import cm_feature_matrix, rm_feature_matrix
+from repro.core.features import feature_rows
 from repro.core.regression import GAugurRegressor
 from repro.core.training import ColocationSpec
 from repro.obs.tracing import NOOP_TRACER
@@ -73,8 +81,8 @@ class InterferencePredictor:
         # pure, so rows never invalidate; E is bounded by games x
         # resolutions ever seen.  A colocation is a list of row ids, so
         # featurizing a batch is a few dict lookups per spec and three
-        # gathers per size group.  Growing rebinds the arrays: resolve
-        # ids first, read the arrays after.
+        # gathers per stage.  Growing rebinds the arrays: resolve ids
+        # first, read the arrays after.
         self._rows: dict[tuple, int] = {}
         self._intensity = self._solo = self._sens = None
 
@@ -93,11 +101,22 @@ class InterferencePredictor:
             self.tracer = tracer
         return self
 
-    def _observe_stage(self, stage: str, model: str, seconds: float) -> None:
-        """Record one profiling stage into the attached telemetry."""
+    def _stage(self, stage: str, model: str, call, *args, **attributes):
+        """``call(*args)`` inside a ``stage`` span, timed into the telemetry."""
+        start = time.perf_counter()
+        with self.tracer.span(stage, model=model, **attributes):
+            result = call(*args)
         if self.telemetry is not None:
+            seconds = time.perf_counter() - start
             self.telemetry.histogram(f"predict_{stage}_s").observe(seconds)
             self.telemetry.counter("predict_stage_calls", stage=stage, model=model).inc()
+        return result
+
+    def _evaluate(self, model: str, X: np.ndarray) -> np.ndarray:
+        """``model``'s prediction for each row of ``X``: one ``model_eval`` stage."""
+        estimator = self.regressor if model == "rm" else self.classifier
+        predict = estimator.predict_from_features
+        return self._stage("model_eval", model, predict, X, rows=X.shape[0])
 
     # ------------------------------------------------------------------
 
@@ -109,69 +128,83 @@ class InterferencePredictor:
         if missing:
             raise MissingProfileError(missing)
 
-    def _entry_ids(self, spec: ColocationSpec) -> list[int]:
-        """Entry-table row of each entry of ``spec``; a spec with an entry
-        never seen before is validated whole, then its new rows are added."""
+    def _entry_ids(self, specs: Sequence[ColocationSpec]) -> list[int]:
+        """Entry-table row of every entry of every spec, flat; a spec with an
+        entry never seen before is validated whole, then its rows are added."""
         rows = self._rows
         try:
-            return [rows[name, res.width, res.height] for name, res in spec.entries]
+            return [
+                rows[name, res.width, res.height]
+                for spec in specs
+                for name, res in spec.entries
+            ]
         except KeyError:
+            pass
+        for spec in specs:
             self.validate_spec(spec)
-        for name, res in spec.entries:
-            key = (name, res.width, res.height)
-            if key not in rows:
-                profile = self.db.get(name)
-                new = (
-                    profile.intensity_at(res).values[None],
-                    np.asarray([profile.solo_fps_at(res)], dtype=float),
-                    profile.sensitivity_vector()[None],
-                )
-                if rows:
-                    old = (self._intensity, self._solo, self._sens)
-                    new = [np.concatenate(pair) for pair in zip(old, new)]
-                self._intensity, self._solo, self._sens = new
-                rows[key] = len(rows)
-        return [rows[name, res.width, res.height] for name, res in spec.entries]
+            for name, res in spec.entries:
+                key = (name, res.width, res.height)
+                if key not in rows:
+                    profile = self.db.get(name)
+                    new = (
+                        profile.intensity_at(res).values[None],
+                        np.asarray([profile.solo_fps_at(res)], dtype=float),
+                        profile.sensitivity_vector()[None],
+                    )
+                    if rows:
+                        old = (self._intensity, self._solo, self._sens)
+                        new = [np.concatenate(pair) for pair in zip(old, new)]
+                    self._intensity, self._solo, self._sens = new
+                    rows[key] = len(rows)
+        return self._entry_ids(specs)
 
     def _solo_fps(self, spec: ColocationSpec) -> np.ndarray:
         """Solo FPS per entry of ``spec``, shape ``(n,)``."""
-        ids = self._entry_ids(spec)
+        ids = self._entry_ids((spec,))
         return self._solo[ids]
 
+    def _members(self, specs: Sequence[ColocationSpec]):
+        """The batch as one padded id matrix: ``ids[s, :sizes[s]]`` are spec
+        ``s``'s entry-table rows in entry order and ``real`` marks those
+        slots; the pads after them hold row 0 and every reader masks them."""
+        flat = self._entry_ids(specs)
+        lengths = [len(spec.entries) for spec in specs]
+        sizes = np.asarray(lengths)
+        real = np.arange(max(lengths)) < sizes[:, None]
+        ids = np.zeros(real.shape, dtype=np.intp)
+        ids[real] = flat
+        return ids, sizes, real
+
+    def _featurize(self, ids, sizes, spec, member, qos: float | None) -> np.ndarray:
+        """One row (CM given ``qos``, else RM) per ``(spec[r], member[r])``: a
+        member's co-runners are its spec's other slots, ascending — the
+        real ones, then pads, which :func:`feature_rows` ignores."""
+        base = np.arange(ids.shape[1] - 1)
+        others = base + (base >= member[:, None])
+        target = ids[spec, member]
+        return feature_rows(
+            self._sens[target],
+            self._intensity[ids[spec[:, None], others]],
+            sizes[spec] - 1,
+            qos,
+            None if qos is None else self._solo[target],
+        )
+
     def _grouped_matrix(self, specs: Sequence[ColocationSpec], qos: float | None):
-        """Feature rows for every entry of every size->=2 spec, grouped by size.
+        """Feature rows for every entry of every size->=2 spec, grouped by spec.
 
         Returns ``(X, slots)`` where ``X`` stacks one feature row per
         entry (CM rows when ``qos`` is given, RM rows otherwise) and
-        ``slots`` lists ``(spec_index, row_start, size)`` blocks mapping
-        contiguous row ranges of ``X`` back to their spec.  Grouping
-        specs by size keeps the construction free of per-row Python:
-        each distinct colocation size costs one ``(g, n)`` id array and
-        one set of numpy ops.
+        ``slots`` lists the ``(spec_index, row_start, size)`` block of each
+        spec.  All sizes share the one matrix: no per-row or per-size Python.
         """
-        groups: dict[int, tuple[list[int], list[int]]] = {}
-        for si, spec in enumerate(specs):
-            if spec.size >= 2:
-                members, ids = groups.setdefault(spec.size, ([], []))
-                members.append(si)
-                ids += self._entry_ids(spec)
-        if not groups:
+        where = [si for si, spec in enumerate(specs) if spec.size >= 2]
+        if not where:
             return None, []
-        blocks, slots, row = [], [], 0
-        for size, (members, ids) in groups.items():
-            idx = np.asarray(ids).reshape(-1, size)
-            if qos is None:
-                block = rm_feature_matrix(self._sens[idx], self._intensity[idx])
-            else:
-                block = cm_feature_matrix(
-                    qos, self._solo[idx], self._sens[idx], self._intensity[idx]
-                )
-            blocks.append(block)
-            for si in members:
-                slots.append((si, row, size))
-                row += size
-        X = blocks[0] if len(blocks) == 1 else np.vstack(blocks)
-        return X, slots
+        ids, sizes, real = self._members([specs[si] for si in where])
+        starts = np.cumsum(sizes) - sizes
+        slots = list(zip(where, starts.tolist(), sizes.tolist()))
+        return self._featurize(ids, sizes, *np.nonzero(real), qos), slots
 
     def predict_degradations(self, spec: ColocationSpec) -> np.ndarray:
         """RM degradation ratio per entry of the colocation."""
@@ -193,9 +226,20 @@ class InterferencePredictor:
     # Batched prediction: evaluate many candidate colocations with one
     # model invocation per attached model.  Outputs are bitwise identical
     # to the equivalent sequence of single-spec calls (standardization and
-    # tree evaluation are row-independent, and the grouped matrix builders
-    # of :mod:`repro.core.features` reproduce the per-row builders
+    # tree evaluation are row-independent, and the row builder of
+    # :mod:`repro.core.features` reproduces the per-row builders
     # bitwise); only the number of model invocations changes.
+
+    def _per_entry(self, model: str, specs, qos: float | None, out: list) -> list:
+        """Put ``model``'s prediction per entry of each size->=2 spec in ``out``."""
+        X, slots = self._stage(
+            "featurize", model, self._grouped_matrix, specs, qos, specs=len(specs)
+        )
+        if X is not None:
+            predictions = self._evaluate(model, X)
+            for si, row, size in slots:
+                out[si] = predictions[row : row + size]
+        return out
 
     def predict_degradations_batch(
         self, specs: Sequence[ColocationSpec]
@@ -203,19 +247,8 @@ class InterferencePredictor:
         """RM degradation ratios for each spec, one model invocation total."""
         if self.regressor is None:
             raise RuntimeError("no regression model attached")
-        out: list[np.ndarray] = [np.ones(spec.size, dtype=float) for spec in specs]
-        start = time.perf_counter()
-        with self.tracer.span("featurize", model="rm", specs=len(specs)):
-            X, slots = self._grouped_matrix(specs, None)
-        self._observe_stage("featurize", "rm", time.perf_counter() - start)
-        if X is not None:
-            start = time.perf_counter()
-            with self.tracer.span("model_eval", model="rm", rows=X.shape[0]):
-                predictions = self.regressor.predict_from_features(X)
-            self._observe_stage("model_eval", "rm", time.perf_counter() - start)
-            for si, row, size in slots:
-                out[si] = predictions[row : row + size]
-        return out
+        alone = [np.ones(spec.size, dtype=float) for spec in specs]
+        return self._per_entry("rm", specs, None, alone)
 
     def predict_fps_batch(self, specs: Sequence[ColocationSpec]) -> list[np.ndarray]:
         """Predicted colocated FPS per entry for each spec (batched RM)."""
@@ -228,39 +261,67 @@ class InterferencePredictor:
         """CM verdict per entry for each spec, one model invocation total."""
         if self.classifier is None:
             raise RuntimeError("no classification model attached")
-        out: list[np.ndarray] = []
-        start = time.perf_counter()
-        with self.tracer.span("featurize", model="cm", specs=len(specs)):
-            for spec in specs:
-                # A game running alone is feasible iff its solo FPS meets
-                # QoS; colocations are filled in from ``slots`` below.
-                out.append(self._solo_fps(spec) >= qos if spec.size < 2 else None)
-            X, slots = self._grouped_matrix(specs, qos)
-        self._observe_stage("featurize", "cm", time.perf_counter() - start)
-        if X is not None:
-            start = time.perf_counter()
-            with self.tracer.span("model_eval", model="cm", rows=X.shape[0]):
-                verdicts = self.classifier.predict_from_features(X)
-            self._observe_stage("model_eval", "cm", time.perf_counter() - start)
-            for si, row, size in slots:
-                out[si] = verdicts[row : row + size].astype(bool)
-        return out
+        # A game running alone is feasible iff its solo FPS meets QoS.
+        alone = [self._solo_fps(s) >= qos if s.size < 2 else None for s in specs]
+        return [v.astype(bool) for v in self._per_entry("cm", specs, qos, alone)]
+
+    def _pivot_rows(self, specs: Sequence[ColocationSpec], qos: float):
+        """Stage 1 of :meth:`colocations_feasible`: the solo specs' answers,
+        the pivot row ``X[r]`` = member ``member[r]`` of each other spec
+        ``spec[r]``, and the builder of stage 2 over the same layout."""
+        ids, sizes, real = self._members(specs)
+        solo = np.where(real, self._solo[ids], np.inf)
+        spec = np.flatnonzero(sizes >= 2)
+        member = solo.argmin(axis=1)[spec]  # lowest solo FPS, first on ties
+
+        def rest(spec, member):
+            """Rows of all members of ``spec[r]`` but ``member[r]``, and their ``r``."""
+            others = real[spec]
+            others[np.arange(spec.size), member] = False
+            of, member = np.nonzero(others)
+            return self._featurize(ids, sizes, spec[of], member, qos), of
+
+        X = self._featurize(ids, sizes, spec, member, qos) if spec.size else None
+        return X, solo[:, 0] >= qos, spec, member, rest
 
     def colocations_feasible(
         self, specs: Sequence[ColocationSpec], qos: float
     ) -> np.ndarray:
-        """Whole-colocation CM verdict for each spec (batched)."""
-        return np.asarray(
-            [bool(np.all(v)) for v in self.predict_feasible_batch(specs, qos)],
-            dtype=bool,
-        )
+        """Whole-colocation CM verdict for each spec, pivot first.
+
+        Equals ``[all(v) for v in predict_feasible_batch(specs, qos)]``
+        for any model, in at most two model invocations: stage 1 judges
+        one row per size->=2 spec — its *pivot*, the member with the
+        lowest solo FPS (first on ties), the likeliest to fail — and
+        stage 2 the other members of the specs whose pivot passed.
+        """
+        if self.classifier is None:
+            raise RuntimeError("no classification model attached")
+        if not len(specs):
+            return np.zeros(0, dtype=bool)
+        start = time.perf_counter()
+        with self.tracer.span("predict_batch", specs=len(specs)):
+            X, out, spec, member, rest = self._stage(
+                "featurize", "cm", self._pivot_rows, specs, qos, specs=len(specs)
+            )
+            if X is not None:
+                passed = self._evaluate("cm", X) != 0
+                out[spec] = passed
+                spec, member = spec[passed], member[passed]
+                if spec.size:  # some pivot passed: judge the rest of those specs
+                    X, of = self._stage(
+                        "featurize", "cm", rest, spec, member, specs=spec.size
+                    )
+                    failed = self._evaluate("cm", X) == 0
+                    out[spec[of[failed]]] = False  # any failing member sinks its spec
+        if self.telemetry is not None:
+            self.telemetry.histogram("predict_batch_s").observe(
+                time.perf_counter() - start
+            )
+        return out
 
     def predict_batch(
-        self,
-        specs: Sequence[ColocationSpec],
-        qos: float | None = None,
-        *,
-        models: Sequence[str] | None = None,
+        self, specs: Sequence[ColocationSpec], qos: float | None = None
     ) -> list[dict]:
         """Evaluate the attached models over ``specs`` in batched form.
 
@@ -270,36 +331,20 @@ class InterferencePredictor:
         the corresponding single-spec calls exactly, but the whole batch
         costs one model invocation per attached model.
 
-        ``models`` restricts evaluation to a subset of ``("rm", "cm")``;
-        the default runs every attached model.  Single-model callers (the
-        CM admission policy scans a whole candidate pool per arrival)
-        use it to skip work whose outputs they would discard.
-
         When instrumented (:meth:`instrument`), the whole call is timed
         into ``predict_batch_s`` and the featurize/model-eval stages into
         ``predict_featurize_s`` / ``predict_model_eval_s``, giving the
         per-decision latency attribution the serving layer reports.
         """
-        unknown = set(models or ()) - {"rm", "cm"}
-        if unknown:
-            raise ValueError(
-                f"models must be drawn from ('rm', 'cm'), got {sorted(unknown)}"
-            )
         start = time.perf_counter()
-        run_rm = self.regressor is not None and (models is None or "rm" in models)
-        run_cm = (
-            self.classifier is not None
-            and qos is not None
-            and (models is None or "cm" in models)
-        )
         with self.tracer.span("predict_batch", specs=len(specs)):
             results: list[dict] = [{} for _ in specs]
-            if run_rm:
+            if self.regressor is not None:
                 degradations = self.predict_degradations_batch(specs)
                 for spec, result, deg in zip(specs, results, degradations):
                     result["degradations"] = deg
                     result["fps"] = deg * self._solo_fps(spec)
-            if run_cm:
+            if self.classifier is not None and qos is not None:
                 for result, verdicts in zip(
                     results, self.predict_feasible_batch(specs, qos)
                 ):

@@ -38,14 +38,12 @@ def _stage_sum(terms: np.ndarray) -> np.ndarray:
     ``np.add.reduce`` over the outer axis of a C-contiguous array
     accumulates sequentially — except when the trailing axes have size
     1, where numpy merges them into one contiguous vector and switches
-    to pairwise summation.  Accumulate that (single-row) case explicitly
-    so the result always matches a per-stage ``+=`` loop bitwise.
+    to pairwise summation.  That (single-row) case takes the last prefix
+    sum instead — ``accumulate`` is sequential by definition — so the
+    result always matches a per-stage ``+=`` loop bitwise.
     """
     if terms[0].size == 1:
-        out = terms[0].copy()
-        for row in terms[1:]:
-            out += row
-        return out
+        return np.add.accumulate(terms, axis=0)[-1]
     return np.add.reduce(terms, axis=0)
 
 

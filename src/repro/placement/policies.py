@@ -154,12 +154,12 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
     The one canonical implementation behind both the offline simulator
     and the serving broker's ``cm-feasible`` policy: whole-colocation CM
     verdicts resolve through the LRU cache and all uncached candidates
-    are scored with a single ``predict_batch`` call (CM only — the RM is
-    skipped).  ``margin`` scales the
-    floor the CM is queried with: a value of 1.1 demands 10% headroom
-    above the player-facing QoS, trading some consolidation for fewer
-    violations when the CM's boundary is noisy — the knob the Section 7
-    discussion implies for production deployments.
+    are judged by a single ``colocations_feasible`` call, which stops
+    paying for a candidate at its first infeasible member.  ``margin``
+    scales the floor the CM is queried with: a value of 1.1 demands 10%
+    headroom above the player-facing QoS, trading some consolidation for
+    fewer violations when the CM's boundary is noisy — the knob the
+    Section 7 discussion implies for production deployments.
     """
 
     name = "cm-feasible"
@@ -179,12 +179,10 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
         self.margin = float(margin)
 
     def _query(self, specs: list[ColocationSpec]) -> list[bool]:
-        # One call scores every miss; models=("cm",) skips the RM, whose
-        # output this policy would discard.
-        results = self.predictor.predict_batch(
-            specs, qos=self.qos * self.margin, models=("cm",)
-        )
-        return [bool(np.all(result["feasible"])) for result in results]
+        # One call judges every miss.  A fault proxy may answer with a list
+        # (corrupted) or an older batch's array (stale): assume no ndarray.
+        answers = self.predictor.colocations_feasible(specs, self.qos * self.margin)
+        return [bool(verdict) for verdict in answers]
 
     def select(self, signatures: list[Signature], session) -> int | None:
         """Fullest server the CM predicts stays feasible; ``None`` otherwise."""

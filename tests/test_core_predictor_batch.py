@@ -188,7 +188,7 @@ class TestEntryTable:
             for name in minilab.names[:4]
             for res in (REFERENCE_RESOLUTION, Resolution(1600, 900))
         ]
-        spec_of = st.lists(st.sampled_from(entries), min_size=2, max_size=4).map(
+        spec_of = st.lists(st.sampled_from(entries), min_size=2, max_size=5).map(
             lambda chosen: ColocationSpec(tuple(chosen))
         )
         specs = data.draw(st.lists(spec_of, min_size=1, max_size=8))
@@ -230,7 +230,7 @@ class TestEntryTable:
         )
         for call in (
             lambda: predictor.predict_fps_batch([spec]),
-            lambda: predictor.predict_batch([spec], qos=60.0, models=("cm",)),
+            lambda: predictor.colocations_feasible([spec], 60.0),
         ):
             with pytest.raises(MissingProfileError) as excinfo:
                 call()
@@ -259,19 +259,122 @@ class TestEntryTable:
             }
 
         predictor._grouped_matrix(specs[:100], 60.0)
+        predictor.colocations_feasible(specs[:100], 60.0)
         early = lengths()
         for start in range(100, 5000, 100):
             predictor._grouped_matrix(specs[start : start + 100], 60.0)
+            predictor.colocations_feasible(specs[start : start + 100], 60.0)
         assert lengths() == early
         assert len(predictor._rows) == 6
         assert predictor._intensity.shape[0] == predictor._sens.shape[0] == 6
         assert predictor._solo.shape == (6,)
 
 
-class TestModelsArgument:
-    def test_unknown_model_name_is_rejected_up_front(self, minilab):
-        spec = ColocationSpec(((minilab.names[0], REFERENCE_RESOLUTION),))
-        with pytest.raises(ValueError, match=r"\('rm', 'cm'\).*'CM'"):
-            minilab.predictor.predict_batch([spec], qos=60.0, models=("CM",))
-        (result,) = minilab.predictor.predict_batch([spec], qos=60.0, models=("cm",))
-        assert set(result) == {"feasible"}
+class RowModel:
+    """A CM stand-in answering each row by itself, recording rows per call."""
+
+    def __init__(self, verdict):
+        self.verdict = verdict
+        self.rows = []
+
+    def predict_from_features(self, X):
+        self.rows.append(X.shape[0])
+        return self.verdict(X).astype(int)
+
+
+def _parity(X):
+    """Pass/fail from the row's own bytes: uncorrelated with who the pivot is."""
+    octets = np.frombuffer(np.ascontiguousarray(X).tobytes(), dtype=np.uint8)
+    return octets.reshape(X.shape[0], -1).sum(axis=1) % 3 != 0
+
+
+def _judge_entries(minilab):
+    """Two titles at two resolutions each plus two more: duplicates within a
+    spec tie on solo FPS, and the pivot is often not the first member."""
+    return [
+        (name, res)
+        for name in minilab.names[:2]
+        for res in (REFERENCE_RESOLUTION, Resolution(1280, 720))
+    ] + [(name, REFERENCE_RESOLUTION) for name in minilab.names[2:4]]
+
+
+class TestStagedJudge:
+    """``colocations_feasible`` is ``all(per-member verdicts)``, pivot first."""
+
+    @pytest.mark.parametrize("model", ["trained", "parity"])
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_equals_all_of_per_member_verdicts(self, minilab, model, data):
+        classifier = minilab.cm_model if model == "trained" else RowModel(_parity)
+        predictor = InterferencePredictor(minilab.db, classifier=classifier)
+        spec_of = st.lists(
+            st.sampled_from(_judge_entries(minilab)), min_size=1, max_size=5
+        ).map(lambda chosen: ColocationSpec(tuple(chosen)))
+        specs = data.draw(st.lists(spec_of, min_size=1, max_size=8))
+        qos = data.draw(st.sampled_from([30.0, 60.0, 90.0]))
+        whole = predictor.colocations_feasible(specs, qos)
+        assert whole.dtype == bool and whole.shape == (len(specs),)
+        members = predictor.predict_feasible_batch(specs, qos)
+        expected = [bool(np.all(verdicts)) for verdicts in members]
+        assert whole.tolist() == expected
+        # Batch order and batch company change nothing, down to a batch of
+        # one (whose second stage is often a single row).
+        order = data.draw(st.permutations(range(len(specs))))
+        shuffled = predictor.colocations_feasible([specs[i] for i in order], qos)
+        assert shuffled.tolist() == [expected[i] for i in order]
+        alone = [bool(predictor.colocations_feasible([spec], qos)[0]) for spec in specs]
+        assert alone == expected
+
+    def test_pivot_first_invocations_and_rows(self, minilab):
+        entries = _judge_entries(minilab)
+        specs = [
+            ColocationSpec(combo)
+            for size in (1, 2, 3, 4)
+            for combo in itertools.islice(itertools.combinations(entries, size), 5)
+        ]
+        lowest = [
+            min(minilab.db.get(name).solo_fps_at(res) for name, res in spec.entries)
+            for spec in specs
+        ]
+        multi = [spec.size >= 2 for spec in specs]
+        cut = float(np.median([fps for fps, many in zip(lowest, multi) if many]))
+        for floor, stages in ((np.inf, 1), (cut, 2), (-np.inf, 2)):
+            # Every member passes iff its solo FPS (CM column 1) reaches
+            # the floor, so a spec survives stage 1 iff its pivot does.
+            model = RowModel(lambda X, floor=floor: X[:, 1] >= floor)
+            predictor = InterferencePredictor(minilab.db, classifier=model)
+            verdicts = predictor.colocations_feasible(specs, 1.0)
+            survivors = [
+                spec for spec, fps, many in zip(specs, lowest, multi)
+                if many and fps >= floor
+            ]
+            if floor == cut:
+                assert 0 < len(survivors) < sum(multi)
+            assert len(model.rows) == stages
+            assert sum(model.rows) == sum(multi) + sum(s.size - 1 for s in survivors)
+            assert verdicts.tolist() == [
+                fps >= floor if many else True for fps, many in zip(lowest, multi)
+            ]
+        # An all-solo batch answers from the entry table alone.
+        model = RowModel(lambda X: np.ones(X.shape[0]))
+        predictor = InterferencePredictor(minilab.db, classifier=model)
+        solos = [spec for spec in specs if spec.size == 1]
+        assert predictor.colocations_feasible(solos, 1.0).all()
+        assert model.rows == []
+
+    def test_error_paths(self, minilab):
+        first, second = minilab.names[:2]
+        pair = ColocationSpec(
+            ((first, REFERENCE_RESOLUTION), (second, REFERENCE_RESOLUTION))
+        )
+        rm_only = InterferencePredictor(minilab.db, regressor=minilab.rm_model)
+        with pytest.raises(RuntimeError, match="classification"):
+            rm_only.colocations_feasible([pair], 60.0)
+        predictor = _fresh(minilab)
+        assert predictor.colocations_feasible([], 60.0).shape == (0,)
+        predictor.colocations_feasible([pair], 60.0)
+        # A profile whose solo FPS is not positive cannot be asked for a
+        # required ratio: the feature builder's error, not a wrong verdict.
+        predictor._solo = np.where(np.arange(2) == 1, 0.0, predictor._solo)
+        with pytest.raises(ValueError, match="solo_fps must be positive, got 0.0"):
+            predictor.colocations_feasible([pair], 60.0)

@@ -173,6 +173,89 @@ class TestWrappers:
         assert wrapped.stats()["size"] == 1  # stats delegate to the real cache
 
 
+class _RecordingInjector(FaultInjector):
+    """Logs the kind of every draw it is asked for."""
+
+    def __init__(self, config):
+        super().__init__(config)
+        self.fired = []
+
+    def fire(self, kind):
+        self.fired.append(kind)
+        return super().fire(kind)
+
+
+class TestWholeColocationFaults:
+    """``cm-feasible`` puts one whole-colocation question per decision."""
+
+    def _case(self, minilab, config, injector=FaultInjector):
+        from repro.core import ColocationSpec
+        from repro.games.resolution import Resolution
+        from repro.placement.fleet import Session
+        from repro.placement.signature import signature_add
+
+        r = Resolution(1920, 1080)
+        names = minilab.names
+        pools = [[((name, r),) for name in names[i : i + 2]] for i in (0, 2)]
+        arrival = Session(names[4], r, arrival=0.0, duration=1.0)
+        truth = [
+            minilab.predictor.colocations_feasible(
+                [ColocationSpec(signature_add(sig, (names[4], r))) for sig in pool],
+                60.0,
+            ).tolist()
+            for pool in pools
+        ]
+        faults = injector(config)
+        policy = CMFeasiblePolicy(faults.wrap_predictor(minilab.predictor), 60.0)
+        return policy, faults, pools, arrival, truth
+
+    def test_corrupt_answer_is_a_lie_the_policy_acts_on(self, minilab):
+        # The corrupted ndarray arrives as a list with every verdict
+        # flipped: an in-range wrong choice, not an AttributeError booked
+        # as a policy error.
+        policy, _, (pool, _), arrival, (truth, _) = self._case(
+            minilab, FaultConfig(corrupt_rate=1.0)
+        )
+        honest = CMFeasiblePolicy(minilab.predictor, 60.0)
+        lie = [not verdict for verdict in truth]
+        choice = policy.select(pool, arrival)
+        assert choice == (lie.index(True) if any(lie) else None)
+        assert choice != honest.select(pool, arrival)
+        assert list(policy.cache._store.values()) == lie
+
+    def test_short_stale_replay_reaches_the_resolve_keyerror(self, minilab):
+        policy, _, (pool, other), arrival, (truth, _) = self._case(
+            minilab, FaultConfig(stale_rate=1.0)
+        )
+        policy.select(pool[:1], arrival)  # nothing stale yet: one fresh verdict
+        with pytest.raises(KeyError):
+            policy.select(other, arrival)  # two misses, one replayed answer
+        assert len(policy.cache) == 2
+
+    def test_one_error_draw_per_query(self, minilab):
+        policy, faults, pools, arrival, _ = self._case(
+            minilab, FaultConfig(error_rate=0.5, seed=3), _RecordingInjector
+        )
+        queries = raised = 0
+        inner = policy._query
+
+        def counted(specs):
+            nonlocal queries
+            queries += 1
+            return inner(specs)
+
+        policy._query = counted
+        for _ in range(12):
+            for pool in pools:
+                try:
+                    policy.select(pool, arrival)
+                except InjectedFault:
+                    raised += 1
+                policy.cache.clear()
+        assert queries == 24 and 0 < raised < 24
+        assert faults.fired.count("error") == queries
+
+
 class TestDegradedModes:
     def test_trip_degrade_recover(self):
         config = BreakerConfig(

@@ -20,6 +20,7 @@ from repro.core.features import (
     aggregate_intensity_matrix,
     cm_feature_matrix,
     cm_feature_vector,
+    feature_rows,
     rm_feature_matrix,
     rm_feature_vector,
 )
@@ -117,6 +118,38 @@ class TestBatchFeatureParity:
                 row = cm_feature_vector(qos, float(solo[gi, i]), sens[gi, i], co)
                 assert np.array_equal(X[gi * n + i], row)
 
+    @given(st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_padded_rows_match_scalar_rows_bitwise(self, data):
+        # The row builder under the matrix builders above, fed what the
+        # predictor feeds it: every member of colocations of *mixed* sizes
+        # 2-5 in one call, co-runners in ascending member order, padded to
+        # the widest with values it must ignore.  Bytes, not ``==``: a
+        # co-runner sum of -0.0 has to stay -0.0.
+        sizes = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
+        d = data.draw(st.integers(1, 4))
+        qos = data.draw(positive)
+        k = max(sizes) - 1
+        junk = data.draw(finite)
+        zeros = st.sampled_from([0.0, -0.0])
+        sens, solo, co, counts, cm_rows, rm_rows = [], [], [], [], [], []
+        for n in sizes:
+            elements = data.draw(st.sampled_from([finite, zeros]))
+            stack = _array(data, (n, NUM_RESOURCES), elements)
+            for i in range(n):
+                others = [stack[j] for j in range(n) if j != i]
+                sens.append(_array(data, (d,)))
+                solo.append(data.draw(positive))
+                co.append(others + [np.full(NUM_RESOURCES, junk)] * (k - len(others)))
+                counts.append(n - 1)
+                cm_rows.append(cm_feature_vector(qos, solo[-1], sens[-1], others))
+                rm_rows.append(rm_feature_vector(sens[-1], others))
+        inputs = (np.asarray(sens), np.asarray(co), np.asarray(counts))
+        built = (feature_rows(*inputs, qos, solo), feature_rows(*inputs))
+        for X, rows in zip(built, (cm_rows, rm_rows)):
+            assert X.shape == (sum(sizes), len(rows[0]))
+            assert X.tobytes() == np.asarray(rows).tobytes()
+
 
 def _fit_models():
     rng = np.random.default_rng(7)
@@ -171,6 +204,9 @@ class TestPackedEnsembleParity:
             for t in model.estimators_:
                 expected += model.learning_rate * t.predict(X)
             assert np.array_equal(getattr(model, raw_of)(X), expected)
+            # One row on every run: the fold's single-row branch (a lone
+            # surviving pair is a one-row batch) has a summation of its own.
+            assert np.array_equal(getattr(model, raw_of)(X[:1]), expected[:1])
 
 
 # After the fixed-trip kernel a single tree's ``predict`` *is* a pack of
@@ -291,6 +327,9 @@ class TestFixedTripKernel:
         for v in per_tree:
             boosted += 0.1 * v[:, 0]
         assert np.array_equal(pack.boosted_predict(X, 0.25, 0.1), boosted)
+        # One row on every run (see test_boosting_matches_stage_loop).
+        assert np.array_equal(pack.sum_values(X[:1]), total[:1])
+        assert np.array_equal(pack.boosted_predict(X[:1], 0.25, 0.1), boosted[:1])
 
     def test_all_stump_pack_has_depth_zero_and_reads_no_column(self):
         stump = _tree([-1], [np.nan], [-1], [-1], [[3.0]])
@@ -375,12 +414,8 @@ def _score(entries) -> int:
 class _FakePredictor:
     """Deterministic CM/RM answers that are a function of the multiset only."""
 
-    def predict_batch(self, specs, qos, models):
-        assert models == ("cm",)
-        return [
-            {"feasible": np.array([(_score(s.entries) + int(qos)) % 3 != 0])}
-            for s in specs
-        ]
+    def colocations_feasible(self, specs, qos):
+        return np.array([(_score(s.entries) + int(qos)) % 3 != 0 for s in specs])
 
     def predict_fps_batch(self, specs):
         return [
@@ -449,8 +484,7 @@ def _linear_verdicts(policy, signatures):
     floor = policy.qos * policy.margin
 
     def query(specs):
-        out = policy.predictor.predict_batch(specs, qos=floor, models=("cm",))
-        return [bool(np.all(r["feasible"])) for r in out]
+        return [bool(v) for v in policy.predictor.colocations_feasible(specs, floor)]
 
     return _linear_resolve(policy.cache, signatures, floor, query, policy)
 
