@@ -304,6 +304,7 @@ def _cmd_serve(args) -> int:
             slo_fps=slo_fps,
             qos_budget=qos_budget,
             degrade_ladder=ladder,
+            restore_interval=restore_interval,
         ),
         tracers=shard_tracers,
         catalog=build_catalog(args.seed) if slo_fps is not None else None,
@@ -311,9 +312,6 @@ def _cmd_serve(args) -> int:
     supervisor = None
     if args.shards is None:
         (broker,) = brokers
-        # The timer-driven restore clock; the sharded tier restores at
-        # its chunk barriers instead.
-        broker.restore_interval = restore_interval
         report = broker.run(sessions)
         if tracing:
             exports = [(args.trace_out, shard_tracers[0])]
@@ -678,8 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="with --degrade-ladder: re-promote degraded sessions every N "
-        "arrivals when freed capacity allows (default 256; sharded runs "
-        "restore at chunk barriers instead)",
+        "arrivals when freed capacity allows (default 256; with --shards, "
+        "every N of each shard's arrivals)",
     )
     p.add_argument("--out", help="write the JSON report here instead of stdout")
     p.add_argument(

@@ -220,7 +220,7 @@ class QoSLedger:
         now = self._now
         members = self._servers.setdefault(server_id, {})
         self._accrue(server_id, members.values(), now)
-        degraded = bool(getattr(session, "degraded", False))
+        degraded = session.degraded
         record = _OpenRecord(
             member_id=member_id,
             server_id=server_id,
@@ -296,7 +296,7 @@ class QoSLedger:
         self._accrue(server_id, members.values(), now)
         record = members[member_id]
         old_resolution = str(record.session.resolution)
-        degraded = bool(getattr(new, "degraded", False))
+        degraded = new.degraded
         record.session = new
         record.entry = self._entry(new)
         record.degraded = degraded

@@ -27,7 +27,6 @@ from repro.placement.assignment import (
 from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.cache import PredictionCache
 from repro.placement.engine import (
-    Actuator,
     AdmissionDecision,
     DecisionEngine,
     Mode,
@@ -57,7 +56,6 @@ from repro.placement.signature import (
 )
 
 __all__ = [
-    "Actuator",
     "AdmissionDecision",
     "AdmissionPolicy",
     "AssignmentResult",

@@ -65,9 +65,9 @@ The quality lever is reversible.  :meth:`DecisionEngine.restore` walks
 the fleet's degraded sessions (oldest first) and re-promotes each to the
 best resolution — its original request, or an intermediate ladder rung —
 that the first policy actuator still deems feasible for the session's
-current server group.  Frontends call it on departure-freed capacity:
-the serving broker every ``restore_interval`` arrivals, the sharded tier
-at its chunk/rebalance barriers.
+current server group.  One frontend calls it, on departure-freed
+capacity: the serving broker, every ``restore_interval`` of its own
+arrivals — sharded or not.
 """
 
 from __future__ import annotations
@@ -76,9 +76,8 @@ import operator
 import time
 from dataclasses import dataclass
 from enum import Enum
-from typing import Protocol, runtime_checkable
 
-from repro.games.resolution import DegradeLadder, Resolution
+from repro.games.resolution import DegradeLadder
 from repro.obs.metrics import Telemetry
 from repro.obs.tracing import NOOP_TRACER, Tracer
 from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
@@ -91,7 +90,6 @@ __all__ = [
     "PlacementOutcome",
     "DecisionEngine",
     "Mode",
-    "Actuator",
     "PolicyActuator",
     "ResolutionDownscaleActuator",
 ]
@@ -105,25 +103,6 @@ class Mode(Enum):
     CONSERVATIVE = "conservative"
 
 
-@runtime_checkable
-class Actuator(Protocol):
-    """One step of the admission pipeline.
-
-    ``kind`` declares which lever the step pulls: ``"policy"`` (degrade
-    placement — consult a policy, guarded by a breaker),
-    ``"transform"`` (degrade quality — rewrite the candidate session and
-    re-query), or ``"capacity"`` (add capacity — the implicit terminal
-    open-a-server step).  ``name`` labels spans, counters, and snapshot
-    entries.  The concrete actuators (:class:`PolicyActuator`,
-    :class:`ResolutionDownscaleActuator`) are driven by
-    :meth:`DecisionEngine.decide`, which owns ordering, timing, and the
-    absorb-vs-strict error contract.
-    """
-
-    name: str
-    kind: str
-
-
 class PolicyActuator:
     """A placement policy as a pipeline step, with its breaker and counters.
 
@@ -134,8 +113,6 @@ class PolicyActuator:
     raises or answers out of range (``policy_errors`` /
     ``fallback_errors``).
     """
-
-    kind = "policy"
 
     def __init__(
         self,
@@ -181,7 +158,6 @@ class ResolutionDownscaleActuator:
     """
 
     name = "resolution-downscale"
-    kind = "transform"
 
     def __init__(self, ladder: DegradeLadder):
         self.ladder = ladder
@@ -267,7 +243,7 @@ class PlacementOutcome:
     server_id: int
     policy: str
     fallback: bool
-    session: Session | None = None
+    session: Session
 
 
 class DecisionEngine:
@@ -341,15 +317,6 @@ class DecisionEngine:
             else None
         )
         self._instrument_members()
-
-    # -- pipeline views -------------------------------------------------
-
-    def actuators(self) -> list[Actuator]:
-        """The full pipeline in escalation order, downscale included."""
-        steps: list[Actuator] = list(self.pipeline)
-        if self.downscale is not None:
-            steps.append(self.downscale)
-        return steps
 
     def _instrument_members(self) -> None:
         # Flow the shared telemetry/tracer into the policies (and through

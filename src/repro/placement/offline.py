@@ -76,8 +76,6 @@ def simulate_sessions(
     config: MeasurementConfig | None = None,
     telemetry=None,
     ledger=None,
-    downscale_ladder=None,
-    restore_interval: int | None = None,
 ) -> DynamicMetrics:
     """Event-driven simulation of a placement policy over a session trace.
 
@@ -101,24 +99,14 @@ def simulate_sessions(
     ledger built with the same ``server``/``config``/target reproduces
     this function's violation-minutes accounting, which the qos test
     suite cross-checks.
-
-    ``downscale_ladder`` (a :class:`repro.games.DegradeLadder`) arms the
-    engine's resolution-downscale actuator — sessions the policy cannot
-    colocate at their requested resolution are retried at lower ladder
-    rungs before a new server opens; ``restore_interval`` (arrivals)
-    periodically re-promotes degraded sessions capacity now allows.
-    Both default to off, leaving the simulation byte-identical to the
-    pre-actuator driver.
     """
     member: AdmissionPolicy = (
         policy if callable(getattr(policy, "select", None))
         else OfflinePolicyAdapter(policy)
     )
-    if restore_interval is not None and restore_interval <= 0:
-        raise ValueError(f"restore_interval must be positive, got {restore_interval}")
     # The engine keeps its own private telemetry: the caller-visible
     # snapshot carries exactly the sim_* instruments documented above.
-    engine = DecisionEngine(member, strict=True, downscale_ladder=downscale_ladder)
+    engine = DecisionEngine(member, strict=True)
     fleet = FleetState(observer=ledger)
 
     sessions = sorted(sessions, key=lambda s: s.arrival)
@@ -148,19 +136,12 @@ def simulate_sessions(
                 violation_minutes += dt * sum(1 for f in fps if f < qos)
         last_time = until
 
-    for arrival_no, session in enumerate(sessions):
+    for session in sessions:
         round_start = _time.perf_counter()
         if ledger is not None:
             ledger.advance(session.arrival)
         fleet.pop_departures(session.arrival, before_each=accrue)
         accrue(session.arrival)
-        if (
-            restore_interval is not None
-            and arrival_no
-            and arrival_no % restore_interval == 0
-            and engine.can_restore
-        ):
-            engine.restore(fleet)
         if telemetry is not None:
             decision_start = _time.perf_counter()
             engine.admit(fleet, session)

@@ -161,11 +161,12 @@ class RequestBroker:
     accumulate) — the memory valve the million-session scale benchmarks
     need; everything per-arrival is then only in telemetry.
 
-    ``restore_interval`` (arrivals) periodically runs the controller's
-    restore loop, re-promoting downscale-degraded sessions that
-    departure-freed capacity now allows; ``None`` (the default) leaves
-    restoration to an external driver — the sharded tier promotes at its
-    chunk/rebalance barriers instead.
+    ``restore_interval`` (arrivals) runs the controller's restore loop
+    once per that many of this broker's own arrivals, re-promoting
+    downscale-degraded sessions that departure-freed capacity now allows;
+    ``None`` (the default) never restores.  It is the only restore clock:
+    a shard of the sharded tier counts its own arrivals exactly like an
+    unsharded broker.
     """
 
     def __init__(
@@ -250,7 +251,14 @@ class RequestBroker:
             and self._n_arrivals
             and self._n_arrivals % self.restore_interval == 0
         ):
-            self.restore_degraded(now=session.arrival, index=index)
+            promoted = self.controller.restore(self.fleet)
+            if promoted:
+                self.controller.telemetry.event(
+                    "restore",
+                    time=session.arrival,
+                    arrival_index=index,
+                    promoted=promoted,
+                )
         self._maybe_crash(session.arrival, index)
         record = self._admit(session, index, readmitted=False)
         self._n_arrivals += 1
@@ -278,7 +286,7 @@ class RequestBroker:
                 "readmissions": counters.get("readmissions", 0),
             }
         )
-        downscale = getattr(self.controller, "downscale", None)
+        downscale = self.controller.downscale
         if downscale is not None:
             # Extra key only when the actuator rode the run: degrade-
             # disabled reports stay byte-identical to previous releases.
@@ -298,30 +306,6 @@ class RequestBroker:
             n_arrivals=self._n_arrivals,
             qos=self.ledger.section(snapshot) if self.ledger is not None else {},
         )
-
-    # -- restore hook (timer-driven here, barrier-driven when sharded) --
-
-    def restore_degraded(self, *, now: float, index: int) -> int:
-        """Re-promote degraded sessions that freed capacity now allows.
-
-        Delegates to :meth:`repro.placement.DecisionEngine.restore`;
-        called every ``restore_interval`` arrivals when configured, and
-        by the sharded tier at its chunk/rebalance barriers.  A no-op
-        (touching no telemetry at all) when the controller has no
-        operable restore path or nothing is degraded.
-        """
-        if not getattr(self.controller, "can_restore", False):
-            return 0
-        if self.fleet.n_degraded == 0:
-            return 0
-        if self.ledger is not None:
-            self.ledger.advance(now)
-        promoted = self.controller.restore(self.fleet)
-        if promoted:
-            self.controller.telemetry.event(
-                "restore", time=now, arrival_index=index, promoted=promoted
-            )
-        return promoted
 
     # -- migration hooks (driven by repro.sharding.Rebalancer) ----------
 
@@ -399,8 +383,8 @@ class RequestBroker:
             outcome = self.controller.admit(self.fleet, session)
             self.controller.telemetry.gauge("open_servers").set(self.fleet.n_open)
             span.set(server_id=outcome.server_id, policy=outcome.policy)
-        placed = getattr(outcome, "session", None) or session
-        degraded = getattr(placed, "degraded", False)
+        placed = outcome.session
+        degraded = placed.degraded
         return PlacementRecord(
             index=index,
             game=session.game,

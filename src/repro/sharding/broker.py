@@ -31,7 +31,8 @@ telemetry, fault injector, prediction cache, policies, decision engine,
 QoS ledger, broker — for the CLI and the benchmarks alike.  An unsharded
 ``repro serve`` is shard 0 of a one-shard stack driven by
 :meth:`RequestBroker.run`, so ``--shards 1`` telemetry is byte-identical
-to it at the same seed, chaos runs included (the parity tests pin this).
+to it at the same seed, chaos and degrade runs included (the parity
+tests pin this).
 """
 
 from __future__ import annotations
@@ -94,6 +95,10 @@ class ShardConfig:
     #: Resolution ladder for the downscale actuator; ``None`` disables
     #: quality degradation entirely (byte-identical to pre-actuator runs).
     degrade_ladder: DegradeLadder | None = None
+    #: Re-promote degraded sessions every K of a shard's own arrivals
+    #: (:class:`~repro.serving.RequestBroker`'s restore clock); ``None``
+    #: never restores.
+    restore_interval: int | None = None
 
 
 def build_shard_brokers(
@@ -184,6 +189,7 @@ def build_shard_brokers(
                 crash_seed=derive_seed(config.seed, "shard", shard_id),
                 keep_records=config.keep_records,
                 ledger=ledger,
+                restore_interval=config.restore_interval,
             )
         )
     return brokers
@@ -324,12 +330,6 @@ class ShardedBroker:
         # Supervision only observably acts when the chaos schedule can
         # fire; gating here keeps zero-chaos runs byte-exact pass-throughs.
         self._supervising = supervisor is not None and supervisor.active
-        # Degraded-session promotion runs at chunk barriers only when at
-        # least one shard carries an operable restore path; gating keeps
-        # ladder-less runs byte-exact.
-        self._restoring = any(
-            getattr(b.controller, "can_restore", False) for b in self.brokers
-        )
         self.parallel = bool(parallel)
         if chunk_size is None:
             interval = rebalancer.config.interval if rebalancer is not None else 0
@@ -441,16 +441,6 @@ class ShardedBroker:
                             self.router.shard_ids if self._supervising else None
                         ),
                     )
-                # Restore after any migration settled: each shard
-                # re-promotes downscale-degraded sessions its freed (or
-                # rebalanced) capacity now supports.  Sessions migrated
-                # while degraded keep their state (the whole Session
-                # object travels), so the destination shard promotes them.
-                if self._restoring:
-                    for broker in self.brokers:
-                        broker.restore_degraded(
-                            now=chunk[-1].arrival, index=index - 1
-                        )
         finally:
             if pool is not None:
                 pool.shutdown(wait=True)

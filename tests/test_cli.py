@@ -394,34 +394,10 @@ class TestServeSharded:
         (shard,) = sharded["shards"]
         assert shard["placements"] == unsharded["placements"]
         assert shard["readmissions"] == unsharded["readmissions"]
-        if "--degrade-ladder" not in flags:
-            assert _strip_wall_clock(shard["telemetry"]) == _strip_wall_clock(
-                unsharded["telemetry"]
-            )
-            assert shard["resilience"] == unsharded["resilience"]
-            return
-        # The restore clock is the one designed difference: an arrival
-        # timer unsharded (256 > this trace, so it never fires), the chunk
-        # barrier sharded (here once, after the last arrival).  Every
-        # admission is shared; only that final restore's footprint — its
-        # queries, promotions and ledger re-measurements — is not.
-        assert unsharded["resilience"]["downscale"].pop("restore_interval") == 256
-        assert shard["resilience"]["downscale"].pop("restore_interval") is None
+        assert _strip_wall_clock(shard["telemetry"]) == _strip_wall_clock(
+            unsharded["telemetry"]
+        )
         assert shard["resilience"] == unsharded["resilience"]
-        restore_footprint = {"restore_queries", "qos_measurements", "qos_predictions"}
-        for report in (shard, unsharded):
-            counters = report["telemetry"]["counters"]
-            for name in restore_footprint:
-                counters.pop(name, None)
-        assert shard["telemetry"]["counters"] == unsharded["telemetry"]["counters"]
-        labeled = [
-            {
-                name: report["telemetry"]["labeled"]["counters"][name]
-                for name in ("decisions", "downscale_queries", "downscales")
-            }
-            for report in (shard, unsharded)
-        ]
-        assert labeled[0] == labeled[1]
 
     def test_sharded_run_with_rebalancing(self, predictor_path, capsys):
         rc = main(

@@ -5,7 +5,6 @@ import pytest
 
 from repro.games.resolution import DegradeLadder, Resolution
 from repro.placement.engine import (
-    Actuator,
     DecisionEngine,
     PolicyActuator,
     ResolutionDownscaleActuator,
@@ -53,28 +52,24 @@ def session(game="g", resolution=R1080, arrival=0.0, duration=10.0, **kw):
 
 
 class TestPipelineStructure:
-    def test_actuator_protocol(self):
-        engine = DecisionEngine(StubPolicy(lambda s, x: None))
-        for step in engine.actuators():
-            assert isinstance(step, Actuator)
-        assert isinstance(ResolutionDownscaleActuator(LADDER), Actuator)
-
     def test_default_chain_shape(self):
         engine = DecisionEngine(
             StubPolicy(lambda s, x: None), fallback=StubPolicy(lambda s, x: None)
         )
         assert len(engine.pipeline) == 2
-        assert [a.kind for a in engine.actuators()] == ["policy", "policy"]
+        assert all(isinstance(step, PolicyActuator) for step in engine.pipeline)
         assert not engine.pipeline[0].is_fallback
         assert engine.pipeline[1].is_fallback
+        assert engine.downscale is None
 
     def test_ladder_appends_transform_step(self):
         engine = DecisionEngine(
             StubPolicy(lambda s, x: None), downscale_ladder=LADDER
         )
-        kinds = [a.kind for a in engine.actuators()]
-        assert kinds == ["policy", "transform"]
-        assert engine.actuators()[-1].name == "resolution-downscale"
+        assert len(engine.pipeline) == 1
+        assert isinstance(engine.downscale, ResolutionDownscaleActuator)
+        assert engine.downscale.name == "resolution-downscale"
+        assert engine.downscale.ladder is LADDER
 
     def test_historical_accessors(self):
         primary = StubPolicy(lambda s, x: None)

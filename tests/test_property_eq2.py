@@ -14,7 +14,6 @@ Two layers are pinned across the whole synthetic catalog:
   extrapolating the line.
 """
 
-import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -23,7 +22,7 @@ from repro.core.profiles import GameProfile, SensitivityCurve
 from repro.games import build_catalog
 from repro.games.game import PIXEL_SCALED_RESOURCES
 from repro.games.resolution import REFERENCE_RESOLUTION, Resolution
-from repro.hardware.resources import CPU_RESOURCES, Resource, ResourceVector
+from repro.hardware.resources import CPU_RESOURCES, Resource
 
 CATALOG = build_catalog()
 GAMES = [CATALOG.get(name) for name in CATALOG.names()]

@@ -3,7 +3,7 @@
 Covers the refactor's byte-parity contract (the default pipeline vs the
 frozen pre-refactor engine under seeded chaos), the degraded placement
 surface of the broker report,
-restore at arrival intervals and sharded chunk barriers, and degraded
+restore on each broker's own arrival clock (sharded or not), and degraded
 sessions surviving crash/migration/failover with conservation intact.
 """
 
@@ -14,7 +14,12 @@ import pytest
 from repro.cli import main
 from repro.games import DegradeLadder
 from repro.obs import QoSLedger, Telemetry
-from repro.placement import BreakerConfig, CMFeasiblePolicy, PredictionCache
+from repro.placement import (
+    BreakerConfig,
+    CMFeasiblePolicy,
+    PlacementOutcome,
+    PredictionCache,
+)
 from repro.placement.policies import WorstFitPolicy
 from repro.serving import (
     DecisionEngine,
@@ -24,6 +29,7 @@ from repro.serving import (
     TraceConfig,
     generate_trace,
 )
+from tests import _reference_engine as frozen
 
 LADDER = DegradeLadder.from_str("1080p,900p,720p")
 
@@ -91,12 +97,31 @@ def build_controller(minilab, engine_cls, **kwargs):
     )
 
 
+class FrozenEngine(frozen.DecisionEngine):
+    """The frozen pre-pipeline engine behind the broker's engine interface.
+
+    The frozen copy predates the quality lever: it has no downscale
+    actuator, no restore path, and places sessions as submitted.
+    """
+
+    downscale = None
+    can_restore = False
+
+    def admit(self, fleet, session):
+        outcome = super().admit(fleet, session)
+        return PlacementOutcome(
+            choice=outcome.choice,
+            server_id=outcome.server_id,
+            policy=outcome.policy,
+            fallback=outcome.fallback,
+            session=session,
+        )
+
+
 class TestPreRefactorParity:
     """The pipeline's default chain IS the old engine, byte for byte."""
 
     def test_chaos_run_matches_frozen_engine(self, minilab):
-        from tests import _reference_engine as frozen
-
         trace = TraceConfig(
             n_requests=250, arrival_rate=6.0, mean_duration=20.0, seed=5
         )
@@ -109,12 +134,10 @@ class TestPreRefactorParity:
             return normalized(report.to_dict())
 
         new = serve(DecisionEngine)
-        old = serve(frozen.DecisionEngine)
+        old = serve(FrozenEngine)
         assert new == old
 
     def test_resilience_snapshot_keys_unchanged(self, minilab):
-        from tests import _reference_engine as frozen
-
         new = build_controller(minilab, DecisionEngine)
         old = build_controller(minilab, frozen.DecisionEngine)
         assert new.resilience_snapshot() == old.resilience_snapshot()
@@ -233,6 +256,20 @@ class TestDegradedSharded:
         assert qos.get("degraded", {}).get("sessions", 0) > 0, (
             "expected degraded sessions to survive migration/failover"
         )
+
+    def test_every_shard_restores_on_its_own_clock(self, minilab):
+        from repro.sharding import ShardConfig, ShardedBroker, build_shard_brokers
+
+        config = ShardConfig(qos=45.0, degrade_ladder=LADDER, restore_interval=20)
+        brokers = build_shard_brokers(minilab.predictor, 3, config)
+        trace = TraceConfig(
+            n_requests=300, arrival_rate=9.0, mean_duration=25.0, seed=9
+        )
+        sessions = generate_trace(minilab.predictor.db.names(), trace)
+        report = ShardedBroker(brokers).run(list(sessions))
+        for shard in report.shard_reports:
+            assert shard.resilience["downscale"]["restore_interval"] == 20
+        assert report.telemetry["counters"].get("restore_queries", 0) > 0
 
 
 class TestServeCliDegrade:

@@ -18,7 +18,7 @@ import json
 
 import pytest
 
-from repro.games.resolution import Resolution
+from repro.games.resolution import DegradeLadder, Resolution
 from repro.obs.metrics import Telemetry, snapshot_to_prometheus
 from repro.obs.snapshots import validate_prometheus
 from repro.placement.engine import DecisionEngine
@@ -73,6 +73,10 @@ class TestBuildShardBrokers:
         with pytest.raises(ValueError, match="tracers"):
             build_shard_brokers(predictor, 2, tracers=[Tracer(enabled=True)])
 
+    def test_restore_interval_validated(self, predictor):
+        with pytest.raises(ValueError, match="restore_interval"):
+            build_shard_brokers(predictor, 1, ShardConfig(restore_interval=0))
+
     def test_shards_are_isolated(self, predictor):
         brokers = build_shard_brokers(predictor, 3)
         telemetries = [b.controller.telemetry for b in brokers]
@@ -114,6 +118,35 @@ class TestShardsOneParity:
         assert shard_report.choices() == reference.choices()
         assert shard_report.server_ids() == reference.server_ids()
         assert sharded.peak_servers == reference.peak_servers
+
+    def test_degrade_restore_and_chaos_match_a_direct_run(
+        self, minilab, predictor, trace
+    ):
+        """A shard restores on its own arrival clock, exactly as unsharded."""
+        config = ShardConfig(
+            qos=45.0,
+            crash_rate=0.03,
+            seed=4,
+            slo_fps=45.0,
+            degrade_ladder=DegradeLadder.from_str("1080p,900p,720p"),
+            restore_interval=16,
+        )
+
+        def stack():
+            return build_shard_brokers(predictor, 1, config, catalog=minilab.catalog)
+
+        reference = stack()[0].run(trace)
+        sharded = ShardedBroker(stack(), chunk_size=64).run(trace)
+        (shard_report,) = sharded.shard_reports
+        assert reference.telemetry["counters"].get("restore_queries", 0) > 0
+        assert reference.telemetry["counters"].get("server_crashes", 0) > 0
+        assert _strip_wall_clock(shard_report.telemetry) == _strip_wall_clock(
+            reference.telemetry
+        )
+        assert shard_report.placements == reference.placements
+        assert shard_report.readmissions == reference.readmissions
+        assert shard_report.resilience == reference.resilience
+        assert shard_report.qos == reference.qos
 
     def test_merged_totals_match_the_single_shard(self, predictor, trace):
         sharded = ShardedBroker(
