@@ -8,6 +8,8 @@ servers (§8), and the design-choice ablations from DESIGN.md.
 
 import os
 
+import pytest
+
 from benchmarks.conftest import emit, run_once
 from repro.experiments import (
     ablations,
@@ -58,7 +60,9 @@ def test_ext_dynamic(lab, benchmark):
         <= 1.1 * metrics["VBP"].server_minutes
     )
     # Dedicated provisioning is the no-consolidation reference.
-    assert metrics["Dedicated"].utilization_gain == 0.0
+    # Server-minutes are summed per server interval, so they match the
+    # summed durations only to within rounding.
+    assert metrics["Dedicated"].utilization_gain == pytest.approx(0.0, abs=1e-9)
 
 
 def test_ext_completion(lab, benchmark):

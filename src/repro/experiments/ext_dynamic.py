@@ -12,13 +12,9 @@ from __future__ import annotations
 from repro.experiments.fig09_feasibility import select_games
 from repro.experiments.lab import Lab
 from repro.experiments.tables import format_table
-from repro.placement import (
-    CMFeasiblePolicy,
-    DedicatedPolicy,
-    VBPFirstFitPolicy,
-    simulate_sessions,
-)
-from repro.scheduling.dynamic import generate_sessions
+from repro.obs import QoSLedger
+from repro.placement import CMFeasiblePolicy, DedicatedPolicy, VBPFirstFitPolicy
+from repro.scheduling.dynamic import generate_sessions, simulate_sessions
 
 __all__ = ["run", "render"]
 
@@ -34,17 +30,18 @@ def run(lab: Lab, *, n_sessions: int = 800, qos: float = 60.0) -> dict:
         seed=lab.config.seed,
     )
     # Policy objects from the shared placement core, passed straight to
-    # the simulator (which dispatches them through its DecisionEngine).
+    # the simulator (a strict RequestBroker run over its DecisionEngine).
     policies = {
         "GAugur(CM)": CMFeasiblePolicy(lab.predictor, qos),
         "GAugur(CM) +10% margin": CMFeasiblePolicy(lab.predictor, qos, margin=1.1),
         "VBP": VBPFirstFitPolicy(lab.vbp),
         "Dedicated": DedicatedPolicy(),
     }
+    # One ledger scores every run: each run resets it, and the
+    # ground-truth measurements it memoizes are shared across policies.
+    ledger = QoSLedger(lab.catalog, lab.predictor, slo_fps=qos, server=lab.server)
     metrics = {
-        label: simulate_sessions(
-            lab.catalog, sessions, policy, qos=qos, server=lab.server
-        )
+        label: simulate_sessions(sessions, policy, ledger)
         for label, policy in policies.items()
     }
     return {"qos": qos, "n_sessions": n_sessions, "metrics": metrics}

@@ -12,8 +12,8 @@ that loop:
   observer hooks,
 * recomputes **ground-truth FPS** for every session in each affected
   colocation group with the simulator's interference model
-  (:func:`repro.simulator.measurement.run_colocations` — the same oracle
-  the offline simulator scores against) — not inside the hook, where no
+  (:func:`repro.simulator.measurement.run_colocations`; the ledger is
+  also the offline simulator's only scorer) — not inside the hook, where no
   decision would read it, but when the ledger itself first needs the
   value, together with every other composition waiting by then — and
 * fixes each session's **promise** at admission time: the FPS the
@@ -120,18 +120,17 @@ class QoSLedger:
     """Ground-truth FPS accounting over live fleet mutations.
 
     Attach one ledger per fleet: pass it as ``FleetState(observer=...)``
-    (the broker and the offline driver both wire this when given a
-    ledger) and drive its clock with :meth:`advance` before each batch
-    of mutations.  The ledger never mutates the fleet; it mirrors
-    membership from the observer callbacks.
+    (the broker wires this when given a ledger) and drive its clock with
+    :meth:`advance` before each batch of mutations.  The ledger never
+    mutates the fleet; it mirrors membership from the observer callbacks.
 
     ``slo_fps`` is the per-session FPS target; ``budget_fraction`` the
     tolerated fraction of a session's lifetime below it (the SLO error
     budget — 0.05 means 5% of the session may run degraded before the
-    budget burns).  Ground truth uses ``server``/``config`` exactly as
-    :func:`repro.placement.offline.simulate_sessions` does, so a ledger
-    riding the offline simulator reproduces its violation-minutes
-    accounting.
+    budget burns).  Ground truth is measured on ``server`` under
+    ``config``; the offline simulator
+    (:func:`repro.scheduling.dynamic.simulate_sessions`) takes its
+    violation-minutes from this ledger's ``slo`` section.
     """
 
     def __init__(

@@ -1,4 +1,4 @@
-"""The placement core shared by the offline simulator and the online broker.
+"""The placement core behind the online broker and the offline simulator.
 
 This package is the single implementation of "where does this session
 go": canonical signatures and cache keys (:mod:`.signature`), the fleet
@@ -9,10 +9,10 @@ pipeline — breaker-guarded policy steps, the resolution-downscale
 quality actuator, deadline budgets, degraded modes, tracing spans and
 telemetry — and applies decisions to the fleet.
 
-Two thin frontends drive it: the batch-clocked offline simulator
-(:mod:`.offline`, re-exported as
-:func:`repro.scheduling.dynamic.simulate_sessions`) and the event-loop
-online broker (:class:`repro.serving.RequestBroker`).  Layering is
+One frontend drives it: the event-loop broker
+(:class:`repro.serving.RequestBroker`); the offline simulator
+(:func:`repro.scheduling.dynamic.simulate_sessions`) is a strict broker
+run scored by the QoS ledger.  Layering is
 strict: ``repro.obs`` (tracing + metrics) sits below this package, and
 this package never imports ``repro.serving`` or ``repro.scheduling`` —
 both depend on it, not the other way around.
@@ -35,14 +35,12 @@ from repro.placement.engine import (
     ResolutionDownscaleActuator,
 )
 from repro.placement.fleet import FleetState, Session, degraded_to, promoted_to
-from repro.placement.offline import DynamicMetrics, simulate_sessions
 from repro.placement.policies import (
     POLICY_NAMES,
     AdmissionPolicy,
     CMFeasiblePolicy,
     DedicatedPolicy,
     MaxFPSPolicy,
-    OfflinePolicyAdapter,
     VBPFirstFitPolicy,
     WorstFitPolicy,
     build_policy,
@@ -65,11 +63,9 @@ __all__ = [
     "CMFeasiblePolicy",
     "DecisionEngine",
     "DedicatedPolicy",
-    "DynamicMetrics",
     "FleetState",
     "MaxFPSPolicy",
     "Mode",
-    "OfflinePolicyAdapter",
     "POLICY_NAMES",
     "PlacementOutcome",
     "PolicyActuator",
@@ -89,5 +85,4 @@ __all__ = [
     "promoted_to",
     "signature_add",
     "signature_of",
-    "simulate_sessions",
 ]

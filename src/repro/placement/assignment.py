@@ -22,7 +22,7 @@ from repro.core.training import ColocationSpec
 from repro.games.catalog import GameCatalog
 from repro.hardware.server import DEFAULT_SERVER, ServerSpec
 from repro.placement.signature import Signature, entry_of, signature_add
-from repro.simulator.measurement import MeasurementConfig, run_colocation
+from repro.simulator.measurement import MeasurementConfig, run_colocations
 
 if TYPE_CHECKING:
     from repro.scheduling.requests import GameRequest
@@ -166,15 +166,15 @@ def evaluate_assignment(
 ) -> np.ndarray:
     """Actual per-request FPS of a placement, measured on the simulator.
 
-    Identical signatures are measured once (deterministic measurements make
-    this exact, not an approximation).
+    Identical signatures are measured once, all in one batch (a batched
+    measurement equals measuring each colocation alone, so this is exact).
     """
-    fps_cache: dict[Signature, tuple[float, ...]] = {}
-    readings: list[float] = []
-    for sig in result.occupied():
-        if sig not in fps_cache:
-            spec = ColocationSpec(sig)
-            run = run_colocation(spec.instances(catalog), server=server, config=config)
-            fps_cache[sig] = run.fps
-        readings.extend(fps_cache[sig])
-    return np.asarray(readings, dtype=float)
+    occupied = result.occupied()
+    distinct = list(dict.fromkeys(occupied))
+    runs = run_colocations(
+        [ColocationSpec(sig).instances(catalog) for sig in distinct],
+        server=server,
+        config=config,
+    )
+    fps = {sig: run.fps for sig, run in zip(distinct, runs)}
+    return np.asarray([f for sig in occupied for f in fps[sig]], dtype=float)

@@ -1,8 +1,8 @@
 """The decision engine: an actuator pipeline between policies and the fleet.
 
-Both frontends — the offline batch-clocked simulator
-(:func:`repro.scheduling.dynamic.simulate_sessions`) and the online
-event-loop broker (:class:`repro.serving.RequestBroker`) — answer every
+The event-loop broker (:class:`repro.serving.RequestBroker`) — and so
+the offline simulator, a strict run of it
+(:func:`repro.scheduling.dynamic.simulate_sessions`) — answers every
 arrival through :class:`DecisionEngine`.  Since the actuator refactor the
 engine no longer hardwires a ``primary → fallback → dedicated`` chain:
 it walks an ordered pipeline of **actuators**, where each step is one

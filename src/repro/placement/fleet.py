@@ -1,4 +1,4 @@
-"""Fleet state: the server-pool bookkeeping both frontends share.
+"""Fleet state: the server-pool bookkeeping every broker drives.
 
 Before this core existed, the offline simulator
 (:func:`repro.scheduling.dynamic.simulate_sessions`) and the online
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import heapq
 from bisect import insort
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 from repro.games.resolution import Resolution
@@ -254,15 +253,10 @@ class FleetState:
             self.observer.fleet_placed(server_id, member[0], session)
         return server_id
 
-    def pop_departures(
-        self, until: float, *, before_each: Callable[[float], None] | None = None
-    ) -> int:
+    def pop_departures(self, until: float) -> int:
         """Retire every session departing at or before ``until``.
 
-        Servers that empty leave the pool.  ``before_each`` (if given) is
-        called with the departure time just before each member is
-        removed — the offline frontend uses it to accrue server-time and
-        QoS-violation time up to that instant.  Departure entries whose
+        Servers that empty leave the pool.  Departure entries whose
         server already vanished (crashed) are skipped silently: a
         crashed server's sessions were re-admitted under new entries.
         Returns the number of sessions actually retired.
@@ -273,8 +267,6 @@ class FleetState:
             members = self._servers.get(server_id)
             if members is None:
                 continue
-            if before_each is not None:
-                before_each(t)
             member_id, session = members.pop(0)
             if not members:
                 del self._servers[server_id]

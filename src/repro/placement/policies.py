@@ -18,7 +18,6 @@ with one batched predictor call.
 
 from __future__ import annotations
 
-from collections.abc import Callable
 from typing import Protocol
 
 import numpy as np
@@ -44,7 +43,6 @@ __all__ = [
     "WorstFitPolicy",
     "VBPFirstFitPolicy",
     "DedicatedPolicy",
-    "OfflinePolicyAdapter",
     "POLICY_NAMES",
     "build_policy",
 ]
@@ -300,23 +298,6 @@ class DedicatedPolicy:
     def select(self, _signatures: list[Signature], _session) -> int | None:
         """Always ``None``."""
         return None
-
-
-class OfflinePolicyAdapter:
-    """Serve an offline :data:`repro.scheduling.dynamic.Policy` callable.
-
-    Lets the broker replay any ``(signatures, session) -> index | None``
-    function from :mod:`repro.scheduling.dynamic` unchanged — the bridge
-    used by the offline/online parity tests.
-    """
-
-    def __init__(self, fn: Callable, name: str = "offline"):
-        self._fn = fn
-        self.name = name
-
-    def select(self, signatures: list[Signature], session) -> int | None:
-        """Delegate to the wrapped offline policy callable."""
-        return self._fn(signatures, session)
 
 
 def build_policy(

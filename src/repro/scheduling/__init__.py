@@ -23,7 +23,6 @@ from repro.scheduling.dynamic import (
     DynamicMetrics,
     Session,
     generate_sessions,
-    recording_policy,
     simulate_sessions,
 )
 from repro.scheduling.feasible import (
@@ -60,7 +59,6 @@ __all__ = [
     "generate_sessions",
     "simulate_sessions",
     "DynamicMetrics",
-    "recording_policy",
     "FleetSummary",
     "jain_fairness",
     "qos_satisfaction",

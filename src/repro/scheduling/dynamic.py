@@ -2,28 +2,27 @@
 
 The paper's predictor exists to serve an *online* dispatcher: requests
 arrive continuously, sessions end, and migration is off the table once a
-game is placed (Section 1, challenge 1).  This module is the offline
-frontend over the shared placement core (:mod:`repro.placement`): it
-generates Poisson arrival traces and exposes the batch-clocked simulator
-(:func:`repro.placement.offline.simulate_sessions`), which takes the
-canonical policy objects of :mod:`repro.placement.policies` directly.
-The online serving broker (:mod:`repro.serving`) drives the *same* core,
-so offline/online placement parity holds by construction.
+game is placed (Section 1, challenge 1).  This module generates Poisson
+arrival traces and scores a placement policy over one:
+:func:`simulate_sessions` is a strict :class:`repro.serving.RequestBroker`
+run over the shared placement core (:mod:`repro.placement`), so
+offline/online placement parity holds by construction.
 
 Metrics separate the two costs the paper trades off — server-hours
 (utilization) and QoS-violation session-time (experience).  Ground truth
-for violations comes from the simulator: every distinct server
-composition is measured once (memoized by signature).
+for violations comes from the :class:`repro.obs.qos.QoSLedger` riding the
+run, which measures every distinct server composition on the simulator.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable, Sequence
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 from repro.games.resolution import REFERENCE_RESOLUTION, Resolution
+from repro.placement.engine import DecisionEngine
 from repro.placement.fleet import Session
-from repro.placement.offline import DynamicMetrics, simulate_sessions
-from repro.placement.signature import Signature
+from repro.placement.policies import AdmissionPolicy
 from repro.utils.rng import spawn_rng
 
 __all__ = [
@@ -31,12 +30,7 @@ __all__ = [
     "generate_sessions",
     "DynamicMetrics",
     "simulate_sessions",
-    "recording_policy",
 ]
-
-#: Offline policy style: (current server signatures, session) -> server index
-#: or None to open a fresh server.  A "signature" is the sorted entry tuple.
-Policy = Callable[[list[Signature], Session], int | None]
 
 
 def generate_sessions(
@@ -71,20 +65,71 @@ def generate_sessions(
     return sessions
 
 
-def recording_policy(policy: Policy) -> tuple[Policy, list[int | None]]:
-    """Wrap ``policy``, logging every decision it makes.
+@dataclass
+class DynamicMetrics:
+    """Outcome of a dynamic simulation."""
 
-    Returns ``(wrapped, record)``: the wrapped policy behaves identically
-    while appending each returned server index (or ``None``) to
-    ``record``.  Used to compare placement trajectories between this
-    offline simulator and the online serving broker
-    (:mod:`repro.serving`), which drive the same placement core.
+    n_sessions: int
+    server_minutes: float
+    dedicated_server_minutes: float
+    peak_servers: int
+    violation_minutes: float
+    session_minutes: float
+    #: Total servers ever opened (stable ids; default 0 keeps older
+    #: call sites that construct metrics positionally working).
+    servers_opened: int = 0
+
+    @property
+    def utilization_gain(self) -> float:
+        """Server-time saved vs dedicated provisioning."""
+        if self.dedicated_server_minutes == 0:
+            return 0.0
+        return 1.0 - self.server_minutes / self.dedicated_server_minutes
+
+    @property
+    def violation_fraction(self) -> float:
+        """Fraction of total session-time spent below the QoS floor."""
+        return (
+            self.violation_minutes / self.session_minutes
+            if self.session_minutes
+            else 0.0
+        )
+
+
+def simulate_sessions(
+    sessions: Sequence[Session], policy: AdmissionPolicy, ledger
+) -> DynamicMetrics:
+    """Replay ``sessions`` through ``policy`` and score the outcome.
+
+    The run is a :class:`~repro.serving.RequestBroker` over a
+    ``strict=True`` engine — a broken policy crashes the experiment
+    instead of silently consolidating onto dedicated servers — with
+    ``ledger`` (a :class:`repro.obs.qos.QoSLedger`, whose ``slo_fps``,
+    ``server`` and ``config`` set the QoS floor and the ground truth) as
+    the only scorer: violation-minutes are its ``slo`` section's.
+
+    Server-minutes are each server's latest departure minus its earliest
+    arrival: a server id is never reused, so a server's occupancy is one
+    contiguous interval.
     """
-    record: list[int | None] = []
+    # Function-local: repro.serving's trace generator imports this module.
+    from repro.serving.broker import RequestBroker
 
-    def place(servers: list[Signature], session: Session) -> int | None:
-        choice = policy(servers, session)
-        record.append(choice)
-        return choice
-
-    return place, record
+    ordered = sorted(sessions, key=lambda s: s.arrival)
+    report = RequestBroker(DecisionEngine(policy, strict=True), ledger=ledger).run(
+        ordered
+    )
+    spans: dict[int, tuple[float, float]] = {}
+    for session, server_id in zip(ordered, report.server_ids()):
+        start, end = spans.get(server_id, (session.arrival, session.departure))
+        spans[server_id] = (start, max(end, session.departure))
+    session_minutes = sum(s.duration for s in ordered)
+    return DynamicMetrics(
+        n_sessions=report.n_sessions,
+        server_minutes=sum(end - start for start, end in spans.values()),
+        dedicated_server_minutes=session_minutes,
+        peak_servers=report.peak_servers,
+        violation_minutes=report.qos["slo"]["violation_minutes"],
+        session_minutes=session_minutes,
+        servers_opened=report.servers_opened,
+    )

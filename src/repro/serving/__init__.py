@@ -45,7 +45,6 @@ from repro.placement.policies import (
     CMFeasiblePolicy,
     DedicatedPolicy,
     MaxFPSPolicy,
-    OfflinePolicyAdapter,
     WorstFitPolicy,
     build_policy,
 )
@@ -85,7 +84,6 @@ __all__ = [
     "MaxFPSPolicy",
     "WorstFitPolicy",
     "DedicatedPolicy",
-    "OfflinePolicyAdapter",
     "build_policy",
     "POLICY_NAMES",
     "Counter",

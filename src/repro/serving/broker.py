@@ -8,21 +8,18 @@ GAugur's predictions on the hot path (paper Section 5, Algorithm 1's
 online setting).
 
 The pool bookkeeping is the shared
-:class:`repro.placement.FleetState` — the *same* implementation the
-offline simulator (:func:`repro.scheduling.dynamic.simulate_sessions`)
-advances, and every placement goes through
-:meth:`repro.placement.DecisionEngine.admit` — so a deterministic policy
-produces byte-identical placements here and there by construction; the
-parity tests pin this down.  What the broker adds is the serving-side
-machinery the offline simulator has no use for: telemetry, caches,
-fallback accounting, a JSON-able report instead of ground-truth QoS
-accounting — and failure realism.  With a nonzero ``crash_rate``,
+:class:`repro.placement.FleetState`, and every placement goes through
+:meth:`repro.placement.DecisionEngine.admit`.  The offline simulator
+(:func:`repro.scheduling.dynamic.simulate_sessions`) *is* a broker run —
+over a strict engine, scored by the QoS ledger — so offline and serving
+placements agree by construction.  Around the core the broker adds
+telemetry, caches, fallback accounting, a JSON-able report — and
+failure realism.  With a nonzero ``crash_rate``,
 servers crash at (seeded, deterministic) random before arrivals: a
 crashed server leaves the pool and its live sessions re-enter the
 admission queue for immediate re-placement, counted as
 ``server_crashes`` / ``sessions_evicted`` / ``readmissions``.  With
-``crash_rate`` zero the crash RNG is never consulted, preserving
-placement parity with the offline simulator.
+``crash_rate`` zero the crash RNG is never consulted.
 
 The broker runs in two modes.  :meth:`run` is the one-shot replay loop
 every existing caller uses.  Underneath it sits an incremental API —
@@ -433,11 +430,11 @@ class RequestBroker:
     def run(self, sessions: Sequence[Session]) -> ServingReport:
         """Replay ``sessions`` (sorted by arrival) through the controller.
 
-        Departures are applied before each arrival's decision, exactly as
-        in :func:`repro.scheduling.dynamic.simulate_sessions` (both drive
-        the same :class:`~repro.placement.fleet.FleetState`); emptied
-        servers leave the pool.  Crash events (if enabled) fire after the
-        departures and before the arrival's own decision, and every
+        Departures are applied to the
+        :class:`~repro.placement.fleet.FleetState` before each arrival's
+        decision; emptied servers leave the pool.  Crash events (if
+        enabled) fire after the departures and before the arrival's own
+        decision, and every
         evicted live session is re-admitted immediately, in admission
         order (oldest member first).  Returns the placement log plus a
         telemetry snapshot (with cache statistics folded in) and the

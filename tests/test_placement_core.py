@@ -12,8 +12,8 @@ import json
 import pytest
 
 from repro.games.resolution import Resolution
+from repro.obs import QoSLedger
 from repro.placement import (
-    CMFeasiblePolicy,
     DecisionEngine,
     DedicatedPolicy,
     FleetState,
@@ -25,10 +25,9 @@ from repro.placement import (
     entry_of,
     signature_add,
     signature_of,
-    simulate_sessions,
 )
 from repro.placement.signature import index_of
-from repro.scheduling.dynamic import generate_sessions
+from repro.scheduling.dynamic import generate_sessions, simulate_sessions
 from repro.serving import (
     BreakerConfig,
     FaultConfig,
@@ -89,10 +88,8 @@ class TestFleetState:
         fleet.place(None, _session("a", duration=5.0))
         fleet.place(0, _session("b", duration=15.0))
         fleet.place(None, _session("c", duration=8.0))
-        seen = []
-        removed = fleet.pop_departures(10.0, before_each=seen.append)
+        removed = fleet.pop_departures(10.0)
         assert removed == 2
-        assert seen == [5.0, 8.0]
         assert fleet.server_ids() == [0]
         assert fleet.members(0)[0].game == "b"
         assert fleet.pop_departures(20.0) == 1
@@ -297,31 +294,11 @@ class TestStrictEngine:
 
 
 class TestOfflineFrontend:
-    def test_policy_object_and_callable_agree(self, minilab):
-        sessions = generate_sessions(minilab.names[:4], 60, seed=11)
-        as_object = simulate_sessions(
-            minilab.catalog,
-            sessions,
-            CMFeasiblePolicy(minilab.predictor, 60.0),
-            server=minilab.server,
-        )
-        as_callable = simulate_sessions(
-            minilab.catalog,
-            sessions,
-            CMFeasiblePolicy(minilab.predictor, 60.0).select,
-            server=minilab.server,
-        )
-        assert as_object == as_callable
-
     def test_broken_policy_fails_loudly(self, minilab):
         sessions = generate_sessions(minilab.names[:2], 5, seed=12)
+        ledger = QoSLedger(minilab.catalog, minilab.predictor, slo_fps=60.0)
         with pytest.raises(RuntimeError, match="broken policy"):
-            simulate_sessions(
-                minilab.catalog,
-                sessions,
-                TestStrictEngine._Raises(),
-                server=minilab.server,
-            )
+            simulate_sessions(sessions, TestStrictEngine._Raises(), ledger)
 
 
 def _strip_wall_clock(snapshot: dict) -> dict:

@@ -1,8 +1,8 @@
 """Tests for the serving broker, admission controller, and policies.
 
-The load-bearing properties: serving-loop placements match the offline
-``scheduling.dynamic`` policies on the same seeded trace (decision
-parity), missing profiles degrade to counted fallbacks instead of
+The load-bearing properties: a cached serving policy places exactly like
+an uncached one on the same seeded trace (decision parity), missing
+profiles degrade to counted fallbacks instead of
 crashing, and the cache actually serves the hot path.
 """
 
@@ -12,17 +12,12 @@ import pytest
 
 from repro.core import InterferencePredictor
 from repro.games.resolution import Resolution
-from repro.scheduling.dynamic import (
-    generate_sessions,
-    recording_policy,
-    simulate_sessions,
-)
+from repro.scheduling.dynamic import generate_sessions
 from repro.serving import (
     CMFeasiblePolicy,
     DecisionEngine,
     DedicatedPolicy,
     MaxFPSPolicy,
-    OfflinePolicyAdapter,
     PredictionCache,
     RequestBroker,
     TraceConfig,
@@ -40,7 +35,7 @@ def _run(policy, sessions, *, fallback=None):
 
 
 class TestPolicyParity:
-    """Serving decisions must equal the offline dynamic policies'."""
+    """Serving decisions must equal a plain, uncached policy's."""
 
     def test_cm_feasible_matches_offline_policy_500_requests(self, minilab):
         sessions = generate_sessions(minilab.names, 500, arrival_rate=4.0, seed=5)
@@ -48,35 +43,16 @@ class TestPolicyParity:
         serving = CMFeasiblePolicy(minilab.predictor, 60.0, cache=cache)
         controller, report = _run(serving, sessions)
 
-        offline = OfflinePolicyAdapter(
-            CMFeasiblePolicy(minilab.predictor, 60.0).select, name="offline-cm"
-        )
-        _, offline_report = _run(offline, sessions)
+        _, plain_report = _run(CMFeasiblePolicy(minilab.predictor, 60.0), sessions)
 
         assert report.n_sessions == 500
-        assert report.choices() == offline_report.choices()
-        assert report.server_ids() == offline_report.server_ids()
+        assert report.choices() == plain_report.choices()
+        assert report.server_ids() == plain_report.server_ids()
         # Zero unhandled exceptions: the fallback path never triggered.
         counters = report.telemetry["counters"]
         assert counters.get("policy_errors", 0) == 0
         assert counters.get("fallbacks", 0) == 0
         assert cache.hit_rate > 0
-
-    def test_cm_feasible_matches_simulate_sessions(self, minilab):
-        """Broker bookkeeping mirrors the offline event loop exactly."""
-        sessions = generate_sessions(
-            minilab.names[:4], 60, arrival_rate=4.0, seed=11
-        )
-        wrapped, record = recording_policy(
-            CMFeasiblePolicy(minilab.predictor, 60.0).select
-        )
-        simulate_sessions(minilab.catalog, sessions, wrapped, qos=60.0)
-
-        serving = CMFeasiblePolicy(
-            minilab.predictor, 60.0, cache=PredictionCache(1024)
-        )
-        _, report = _run(serving, sessions)
-        assert report.choices() == record
 
     def test_margin_forwarded(self, minilab):
         with pytest.raises(ValueError, match="margin"):

@@ -1,7 +1,7 @@
 """Chaos suite: fault injection, degraded modes, and server crashes.
 
 The load-bearing properties: a fully zero-rate injector is a perfect
-pass-through (placement parity with the offline simulator is untouched),
+pass-through (placements equal a plain, unwrapped policy's),
 every injected failure mode is absorbed by the admission fallback chain
 (the broker never sees an exception), the breaker state machine walks
 NORMAL -> DEGRADED -> CONSERVATIVE and back deterministically, and server
@@ -22,7 +22,6 @@ from repro.serving import (
     FaultInjector,
     InjectedFault,
     Mode,
-    OfflinePolicyAdapter,
     PredictionCache,
     RequestBroker,
     WorstFitPolicy,
@@ -489,13 +488,11 @@ class TestChaosEndToEnd:
             sessions
         )
 
-        offline = OfflinePolicyAdapter(
-            CMFeasiblePolicy(minilab.predictor, 60.0).select, name="offline-cm"
-        )
-        offline_report = RequestBroker(DecisionEngine(offline)).run(sessions)
+        plain = CMFeasiblePolicy(minilab.predictor, 60.0)
+        plain_report = RequestBroker(DecisionEngine(plain)).run(sessions)
 
-        assert report.choices() == offline_report.choices()
-        assert report.server_ids() == offline_report.server_ids()
+        assert report.choices() == plain_report.choices()
+        assert report.server_ids() == plain_report.server_ids()
         counters = report.telemetry["counters"]
         assert counters.get("faults_injected", 0) == 0
         assert counters.get("policy_errors", 0) == 0

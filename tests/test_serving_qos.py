@@ -7,9 +7,6 @@ The load-bearing properties:
   end-of-trace finalization alike.
 * **Determinism** — the qos section is a pure function of the seed:
   byte-identical across same-seed runs, single-broker and sharded.
-* **Ground-truth parity** — a ledger riding the offline simulator with
-  the same server/config/target reproduces its violation-minutes
-  accounting, because both score the same memoized measurements.
 """
 
 import json
@@ -20,7 +17,6 @@ from repro.games import DegradeLadder
 from repro.games.resolution import Resolution
 from repro.obs import QoSLedger, Tracer, build_qos_section
 from repro.scheduling import generate_sessions
-from repro.scheduling.dynamic import simulate_sessions
 from repro.serving import (
     BreakerConfig,
     CMFeasiblePolicy,
@@ -120,22 +116,6 @@ class TestBrokerLedger:
         ops = {s.attributes["op"] for s in spans}
         assert "place" in ops
         assert all("server_id" in s.attributes for s in spans)
-
-
-class TestOfflineCrossCheck:
-    def test_ledger_reproduces_simulator_violation_minutes(self, minilab):
-        sessions = generate_sessions(minilab.names, 60, arrival_rate=4.0, seed=9)
-        policy = CMFeasiblePolicy(minilab.predictor, 60.0)
-        ledger = make_ledger(minilab)
-        metrics = simulate_sessions(
-            minilab.catalog, sessions, policy, qos=SLO_FPS, ledger=ledger
-        )
-        slo = ledger.section()["slo"]
-        assert slo["session_minutes"] == pytest.approx(metrics.session_minutes)
-        assert slo["violation_minutes"] == pytest.approx(
-            metrics.violation_minutes, rel=1e-9
-        )
-        assert ledger.section()["sessions"]["conservation_errors"] == 0
 
 
 class TestShardedLedger:
