@@ -13,16 +13,16 @@ import numpy as np
 
 from repro.core.features import cm_feature_vector
 from repro.core.profiles import GameProfile
+from repro.core.scaled import ScaledModel
 from repro.core.training import SampleSet
 from repro.games.resolution import Resolution
-from repro.ml.base import BaseEstimator, check_array
+from repro.ml.base import BaseEstimator
 from repro.ml.gbdt import GradientBoostingClassifier
-from repro.ml.preprocessing import StandardScaler
 
 __all__ = ["GAugurClassifier"]
 
 
-class GAugurClassifier:
+class GAugurClassifier(ScaledModel):
     """The CM: colocation features + QoS floor -> feasible / infeasible.
 
     Parameters
@@ -33,28 +33,21 @@ class GAugurClassifier:
     """
 
     def __init__(self, estimator: BaseEstimator | None = None):
-        self.estimator = (
+        super().__init__(
             estimator
             if estimator is not None
             else GradientBoostingClassifier(n_estimators=300, learning_rate=0.06)
         )
-        self._scaler = StandardScaler()
 
     def fit(self, samples: SampleSet) -> "GAugurClassifier":
         """Train on a CM sample set from :func:`repro.core.training.build_dataset`."""
         if set(np.unique(samples.y)) - {0, 1}:
             raise ValueError("CM labels must be binary 0/1")
-        X = self._scaler.fit_transform(samples.X)
-        self.estimator.fit(X, samples.y)
-        self.n_features_ = samples.X.shape[1]
-        return self
+        return self._fit(samples.X, samples.y)
 
     def predict_from_features(self, X) -> np.ndarray:
         """Predict 0/1 QoS outcomes for raw CM feature rows."""
-        if not hasattr(self, "n_features_"):
-            raise RuntimeError("GAugurClassifier is not fitted")
-        X = check_array(X)
-        return np.asarray(self.estimator.predict(self._scaler.transform(X)), dtype=int)
+        return np.asarray(self._predict(X), dtype=int)
 
     def predict(
         self,

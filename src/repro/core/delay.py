@@ -17,12 +17,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.features import rm_feature_vector
+from repro.core.scaled import ScaledModel
 from repro.core.training import ColocationSpec, SampleSet
 from repro.games.catalog import GameCatalog
 from repro.hardware.server import DEFAULT_SERVER, ServerSpec
-from repro.ml.base import BaseEstimator, check_array
+from repro.ml.base import BaseEstimator
 from repro.ml.gbdt import GradientBoostingRegressor
-from repro.ml.preprocessing import StandardScaler
 from repro.simulator.encoder import EncoderModel, processing_delays
 from repro.simulator.measurement import MeasurementConfig, run_colocation
 
@@ -120,7 +120,7 @@ def build_delay_dataset(
     )
 
 
-class GAugurDelayRegressor:
+class GAugurDelayRegressor(ScaledModel):
     """Delay model: colocation features -> processing-delay inflation."""
 
     def __init__(
@@ -128,7 +128,7 @@ class GAugurDelayRegressor:
         estimator: BaseEstimator | None = None,
         encoder: EncoderModel | None = None,
     ):
-        self.estimator = (
+        super().__init__(
             estimator
             if estimator is not None
             else GradientBoostingRegressor(
@@ -136,7 +136,6 @@ class GAugurDelayRegressor:
             )
         )
         self.encoder = encoder if encoder is not None else EncoderModel()
-        self._scaler = StandardScaler()
 
     def fit(self, samples: SampleSet) -> "GAugurDelayRegressor":
         """Train on samples from :func:`build_delay_dataset`.
@@ -147,18 +146,11 @@ class GAugurDelayRegressor:
         """
         if np.any(samples.y <= 0):
             raise ValueError("delay inflation ratios must be positive")
-        X = self._scaler.fit_transform(samples.X)
-        self.estimator.fit(X, np.log(samples.y))
-        self.n_features_ = samples.X.shape[1]
-        return self
+        return self._fit(samples.X, np.log(samples.y))
 
     def predict_from_features(self, X) -> np.ndarray:
         """Predict delay inflation ratios (clipped below at 0.5)."""
-        if not hasattr(self, "n_features_"):
-            raise RuntimeError("GAugurDelayRegressor is not fitted")
-        X = check_array(X)
-        log_pred = self.estimator.predict(self._scaler.transform(X))
-        return np.clip(np.exp(log_pred), 0.5, None)
+        return np.clip(np.exp(self._predict(X)), 0.5, None)
 
     def predict_delay_ms(
         self, db: "ProfileDatabase", spec: ColocationSpec

@@ -29,6 +29,8 @@ __all__ = [
     "rm_feature_vector",
     "cm_feature_vector",
     "feature_rows",
+    "cm_head_rows",
+    "aggregate_rows",
     "aggregate_intensity_matrix",
     "rm_feature_matrix",
     "cm_feature_matrix",
@@ -138,6 +140,40 @@ def feature_rows(
     :func:`rm_feature_vector` / :func:`cm_feature_vector` of target ``r``
     next to those co-runners.
     """
+    head = 0 if qos is None else 3
+    tail = head + np.shape(sensitivities)[1]
+    X = np.empty((np.shape(co_intensities)[0], tail + AGGREGATE_DIM), dtype=float)
+    if head:
+        cm_head_rows(qos, solo_fps, sensitivities, out=X[:, :tail])
+    else:
+        X[:, :tail] = sensitivities
+    aggregate_rows(co_intensities, counts, out=X[:, tail:])
+    return X
+
+
+def cm_head_rows(
+    qos: float, solo_fps: np.ndarray, sensitivities: np.ndarray, out=None
+) -> np.ndarray:
+    """The leading ``3 + d`` columns of :func:`feature_rows`' CM rows:
+    ``[qos, solo, qos / solo, sensitivity...]`` per target, into ``out``
+    when given.  They depend on the target and ``qos`` only."""
+    solo_fps = np.asarray(solo_fps, dtype=float)
+    if solo_fps.min() <= 0:
+        bad = float(solo_fps[solo_fps <= 0][0])
+        raise ValueError(f"solo_fps must be positive, got {bad}")
+    if out is None:
+        out = np.empty((solo_fps.shape[0], 3 + np.shape(sensitivities)[1]))
+    out[:, 0] = qos
+    out[:, 1] = solo_fps
+    np.divide(float(qos), solo_fps, out=out[:, 2])
+    out[:, 3:] = sensitivities
+    return out
+
+
+def aggregate_rows(co_intensities: np.ndarray, counts: np.ndarray, out) -> None:
+    """Write the Eq. 5 block of :func:`feature_rows` (its trailing
+    ``AGGREGATE_DIM`` columns) for each ``(co_intensities[r], counts[r])``
+    into ``out``."""
     co, counts = np.asarray(co_intensities, dtype=float), np.asarray(counts)
     if co.ndim != 3 or co.shape[2] != NUM_RESOURCES:
         raise ValueError(
@@ -148,23 +184,10 @@ def feature_rows(
     co = np.where(real, co, -0.0)
     mean = co.sum(axis=1) / size
     deviation = (co - mean[:, None, :]) * real
-    head = 0 if qos is None else 3
-    tail = head + np.shape(sensitivities)[1]
-    X = np.empty((co.shape[0], tail + AGGREGATE_DIM), dtype=float)
-    if head:
-        solo_fps = np.asarray(solo_fps, dtype=float)
-        if solo_fps.min() <= 0:
-            bad = float(solo_fps[solo_fps <= 0][0])
-            raise ValueError(f"solo_fps must be positive, got {bad}")
-        X[:, 0] = qos
-        X[:, 1] = solo_fps
-        np.divide(float(qos), solo_fps, out=X[:, 2])
-    X[:, head:tail] = sensitivities
-    X[:, tail] = counts
-    X[:, tail + 1 :: 2] = mean
+    out[:, 0] = counts
+    out[:, 1::2] = mean
     # The paper's variance term: (1/|G|) * sqrt(sum (I - mean)^2).
-    X[:, tail + 2 :: 2] = np.sqrt((deviation**2).sum(axis=1)) / size
-    return X
+    out[:, 2::2] = np.sqrt((deviation**2).sum(axis=1)) / size
 
 
 def _leave_one_out(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

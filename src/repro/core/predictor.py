@@ -30,7 +30,12 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from repro.core.classification import GAugurClassifier
-from repro.core.features import feature_rows
+from repro.core.features import (
+    AGGREGATE_DIM,
+    aggregate_rows,
+    cm_head_rows,
+    feature_rows,
+)
 from repro.core.regression import GAugurRegressor
 from repro.core.training import ColocationSpec
 from repro.obs.tracing import NOOP_TRACER
@@ -85,6 +90,11 @@ class InterferencePredictor:
         # first, read the arrays after.
         self._rows: dict[tuple, int] = {}
         self._intensity = self._solo = self._sens = None
+        # The CM head block: row e holds [qos, solo, qos/solo, sens...] of
+        # entry e for the qos it was built for — the leading columns of
+        # every CM row targeting e.  A derived cache, keyed by qos and the
+        # solo array it was built from (growing the table rebinds it).
+        self._head_key, self._head = None, None
 
     def instrument(self, telemetry=None, tracer=None) -> "InterferencePredictor":
         """Attach observability sinks (both optional, chainable).
@@ -175,20 +185,32 @@ class InterferencePredictor:
         ids[real] = flat
         return ids, sizes, real
 
+    def _cm_head(self, qos: float) -> np.ndarray:
+        """The ``(E, 3 + d)`` CM head block for ``qos`` (see ``__init__``)."""
+        key = self._head_key
+        if key is None or key[0] != qos or key[1] is not self._solo:
+            self._head = cm_head_rows(qos, self._solo, self._sens)
+            self._head_key = (qos, self._solo)
+        return self._head
+
     def _featurize(self, ids, sizes, spec, member, qos: float | None) -> np.ndarray:
         """One row (CM given ``qos``, else RM) per ``(spec[r], member[r])``: a
         member's co-runners are its spec's other slots, ascending — the
-        real ones, then pads, which :func:`feature_rows` ignores."""
+        real ones, then pads, which :func:`feature_rows` ignores.  A CM
+        row's head is one gather from the head block; only its Eq. 5
+        columns are computed, by :func:`feature_rows`' own arithmetic."""
         base = np.arange(ids.shape[1] - 1)
         others = base + (base >= member[:, None])
         target = ids[spec, member]
-        return feature_rows(
-            self._sens[target],
-            self._intensity[ids[spec[:, None], others]],
-            sizes[spec] - 1,
-            qos,
-            None if qos is None else self._solo[target],
-        )
+        co = self._intensity[ids[spec[:, None], others]]
+        if qos is None:
+            return feature_rows(self._sens[target], co, sizes[spec] - 1)
+        head = self._cm_head(qos)
+        width = head.shape[1]
+        X = np.empty((target.shape[0], width + AGGREGATE_DIM), dtype=float)
+        np.take(head, target, axis=0, out=X[:, :width])
+        aggregate_rows(co, sizes[spec] - 1, out=X[:, width:])
+        return X
 
     def _grouped_matrix(self, specs: Sequence[ColocationSpec], qos: float | None):
         """Feature rows for every entry of every size->=2 spec, grouped by spec.

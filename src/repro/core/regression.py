@@ -13,16 +13,16 @@ import numpy as np
 
 from repro.core.features import rm_feature_vector
 from repro.core.profiles import GameProfile
+from repro.core.scaled import ScaledModel
 from repro.core.training import SampleSet
 from repro.games.resolution import Resolution
-from repro.ml.base import BaseEstimator, check_array
+from repro.ml.base import BaseEstimator
 from repro.ml.gbdt import GradientBoostingRegressor
-from repro.ml.preprocessing import StandardScaler
 
 __all__ = ["GAugurRegressor"]
 
 
-class GAugurRegressor:
+class GAugurRegressor(ScaledModel):
     """The RM: colocation features -> degradation ratio.
 
     Parameters
@@ -33,28 +33,21 @@ class GAugurRegressor:
     """
 
     def __init__(self, estimator: BaseEstimator | None = None):
-        self.estimator = (
+        super().__init__(
             estimator
             if estimator is not None
             else GradientBoostingRegressor(
                 n_estimators=300, learning_rate=0.06, max_depth=4
             )
         )
-        self._scaler = StandardScaler()
 
     def fit(self, samples: SampleSet) -> "GAugurRegressor":
         """Train on an RM sample set from :func:`repro.core.training.build_dataset`."""
-        X = self._scaler.fit_transform(samples.X)
-        self.estimator.fit(X, samples.y)
-        self.n_features_ = samples.X.shape[1]
-        return self
+        return self._fit(samples.X, samples.y)
 
     def predict_from_features(self, X) -> np.ndarray:
         """Predict degradation ratios for raw RM feature rows."""
-        if not hasattr(self, "n_features_"):
-            raise RuntimeError("GAugurRegressor is not fitted")
-        X = check_array(X)
-        return np.clip(self.estimator.predict(self._scaler.transform(X)), 0.01, None)
+        return np.clip(self._predict(X), 0.01, None)
 
     def predict(
         self,

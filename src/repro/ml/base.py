@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["BaseEstimator", "check_array", "check_X_y"]
+__all__ = ["BaseEstimator", "as_matrix", "check_array", "check_X_y"]
 
 
-def check_array(X, *, name: str = "X") -> np.ndarray:
-    """Validate and convert a 2-D feature matrix to float64."""
+def as_matrix(X, *, name: str = "X") -> np.ndarray:
+    """``X`` as a non-empty 2-D float64 matrix (a 1-D ``X`` is one row):
+    :func:`check_array` without its finiteness scan."""
     X = np.asarray(X, dtype=float)
     if X.ndim == 1:
         X = X.reshape(1, -1)
@@ -16,6 +17,12 @@ def check_array(X, *, name: str = "X") -> np.ndarray:
         raise ValueError(f"{name} must be 2-D, got ndim={X.ndim}")
     if X.shape[0] == 0 or X.shape[1] == 0:
         raise ValueError(f"{name} must be non-empty, got shape {X.shape}")
+    return X
+
+
+def check_array(X, *, name: str = "X") -> np.ndarray:
+    """Validate and convert a 2-D feature matrix to float64."""
+    X = as_matrix(X, name=name)
     if not np.isfinite(X).all():
         raise ValueError(f"{name} contains NaN or infinity")
     return X
@@ -54,6 +61,14 @@ class BaseEstimator:
         params = self.get_params()
         params.update(overrides)
         return type(self)(**params)
+
+    def compiled(self, mean, scale):
+        """``predict`` of rows standardized as ``(x - mean) / scale``, as one
+        callable over raw rows of the right shape.  ``predict`` validates
+        the standardized rows (a non-finite raw cell stays non-finite, and
+        an overflowing one becomes infinite).  Tree models override it to
+        skip the standardization altogether."""
+        return lambda X: self.predict((X - mean) / scale)
 
     def _check_fitted(self, attr: str) -> None:
         if not hasattr(self, attr):

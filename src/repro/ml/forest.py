@@ -4,15 +4,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, check_array, check_X_y
-from repro.ml.packed import PackedTrees, pack_trees
+from repro.ml.base import check_array, check_X_y
+from repro.ml.packed import PackedModel, PackedTrees, pack_trees
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor
 from repro.utils.rng import derive_seed
 
 __all__ = ["RandomForestClassifier", "RandomForestRegressor"]
 
 
-class _BaseForest(BaseEstimator):
+class _BaseForest(PackedModel):
     """Shared bootstrap/ensemble plumbing."""
 
     def __init__(
@@ -93,11 +93,9 @@ class RandomForestRegressor(_BaseForest):
     def _pack(self) -> PackedTrees:
         return pack_trees([tree.tree_ for tree in self.estimators_])
 
-    def predict(self, X) -> np.ndarray:
+    def _fold(self, pack: PackedTrees, X: np.ndarray) -> np.ndarray:
         """Mean prediction over trees."""
-        self._check_fitted("estimators_")
-        X = check_array(X)
-        return self._packed().mean_predict(X)
+        return pack.mean_predict(X)
 
 
 class RandomForestClassifier(_BaseForest):
@@ -133,12 +131,14 @@ class RandomForestClassifier(_BaseForest):
             values.append(padded)
         return pack_trees([tree.tree_ for tree in self.estimators_], values=values)
 
+    def _proba(self, pack: PackedTrees, X: np.ndarray) -> np.ndarray:
+        return pack.sum_values(X) / self.n_estimators
+
+    def _fold(self, pack: PackedTrees, X: np.ndarray) -> np.ndarray:
+        """Soft-voted most probable class."""
+        return self.classes_[np.argmax(self._proba(pack, X), axis=1)]
+
     def predict_proba(self, X) -> np.ndarray:
         """Soft-voted class-probability matrix over the full class set."""
         self._check_fitted("estimators_")
-        X = check_array(X)
-        return self._packed().sum_values(X) / self.n_estimators
-
-    def predict(self, X) -> np.ndarray:
-        """Soft-voted most probable class."""
-        return self.classes_[np.argmax(self.predict_proba(X), axis=1)]
+        return self._proba(self._packed(), check_array(X))

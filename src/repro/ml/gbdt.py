@@ -12,15 +12,15 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, check_array, check_X_y
-from repro.ml.packed import PackedTrees, pack_trees
+from repro.ml.base import check_array, check_X_y
+from repro.ml.packed import PackedModel, PackedTrees, pack_trees
 from repro.ml.tree import DecisionTreeRegressor
 from repro.utils.rng import derive_seed
 
 __all__ = ["GradientBoostingRegressor", "GradientBoostingClassifier"]
 
 
-class _BaseBoosting(BaseEstimator):
+class _BaseBoosting(PackedModel):
     """Shared boosting hyperparameters and staged-tree plumbing."""
 
     def __init__(
@@ -62,15 +62,17 @@ class _BaseBoosting(BaseEstimator):
     def _packed(self) -> PackedTrees:
         # Derived evaluation cache: built lazily after fit() or
         # deserialization (which restores estimators_ but not the pack),
-        # never serialized (get_params/estimator_to_dict skip it).
+        # never serialized (get_params/estimator_to_dict skip it).  Its
+        # leaves hold lr * value: the stage loop's multiply, done once.
         pack = getattr(self, "_packed_", None)
         if pack is None or pack.n_trees != len(self.estimators_):
-            pack = pack_trees([tree.tree_ for tree in self.estimators_])
+            trees = [tree.tree_ for tree in self.estimators_]
+            pack = pack_trees(trees, [self.learning_rate * t.value for t in trees])
             self._packed_ = pack
         return pack
 
-    def _raw_predict(self, X: np.ndarray) -> np.ndarray:
-        return self._packed().boosted_predict(X, self.init_, self.learning_rate)
+    def _raw(self, pack: PackedTrees, X: np.ndarray) -> np.ndarray:
+        return pack.boosted_predict(X, self.init_)
 
 
 class GradientBoostingRegressor(_BaseBoosting):
@@ -94,10 +96,7 @@ class GradientBoostingRegressor(_BaseBoosting):
             self.train_losses_.append(float(np.mean((y - raw) ** 2)))
         return self
 
-    def predict(self, X) -> np.ndarray:
-        """Boosted prediction."""
-        self._check_fitted("estimators_")
-        return self._raw_predict(check_array(X))
+    _fold = _BaseBoosting._raw  # the boosted prediction itself
 
 
 class GradientBoostingClassifier(_BaseBoosting):
@@ -148,14 +147,14 @@ class GradientBoostingClassifier(_BaseBoosting):
     def decision_function(self, X) -> np.ndarray:
         """Raw log-odds scores."""
         self._check_fitted("estimators_")
-        return self._raw_predict(check_array(X))
+        return self._raw(self._packed(), check_array(X))
 
     def predict_proba(self, X) -> np.ndarray:
         """Class-probability matrix ``(n, 2)`` ordered as ``classes_``."""
         p1 = 1.0 / (1.0 + np.exp(-self.decision_function(X)))
         return np.column_stack([1.0 - p1, p1])
 
-    def predict(self, X) -> np.ndarray:
+    def _fold(self, pack: PackedTrees, X: np.ndarray) -> np.ndarray:
         """Most probable class."""
-        p1 = self.predict_proba(X)[:, 1]
+        p1 = 1.0 / (1.0 + np.exp(-self._raw(pack, X)))
         return np.where(p1 >= 0.5, self.classes_[1], self.classes_[0])

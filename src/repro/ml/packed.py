@@ -19,17 +19,107 @@ serialized — bundles written by :mod:`repro.ml.serialization` are
 unchanged.  The ensemble folds (forest mean, soft-vote sum, boosted
 accumulation) reduce over the outer axis of a C-contiguous array, which
 numpy evaluates in tree order exactly like a per-tree Python loop.
+
+A model trained on standardized rows ``z = (x - mean) / scale`` can skip
+the standardization at prediction time: :meth:`PackedTrees.folded` moves
+each split into raw feature space (see :func:`raw_thresholds`), and
+:class:`PackedModel` gives every tree estimator one ``compiled`` form —
+its own fold over that folded pack.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Sequence
 
 import numpy as np
 
-__all__ = ["PackedTrees", "pack_trees"]
+from repro.ml.base import BaseEstimator, check_array
+
+__all__ = [
+    "PackedModel",
+    "PackedTrees",
+    "pack_trees",
+    "raw_thresholds",
+    "standardized_domain",
+]
 
 _LEAF = -1
+#: Bit pattern of the largest finite float64, as an int64.
+_MAX_FINITE = np.int64(0x7FEFFFFFFFFFFFFF)
+_SIGN = np.int64(-(2**63))
+
+
+def _ordered_floats(keys: np.ndarray) -> np.ndarray:
+    """Floats at int64 ``keys`` of the total order of floats: key ``k >= 0``
+    is the float whose bits are ``k``, key ``-1 - k`` its negation, so
+    ``-0.0`` (key -1) sits just below ``+0.0`` (key 0) and the finite
+    floats are keys ``-_MAX_FINITE - 1 .. _MAX_FINITE``."""
+    return np.where(keys >= 0, keys, (-1 - keys) | _SIGN).view(np.float64)
+
+
+def raw_thresholds(
+    feature: np.ndarray, threshold: np.ndarray, mean: np.ndarray, scale: np.ndarray
+) -> np.ndarray:
+    """Split thresholds moved from standardized into raw feature space.
+
+    Node ``i`` sends ``x`` left iff ``fl(fl(x - mu) / sigma) <= t`` with
+    ``mu, sigma = mean[f], scale[f]`` of its column ``f``.  For
+    ``sigma > 0`` that map is monotone non-decreasing (IEEE rounding is),
+    so the finite ``x`` that go left form a down-set: every finite float
+    up to its largest element ``t'``.  ``x <= t'`` is then the same test
+    on raw ``x`` for every finite ``x`` (``-0.0`` and ``+0.0`` standardize
+    alike, so ``t'`` is never ``-0.0`` with ``+0.0`` outside).  ``t'`` is
+    ``-inf`` for an empty set and ``+inf`` when every finite float goes
+    left (a self-looping leaf's ``+inf`` stays ``+inf``).  All nodes
+    bisect the ordered bit patterns of the finite floats together: at
+    most 64 rounds of array operations.
+    """
+    mu, sigma = mean[feature], scale[feature]
+    if not (np.isfinite(mu).all() and np.isfinite(sigma).all() and (sigma > 0).all()):
+        raise ValueError("folding needs a finite mean and a finite positive scale")
+
+    def left(keys):
+        # The extreme floats standardize to +-inf: harmless, the same
+        # overflow transform performs.
+        with np.errstate(over="ignore"):
+            return (_ordered_floats(keys) - mu) / sigma <= threshold
+
+    lo = np.full(threshold.shape, -_MAX_FINITE - 1)
+    hi = np.full(threshold.shape, _MAX_FINITE)
+    out = np.where(left(hi), np.inf, -np.inf)
+    # Bisect where the lowest float goes left and the highest does not.
+    live = left(lo) & ~left(hi)
+    lo, hi = lo[live], hi[live]
+    mu, sigma, threshold = mu[live], sigma[live], threshold[live]
+    while True:
+        # floor((lo + hi) / 2) without overflowing int64; equals lo once
+        # hi == lo + 1, and a settled node then keeps its bounds.
+        mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)
+        if np.array_equal(mid, lo):
+            break
+        inside = left(mid)
+        lo = np.where(inside, mid, lo)
+        hi = np.where(inside, hi, mid)
+    out[live] = _ordered_floats(lo)
+    return out
+
+
+def standardized_domain(
+    mean: np.ndarray, scale: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per column, the interval ``[low, high]`` of finite raw floats whose
+    standardization ``(x - mean) / scale`` is finite too.  Every other raw
+    value — NaN, +-inf, or a finite ``x`` that standardizes to +-inf — is
+    one an estimator's input check rejects after standardizing, so a
+    folded model rejects exactly the rows with a cell outside it."""
+    columns = np.arange(mean.shape[0])
+    top = np.full(mean.shape, np.finfo(float).max)
+    # +inf when every finite float standardizes finitely.
+    high = np.minimum(raw_thresholds(columns, top, mean, scale), top)
+    # The largest x standardizing to -inf sits just below low.
+    below = raw_thresholds(columns, np.full(mean.shape, -np.inf), mean, scale)
+    return np.nextafter(below, np.inf), high
 
 
 def _stage_sum(terms: np.ndarray) -> np.ndarray:
@@ -82,6 +172,14 @@ class PackedTrees:
         """Number of packed trees."""
         return self.roots.shape[0]
 
+    def folded(self, mean: np.ndarray, scale: np.ndarray) -> "PackedTrees":
+        """This pack for raw rows of a model fitted on ``(x - mean) / scale``:
+        the same trees with :func:`raw_thresholds`, so every finite raw row
+        reaches the leaf its standardized row reaches."""
+        pack = copy.copy(self)
+        pack.threshold = raw_thresholds(self.feature, self.threshold, mean, scale)
+        return pack
+
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Absolute leaf id per (tree, row): shape ``(n_trees, n)``."""
         n, p = X.shape
@@ -117,17 +215,53 @@ class PackedTrees:
         """Soft-vote fold: summed leaf value blocks, shape ``(n, d)``."""
         return _stage_sum(self.leaf_values(X))
 
-    def boosted_predict(
-        self, X: np.ndarray, init: float, learning_rate: float
-    ) -> np.ndarray:
-        """Boosting fold: ``init + sum_t lr * value_t``, accumulated in
-        stage order (the first reduction step adds stage 0 to ``init``,
-        exactly like the sequential per-tree loop)."""
-        leaves = self.leaf_values(X)[:, :, 0]
+    def boosted_predict(self, X: np.ndarray, init: float) -> np.ndarray:
+        """Boosting fold: ``init + sum_t value_t``, accumulated in stage
+        order (the first reduction step adds stage 0 to ``init``, exactly
+        like the sequential per-tree loop).  Boosting packs its leaves as
+        ``lr * value``, the loop's own multiply done once per leaf."""
+        leaves = self.apply(X)
         terms = np.empty((leaves.shape[0] + 1, leaves.shape[1]), dtype=float)
         terms[0] = init
-        terms[1:] = learning_rate * leaves
+        np.take(self.value[:, 0], leaves, out=terms[1:])
         return _stage_sum(terms)
+
+
+class PackedModel(BaseEstimator):
+    """A tree estimator whose predictions fold one :class:`PackedTrees`.
+
+    Subclasses provide ``_packed()`` (the fitted pack, a derived cache)
+    and ``_fold(pack, X)`` (the prediction over validated rows);
+    :meth:`predict` folds ``_packed()`` and :meth:`compiled` folds it with
+    the standardization moved into its thresholds — one fold, two packs.
+    """
+
+    #: Set by ``fit``; predicting before it exists raises.
+    _fitted_attr = "estimators_"
+
+    def predict(self, X) -> np.ndarray:
+        """Prediction per row of ``X``: the estimator's fold over its pack."""
+        self._check_fitted(self._fitted_attr)
+        return self._fold(self._packed(), check_array(X))
+
+    def compiled(self, mean, scale):
+        """``predict`` of standardized rows as one callable over raw rows
+        of the right shape: the fold over :meth:`PackedTrees.folded`, after
+        one range test that rejects the rows ``predict`` would reject.
+        Most rows pass on the narrowest column's bounds alone (two
+        reductions); the rest are tested column by column."""
+        pack = self._packed().folded(mean, scale)
+        low, high = standardized_domain(mean, scale)
+        floor, ceiling = low.max(), high.min()
+
+        def predict(X: np.ndarray) -> np.ndarray:
+            # NaN fails every comparison, so it never passes either test.
+            if not (floor <= X.min() and X.max() <= ceiling):
+                if not ((low <= X) & (X <= high)).all():
+                    raise ValueError("X contains NaN or infinity")
+            return self._fold(pack, X)
+
+        return predict
 
 
 def pack_trees(

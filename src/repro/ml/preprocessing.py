@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, check_array
+from repro.ml.base import BaseEstimator, as_matrix, check_array
 
 __all__ = ["StandardScaler"]
 
@@ -26,16 +26,21 @@ class StandardScaler(BaseEstimator):
         self.scale_ = scale
         return self
 
-    def transform(self, X) -> np.ndarray:
-        """Apply the learned standardization."""
+    def check(self, X) -> np.ndarray:
+        """``X`` as a matrix of the fitted width: :meth:`transform`'s shape
+        checks, without its finiteness scan."""
         self._check_fitted("mean_")
-        X = check_array(X)
+        X = as_matrix(X)
         if X.shape[1] != self.mean_.shape[0]:
             raise ValueError(
                 f"X has {X.shape[1]} features, scaler was fitted with "
                 f"{self.mean_.shape[0]}"
             )
-        return (X - self.mean_) / self.scale_
+        return X
+
+    def transform(self, X) -> np.ndarray:
+        """Apply the learned standardization."""
+        return (check_array(self.check(X)) - self.mean_) / self.scale_
 
     def fit_transform(self, X) -> np.ndarray:
         """Fit and transform in one pass."""

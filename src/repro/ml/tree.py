@@ -13,8 +13,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.ml.base import BaseEstimator, check_array, check_X_y
-from repro.ml.packed import PackedTrees, pack_trees
+from repro.ml.base import check_array, check_X_y
+from repro.ml.packed import PackedModel, PackedTrees, pack_trees
 
 __all__ = ["DecisionTreeClassifier", "DecisionTreeRegressor"]
 
@@ -52,10 +52,6 @@ class _Tree:
     def apply(self, X: np.ndarray) -> np.ndarray:
         """Leaf index for every row of ``X``."""
         return self.packed().apply(X)[0]
-
-    def predict_value(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value matrix ``(n, d)`` for every row of ``X``."""
-        return self.value[self.apply(X)]
 
 
 class _TreeBuilder:
@@ -180,8 +176,10 @@ class _TreeBuilder:
         return best
 
 
-class _BaseDecisionTree(BaseEstimator):
+class _BaseDecisionTree(PackedModel):
     """Shared hyperparameters and fitted-tree plumbing."""
+
+    _fitted_attr = "tree_"
 
     def __init__(
         self,
@@ -221,6 +219,13 @@ class _BaseDecisionTree(BaseEstimator):
         self.tree_, self.feature_importances_ = builder.build(X, Y)
         self.n_features_ = X.shape[1]
 
+    def _packed(self) -> PackedTrees:
+        return self.tree_.packed()
+
+    def _values(self, pack: PackedTrees, X: np.ndarray) -> np.ndarray:
+        # The pack's value is a copy; boosting rewrites tree_.value in place.
+        return self.tree_.value[pack.apply(X)[0]]
+
     def apply(self, X) -> np.ndarray:
         """Leaf index for every sample."""
         self._check_fitted("tree_")
@@ -248,10 +253,9 @@ class DecisionTreeRegressor(_BaseDecisionTree):
         self._build(X, np.asarray(y, dtype=float).reshape(-1, 1))
         return self
 
-    def predict(self, X) -> np.ndarray:
+    def _fold(self, pack: PackedTrees, X: np.ndarray) -> np.ndarray:
         """Predicted target per sample."""
-        self._check_fitted("tree_")
-        return self.tree_.predict_value(check_array(X))[:, 0]
+        return self._values(pack, X)[:, 0]
 
 
 class DecisionTreeClassifier(_BaseDecisionTree):
@@ -266,12 +270,11 @@ class DecisionTreeClassifier(_BaseDecisionTree):
         self._build(X, onehot)
         return self
 
+    def _fold(self, pack: PackedTrees, X: np.ndarray) -> np.ndarray:
+        """Most probable class per sample."""
+        return self.classes_[np.argmax(self._values(pack, X), axis=1)]
+
     def predict_proba(self, X) -> np.ndarray:
         """Class-probability matrix ``(n, n_classes)``."""
         self._check_fitted("tree_")
-        return self.tree_.predict_value(check_array(X))
-
-    def predict(self, X) -> np.ndarray:
-        """Most probable class per sample."""
-        proba = self.predict_proba(X)
-        return self.classes_[np.argmax(proba, axis=1)]
+        return self._values(self._packed(), check_array(X))

@@ -1,12 +1,14 @@
 """Tests for the GAugur CM/RM wrappers and online predictor."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.core import GAugurClassifier, GAugurRegressor, InterferencePredictor
 from repro.core.training import ColocationSpec
 from repro.games.resolution import Resolution
-from repro.ml import DecisionTreeClassifier, DecisionTreeRegressor
+from repro.ml import SVR, DecisionTreeClassifier, DecisionTreeRegressor
 
 R1080 = Resolution(1920, 1080)
 R720 = Resolution(1280, 720)
@@ -145,3 +147,96 @@ class TestInterferencePredictor:
         only_rm = InterferencePredictor(minilab.db, regressor=rm)
         with pytest.raises(RuntimeError, match="classification"):
             only_rm.predict_feasible(spec, 60.0)
+
+
+def _wide(X):
+    """``X`` with one extra column."""
+    return np.hstack([X, np.zeros((X.shape[0], 1))])
+
+
+class TestCompiledPredict:
+    """The one compiled predict keeps every check of the standardize-then-
+    predict path it replaced, follows re-fits, and never reaches a bundle."""
+
+    @pytest.mark.parametrize("kind", ["cm", "rm"])
+    def test_wrong_column_count_is_the_scalers_error(self, minilab, kind):
+        model = minilab.cm_model if kind == "cm" else minilab.rm_model
+        X = minilab.split(60.0)[0 if kind == "cm" else 2].X[:4]
+        model.predict_from_features(X)  # compiled
+        for bad in (X[:, :-1], _wide(X)):
+            with pytest.raises(ValueError, match="features, scaler was fitted with"):
+                model.predict_from_features(bad)
+
+    @pytest.mark.parametrize("kind", ["cm", "rm"])
+    def test_nan_and_inf_rows_raise(self, minilab, kind):
+        model = minilab.cm_model if kind == "cm" else minilab.rm_model
+        X = minilab.split(60.0)[0 if kind == "cm" else 2].X[:4].copy()
+        for value in (np.nan, np.inf, -np.inf):
+            bad = X.copy()
+            bad[2, 5] = value
+            with pytest.raises(ValueError, match="NaN or infinity"):
+                model.predict_from_features(bad)
+        # A finite value whose standardization overflows: the estimator's
+        # check rejected the scaled row, and the compiled form does too.
+        scale = model._scaler.scale_
+        column = int(np.argmin(scale))
+        assert scale[column] < 1.0
+        X[0, column] = np.finfo(float).max
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            model.predict_from_features(X)
+
+    def test_non_tree_estimator_rejects_what_it_rejected(self, split):
+        # A kernel machine compiles to predict(standardized rows); that
+        # predict's own check is the one validation pass.
+        rm_tr, rm_te = split[2], split[3]
+        model = GAugurRegressor(SVR()).fit(rm_tr.select(np.arange(60)))
+        X = rm_te.X[:3].copy()
+        expected = SVR.predict(model.estimator, model._scaler.transform(X))
+        assert np.array_equal(model.predict_from_features(X), np.clip(expected, 0.01, None))
+        for value in (np.nan, np.inf):
+            X[1, 0] = value
+            with pytest.raises(ValueError, match="NaN or infinity"):
+                model.predict_from_features(X)
+        with pytest.raises(ValueError, match="features, scaler was fitted with"):
+            model.predict_from_features(_wide(X[:1]))
+
+    def test_refit_replaces_the_compiled_model(self, split):
+        cm_tr, cm_te, rm_tr, rm_te = split
+        for make, train, test, relabel in (
+            (
+                lambda: GAugurRegressor(DecisionTreeRegressor(max_depth=6)),
+                rm_tr,
+                rm_te,
+                lambda y: 0.5 * y,
+            ),
+            (
+                lambda: GAugurClassifier(DecisionTreeClassifier(max_depth=6)),
+                cm_tr,
+                cm_te,
+                lambda y: 1 - y,
+            ),
+        ):
+            model = make().fit(train)
+            before = model.predict_from_features(test.X)
+            other = train.select(np.arange(1, len(train), 2))
+            other.y = relabel(other.y)
+            after = model.fit(other).predict_from_features(test.X)
+            assert not np.array_equal(after, before)
+            assert np.array_equal(after, make().fit(other).predict_from_features(test.X))
+
+    @pytest.mark.parametrize("kind", ["cm", "rm"])
+    def test_serialization_is_untouched_by_compiling(self, minilab, kind):
+        model = minilab.cm_model if kind == "cm" else minilab.rm_model
+        X = minilab.split(60.0)[1 if kind == "cm" else 3].X
+        cls = type(model)
+        reloaded = cls.from_dict(json.loads(json.dumps(model.to_dict())))
+        before = json.dumps(reloaded.to_dict())
+        assert reloaded._compiled_ is None
+        predictions = reloaded.predict_from_features(X)
+        assert reloaded._compiled_ is not None
+        assert json.dumps(reloaded.to_dict()) == before
+        assert "compiled" not in before
+        assert np.array_equal(predictions, model.predict_from_features(X))
+        # A round trip of a compiled model serves the same answers.
+        again = cls.from_dict(json.loads(before))
+        assert np.array_equal(again.predict_from_features(X), predictions)

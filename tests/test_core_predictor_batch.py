@@ -205,6 +205,42 @@ class TestEntryTable:
         seen = {entry for spec in specs for entry in spec.entries}
         assert len(predictor._rows) == len(seen)
 
+    def test_head_block_follows_qos_and_table_growth(self, minilab):
+        # One predictor, the CM head block rebuilt as qos switches back
+        # and forth and as new entries grow the table between calls.
+        predictor = _fresh(minilab)
+        resolutions = (REFERENCE_RESOLUTION, Resolution(1280, 720))
+        for step, qos in enumerate([60.0, 30.0, 30.0, 60.0, 45.5, 60.0]):
+            names = minilab.names[: 2 + step % 4]
+            spec = ColocationSpec(
+                tuple((name, resolutions[i % 2]) for i, name in enumerate(names))
+            )
+            X, _ = predictor._grouped_matrix([spec], qos)
+            assert X.tobytes() == np.asarray(_scalar_rows(minilab.db, spec, qos)).tobytes()
+            head = predictor._cm_head(qos)
+            assert head.shape[0] == predictor._solo.shape[0]
+
+    def test_bundle_bytes_do_not_change_when_serving(self, minilab, tmp_path):
+        # The compiled models and the head block are derived caches: a
+        # predictor that has served CM and RM rows saves the same bytes.
+        predictor = _fresh(minilab)
+        predictor.save(tmp_path / "before.json")
+        loaded = InterferencePredictor.load(tmp_path / "before.json")
+        specs = _specs(minilab)
+        for served in (predictor, loaded):
+            served.colocations_feasible(specs, 60.0)
+            served.predict_fps_batch(specs)
+        predictor.save(tmp_path / "after.json")
+        loaded.save(tmp_path / "loaded.json")
+        before = (tmp_path / "before.json").read_bytes()
+        assert (tmp_path / "after.json").read_bytes() == before
+        assert (tmp_path / "loaded.json").read_bytes() == before
+        assert b"compiled" not in before and b"head" not in before
+        assert np.array_equal(
+            loaded.colocations_feasible(specs, 60.0),
+            predictor.colocations_feasible(specs, 60.0),
+        )
+
     def test_solo_fps_of_an_entry_first_seen_in_the_call(self, minilab):
         predictor = _fresh(minilab)
         name = minilab.names[1]

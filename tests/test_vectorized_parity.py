@@ -33,8 +33,9 @@ from repro.ml import (
     RandomForestClassifier,
     RandomForestRegressor,
 )
-from repro.ml.packed import pack_trees
-from repro.ml.tree import _Tree
+from repro.ml.packed import pack_trees, raw_thresholds
+from repro.ml.preprocessing import StandardScaler
+from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _Tree
 from repro.obs import QoSLedger, Telemetry
 from repro.placement import BreakerConfig
 from repro.placement.cache import PredictionCache
@@ -326,10 +327,12 @@ class TestFixedTripKernel:
         boosted = np.full(n, 0.25)
         for v in per_tree:
             boosted += 0.1 * v[:, 0]
-        assert np.array_equal(pack.boosted_predict(X, 0.25, 0.1), boosted)
+        # Boosting packs its leaves with the learning rate folded in.
+        boosting = pack_trees(trees, [0.1 * t.value for t in trees])
+        assert np.array_equal(boosting.boosted_predict(X, 0.25), boosted)
         # One row on every run (see test_boosting_matches_stage_loop).
         assert np.array_equal(pack.sum_values(X[:1]), total[:1])
-        assert np.array_equal(pack.boosted_predict(X[:1], 0.25, 0.1), boosted[:1])
+        assert np.array_equal(boosting.boosted_predict(X[:1], 0.25), boosted[:1])
 
     def test_all_stump_pack_has_depth_zero_and_reads_no_column(self):
         stump = _tree([-1], [np.nan], [-1], [-1], [[3.0]])
@@ -349,6 +352,157 @@ class TestFixedTripKernel:
         for apply in (tree.apply, pack_trees([tree, tree]).apply):
             with pytest.raises(IndexError, match="column 2"):
                 apply(X[:, :2])
+
+
+# A model fitted on standardized rows serves raw ones through
+# ``estimator.compiled(mean, scale)``: the fold over a pack whose
+# thresholds were moved into raw feature space.  The properties below pin
+# it, bitwise, to ``estimator.predict(scaler.transform(X))`` at the floats
+# where a moved threshold could be off by one: either side of every
+# folded threshold, signed zeros, subnormals and magnitudes whose
+# standardization overflows (which both forms must reject).
+
+#: Raw columns of very different location and spread, plus a constant
+#: one (the scaler's sigma = 0 -> 1 case).
+RAW_MEAN = np.array([0.0, 1e6, -5.0, 3e-7, 42.0, 0.0])
+RAW_SCALE = np.array([1.0, 2.5e4, 1e-3, 1e-9, 0.0, 7.0])
+EXTREMES = [0.0, -0.0, 1e308, -1e308, 5e-324, -5e-324, 2.2250738585072014e-308,
+            -2.2250738585072014e-308, np.finfo(float).max, -np.finfo(float).max]
+
+
+def _fit_scaled_models():
+    rng = np.random.default_rng(11)
+    raw = RAW_MEAN + RAW_SCALE * rng.normal(size=(200, RAW_MEAN.shape[0]))
+    scaler = StandardScaler().fit(raw)
+    Z = scaler.transform(raw)
+    y_reg = Z[:, 0] - 2.0 * Z[:, 1] + Z[:, 3] + rng.normal(scale=0.2, size=200)
+    y_bin = (Z[:, 0] + Z[:, 2] - Z[:, 5] > 0).astype(int)
+    y_multi = rng.integers(0, 3, size=200)
+    models = {
+        "gbdt": GradientBoostingClassifier(n_estimators=20, seed=4).fit(Z, y_bin),
+        "gbrt": GradientBoostingRegressor(n_estimators=20, seed=3).fit(Z, y_reg),
+        "forest_reg": RandomForestRegressor(n_estimators=8, seed=1).fit(Z, y_reg),
+        "forest_clf": RandomForestClassifier(n_estimators=8, seed=2).fit(Z, y_multi),
+        "tree_reg": DecisionTreeRegressor(max_depth=6).fit(Z, y_reg),
+        "tree_clf": DecisionTreeClassifier(max_depth=6).fit(Z, y_multi),
+    }
+    return scaler, raw, models
+
+
+SCALER, RAW, SCALED_MODELS = _fit_scaled_models()
+
+
+def _probe_rows(pack, base):
+    """One row per (internal node, probe): ``base`` cycled, with the node's
+    column at its folded threshold and at both neighbouring floats."""
+    internal = np.isfinite(pack.threshold)  # leaves hold +inf
+    columns, values = pack.feature[internal], pack.threshold[internal]
+    probes = [values, np.nextafter(values, np.inf), np.nextafter(values, -np.inf)]
+    columns, values = np.tile(columns, 3), np.concatenate(probes)
+    rows = base[np.arange(values.shape[0]) % base.shape[0]].copy()
+    rows[np.arange(values.shape[0]), columns] = values
+    return rows
+
+
+def _assert_compiled_exact(estimator, scaler, X):
+    """``estimator.compiled`` on raw ``X`` is ``estimator.predict`` on the
+    standardized ``X``, bitwise: row by row where that standardization
+    overflows (both raise), as one batch over the other rows."""
+    compiled = estimator.compiled(scaler.mean_, scaler.scale_)
+    with np.errstate(over="ignore"):
+        finite = np.isfinite((X - scaler.mean_) / scaler.scale_).all(axis=1)
+    for row in X[~finite]:
+        with pytest.raises(ValueError, match="NaN or infinity"), np.errstate(over="ignore"):
+            estimator.predict(scaler.transform(row[None]))
+        with pytest.raises(ValueError, match="NaN or infinity"):
+            compiled(row[None])
+    X = X[finite]
+    if X.shape[0]:
+        expected = estimator.predict(scaler.transform(X))
+        assert compiled(X).tobytes() == expected.tobytes()
+        if hasattr(estimator, "decision_function"):
+            # GBDT raw scores: the lr-folded pack's sum is the stage loop's.
+            raw = estimator._raw(estimator._packed().folded(
+                scaler.mean_, scaler.scale_), X)
+            assert raw.tobytes() == estimator.decision_function(
+                scaler.transform(X)).tobytes()
+
+
+class TestFoldedThresholds:
+    @pytest.mark.parametrize("name", sorted(SCALED_MODELS))
+    def test_every_folded_threshold_and_its_neighbours(self, name):
+        estimator = SCALED_MODELS[name]
+        folded = estimator._packed().folded(SCALER.mean_, SCALER.scale_)
+        _assert_compiled_exact(estimator, SCALER, _probe_rows(folded, RAW[:40]))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_extremes_and_random_rows(self, data):
+        name = data.draw(st.sampled_from(sorted(SCALED_MODELS)))
+        estimator = SCALED_MODELS[name]
+        folded = estimator._packed().folded(SCALER.mean_, SCALER.scale_)
+        cuts = folded.threshold[np.isfinite(folded.threshold)]
+        cut = st.sampled_from(cuts.tolist()).flatmap(
+            lambda t: st.sampled_from(
+                [t, float(np.nextafter(t, np.inf)), float(np.nextafter(t, -np.inf))]
+            )
+        )
+        cell = st.one_of(
+            st.sampled_from(EXTREMES),
+            cut,
+            st.floats(allow_nan=False, allow_infinity=False),
+        )
+        n = data.draw(st.integers(1, 6))
+        X = RAW[data.draw(st.lists(st.integers(0, len(RAW) - 1), min_size=n,
+                                   max_size=n))].copy()
+        for r in range(n):
+            for c in data.draw(st.sets(st.integers(0, X.shape[1] - 1), max_size=3)):
+                X[r, c] = data.draw(cell)
+        _assert_compiled_exact(estimator, SCALER, X)
+
+    @pytest.mark.parametrize("kind", ["cm", "rm"])
+    def test_bundle_models_fold_exactly(self, minilab, kind):
+        model = minilab.cm_model if kind == "cm" else minilab.rm_model
+        base = minilab.split(60.0)[1 if kind == "cm" else 3].X
+        estimator, scaler = model.estimator, model._scaler
+        folded = estimator._packed().folded(scaler.mean_, scaler.scale_)
+        rows = [_probe_rows(folded, base)]
+        for value in EXTREMES:
+            extreme = base[:len(EXTREMES)].copy()
+            extreme[np.arange(len(EXTREMES)), np.arange(len(EXTREMES))] = value
+            rows.append(extreme)
+        _assert_compiled_exact(estimator, scaler, np.vstack(rows))
+
+    @pytest.mark.parametrize("name", sorted(SCALED_MODELS))
+    def test_identity_scaler_keeps_every_threshold(self, name):
+        pack = SCALED_MODELS[name]._packed()
+        width = RAW_MEAN.shape[0]
+        folded = pack.folded(np.zeros(width), np.ones(width))
+        assert np.array_equal(folded.threshold, pack.threshold)
+        assert folded.children is pack.children and folded.value is pack.value
+
+    def test_unbounded_domain_still_rejects_non_finite_cells(self):
+        # With mean 0 and scale 1 every finite float standardizes finitely;
+        # the range test must still turn NaN and +-inf away.
+        estimator = MODELS["gbdt"]
+        compiled = estimator.compiled(np.zeros(6), np.ones(6))
+        X = np.zeros((2, 6))
+        assert np.array_equal(compiled(X), estimator.predict(X))
+        for value in (np.nan, np.inf, -np.inf):
+            X[1, 4] = value
+            with pytest.raises(ValueError, match="NaN or infinity"):
+                compiled(X)
+
+    def test_empty_and_full_down_sets_fold_to_infinities(self):
+        # With sigma = 1e300 every finite x standardizes into (-1.8e8,
+        # 1.8e8): none reaches t = -1e10, all reach t = 1e10.
+        mean, scale = np.array([0.0]), np.array([1e300])
+        feature = np.zeros(3, dtype=np.int64)
+        folded = raw_thresholds(feature, np.array([-1e10, 1e10, 0.5]), mean, scale)
+        assert folded[0] == -np.inf and folded[1] == np.inf
+        assert folded[2] / 1e300 <= 0.5 < np.nextafter(folded[2], np.inf) / 1e300
+        with pytest.raises(ValueError, match="positive scale"):
+            raw_thresholds(feature[:1], np.array([0.0]), mean, np.array([0.0]))
 
 
 GAMES = ["dota2", "csgo", "hl2", "tf2"]
