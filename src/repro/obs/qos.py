@@ -15,10 +15,13 @@ that loop:
   (:func:`repro.simulator.measurement.run_colocations`; the ledger is
   also the offline simulator's only scorer) — not inside the hook, where no
   decision would read it, but when the ledger itself first needs the
-  value, together with every other composition waiting by then — and
+  value, together with every other composition waiting by then and the
+  composition each of their servers will have after its next departure —
+  and
 * fixes each session's **promise** at admission time: the FPS the
   predictor's regression model claimed the session would get in its
-  post-placement group.
+  post-placement group (priced with the next read's batch, or at the
+  session's own close if that comes first).
 
 When a session's record closes (departure, eviction, or end-of-run
 finalization) the ledger books exactly one calibration sample — the
@@ -100,6 +103,9 @@ class _OpenRecord:
     genre: str
     opened_at: float
     promised_fps: float = 0.0
+    # (signature, slot) of the newest promise not priced yet; see
+    # :meth:`QoSLedger._claim`.
+    claim: tuple | None = None
     current_fps: float = 0.0
     # Index in the group's canonical ordering; refreshed by every recompute.
     slot: int = 0
@@ -178,11 +184,15 @@ class QoSLedger:
     # -- lifecycle ------------------------------------------------------
 
     def reset(self) -> "QoSLedger":
-        """Clear per-run state (records, pending marks, the clock), keep caches."""
+        """Clear per-run state (records, pending marks and claims, the
+        clock), keep caches."""
         self._servers: dict[int, dict[int, _OpenRecord]] = {}
         # server id -> (signature, slot-ordered records) of a composition
         # not measured yet; see :meth:`_flush`.
         self._pending: dict[int, tuple[tuple, list[_OpenRecord]]] = {}
+        # signature -> records whose promise waits for it, in first-claim
+        # order; see :meth:`_price`.
+        self._claims: dict[tuple, list[_OpenRecord]] = {}
         self._now = 0.0
         self._evict_reason = "evicted"
         self.opened = 0
@@ -232,8 +242,7 @@ class QoSLedger:
             was_degraded=degraded,
         )
         members[member_id] = record
-        sig = self._recompute(server_id, members, op="place")
-        record.promised_fps = self._promise_for(sig, record.slot)
+        self._claim(record, self._recompute(server_id, members, op="place"))
         self.opened += 1
         t = self.telemetry
         t.counter("qos_sessions_opened").inc()
@@ -300,8 +309,7 @@ class QoSLedger:
         record.entry = self._entry(new)
         record.degraded = degraded
         record.was_degraded = record.was_degraded or degraded
-        sig = self._recompute(server_id, members, op="restore")
-        record.promised_fps = self._promise_for(sig, record.slot)
+        self._claim(record, self._recompute(server_id, members, op="restore"))
         self.telemetry.event(
             "resolution_change",
             time=now,
@@ -325,8 +333,12 @@ class QoSLedger:
         Called when the trace ends: remaining sessions run to their
         scheduled departures, shrinking each group in departure order so
         late sessions are credited with the (faster) thinner groups,
-        exactly as the fleet would have retired them.
+        exactly as the fleet would have retired them.  Groups still queued
+        for pricing are priced first, even those only superseded claims
+        wait for, so ``qos_predictions`` counts every group ever claimed.
         """
+        if self._claims:
+            self._price()
         pending = [
             (record.session.departure, record.member_id, server_id)
             for server_id, members in self._servers.items()
@@ -445,8 +457,8 @@ class QoSLedger:
         replaced before then is never measured at all.  Until the flush,
         members keep the previous composition's ``current_fps``, unread.
 
-        Returns the group's signature, so a caller that goes on to read a
-        promise does not sort the group again.
+        Returns the group's signature, so a caller that goes on to claim
+        a promise does not sort the group again.
         """
         sig, ordered = self._group_signature(members.values())
         fps = self._measured.get(sig)
@@ -465,23 +477,44 @@ class QoSLedger:
         return sig
 
     def _flush(self, server_id: int) -> None:
-        """Measure every pending composition in one batch.
+        """Measure every pending composition, and what comes next, in one batch.
 
-        ``server_id`` is the server whose read forced the flush.  Each
-        distinct signature is measured once (``qos_measurements`` counts
-        them) and written to the records it was marked with — which may
-        already have left ``_servers``: an evicted server is accrued and
-        closed after it is popped.  A measurement is a pure function of
-        its signature, so when it runs cannot change what it returns.
+        ``server_id`` is the server whose read forced the flush.  A solve
+        costs about the same however many compositions ride in it, so
+        each pending server still in ``_servers`` with two or more
+        members also brings the group it will have once its member with
+        the smallest ``(departure, member_id)`` — the fleet's own order —
+        leaves, unless that group is measured already (``ahead`` on the
+        span counts them); the departure then finds it in the memo.
+        Queued promises are priced first, in one predictor call.
+
+        Each distinct signature is measured once (``qos_measurements``
+        counts them) and written to the records it was marked with —
+        which may already have left ``_servers``: an evicted server is
+        accrued and closed after it is popped.  A measurement is a pure
+        function of its signature, whatever batch it rides in, so when
+        it runs cannot change what it returns.
         """
         from repro.core.training import ColocationSpec
         from repro.simulator.measurement import run_colocations
 
         pending = self._pending
-        sigs = list(dict.fromkeys(sig for sig, _ in pending.values()))
-        with self.tracer.span(
-            "qos", op="flush", server_id=server_id, compositions=len(sigs)
-        ):
+        with self.tracer.span("qos", op="flush", server_id=server_id) as span:
+            if self._claims:
+                self._price()
+            batch = dict.fromkeys(sig for sig, _ in pending.values())
+            forced = len(batch)
+            for sid, (_, ordered) in pending.items():
+                if len(ordered) < 2 or sid not in self._servers:
+                    continue
+                leaving = min(
+                    ordered, key=lambda r: (r.session.departure, r.member_id)
+                )
+                sig = tuple(r.entry for r in ordered if r is not leaving)
+                if sig not in self._measured:
+                    batch[sig] = None
+            sigs = list(batch)
+            span.set(compositions=len(sigs), ahead=len(sigs) - forced)
             results = run_colocations(
                 [ColocationSpec(sig).instances(self.catalog) for sig in sigs],
                 server=self.server,
@@ -496,17 +529,44 @@ class QoSLedger:
                     record.current_fps = value
         self._pending = {}
 
-    def _promise_for(self, sig: tuple, slot: int) -> float:
-        """The predictor's FPS claim for slot ``slot`` of the group ``sig``."""
-        promised = self._promised.get(sig)
-        if promised is None:
-            from repro.core.training import ColocationSpec
+    def _claim(self, record: _OpenRecord, sig: tuple) -> None:
+        """Promise ``record`` the predictor's FPS for its slot of group ``sig``.
 
-            predicted = self.predictor.predict_fps(ColocationSpec(sig))
-            promised = tuple(float(f) for f in predicted)
-            self._promised[sig] = promised
-            self.telemetry.counter("qos_predictions").inc()
-        return promised[slot]
+        A group priced before is read at once; a new one is queued for
+        :meth:`_price`, and the claim replaces any older unpriced one.
+        """
+        promised = self._promised.get(sig)
+        if promised is not None:
+            record.promised_fps = promised[record.slot]
+            record.claim = None
+        else:
+            record.claim = (sig, record.slot)
+            self._claims.setdefault(sig, []).append(record)
+
+    def _price(self) -> None:
+        """Price every queued group with one predictor call, then its claims.
+
+        ``predict_fps_batch([s])[0]`` is bitwise ``predict_fps(s)``, so
+        batching changes when a promise is priced, never its value.
+        Every record reads its own newest claim: one an older claim
+        superseded is skipped.
+        """
+        from repro.core.training import ColocationSpec
+
+        sigs = list(self._claims)
+        predicted = self.predictor.predict_fps_batch(
+            [ColocationSpec(sig) for sig in sigs]
+        )
+        for sig, fps in zip(sigs, predicted):
+            self._promised[sig] = tuple(float(f) for f in fps)
+        self.telemetry.counter("qos_predictions").inc(len(sigs))
+        for records in self._claims.values():
+            for record in records:
+                if record.claim is not None:
+                    sig, slot = record.claim
+                    record.promised_fps = self._promised[sig][slot]
+                    record.claim = None
+        self._claims = {}
 
     def _close(self, record: _OpenRecord, *, reason: str) -> None:
         """Book the record's single calibration + SLO sample."""
@@ -514,6 +574,8 @@ class QoSLedger:
         if minutes <= 0 and record.server_id in self._pending:
             # A zero-lifetime record reads its FPS without ever accruing.
             self._flush(record.server_id)
+        if record.claim is not None:
+            self._price()
         actual = record.fps_minutes / minutes if minutes > 0 else record.current_fps
         residual = record.promised_fps - actual
         game = record.session.game

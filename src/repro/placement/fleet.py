@@ -24,9 +24,8 @@ copy at a different resolution, adjusting the server signature in place
 — the restore loop's promotion primitive (and, symmetrically, how an
 in-place downscale would land).
 
-An optional *observer* (duck-typed: ``fleet_placed`` /
-``fleet_departed`` / ``fleet_evicted``, plus the optional
-``fleet_resolution_changed``) is notified synchronously after each
+An *observer* (``fleet_placed`` / ``fleet_departed`` / ``fleet_evicted``
+/ ``fleet_resolution_changed``) is notified synchronously after each
 mutation with the stable member ids involved — the hook the QoS ledger
 (:class:`repro.obs.qos.QoSLedger`) uses to mirror group composition
 without the fleet knowing anything about QoS.
@@ -130,8 +129,8 @@ class FleetState:
     """
 
     def __init__(self, observer=None) -> None:
-        # Duck-typed mutation observer (fleet_placed / fleet_departed /
-        # fleet_evicted), or None for zero-overhead operation.
+        # Mutation observer (fleet_placed / fleet_departed / fleet_evicted /
+        # fleet_resolution_changed), or None for zero-overhead operation.
         self.observer = observer
         # server id -> members as (member_id, session), departure-ordered.
         self._servers: dict[int, list[tuple[int, Session]]] = {}
@@ -318,9 +317,8 @@ class FleetState:
             server_id, signature_add(sig[:i] + sig[i + 1 :], entry_of(session))
         )
         self._n_degraded += int(session.degraded) - int(old.degraded)
-        hook = getattr(self.observer, "fleet_resolution_changed", None)
-        if callable(hook):
-            hook(server_id, member_id, old, session)
+        if self.observer is not None:
+            self.observer.fleet_resolution_changed(server_id, member_id, old, session)
 
     def crash(self, server_id: int) -> list[Session]:
         """Evict ``server_id`` wholesale, returning its live sessions.

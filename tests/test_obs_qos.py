@@ -52,8 +52,8 @@ class StubCatalog:
 class ExplodingPredictor:
     """Guards that prefilled caches cover every prediction."""
 
-    def predict_fps(self, spec):  # pragma: no cover - only on test bugs
-        raise AssertionError(f"uncached prediction requested: {spec}")
+    def predict_fps_batch(self, specs):  # pragma: no cover - only on test bugs
+        raise AssertionError(f"uncached prediction requested: {specs}")
 
 
 def make_ledger(**kwargs):

@@ -16,6 +16,7 @@ from repro.simulator import (
     ColocationEngine,
     GameInstance,
     run_colocation,
+    run_colocations,
 )
 from tests import _reference_simulator as reference
 
@@ -321,6 +322,31 @@ class TestBatchFixedPoint:
             ColocationEngine().steady_states([[game], []])
         with pytest.raises(ValueError, match="at least one workload"):
             ColocationEngine().steady_state([])
+
+    @given(
+        st.lists(colocation_lists(5), min_size=1, max_size=6),
+        st.lists(colocation_lists(9), max_size=2),
+        st.data(),
+    )
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    def test_measurement_ignores_its_batch(self, batch, peers, data):
+        """``run_colocations(batch)[i]`` reads ``run_colocation(batch[i])``.
+
+        The solver is pinned above; this pins the read too, whose per-slot
+        noise streams are keyed by the composition alone.  The ledger's
+        flush rides each pending server's next composition along with
+        whatever else is pending, which is exact only because of this.
+        """
+        alone = [run_colocation(list(workloads)) for workloads in batch]
+        order = data.draw(st.permutations(range(len(batch))))
+        engine = ColocationEngine()
+        # One engine across calls, as the ledger keeps one across flushes.
+        run_colocations(peers, engine=engine)
+        got = run_colocations(peers + [batch[i] for i in order], engine=engine)
+        for result, i in zip(got[len(peers):], order, strict=True):
+            for name in ("fps", "slowdowns"):
+                a, b = getattr(result, name), getattr(alone[i], name)
+                assert np.array(a).tobytes() == np.array(b).tobytes(), name
 
     @given(
         st.lists(st.integers(0, 7), min_size=1, max_size=6),

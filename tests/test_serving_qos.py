@@ -16,6 +16,7 @@ import pytest
 from repro.games import DegradeLadder
 from repro.games.resolution import Resolution
 from repro.obs import QoSLedger, Tracer, build_qos_section
+from repro.placement.fleet import Session, degraded_to, promoted_to
 from repro.scheduling import generate_sessions
 from repro.serving import (
     BreakerConfig,
@@ -35,6 +36,7 @@ from repro.sharding import ShardConfig, ShardedBroker, build_shard_brokers
 from tests._reference_simulator import ReferenceEngine
 
 R1080 = Resolution(1920, 1080)
+R720 = Resolution(1280, 720)
 SLO_FPS = 30.0
 
 
@@ -269,10 +271,28 @@ class EagerLedger(QoSLedger):
 
 
 def without_measurement_count(payload):
-    """A normalized report minus the one number deferral may change."""
-    payload["telemetry"]["counters"].pop("qos_measurements")
+    """A normalized report minus the numbers deferral may change.
+
+    The count of measurements, and how often the predictor ran: promises
+    are priced in batches, so the ledger's RM stage calls (and the
+    predictor's per-stage histogram counts, shared with the CM) fall.
+    """
+    telemetry = payload["telemetry"]
+    telemetry["counters"].pop("qos_measurements")
     payload["qos"]["sessions"].pop("measurements")
+    for name in ("predict_featurize_s", "predict_model_eval_s"):
+        telemetry["histograms"].pop(name)
+    stage_calls = telemetry["labeled"]["counters"]["predict_stage_calls"]
+    stage_calls[:] = [c for c in stage_calls if c["labels"]["model"] != "rm"]
     return payload
+
+
+def flush_spans(tracer):
+    """Attributes of every ground-truth flush the tracer recorded."""
+    return [
+        s.attributes for s in tracer.spans
+        if s.name == "qos" and s.attributes["op"] == "flush"
+    ]
 
 
 class TestDeferredGroundTruth:
@@ -282,7 +302,8 @@ class TestDeferredGroundTruth:
     pending; :class:`EagerLedger` measures inside every hook, one at a
     time.  A measurement is a pure function of the signature, and accrual,
     burn events and closes run at the same points in both, so everything
-    but the count of measurements (and wall-clock histograms) is equal.
+    but the count of measurements, the predictor's call counts (promises
+    are priced in batches) and wall-clock histograms is equal.
     """
 
     def serve(self, minilab, ledger_cls, tracer=None):
@@ -338,7 +359,8 @@ class TestDeferredGroundTruth:
         return normalized(broker.finish().to_dict())
 
     def test_chaos_run_books_the_same_report(self, minilab):
-        deferred = self.serve(minilab, QoSLedger)
+        tracer = Tracer(enabled=True)
+        deferred = self.serve(minilab, QoSLedger, tracer=tracer)
         eager = self.serve(minilab, EagerLedger)
         counters = deferred["telemetry"]["counters"]
         for exercised in (
@@ -350,10 +372,12 @@ class TestDeferredGroundTruth:
         sessions = deferred["qos"]["sessions"]
         assert sessions["opened"] == sessions["closed"] > 320
         assert sessions["close_reasons"]["migrated"] >= 2
-        # Deferral can only skip measurements (compositions replaced before
-        # any time passed), never add one.
+        # Deferral only skips compositions replaced before any time passed;
+        # what it adds is the look-ahead, which the flush spans count.
+        ahead = sum(flush["ahead"] for flush in flush_spans(tracer))
+        assert ahead > 0
         assert 50 < counters["qos_measurements"] <= (
-            eager["telemetry"]["counters"]["qos_measurements"]
+            eager["telemetry"]["counters"]["qos_measurements"] + ahead
         )
         deferred, eager = map(without_measurement_count, (deferred, eager))
         assert deferred["telemetry"]["events"] == eager["telemetry"]["events"]
@@ -363,13 +387,10 @@ class TestDeferredGroundTruth:
     def test_flush_spans_name_the_trigger_and_the_batch(self, minilab):
         tracer = Tracer(enabled=True)
         report = self.serve(minilab, QoSLedger, tracer=tracer)
-        flushes = [
-            s for s in tracer.spans
-            if s.name == "qos" and s.attributes["op"] == "flush"
-        ]
+        flushes = flush_spans(tracer)
         assert flushes
-        assert all("server_id" in s.attributes for s in flushes)
-        measured = sum(s.attributes["compositions"] for s in flushes)
+        assert all("server_id" in flush for flush in flushes)
+        measured = sum(flush["compositions"] for flush in flushes)
         assert measured == report["telemetry"]["counters"]["qos_measurements"]
         # Need is the only trigger, yet most flushes find company.
         assert measured > len(flushes)
@@ -450,3 +471,102 @@ class TestDeferredGroundTruth:
         counters = ledger.telemetry.snapshot()["counters"]
         assert counters["qos_measurements"] == 1
         assert list(ledger._measured) == [((s2.game, s2.resolution),)]
+
+    # -- look-ahead and batched promises ---------------------------------
+
+    def test_next_departure_rides_the_first_flush(self, minilab):
+        a, b = minilab.names[:2]
+        first = Session(a, R1080, arrival=0.0, duration=10.0)
+        second = Session(b, R1080, arrival=0.0, duration=20.0)
+
+        def run(ledger):
+            ledger.instrument(tracer=Tracer(enabled=True))
+            ledger.advance(0.0)
+            ledger.fleet_placed(0, 0, first)
+            ledger.fleet_placed(0, 1, second)
+            # The departure's accrual reads the pair; `second` alone rides
+            # along, so the group the departure leaves is known already.
+            ledger.fleet_departed(0, 0, first, 10.0)
+            assert not ledger._pending
+            ledger.finalize()
+            return ledger
+
+        deferred, _ = self.both(minilab, run)
+        (flush,) = flush_spans(deferred.tracer)
+        assert (flush["compositions"], flush["ahead"]) == (2, 1)
+        assert list(deferred._measured)[1] == ((b, R1080),)
+
+    def test_reset_drops_unpriced_claims(self, minilab):
+        s1, s2 = self.pair(minilab)
+        ledger = make_ledger(minilab)
+        ledger.advance(1.0)
+        ledger.fleet_placed(0, 0, s1)
+        assert list(ledger._claims) == [((s1.game, s1.resolution),)]
+        ledger.reset()
+        assert not ledger._claims
+        ledger.advance(2.0)
+        ledger.fleet_placed(0, 0, s2)
+        ledger.finalize()
+        counters = ledger.telemetry.snapshot()["counters"]
+        assert counters["qos_predictions"] == 1
+        assert list(ledger._promised) == [((s2.game, s2.resolution),)]
+
+    def test_restore_keeps_its_own_price(self, minilab):
+        game = minilab.names[0]
+        full, low = ((game, R1080),), ((game, R720),)
+
+        def run(ledger):
+            # A first session prices the full-resolution group.
+            ledger.advance(0.0)
+            ledger.fleet_placed(1, 0, Session(game, R1080, 0.0, 1.0))
+            ledger.fleet_departed(1, 0, None, 1.0)
+            assert full in ledger._promised
+            # A degraded placement queues its claim; the restore, before
+            # any read, is priced at once.  The older claim must not
+            # overwrite it when the queue is priced.
+            ledger.advance(1.0)
+            degraded = degraded_to(Session(game, R1080, 1.0, 5.0), R720)
+            ledger.fleet_placed(0, 1, degraded)
+            record = ledger._servers[0][1]
+            assert record.claim == (low, 0)
+            ledger.fleet_resolution_changed(
+                0, 1, degraded, promoted_to(degraded, R1080)
+            )
+            assert record.claim is None and list(ledger._claims) == [low]
+            ledger.finalize()
+            assert record.promised_fps == ledger._promised[full][0]
+            assert ledger._promised[low][0] != ledger._promised[full][0]
+            return ledger
+
+        deferred, _ = self.both(minilab, run)
+        counters = deferred.telemetry.snapshot()["counters"]
+        # The superseded group is still priced, as it was when claimed.
+        assert counters["qos_predictions"] == 2
+
+    def test_zero_lifetime_close_prices_its_claim(self, minilab):
+        a, b = minilab.names[:2]
+
+        def run(ledger):
+            ledger.instrument(tracer=Tracer(enabled=True))
+            ledger.advance(0.0)
+            ledger.fleet_placed(0, 0, Session(a, R1080, 0.0, 10.0))
+            ledger.fleet_placed(0, 1, Session(b, R1080, 0.0, 20.0))
+            ledger.fleet_departed(0, 0, None, 10.0)
+            # `b` alone was measured ahead, never priced: the new server is
+            # not pending, but its one record's promise is.
+            ledger.advance(10.0)
+            ledger.fleet_placed(1, 2, Session(b, R1080, 10.0, 5.0))
+            record = ledger._servers[1][2]
+            assert 1 not in ledger._pending and record.claim is not None
+            ledger.fleet_evicted(1, [(2, None)])
+            assert record.claim is None
+            assert record.promised_fps == ledger._promised[((b, R1080),)][0]
+            ledger.finalize()
+            return ledger
+
+        deferred, _ = self.both(minilab, run)
+        assert len(flush_spans(deferred.tracer)) == 1
+        counters = deferred.telemetry.snapshot()["counters"]
+        assert counters["qos_sessions_closed"] == 3
+        # `a` alone, the pair, `b` alone.
+        assert counters["qos_predictions"] == 3
