@@ -38,6 +38,8 @@ class VBPJudge:
     def __init__(self, db: "ProfileDatabase", server: ServerSpec = DEFAULT_SERVER):
         self.db = db
         self.server = server
+        # (game, resolution) -> (profile, its read-only demand vector)
+        self._demand: dict[tuple, tuple] = {}
 
     # ------------------------------------------------------------------
 
@@ -45,16 +47,23 @@ class VBPJudge:
         """Demand on the checked dimensions: 5 shared resources + 2 memories.
 
         Shared-resource entries are fractions of server capacity; memory
-        entries are normalized by the server's memory sizes.
+        entries are normalized by the server's memory sizes.  Memoized (read-
+        only) per ``(game, resolution)`` while the database keeps the profile.
         """
         profile = self.db.get(name)
+        memo = self._demand.get((name, resolution))
+        if memo is not None and memo[0] is profile:
+            return memo[1]
         shared = profile.demand_at(resolution)
         demand = [
             shared[res] / self.server.domain_scale(res) for res in VBP_RESOURCES
         ]
         demand.append(profile.cpu_mem_gb / self.server.cpu_mem_gb)
         demand.append(profile.gpu_mem_gb / self.server.gpu_mem_gb)
-        return np.asarray(demand, dtype=float)
+        vector = np.asarray(demand, dtype=float)
+        vector.flags.writeable = False
+        self._demand[name, resolution] = (profile, vector)
+        return vector
 
     def total_demand(self, spec: ColocationSpec) -> np.ndarray:
         """Summed demand vector of a colocation."""

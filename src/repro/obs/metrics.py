@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_left
 from collections import deque
 from contextlib import contextmanager
 
 __all__ = [
+    "BoundInstruments",
     "Counter",
     "Gauge",
     "LatencyHistogram",
@@ -139,12 +141,9 @@ class LatencyHistogram:
         """Record one duration."""
         if seconds < 0:
             raise ValueError(f"negative duration {seconds}")
-        for i, edge in enumerate(self.buckets):
-            if seconds <= edge:
-                self._counts[i] += 1
-                break
-        else:
-            self._counts[-1] += 1
+        # The first edge >= seconds; NaN (never <= an edge) overflows.
+        at = bisect_left(self.buckets, seconds) if seconds == seconds else -1
+        self._counts[at] += 1
         self._count += 1
         self._total += seconds
 
@@ -243,6 +242,24 @@ class LatencyHistogram:
         hist._count = count
         hist._total = total
         return hist
+
+
+class BoundInstruments(dict):
+    """``key -> make(key)``, resolved on first use: a hot path's instruments.
+
+    A hit is a dict lookup (no registry call, no label-key sort); a miss
+    creates the instrument exactly when a direct call would have.
+    """
+
+    __slots__ = ("make",)
+
+    def __init__(self, make):
+        super().__init__()
+        self.make = make
+
+    def __missing__(self, key):
+        instrument = self[key] = self.make(key)
+        return instrument
 
 
 class Telemetry:

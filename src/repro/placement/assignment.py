@@ -138,13 +138,10 @@ def assign_worst_fit(
     usage = np.zeros((n_servers, dims), dtype=float)
     counts = np.zeros(n_servers, dtype=int)
     servers: list[list[tuple]] = [[] for _ in range(n_servers)]
-    demand_cache: dict[tuple, np.ndarray] = {}
 
     for request in requests:
         key = entry_of(request)
-        if key not in demand_cache:
-            demand_cache[key] = vbp.demand_vector(request.game, request.resolution)
-        demand = demand_cache[key]
+        demand = vbp.demand_vector(request.game, request.resolution)
         slack = dims - usage.sum(axis=1)
         open_mask = counts < max_colocation
         fits = open_mask & np.all(usage + demand <= 1.0 + 1e-9, axis=1)

@@ -95,6 +95,7 @@ class CircuitBreaker:
         self.recoveries = 0
         self.transitions: list[dict] = []
         self._outcomes: deque[bool] = deque(maxlen=self.config.window)
+        self._failures = 0  # failures in _outcomes, kept as it changes
         self._skipped = 0  # decisions skipped while OPEN
         self._probe_successes = 0
         self._decision = 0  # monotonic decision clock (allow() calls)
@@ -136,14 +137,20 @@ class CircuitBreaker:
             self._probe_successes += 1
             if self._probe_successes >= self.config.probe_window:
                 self._outcomes.clear()
+                self._failures = 0
                 self.recoveries += 1
                 self._transition(BreakerState.CLOSED, "probe window succeeded")
             return
-        self._outcomes.append(success)
+        outcomes = self._outcomes
+        if len(outcomes) == outcomes.maxlen and not outcomes[0]:
+            self._failures -= 1  # the append below evicts a failure
+        outcomes.append(success)
+        if not success:
+            self._failures += 1
         if (
             self.state is BreakerState.CLOSED
-            and len(self._outcomes) >= self.config.min_requests
-            and self.failure_rate >= self.config.failure_threshold
+            and len(outcomes) >= self.config.min_requests
+            and self._failures / len(outcomes) >= self.config.failure_threshold
         ):
             self.trips += 1
             self._reopen("failure threshold exceeded")
@@ -151,6 +158,7 @@ class CircuitBreaker:
     def _reopen(self, reason: str) -> None:
         self._skipped = 0
         self._outcomes.clear()
+        self._failures = 0
         self._transition(BreakerState.OPEN, reason)
 
     # ------------------------------------------------------------------
@@ -160,7 +168,7 @@ class CircuitBreaker:
         """Failure fraction over the current sliding window (0.0 if empty)."""
         if not self._outcomes:
             return 0.0
-        return sum(1 for ok in self._outcomes if not ok) / len(self._outcomes)
+        return self._failures / len(self._outcomes)
 
     @property
     def state_age(self) -> int:

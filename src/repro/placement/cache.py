@@ -59,6 +59,25 @@ class PredictionCache:
         self._store.move_to_end(key)
         return value
 
+    def lookup_many(self, keys, default: Any = None) -> list:
+        """:meth:`lookup` of each of ``keys``, in order, as one call.
+
+        A cache wrapper must define its own, or its per-key behaviour (a
+        fault draw, a log line) silently leaves the policies' probe path.
+        """
+        store, miss = self._store, _MISS
+        values = []
+        for key in keys:
+            value = store.get(key, miss)
+            if value is miss:
+                self._misses += 1
+                values.append(default)
+            else:
+                self._hits += 1
+                store.move_to_end(key)
+                values.append(value)
+        return values
+
     def __contains__(self, key: tuple) -> bool:
         return key in self._store
 

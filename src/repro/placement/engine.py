@@ -78,7 +78,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from repro.games.resolution import DegradeLadder
-from repro.obs.metrics import Telemetry
+from repro.obs.metrics import BoundInstruments, Telemetry
 from repro.obs.tracing import NOOP_TRACER, Tracer
 from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.fleet import FleetState, Session, degraded_to, promoted_to
@@ -101,6 +101,10 @@ class Mode(Enum):
     NORMAL = "normal"
     DEGRADED = "degraded"
     CONSERVATIVE = "conservative"
+
+
+#: The ``mode_level`` gauge's value in each mode.
+_MODE_LEVEL = {Mode.NORMAL: 0, Mode.DEGRADED: 1, Mode.CONSERVATIVE: 2}
 
 
 class PolicyActuator:
@@ -277,6 +281,7 @@ class DecisionEngine:
         self.strict = bool(strict)
         self.mode = Mode.NORMAL
         self.mode_transitions: list[dict] = []
+        self._bound_to: Telemetry | None = None  # see _bind
         # The policy chain: step 0 is the primary, later steps are the
         # conservative fallbacks, each with its own breaker.  Breaker
         # names keep their historical labels ("primary"/"fallback") so
@@ -330,6 +335,16 @@ class DecisionEngine:
         """Swap the tracer, re-instrumenting policies and predictor."""
         self.tracer = tracer
         self._instrument_members()
+
+    def _bind(self, telemetry: Telemetry) -> None:
+        """Resolve the decision path's instruments through ``telemetry``, lazily."""
+        self._bound_to = telemetry
+        self._counters = BoundInstruments(telemetry.counter)
+        self._decisions = BoundInstruments(
+            lambda key: telemetry.counter("decisions", policy=key[0], mode=key[1])
+        )
+        self._histograms = BoundInstruments(telemetry.histogram)
+        self._gauges = BoundInstruments(telemetry.gauge)
 
     def _breaker_event(self, which: str):
         def emit(change: dict) -> None:
@@ -398,8 +413,10 @@ class DecisionEngine:
         ``fallback_errors`` / ``invalid_choices`` / ``deadline_overruns``
         counters.
         """
-        t = self.telemetry
-        t.counter("requests").inc()
+        if self.telemetry is not self._bound_to:
+            self._bind(self.telemetry)
+        counters = self._counters
+        counters["requests"].inc()
         span = self.tracer.span(
             "admission",
             game=getattr(session, "game", None),
@@ -426,15 +443,15 @@ class DecisionEngine:
                     policy_used = first.name
                     deciding = first
             else:
-                t.counter(first.skip_counter).inc()
+                counters[first.skip_counter].inc()
 
             if not (first_allowed and first_ok):
                 used_fallback = True
-                t.counter("fallbacks").inc()
+                counters["fallbacks"].inc()
                 choice = None
                 for step in self.pipeline[1:]:
                     if not (step.breaker.allow() if step.breaker else True):
-                        t.counter(step.skip_counter).inc()
+                        counters[step.skip_counter].inc()
                         continue
                     ok, choice = self._attempt(step, signatures, session)
                     attempted.append((step, ok))
@@ -463,19 +480,20 @@ class DecisionEngine:
                 and elapsed > self.decision_deadline_s
             )
             if overrun:
-                t.counter("deadline_overruns").inc()
+                counters["deadline_overruns"].inc()
             for step, ok in attempted:
                 if step.breaker is not None:
                     step.breaker.record(ok and not overrun)
-            t.histogram("decision_latency_s").observe(elapsed)
-            t.counter("admissions" if choice is not None else "servers_opened").inc()
+            self._histograms["decision_latency_s"].observe(elapsed)
+            counters["admissions" if choice is not None else "servers_opened"].inc()
             self._update_mode()
-            t.counter("decisions", policy=policy_used, mode=self.mode.value).inc()
+            mode = self.mode.value
+            self._decisions[policy_used, mode].inc()
             span.set(
                 policy=policy_used,
                 fallback=used_fallback,
                 choice=choice,
-                mode=self.mode.value,
+                mode=mode,
             )
             if placed_session is not None:
                 span.set(resolution=str(placed_session.resolution))
@@ -604,9 +622,7 @@ class DecisionEngine:
             self.telemetry.event("mode_transition", **change)
             self.tracer.instant("mode_transition", **change)
             self.mode = mode
-        self.telemetry.gauge("mode_level").set(
-            {"normal": 0, "degraded": 1, "conservative": 2}[mode.value]
-        )
+        self._gauges["mode_level"].set(_MODE_LEVEL[mode])
 
     def resilience_snapshot(self) -> dict:
         """JSON-able resilience state: mode, transitions, breakers, budget."""

@@ -77,12 +77,16 @@ class _InstrumentedPolicy:
 
     telemetry = None
     tracer = NOOP_TRACER
+    #: ``(telemetry, its predict_cache_shortcuts{policy} counter)``, bound
+    #: at the first shortcut under that registry.
+    _shortcuts = (None, None)
 
     def __init__(self, predictor, qos: float, *, cache=None, max_colocation: int = 4):
         self.predictor = predictor
         self.qos = float(qos)
         self.max_colocation = int(max_colocation)
         self.cache = cache if cache is not None else PredictionCache()
+        self._arrivals: dict[tuple, tuple] = {}  # (entry, floor) -> arrival key
 
     def instrument(self, telemetry=None, tracer=None) -> None:
         """Attach telemetry/tracer sinks, forwarding to the predictor."""
@@ -102,18 +106,22 @@ class _InstrumentedPolicy:
         answers fill the cache in the same order.
         """
         with self.tracer.span("cache", policy=self.name) as span:
-            lookup = self.cache.lookup
-            values = [lookup(key, None) for _, key in pairs]
+            values = self.cache.lookup_many([key for _, key in pairs])
             unknown = [i for i, value in enumerate(values) if value is None]
             span.set(hits=len(pairs) - len(unknown), misses=len(unknown))
         with self.tracer.span(
             "predict", policy=self.name, batched=len(unknown), cached=not unknown
         ):
             if not unknown:
-                if self.telemetry is not None:
-                    self.telemetry.counter(
-                        "predict_cache_shortcuts", policy=self.name
-                    ).inc()
+                telemetry = self.telemetry
+                if telemetry is not None:
+                    bound, shortcuts = self._shortcuts
+                    if bound is not telemetry:
+                        shortcuts = telemetry.counter(
+                            "predict_cache_shortcuts", policy=self.name
+                        )
+                        self._shortcuts = (telemetry, shortcuts)
+                    shortcuts.inc()
                 return values
             answers = query([ColocationSpec(pairs[i][0]) for i in unknown])
             for i, value in zip(unknown, answers):
@@ -134,7 +142,9 @@ class _InstrumentedPolicy:
         index = index_of(signatures)
         groups = index.open_groups(self.max_colocation)
         entry = entry_of(session)
-        arrival = colocation_key((entry,), floor)
+        arrival = self._arrivals.get((entry, floor))
+        if arrival is None:
+            arrival = self._arrivals[entry, floor] = colocation_key((entry,), floor)
         pairs = []
         for group in groups:
             pair = group.memo.get(arrival)

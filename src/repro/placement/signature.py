@@ -107,6 +107,9 @@ class SignatureIndex:
     stay ascending: pool order *is* ascending id and a pool position is a
     ``bisect``.  Once built, :meth:`move` is the only mutation; it bumps
     ``epoch`` and never leaves an empty group behind.
+
+    Groups are also kept in first-occurrence pool order (sorted by first
+    id, re-seated only when it changes), so :meth:`open_groups` filters.
     """
 
     def __init__(self, signatures: Iterable[Signature] = ()) -> None:
@@ -116,10 +119,25 @@ class SignatureIndex:
         self.epoch = 0
         for position, signature in self.signatures.items():
             self._group(signature).ids.append(position)
+        # Positions were visited ascending: creation order is pool order.
+        self._order: list[SignatureGroup] = list(self.groups.values())
+        self._firsts: list[int] = [group.ids[0] for group in self._order]
 
     def _group(self, signature: Signature) -> SignatureGroup:
         group = self.groups.get(signature)
         return group or self.groups.setdefault(signature, SignatureGroup(signature))
+
+    def _reseat(self, group: SignatureGroup, old_first: int | None) -> None:
+        """Move ``group`` from ``old_first``'s place to its current first id's."""
+        firsts, order = self._firsts, self._order
+        if old_first is not None:
+            at = bisect_left(firsts, old_first)
+            del firsts[at], order[at]
+        if group.ids:
+            first = group.ids[0]
+            at = bisect_left(firsts, first)
+            firsts.insert(at, first)
+            order.insert(at, group)
 
     def move(self, server_id: int, new: Signature | None) -> None:
         """Set ``server_id``'s signature: its first opens it, ``None`` closes it."""
@@ -129,7 +147,10 @@ class SignatureIndex:
             self.ids.append(server_id)
         else:
             group = self.groups[old]
-            del group.ids[bisect_left(group.ids, server_id)]
+            at = bisect_left(group.ids, server_id)
+            del group.ids[at]
+            if at == 0:
+                self._reseat(group, server_id)
             if not group.ids:
                 del self.groups[old]
         if new is None:
@@ -137,12 +158,15 @@ class SignatureIndex:
             del self.ids[bisect_left(self.ids, server_id)]
         else:
             self.signatures[server_id] = new
-            insort(self._group(new).ids, server_id)
+            group = self._group(new)
+            old_first = group.ids[0] if group.ids else None
+            insort(group.ids, server_id)
+            if group.ids[0] == server_id:
+                self._reseat(group, old_first)
 
     def open_groups(self, limit: int) -> list[SignatureGroup]:
         """Groups of fewer than ``limit`` members, in first-occurrence pool order."""
-        groups = (g for g in self.groups.values() if len(g.signature) < limit)
-        return sorted(groups, key=lambda g: g.ids[0])
+        return [g for g in self._order if len(g.signature) < limit]
 
     def position(self, group: SignatureGroup | None) -> int | None:
         """Pool index of ``group``'s first server (``None`` for no group)."""

@@ -166,6 +166,10 @@ class RequestBroker:
     unsharded broker.
     """
 
+    #: ``(telemetry, its open_servers gauge)``, bound at the first
+    #: admission under that registry.
+    _open_servers = (None, None)
+
     def __init__(
         self,
         controller: DecisionEngine,
@@ -378,7 +382,12 @@ class RequestBroker:
             attributes["migrated"] = True
         with self.tracer.span("request", **attributes) as span:
             outcome = self.controller.admit(self.fleet, session)
-            self.controller.telemetry.gauge("open_servers").set(self.fleet.n_open)
+            telemetry = self.controller.telemetry
+            bound, gauge = self._open_servers
+            if bound is not telemetry:
+                gauge = telemetry.gauge("open_servers")
+                self._open_servers = (telemetry, gauge)
+            gauge.set(self.fleet.n_open)
             span.set(server_id=outcome.server_id, policy=outcome.policy)
         placed = outcome.session
         degraded = placed.degraded

@@ -305,6 +305,10 @@ class FaultyCache:
             return default
         return self._cache.lookup(key, default)
 
+    def lookup_many(self, keys, default=None) -> list:
+        """One faulty :meth:`lookup` (one ``stale`` draw) per key, in order."""
+        return [self.lookup(key, default) for key in keys]
+
     def put(self, key, value) -> None:
         """Cache store that occasionally writes a corrupted value."""
         if self._injector.fire("corrupt"):

@@ -600,6 +600,11 @@ class _RecordingCache(PredictionCache):
         self.log.append(("lookup", key))
         return super().lookup(key, default)
 
+    def lookup_many(self, keys, default=None):
+        keys = list(keys)
+        self.log.extend(("lookup", key) for key in keys)
+        return super().lookup_many(keys, default)
+
     def put(self, key, value):
         self.log.append(("put", key))
         super().put(key, value)
