@@ -13,7 +13,7 @@ Observation 5 forbids the naive alternative of summing intensities.
 
 The scalar builders define the rows; :func:`feature_rows` builds many at
 once — any mix of co-runner counts, padded into one block — bitwise equal
-to them, and the ``*_matrix`` builders and the predictor go through it.
+to them; the predictor goes through it.
 """
 
 from __future__ import annotations
@@ -31,9 +31,6 @@ __all__ = [
     "feature_rows",
     "cm_head_rows",
     "aggregate_rows",
-    "aggregate_intensity_matrix",
-    "rm_feature_matrix",
-    "cm_feature_matrix",
     "rm_feature_names",
     "cm_feature_names",
     "AGGREGATE_DIM",
@@ -188,65 +185,6 @@ def aggregate_rows(co_intensities: np.ndarray, counts: np.ndarray, out) -> None:
     out[:, 1::2] = mean
     # The paper's variance term: (1/|G|) * sqrt(sum (I - mean)^2).
     out[:, 2::2] = np.sqrt((deviation**2).sum(axis=1)) / size
-
-
-def _leave_one_out(stacks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``(g, n, 7)`` member stacks -> ``(g * n, n - 1, 7)`` co-runner stacks
-    (row ``g * n + i``: the members ``j != i`` of ``g``, ascending) + counts."""
-    stacks = np.asarray(stacks, dtype=float)
-    if stacks.ndim != 3:
-        raise ValueError(f"stacks must be (g, n, {NUM_RESOURCES}), got {stacks.shape}")
-    g, n, width = stacks.shape
-    if n < 2:
-        raise ValueError("leave-one-out aggregation needs colocations of >= 2 games")
-    base = np.arange(n - 1)
-    others = base + (base >= np.arange(n)[:, None])
-    return stacks[:, others, :].reshape(g * n, n - 1, width), np.full(g * n, n - 1)
-
-
-def aggregate_intensity_matrix(stacks: np.ndarray) -> np.ndarray:
-    """Eq. 5 leave-one-out aggregates for every member of every colocation.
-
-    ``stacks`` is the ``(g, n, 7)`` intensity matrices of ``g``
-    colocations, all of the same size ``n >= 2``; block ``[g, i]`` of the
-    ``(g, n, 15)`` result equals ``aggregate_intensity`` of member
-    ``i``'s co-runners (every member of colocation ``g`` except ``i``),
-    bitwise.
-    """
-    co, counts = _leave_one_out(stacks)
-    # An RM row of a target without sensitivity columns is the Eq. 5 block.
-    rows = feature_rows(np.empty((counts.shape[0], 0)), co, counts)
-    return rows.reshape(*np.shape(stacks)[:2], AGGREGATE_DIM)
-
-
-def rm_feature_matrix(sensitivities: np.ndarray, stacks: np.ndarray) -> np.ndarray:
-    """Batched :func:`rm_feature_vector`: one row per colocation member.
-
-    ``sensitivities`` is ``(g, n, d)`` (member sensitivity vectors) and
-    ``stacks`` is ``(g, n, 7)`` (member intensities) for ``g``
-    same-size colocations; returns ``(g * n, d + 15)`` rows in
-    colocation-major, member order, each bitwise equal to the scalar
-    builder applied to that member.
-    """
-    co, counts = _leave_one_out(stacks)
-    return feature_rows(np.reshape(sensitivities, (counts.shape[0], -1)), co, counts)
-
-
-def cm_feature_matrix(
-    qos: float,
-    solo_fps: np.ndarray,
-    sensitivities: np.ndarray,
-    stacks: np.ndarray,
-) -> np.ndarray:
-    """Batched :func:`cm_feature_vector`: one row per colocation member.
-
-    ``solo_fps`` is ``(g, n)`` (member solo frame rates, all positive);
-    the other arguments and the row order match
-    :func:`rm_feature_matrix`.
-    """
-    co, counts = _leave_one_out(stacks)
-    flat = np.reshape(sensitivities, (counts.shape[0], -1))
-    return feature_rows(flat, co, counts, qos, np.ravel(solo_fps))
 
 
 def _sensitivity_names(samples_per_curve: int) -> list[str]:

@@ -99,7 +99,7 @@ class InterferencePredictor:
     def instrument(self, telemetry=None, tracer=None) -> "InterferencePredictor":
         """Attach observability sinks (both optional, chainable).
 
-        ``telemetry`` (a :class:`repro.serving.Telemetry`) receives the
+        ``telemetry`` (a :class:`repro.obs.Telemetry`) receives the
         per-stage profiling histograms — feature assembly vs. model
         evaluation — that the batch prediction paths record; ``tracer``
         (a :class:`repro.obs.Tracer`) receives matching nested spans.

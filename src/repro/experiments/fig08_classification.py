@@ -13,6 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.classification import GAugurClassifier
+from repro.core.predictor import InterferencePredictor
 from repro.core.regression import GAugurRegressor
 from repro.experiments.evalutils import (
     baseline_sample_predictions,
@@ -75,7 +76,9 @@ def run(lab: Lab) -> dict:
     # solo-FPS law, threshold at the floor (solo FPS is not an RM feature,
     # so evaluation goes through the test colocations).
     rm = GAugurRegressor().fit(lab.training_subset(rm_tr, sizes60[-1], label="rm-cls"))
-    rm_samples = baseline_sample_predictions(lab, _RMAdapter(lab, rm))
+    rm_samples = baseline_sample_predictions(
+        lab, InterferencePredictor(lab.db, regressor=rm)
+    )
     rm_actual, rm_pred = rm_samples.qos_labels(qos)
     rm_correct = (rm_actual == rm_pred).astype(float)
 
@@ -100,28 +103,6 @@ def run(lab: Lab) -> dict:
         "accuracy_vs_samples_50": curves50,
         "breakdown": breakdown,
     }
-
-
-class _RMAdapter:
-    """Expose a fitted RM as a per-colocation degradation predictor."""
-
-    def __init__(self, lab: Lab, rm: GAugurRegressor):
-        self.lab = lab
-        self.rm = rm
-
-    def predict_degradations(self, spec) -> np.ndarray:
-        from repro.core.features import rm_feature_vector
-
-        profiles = [self.lab.db.get(name) for name, _ in spec.entries]
-        intensities = [
-            profiles[i].intensity_at(res).values
-            for i, (_, res) in enumerate(spec.entries)
-        ]
-        rows = []
-        for i in range(spec.size):
-            co = [intensities[j] for j in range(spec.size) if j != i]
-            rows.append(rm_feature_vector(profiles[i].sensitivity_vector(), co))
-        return self.rm.predict_from_features(np.vstack(rows))
 
 
 def render(result: dict) -> str:

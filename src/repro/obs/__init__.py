@@ -29,6 +29,9 @@ from repro.obs.metrics import (
     LatencyHistogram,
     Telemetry,
     label_snapshot,
+    merge_all,
+    merge_snapshots,
+    snapshot_to_prometheus,
 )
 from repro.obs.qos import (
     BURN_RATE_BUCKETS,
@@ -46,11 +49,8 @@ from repro.obs.snapshots import (
     check_regressions,
     diff_snapshots,
     load_snapshot,
-    merge_all,
-    merge_snapshots,
     parse_fail_spec,
     render_diff,
-    snapshot_to_prometheus,
     summarize_snapshot,
     validate_prometheus,
 )

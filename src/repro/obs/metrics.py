@@ -4,13 +4,11 @@ The broker and admission controller record everything an operator would
 scrape from a real dispatcher — request/admission/fallback counts and
 per-decision latency distributions — without any external dependency.
 Histograms use fixed upper-bound buckets (Prometheus-style ``le`` edges)
-so snapshots from different processes are mergeable by bucket-wise
-addition: :func:`merge_snapshots` combines two snapshots into exactly the
-snapshot one process observing both workloads would have produced.
-:meth:`Telemetry.snapshot` returns plain dicts/lists/floats, directly
-serializable with :func:`json.dumps`, and
-:meth:`Telemetry.to_prometheus` renders the standard text exposition
-format for scraping.
+so registries from different processes merge exactly by bucket-wise
+addition (:meth:`Telemetry.merge`).  :class:`Telemetry` is the one metric
+model: its JSON snapshot is just its serialization
+(:meth:`~Telemetry.snapshot` / :meth:`~Telemetry.from_snapshot`), and
+the snapshot-level operations below load, act on the instruments, dump.
 
 Metrics optionally carry **labels**: ``telemetry.counter("decisions",
 policy="cm-feasible")`` returns a child counter keyed by the label set,
@@ -68,13 +66,49 @@ def _label_key(labels: dict) -> tuple:
     return tuple(sorted((str(k), str(v)) for k, v in labels.items()))
 
 
-class Counter:
-    """A monotonically increasing integer counter."""
+class _Instrument:
+    """What every instrument has: a metric name and a (string) label set."""
 
     def __init__(self, name: str, labels: dict | None = None):
         self.name = name
         self.labels = {str(k): str(v) for k, v in (labels or {}).items()}
-        self._value = 0
+
+
+class _Scalar(_Instrument):
+    """A single-number instrument; its snapshot payload is the number.
+    Subclasses set a class-level zero ``_value`` that writes shadow."""
+
+    @classmethod
+    def _load(cls, name: str, value) -> "_Scalar":
+        made = cls(name)
+        made._value = value
+        return made
+
+    def _spawn(self, labels: dict | None) -> "_Scalar":
+        return type(self)(self.name, labels)
+
+    def _merge(self, other: "_Scalar") -> None:
+        self._value += other._value
+
+    def _dump(self):
+        return self._value
+
+    def _entry(self) -> dict:
+        return {"labels": self.labels, "value": self._value}
+
+    def _prom_lines(self, prom: str) -> list[str]:
+        return [f"{prom}{_prom_labels(self.labels)} {_prom_number(self._value)}"]
+
+    @property
+    def value(self):
+        """Current value."""
+        return self._value
+
+
+class Counter(_Scalar):
+    """A monotonically increasing integer counter."""
+
+    _value = 0
 
     def inc(self, n: int = 1) -> None:
         """Add ``n`` (must be >= 0 — counters never decrease)."""
@@ -82,19 +116,11 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc {n})")
         self._value += n
 
-    @property
-    def value(self) -> int:
-        """Current count."""
-        return self._value
 
-
-class Gauge:
+class Gauge(_Scalar):
     """A value that can move both ways (pool size, live sessions, mode)."""
 
-    def __init__(self, name: str, labels: dict | None = None):
-        self.name = name
-        self.labels = {str(k): str(v) for k, v in (labels or {}).items()}
-        self._value = 0.0
+    _value = 0.0
 
     def set(self, value: float) -> None:
         """Set the gauge to ``value``."""
@@ -108,13 +134,8 @@ class Gauge:
         """Move the gauge down by ``n``."""
         self._value -= n
 
-    @property
-    def value(self) -> float:
-        """Current value."""
-        return self._value
 
-
-class LatencyHistogram:
+class LatencyHistogram(_Instrument):
     """Fixed-bucket histogram of observed durations (seconds).
 
     Buckets are cumulative-style upper bounds; observations above the last
@@ -130,8 +151,7 @@ class LatencyHistogram:
     ):
         if not buckets or list(buckets) != sorted(buckets):
             raise ValueError("buckets must be a non-empty ascending sequence")
-        self.name = name
-        self.labels = {str(k): str(v) for k, v in (labels or {}).items()}
+        super().__init__(name, labels)
         self.buckets = tuple(float(b) for b in buckets)
         self._counts = [0] * (len(self.buckets) + 1)  # + overflow
         self._count = 0
@@ -228,20 +248,39 @@ class LatencyHistogram:
         ``KeyError`` out of :func:`merge_snapshots`.
         """
         count = int(data.get("count", 0))
-        total = float(data.get("total_s", 0.0))
         entries = data.get("buckets")
-        if not entries:
+        if entries:
+            hist = cls(name, tuple(b["le_s"] for b in entries if b["le_s"] is not None))
+            hist._counts = [int(b["count"]) for b in entries]
+        else:
             hist = cls(name)
             hist._counts[-1] = count  # all mass in overflow: edges unknown
-            hist._count = count
-            hist._total = total
-            return hist
-        edges = tuple(b["le_s"] for b in entries if b["le_s"] is not None)
-        hist = cls(name, buckets=edges)
-        hist._counts = [int(b["count"]) for b in entries]
         hist._count = count
-        hist._total = total
+        hist._total = float(data.get("total_s", 0.0))
         return hist
+
+    _load = from_dict
+    _merge = merge
+
+    def _spawn(self, labels: dict | None) -> "LatencyHistogram":
+        return LatencyHistogram(self.name, self.buckets, labels)
+
+    _dump = to_dict
+
+    def _entry(self) -> dict:
+        return {"labels": self.labels, **self.to_dict()}
+
+    def _prom_lines(self, prom: str) -> list[str]:
+        lines = []
+        cumulative = 0
+        for edge, n in zip(self.buckets + (math.inf,), self._counts):
+            cumulative += n
+            le = [("le", _prom_number(edge))]
+            lines.append(f"{prom}_bucket{_prom_labels(self.labels, le)} {cumulative}")
+        labels = _prom_labels(self.labels)
+        lines.append(f"{prom}_sum{labels} {_prom_number(self._total)}")
+        lines.append(f"{prom}_count{labels} {self._count}")
+        return lines
 
 
 class BoundInstruments(dict):
@@ -262,21 +301,59 @@ class BoundInstruments(dict):
         return instrument
 
 
+#: Snapshot section -> (instrument class, Prometheus type, sample suffix).
+_KINDS = {
+    "counters": (Counter, "counter", "_total"),
+    "gauges": (Gauge, "gauge", ""),
+    "histograms": (LatencyHistogram, "histogram", ""),
+}
+
+
+def _get(store: dict, kind, name: str, labels: dict, *args):
+    """Get-or-create: the unlabeled ``name`` or its child for ``labels``."""
+    key = (name, _label_key(labels)) if labels else name
+    found = store.get(key)
+    if found is None:
+        found = store[key] = kind(name, *args, labels=labels)
+    return found
+
+
+def _absorb(store: dict, instrument, labels: dict | None) -> None:
+    """Add ``instrument`` into ``store``'s series for ``labels``.
+
+    ``None`` is the unlabeled series; a label set (even an empty one) is
+    a labeled child.  The series is created empty on first sight, so the
+    store never aliases an instrument it was handed.
+    """
+    key = instrument.name if labels is None else (instrument.name, _label_key(labels))
+    mine = store.get(key)
+    if mine is None:
+        mine = store[key] = instrument._spawn(labels)
+    mine._merge(instrument)
+
+
+def _families(store: dict) -> list:
+    """``store``'s ``(key, instrument)`` pairs grouped by name, in name order:
+    each name's unlabeled series first, then its children by label key."""
+    return sorted(
+        store.items(),
+        key=lambda item: item[0] if item[0].__class__ is tuple else (item[0],),
+    )
+
+
 class Telemetry:
     """Registry of named counters, gauges and histograms with one snapshot.
 
     Metrics are created on first use, so instrumented code never has to
     pre-declare what it records.  Passing keyword labels returns a child
-    metric dedicated to that label set.
+    metric dedicated to that label set.  One store per kind holds both:
+    the unlabeled instrument under its ``name``, a labeled child under
+    ``(name, label key)``.
     """
 
     def __init__(self):
-        self._counters: dict[str, Counter] = {}
-        self._gauges: dict[str, Gauge] = {}
-        self._histograms: dict[str, LatencyHistogram] = {}
-        self._labeled_counters: dict[str, dict[tuple, Counter]] = {}
-        self._labeled_gauges: dict[str, dict[tuple, Gauge]] = {}
-        self._labeled_histograms: dict[str, dict[tuple, LatencyHistogram]] = {}
+        self._stores: dict[str, dict] = {kind: {} for kind in _KINDS}
+        self._counters, self._gauges, self._histograms = self._stores.values()
         self._events: deque[dict] = deque(maxlen=MAX_EVENTS)
         self._events_dropped = 0
 
@@ -285,27 +362,11 @@ class Telemetry:
 
         With labels, the child counter for that exact label set.
         """
-        if labels:
-            children = self._labeled_counters.setdefault(name, {})
-            key = _label_key(labels)
-            if key not in children:
-                children[key] = Counter(name, labels)
-            return children[key]
-        if name not in self._counters:
-            self._counters[name] = Counter(name)
-        return self._counters[name]
+        return _get(self._counters, Counter, name, labels)
 
     def gauge(self, name: str, **labels) -> Gauge:
         """The named gauge (created at zero on first use)."""
-        if labels:
-            children = self._labeled_gauges.setdefault(name, {})
-            key = _label_key(labels)
-            if key not in children:
-                children[key] = Gauge(name, labels)
-            return children[key]
-        if name not in self._gauges:
-            self._gauges[name] = Gauge(name)
-        return self._gauges[name]
+        return _get(self._gauges, Gauge, name, labels)
 
     def histogram(
         self,
@@ -314,15 +375,7 @@ class Telemetry:
         **labels,
     ) -> LatencyHistogram:
         """The named histogram (created empty on first use)."""
-        if labels:
-            children = self._labeled_histograms.setdefault(name, {})
-            key = _label_key(labels)
-            if key not in children:
-                children[key] = LatencyHistogram(name, buckets, labels)
-            return children[key]
-        if name not in self._histograms:
-            self._histograms[name] = LatencyHistogram(name, buckets)
-        return self._histograms[name]
+        return _get(self._histograms, LatencyHistogram, name, labels, buckets)
 
     @contextmanager
     def time(self, name: str, **labels):
@@ -351,86 +404,102 @@ class Telemetry:
         """The retained event log (oldest first)."""
         return list(self._events)
 
+    def merge(self, other: "Telemetry") -> None:
+        """Fold ``other`` in, series by series.
+
+        Counters and gauges add; histograms add bucket-wise (matching
+        edges required, else ``ValueError``), so merging the registries of
+        a split workload reproduces the single-run registry exactly.
+        ``other``'s events are appended under the same :data:`MAX_EVENTS`
+        cap with an exact drop count.  ``other`` is left untouched.
+        """
+        for kind, store in self._stores.items():
+            for key, instrument in other._stores[kind].items():
+                labels = None if key.__class__ is str else instrument.labels
+                _absorb(store, instrument, labels)
+        self._log(other._events, other._events_dropped)
+
+    def _log(self, events, dropped: int) -> None:
+        """Append ``events`` under the cap; count ``dropped`` + overflow."""
+        overflow = len(self._events) + len(events) - MAX_EVENTS
+        self._events_dropped += dropped + max(0, overflow)
+        self._events.extend(events)
+
+    @classmethod
+    def from_snapshot(cls, snapshot: dict) -> "Telemetry":
+        """The registry :meth:`snapshot` serialized (its inverse).
+
+        Lenient with hand-built or foreign snapshots: keys outside the
+        schema (e.g. a broker report's folded-in ``caches``) are ignored,
+        a labeled entry without ``labels`` stays a labeled child (with no
+        labels), and a histogram without buckets keeps its count in
+        overflow (:meth:`LatencyHistogram.from_dict`).
+        """
+        telemetry = cls()
+        labeled = snapshot.get("labeled", {})
+        for kind, store in telemetry._stores.items():
+            load = _KINDS[kind][0]._load
+            for name, data in snapshot.get(kind, {}).items():
+                _absorb(store, load(name, data), None)
+            for name, entries in labeled.get(kind, {}).items():
+                for entry in entries:
+                    payload = entry if kind == "histograms" else entry["value"]
+                    _absorb(store, load(name, payload), entry.get("labels", {}))
+        dropped = int(snapshot.get("events_dropped", 0))
+        telemetry._log(snapshot.get("events", ()), dropped)
+        return telemetry
+
     def snapshot(self) -> dict:
         """All metrics as plain JSON-serializable types.
 
         The ``counters`` / ``histograms`` / ``events`` /
         ``events_dropped`` keys keep their original (unlabeled) shape;
         gauges and labeled child metrics are added under the new
-        ``gauges`` and ``labeled`` keys.
+        ``gauges`` and ``labeled`` keys.  Names are sorted, and so are
+        each name's children (by label key).
         """
-        return {
-            "counters": {n: c.value for n, c in sorted(self._counters.items())},
-            "gauges": {n: g.value for n, g in sorted(self._gauges.items())},
-            "histograms": {
-                n: h.to_dict() for n, h in sorted(self._histograms.items())
-            },
-            "labeled": {
-                "counters": {
-                    name: [
-                        {"labels": child.labels, "value": child.value}
-                        for _, child in sorted(children.items())
-                    ]
-                    for name, children in sorted(self._labeled_counters.items())
-                },
-                "gauges": {
-                    name: [
-                        {"labels": child.labels, "value": child.value}
-                        for _, child in sorted(children.items())
-                    ]
-                    for name, children in sorted(self._labeled_gauges.items())
-                },
-                "histograms": {
-                    name: [
-                        {"labels": child.labels, **child.to_dict()}
-                        for _, child in sorted(children.items())
-                    ]
-                    for name, children in sorted(self._labeled_histograms.items())
-                },
-            },
-            "events": list(self._events),
-            "events_dropped": self._events_dropped,
-        }
+        snap: dict = {kind: {} for kind in _KINDS}
+        labeled: dict = {kind: {} for kind in _KINDS}
+        for kind, store in self._stores.items():
+            for key, instrument in _families(store):
+                if key.__class__ is str:
+                    snap[kind][key] = instrument._dump()
+                else:
+                    labeled[kind].setdefault(key[0], []).append(instrument._entry())
+        snap["labeled"] = labeled
+        snap["events"] = list(self._events)
+        snap["events_dropped"] = self._events_dropped
+        return snap
 
     def to_prometheus(self) -> str:
-        """Current metrics in the Prometheus text exposition format."""
-        return snapshot_to_prometheus(self.snapshot())
+        """Current metrics in the Prometheus text exposition format.
+
+        Counters get the conventional ``_total`` suffix, histograms emit
+        cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``,
+        and labels (both metric labels and the ``le`` edge) are rendered
+        with standard escaping.  Each family — a metric name of one kind
+        — is exported once: one ``# TYPE`` line, then its unlabeled
+        series, then its children in label-key order.
+        """
+        lines: list[str] = []
+        for kind, store in self._stores.items():
+            _, prom_type, suffix = _KINDS[kind]
+            family = None
+            for _, instrument in _families(store):
+                prom = _prom_name(instrument.name) + suffix
+                if instrument.name != family:
+                    family = instrument.name
+                    lines.append(f"# TYPE {prom} {prom_type}")
+                lines.extend(instrument._prom_lines(prom))
+        lines.append("# TYPE repro_events_dropped_total counter")
+        lines.append(f"repro_events_dropped_total {self._events_dropped}")
+        return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
-# Snapshot-level operations: merging and Prometheus rendering work on the
-# plain-dict snapshot form, so they apply equally to live Telemetry
-# instances and to snapshots loaded back from JSON files.
-
-
-def _merge_histogram_dicts(name: str, a: dict, b: dict) -> dict:
-    merged = LatencyHistogram.from_dict(name, a)
-    merged.merge(LatencyHistogram.from_dict(name, b))
-    return merged.to_dict()
-
-
-def _merge_labeled(kind: str, a: dict, b: dict) -> dict:
-    """Merge the per-name lists of labeled children from two snapshots.
-
-    Disjoint metric names pass through untouched; an entry missing its
-    ``labels`` dict (hand-built snapshots) is treated as unlabeled
-    rather than raising.
-    """
-    out: dict[str, list] = {}
-    for name in sorted(set(a) | set(b)):
-        by_labels: dict[tuple, dict] = {}
-        for entry in list(a.get(name, ())) + list(b.get(name, ())):
-            key = _label_key(entry.get("labels", {}))
-            if key not in by_labels:
-                by_labels[key] = dict(entry)
-            elif kind == "histograms":
-                labels = by_labels[key].get("labels", {})
-                merged = _merge_histogram_dicts(name, by_labels[key], entry)
-                by_labels[key] = {"labels": labels, **merged}
-            else:
-                by_labels[key]["value"] += entry["value"]
-        out[name] = [by_labels[key] for key in sorted(by_labels)]
-    return out
+# Snapshot-level operations: each loads snapshots into a registry, acts
+# on its instruments and dumps the result, so they apply equally to live
+# Telemetry instances and to snapshots loaded back from JSON files.
 
 
 def label_snapshot(snapshot: dict, **labels) -> dict:
@@ -453,108 +522,44 @@ def label_snapshot(snapshot: dict, **labels) -> dict:
     """
     if not labels:
         raise ValueError("label_snapshot needs at least one label")
-    clean = {str(k): str(v) for k, v in labels.items()}
-
-    def relabel_children(children: list) -> list:
-        out = []
-        for entry in children:
-            entry = dict(entry)
-            entry["labels"] = {**entry["labels"], **clean}
-            out.append(entry)
-        return out
-
-    labeled_in = snapshot.get("labeled", {})
-    labeled = {
-        kind: {
-            name: relabel_children(children)
-            for name, children in labeled_in.get(kind, {}).items()
-        }
-        for kind in ("counters", "gauges", "histograms")
-    }
-    for name, value in snapshot.get("counters", {}).items():
-        labeled["counters"].setdefault(name, []).append(
-            {"labels": dict(clean), "value": value}
-        )
-    for name, value in snapshot.get("gauges", {}).items():
-        labeled["gauges"].setdefault(name, []).append(
-            {"labels": dict(clean), "value": value}
-        )
-    for name, data in snapshot.get("histograms", {}).items():
-        labeled["histograms"].setdefault(name, []).append(
-            {"labels": dict(clean), **data}
-        )
-    return {
-        "counters": dict(snapshot.get("counters", {})),
-        "gauges": dict(snapshot.get("gauges", {})),
-        "histograms": {
-            name: dict(data) for name, data in snapshot.get("histograms", {}).items()
-        },
-        "labeled": labeled,
-        "events": [{**event, **labels} for event in snapshot.get("events", ())],
-        "events_dropped": int(snapshot.get("events_dropped", 0)),
-    }
-
-
-def merge_snapshots(a: dict, b: dict) -> dict:
-    """Combine two :meth:`Telemetry.snapshot` dicts into one.
-
-    Counters and gauges add; histograms add bucket-wise (matching edges
-    required) with count/total/quantiles recomputed from the merged
-    buckets, so merging snapshots from a split workload reproduces the
-    single-run snapshot exactly.  Event logs concatenate (``a`` first)
-    under the same :data:`MAX_EVENTS` cap.  Keys outside the snapshot
-    schema (e.g. the broker's folded-in ``caches``) are dropped.
-    """
-    counters = {
-        name: a.get("counters", {}).get(name, 0) + b.get("counters", {}).get(name, 0)
-        for name in sorted(set(a.get("counters", {})) | set(b.get("counters", {})))
-    }
-    gauges = {
-        name: a.get("gauges", {}).get(name, 0.0) + b.get("gauges", {}).get(name, 0.0)
-        for name in sorted(set(a.get("gauges", {})) | set(b.get("gauges", {})))
-    }
-    histograms = {}
-    hists_a, hists_b = a.get("histograms", {}), b.get("histograms", {})
-    for name in sorted(set(hists_a) | set(hists_b)):
-        if name in hists_a and name in hists_b:
-            histograms[name] = _merge_histogram_dicts(name, hists_a[name], hists_b[name])
-        else:
-            source = hists_a.get(name, hists_b.get(name))
-            # Round-trip through the class so derived fields are canonical.
-            histograms[name] = LatencyHistogram.from_dict(name, source).to_dict()
-    labeled_a, labeled_b = a.get("labeled", {}), b.get("labeled", {})
-    labeled = {
-        kind: _merge_labeled(kind, labeled_a.get(kind, {}), labeled_b.get(kind, {}))
-        for kind in ("counters", "gauges", "histograms")
-    }
-    events = list(a.get("events", ())) + list(b.get("events", ()))
-    dropped = int(a.get("events_dropped", 0)) + int(b.get("events_dropped", 0))
-    if len(events) > MAX_EVENTS:
-        dropped += len(events) - MAX_EVENTS
-        events = events[-MAX_EVENTS:]
-    return {
-        "counters": counters,
-        "gauges": gauges,
-        "histograms": histograms,
-        "labeled": labeled,
-        "events": events,
-        "events_dropped": dropped,
-    }
+    source = Telemetry.from_snapshot(snapshot)
+    relabeled = Telemetry()
+    for kind, store in relabeled._stores.items():
+        for key, instrument in source._stores[kind].items():
+            if key.__class__ is str:
+                _absorb(store, instrument, None)
+            _absorb(store, instrument, {**instrument.labels, **labels})
+    events = [{**event, **labels} for event in source._events]
+    relabeled._log(events, source._events_dropped)
+    return relabeled.snapshot()
 
 
 def merge_all(snapshots) -> dict:
-    """Fold any iterable of snapshots through :func:`merge_snapshots`.
+    """Merge any iterable of snapshots into one (:meth:`Telemetry.merge`).
 
-    The reduce-with-initial-value the sharded tier's reporting wants: an
-    empty iterable yields a valid empty snapshot (the shape
-    ``Telemetry().snapshot()`` produces) instead of raising, and one
-    snapshot comes back normalized through a merge with the empty
-    snapshot rather than passed through by reference.
+    Counters and gauges add; histograms add bucket-wise (matching edges
+    required) with count/total/quantiles recomputed from the merged
+    buckets.  Event logs concatenate in order under the :data:`MAX_EVENTS`
+    cap.  An empty iterable yields a valid empty snapshot (the shape
+    ``Telemetry().snapshot()`` produces), and one snapshot comes back
+    normalized rather than passed through by reference.  Keys outside the
+    snapshot schema (e.g. the broker's folded-in ``caches``) are dropped.
     """
-    merged = Telemetry().snapshot()
+    merged = Telemetry()
     for snapshot in snapshots:
-        merged = merge_snapshots(merged, snapshot)
-    return merged
+        merged.merge(Telemetry.from_snapshot(snapshot))
+    return merged.snapshot()
+
+
+def merge_snapshots(a: dict, b: dict) -> dict:
+    """Combine two snapshots into one, ``a`` first (see :func:`merge_all`)."""
+    return merge_all((a, b))
+
+
+def snapshot_to_prometheus(snapshot: dict) -> str:
+    """Render a snapshot dict in the Prometheus text exposition format
+    (:meth:`Telemetry.to_prometheus`).  No external client library."""
+    return Telemetry.from_snapshot(snapshot).to_prometheus()
 
 
 def _prom_name(name: str) -> str:
@@ -587,68 +592,3 @@ def _prom_number(value: float) -> str:
     if isinstance(value, float) and value.is_integer():
         return str(int(value))
     return repr(value)
-
-
-def _prom_histogram_lines(name: str, labels: dict, data: dict) -> list[str]:
-    lines = []
-    cumulative = 0
-    for bucket in data["buckets"]:
-        cumulative += bucket["count"]
-        le = "+Inf" if bucket["le_s"] is None else _prom_number(bucket["le_s"])
-        lines.append(
-            f"{name}_bucket{_prom_labels(labels, [('le', le)])} {cumulative}"
-        )
-    lines.append(f"{name}_sum{_prom_labels(labels)} {_prom_number(data['total_s'])}")
-    lines.append(f"{name}_count{_prom_labels(labels)} {data['count']}")
-    return lines
-
-
-def snapshot_to_prometheus(snapshot: dict) -> str:
-    """Render a snapshot dict in the Prometheus text exposition format.
-
-    Counters get the conventional ``_total`` suffix, histograms emit
-    cumulative ``_bucket{le=...}`` series plus ``_sum``/``_count``, and
-    labels (both metric labels and the ``le`` edge) are rendered with
-    standard escaping.  No external client library involved.
-    """
-    lines: list[str] = []
-    labeled = snapshot.get("labeled", {})
-
-    for name, value in sorted(snapshot.get("counters", {}).items()):
-        prom = _prom_name(name) + "_total"
-        lines.append(f"# TYPE {prom} counter")
-        lines.append(f"{prom} {value}")
-    for name, children in sorted(labeled.get("counters", {}).items()):
-        prom = _prom_name(name) + "_total"
-        lines.append(f"# TYPE {prom} counter")
-        for child in children:
-            lines.append(f"{prom}{_prom_labels(child['labels'])} {child['value']}")
-
-    for name, value in sorted(snapshot.get("gauges", {}).items()):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        lines.append(f"{prom} {_prom_number(value)}")
-    for name, children in sorted(labeled.get("gauges", {}).items()):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} gauge")
-        for child in children:
-            lines.append(
-                f"{prom}{_prom_labels(child['labels'])} "
-                f"{_prom_number(child['value'])}"
-            )
-
-    for name, data in sorted(snapshot.get("histograms", {}).items()):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} histogram")
-        lines.extend(_prom_histogram_lines(prom, {}, data))
-    for name, children in sorted(labeled.get("histograms", {}).items()):
-        prom = _prom_name(name)
-        lines.append(f"# TYPE {prom} histogram")
-        for child in children:
-            lines.extend(_prom_histogram_lines(prom, child["labels"], child))
-
-    dropped = snapshot.get("events_dropped")
-    if dropped is not None:
-        lines.append("# TYPE repro_events_dropped_total counter")
-        lines.append(f"repro_events_dropped_total {dropped}")
-    return "\n".join(lines) + "\n"

@@ -2,9 +2,10 @@
 
 Loads telemetry snapshots (bare :meth:`Telemetry.snapshot` dicts, full
 ``repro serve`` reports, or benchmark result files — anything with a
-recognizable snapshot inside), summarizes them for humans, merges them
-(:func:`repro.obs.metrics.merge_snapshots`), and diffs two runs
-with configurable regression thresholds so a perf gate is one CLI call.
+recognizable snapshot inside), summarizes them for humans and diffs two
+runs with configurable regression thresholds so a perf gate is one CLI
+call.  Merging and Prometheus rendering live with the metric model in
+:mod:`repro.obs.metrics`.
 
 Also home to :func:`validate_prometheus`, a tiny line-format checker for
 the text exposition output — enough to keep the exporter parseable in CI
@@ -18,8 +19,6 @@ import math
 import re
 from dataclasses import dataclass
 
-from repro.obs.metrics import merge_all, merge_snapshots, snapshot_to_prometheus
-
 __all__ = [
     "load_snapshot",
     "summarize_snapshot",
@@ -30,9 +29,6 @@ __all__ = [
     "check_regressions",
     "render_diff",
     "validate_prometheus",
-    "merge_snapshots",
-    "merge_all",
-    "snapshot_to_prometheus",
 ]
 
 #: Histogram stats a diff row reports and a fail spec may reference.
@@ -251,11 +247,22 @@ def render_diff(rows: list[dict], *, only_changed: bool = True) -> str:
 
 _PROM_COMMENT_RE = re.compile(r"^# (HELP|TYPE) [a-zA-Z_:][a-zA-Z0-9_:]* .+$")
 _PROM_SAMPLE_RE = re.compile(
-    r"^[a-zA-Z_:][a-zA-Z0-9_:]*"  # metric name
+    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"  # metric name
     r"(\{[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\""
     r"(,[a-zA-Z_][a-zA-Z0-9_]*=\"(?:[^\"\\]|\\.)*\")*\})?"  # labels
     r" (?:[+-]?(?:\d+(?:\.\d+)?(?:e[+-]?\d+)?|Inf)|NaN)$"  # value
 )
+
+
+def _prom_family(name: str, types: dict[str, str]) -> str:
+    """The family a sample named ``name`` belongs to, given the TYPEs so far
+    (a histogram's or summary's ``_bucket``/``_sum``/``_count`` series
+    belong to it)."""
+    for suffix in ("_bucket", "_sum", "_count"):
+        base = name.removesuffix(suffix)
+        if base != name and types.get(base) in ("histogram", "summary"):
+            return base
+    return name
 
 
 def validate_prometheus(text: str) -> list[str]:
@@ -263,17 +270,38 @@ def validate_prometheus(text: str) -> list[str]:
 
     Returns a list of error strings (empty = valid): every non-empty line
     must be a ``# HELP``/``# TYPE`` comment or a ``name{labels} value``
-    sample.  Intentionally small — a format tripwire, not a full parser.
+    sample, each family may be declared by one ``# TYPE`` line only, and
+    a family's samples must be contiguous (not split by another
+    family's).  Intentionally small — a format tripwire, not a full
+    parser.
     """
     errors = []
+    types: dict[str, str] = {}
+    current, left = None, set()  # the family being read, families left
     for i, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         if line.startswith("#"):
             if not _PROM_COMMENT_RE.match(line):
                 errors.append(f"line {i}: malformed comment: {line!r}")
-        elif not _PROM_SAMPLE_RE.match(line):
-            errors.append(f"line {i}: malformed sample: {line!r}")
+                continue
+            if not line.startswith("# TYPE "):
+                continue
+            family, kind = line.split(" ", 3)[2:]
+            if family in types:
+                errors.append(f"line {i}: duplicate TYPE for family {family}")
+            types[family] = kind
+        else:
+            match = _PROM_SAMPLE_RE.match(line)
+            if not match:
+                errors.append(f"line {i}: malformed sample: {line!r}")
+                continue
+            family = _prom_family(match.group(1), types)
+            if family != current and family in left:
+                errors.append(f"line {i}: family {family} split by another family")
+        if family != current:
+            left.add(current)
+            current = family
     if text and not text.endswith("\n"):
         errors.append("exposition must end with a newline")
     return errors

@@ -170,18 +170,6 @@ class CircuitBreaker:
             return 0.0
         return self._failures / len(self._outcomes)
 
-    @property
-    def state_age(self) -> int:
-        """Decisions elapsed since the last state change (whole life if none).
-
-        The shard supervisor clocks its breakers in chunk barriers, so
-        for it this reads as "barriers spent in the current state" — the
-        number an operator wants next to OPEN in a health report.
-        """
-        if not self.transitions:
-            return self._decision
-        return self._decision - self.transitions[-1]["decision"]
-
     def to_dict(self) -> dict:
         """JSON-able snapshot: state, trips/recoveries, transition log."""
         return {

@@ -8,9 +8,9 @@ the :class:`DecisionEngine` evaluates candidate servers through
 pluggable policies with graceful fallback, a canonical-key LRU
 :class:`PredictionCache` over the predictor's batched API, and
 :class:`Telemetry` (counters + latency histograms + event log) exposed as
-one JSON snapshot.  The engine, policy, cache, breaker and telemetry
-names re-exported here live in :mod:`repro.placement` and
-:mod:`repro.obs`.
+one JSON snapshot.  The engine, policy, cache and breaker names
+re-exported here live in :mod:`repro.placement`; the telemetry names are
+imported from :mod:`repro.obs` only.
 
 There is one stack constructor,
 :func:`repro.sharding.build_shard_brokers`: it wires telemetry, fault
@@ -27,15 +27,6 @@ broker survives server crashes by re-admitting evicted sessions — all
 surfaced in the report's resilience section.
 """
 
-from repro.obs.metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    LatencyHistogram,
-    Telemetry,
-    merge_snapshots,
-    snapshot_to_prometheus,
-)
 from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.cache import PredictionCache, colocation_key
 from repro.placement.engine import AdmissionDecision, DecisionEngine, Mode
@@ -86,11 +77,4 @@ __all__ = [
     "DedicatedPolicy",
     "build_policy",
     "POLICY_NAMES",
-    "Counter",
-    "Gauge",
-    "LatencyHistogram",
-    "Telemetry",
-    "merge_snapshots",
-    "snapshot_to_prometheus",
-    "DEFAULT_LATENCY_BUCKETS",
 ]

@@ -210,6 +210,33 @@ class TestPrometheus:
         ]
         assert "malformed comment" in validate_prometheus("# HELLO x y\n")[0]
 
+    def test_validator_flags_redeclared_and_split_families(self):
+        head = '# TYPE a_total counter\na_total 1\n# TYPE b gauge\nb 2\n'
+        redeclared = validate_prometheus(head + '# TYPE a_total counter\n')
+        assert redeclared == ["line 5: duplicate TYPE for family a_total"]
+        split = validate_prometheus(head + 'a_total{x="1"} 3\n')
+        assert split == ["line 5: family a_total split by another family"]
+        histogram = (
+            '# TYPE h histogram\nh_bucket{le="+Inf"} 1\nh_sum 0.5\nh_count 1\n'
+        )
+        assert validate_prometheus(histogram + head) == []
+
+    def test_labeled_and_unlabeled_series_share_one_family(self):
+        t = Telemetry()
+        t.counter("closed").inc()
+        t.counter("closed", reason="crash").inc(2)
+        t.histogram("fps_s", game="Dota2").observe(0.25)
+        t.histogram("fps_s").observe(0.5)
+        text = t.to_prometheus()
+        assert validate_prometheus(text) == []
+        lines = text.splitlines()
+        assert lines[:3] == [
+            "# TYPE closed_total counter",
+            "closed_total 1",
+            'closed_total{reason="crash"} 2',
+        ]
+        assert lines.count("# TYPE fps_s histogram") == 1
+
     def test_inf_quantiles_render_as_inf(self):
         t = Telemetry()
         t.histogram("slow_s", buckets=(0.001,)).observe(5.0)
@@ -217,6 +244,40 @@ class TestPrometheus:
         assert snap["histograms"]["slow_s"]["p50_s"] == math.inf
         text = snapshot_to_prometheus(snap)
         assert validate_prometheus(text) == []
+
+
+class TestRegistryRoundTrip:
+    def test_from_snapshot_inverts_snapshot(self):
+        t = Telemetry()
+        _record(t, [0.25, 0.5, 3.0])
+        t.gauge("mode_level", shard="1").set(2)
+        snap = t.snapshot()
+        assert Telemetry.from_snapshot(snap).snapshot() == snap
+        loaded = Telemetry.from_snapshot(json.loads(json.dumps(snap)))
+        assert loaded.snapshot() == snap
+
+    def test_merge_matches_merge_snapshots_and_leaves_other_alone(self):
+        a, b = Telemetry(), Telemetry()
+        _record(a, [0.25])
+        _record(b, [0.5, 0.125])
+        before = b.snapshot()
+        expected = merge_snapshots(a.snapshot(), b.snapshot())
+        a.merge(b)
+        assert a.snapshot() == expected
+        assert b.snapshot() == before
+
+    def test_merge_counts_dropped_events_exactly(self):
+        from repro.obs.metrics import MAX_EVENTS
+
+        a = Telemetry()
+        for i in range(MAX_EVENTS - 2):
+            a.event("a", i=i)
+        events = [{"event": "b", "i": i} for i in range(5)]
+        b = Telemetry.from_snapshot({"events": events, "events_dropped": 4})
+        a.merge(b)
+        assert len(a.events) == MAX_EVENTS
+        assert a.snapshot()["events_dropped"] == 4 + 3
+        assert a.events[-1] == {"event": "b", "i": 4}
 
 
 class TestMergeEdgeCases:

@@ -15,7 +15,14 @@ import pytest
 
 from repro.games import DegradeLadder
 from repro.games.resolution import Resolution
-from repro.obs import QoSLedger, Tracer, build_qos_section
+from repro.obs import (
+    QoSLedger,
+    Telemetry,
+    Tracer,
+    build_qos_section,
+    snapshot_to_prometheus,
+    validate_prometheus,
+)
 from repro.placement.fleet import Session, degraded_to, promoted_to
 from repro.scheduling import generate_sessions
 from repro.serving import (
@@ -26,7 +33,6 @@ from repro.serving import (
     FaultInjector,
     PredictionCache,
     RequestBroker,
-    Telemetry,
     TraceConfig,
     WorstFitPolicy,
     build_policy,
@@ -208,6 +214,30 @@ class TestShardedLedger:
             report.telemetry, slo_fps=SLO_FPS, budget_fraction=0.05
         )
         assert rebuilt == report.qos
+
+
+class TestLedgerPrometheusExport:
+    """The ledger's per-game/genre/shard breakdowns are labeled children
+    of families that also have an unlabeled series; the exposition must
+    still declare each family once and keep its samples together."""
+
+    @pytest.mark.parametrize("shards", [None, 2])
+    def test_export_declares_each_family_once(self, minilab, trace, shards):
+        if shards is None:
+            report = run_broker(minilab, trace, ledger=make_ledger(minilab))
+        else:
+            brokers = build_shard_brokers(
+                minilab.predictor,
+                shards,
+                ShardConfig(slo_fps=SLO_FPS, seed=7),
+                catalog=minilab.catalog,
+            )
+            report = ShardedBroker(brokers).run(trace)
+        text = snapshot_to_prometheus(report.telemetry)
+        assert validate_prometheus(text) == []
+        types = [line for line in text.splitlines() if line.startswith("# TYPE")]
+        assert len(types) == len(set(types))
+        assert any("slo_breaches_total{" in line for line in text.splitlines())
 
 
 class TestGroundTruthDidNotMove:

@@ -15,15 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.features import (
-    aggregate_intensity,
-    aggregate_intensity_matrix,
-    cm_feature_matrix,
-    cm_feature_vector,
-    feature_rows,
-    rm_feature_matrix,
-    rm_feature_vector,
-)
+from repro.core.features import cm_feature_vector, feature_rows, rm_feature_vector
 from repro.core.training import ColocationSpec
 from repro.games.resolution import Resolution
 from repro.hardware.resources import NUM_RESOURCES
@@ -75,57 +67,12 @@ def _array(data, shape, elements=finite):
 
 class TestBatchFeatureParity:
     @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_aggregate_matrix_matches_scalar(self, data):
-        g = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(2, 4))
-        stacks = _array(data, (g, n, NUM_RESOURCES))
-        out = aggregate_intensity_matrix(stacks)
-        for gi in range(g):
-            for i in range(n):
-                co = [stacks[gi, j] for j in range(n) if j != i]
-                expected = aggregate_intensity(co)
-                assert np.array_equal(out[gi, i], expected)
-
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_rm_matrix_matches_scalar_rows(self, data):
-        g = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(2, 4))
-        d = data.draw(st.integers(1, 8))
-        sens = _array(data, (g, n, d))
-        stacks = _array(data, (g, n, NUM_RESOURCES))
-        X = rm_feature_matrix(sens, stacks)
-        for gi in range(g):
-            for i in range(n):
-                co = [stacks[gi, j] for j in range(n) if j != i]
-                row = rm_feature_vector(sens[gi, i], co)
-                assert np.array_equal(X[gi * n + i], row)
-
-    @given(st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_cm_matrix_matches_scalar_rows(self, data):
-        g = data.draw(st.integers(1, 3))
-        n = data.draw(st.integers(2, 4))
-        d = data.draw(st.integers(1, 8))
-        qos = data.draw(positive)
-        solo = _array(data, (g, n), elements=positive)
-        sens = _array(data, (g, n, d))
-        stacks = _array(data, (g, n, NUM_RESOURCES))
-        X = cm_feature_matrix(qos, solo, sens, stacks)
-        for gi in range(g):
-            for i in range(n):
-                co = [stacks[gi, j] for j in range(n) if j != i]
-                row = cm_feature_vector(qos, float(solo[gi, i]), sens[gi, i], co)
-                assert np.array_equal(X[gi * n + i], row)
-
-    @given(st.data())
     @settings(max_examples=60, deadline=None)
     def test_padded_rows_match_scalar_rows_bitwise(self, data):
-        # The row builder under the matrix builders above, fed what the
-        # predictor feeds it: every member of colocations of *mixed* sizes
-        # 2-5 in one call, co-runners in ascending member order, padded to
-        # the widest with values it must ignore.  Bytes, not ``==``: a
+        # The batch row builder, fed what the predictor feeds it: every
+        # member of colocations of *mixed* sizes 2-5 in one call, co-runners
+        # in ascending member order, padded to the widest with values it
+        # must ignore.  Bytes, not ``==``: a
         # co-runner sum of -0.0 has to stay -0.0.
         sizes = data.draw(st.lists(st.integers(2, 5), min_size=1, max_size=4))
         d = data.draw(st.integers(1, 4))
