@@ -84,9 +84,10 @@ class GameSpec:
         check_positive(self.cpu_mem_gb, "cpu_mem_gb")
         check_positive(self.gpu_mem_gb, "gpu_mem_gb")
         check_fraction(self.pixel_fraction, "pixel_fraction")
-        check_fraction(self.scene_rho, "scene_rho")
-        if self.scene_sigma < 0:
-            raise ValueError("scene_sigma must be >= 0")
+        if not 0.0 <= self.scene_rho < 1.0:
+            raise ValueError(f"scene_rho must lie in [0, 1), got {self.scene_rho!r}")
+        if not (np.isfinite(self.scene_sigma) and self.scene_sigma >= 0):
+            raise ValueError(f"scene_sigma must be finite, >= 0: {self.scene_sigma!r}")
         missing = [r.label for r in Resource if r not in self.sensitivity]
         if missing:
             raise ValueError(f"{self.name}: sensitivity missing for {missing}")

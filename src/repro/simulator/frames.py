@@ -30,27 +30,28 @@ def scene_complexity(
     """Stationary log-AR(1) complexity series with mean ~1.
 
     ``log c_t = rho * log c_{t-1} + eps_t`` with ``eps ~ N(0, sigma^2)``,
-    mean-corrected so ``E[c] = 1``.  Uses :func:`scipy.signal.lfilter` for
-    an O(n) vectorized recursion.
+    mean-corrected so ``E[c] = 1``.  The recursion runs in plain Python
+    floats in a first-order IIR filter's operation order (``y = z + eps``,
+    then ``z = rho * y``): the QoS ledger measures on the serving path,
+    which must not pay for importing scipy.
     """
     if n_frames < 1:
         raise ValueError("n_frames must be >= 1")
     if not (0.0 <= rho < 1.0):
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
-    if sigma < 0:
-        raise ValueError("sigma must be >= 0")
+    if not (np.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
     if sigma == 0.0:
         return np.ones(n_frames, dtype=float)
-    # Imported where it is used: scipy is most of ``import repro``'s cost,
-    # and the serving stack only gets here with a QoS ledger attached.
-    from scipy.signal import lfilter
-
     eps = rng.normal(0.0, sigma, size=n_frames)
     # Start from the stationary distribution to avoid a warm-up transient.
     stationary_var = sigma * sigma / (1.0 - rho * rho)
     x0 = rng.normal(0.0, np.sqrt(stationary_var))
-    x = lfilter([1.0], [1.0, -rho], eps, zi=np.array([rho * x0]))[0]
-    return np.exp(x - stationary_var / 2.0)
+    x, z = eps.tolist(), rho * float(x0)
+    for i, e in enumerate(x):
+        x[i] = y = z + e
+        z = rho * y
+    return np.exp(np.array(x) - stationary_var / 2.0)
 
 
 def scene_powers(

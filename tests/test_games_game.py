@@ -142,6 +142,29 @@ class TestValidation:
         with pytest.raises(ValueError):
             GameSpec(**kwargs)
 
+    @pytest.mark.parametrize("rho", [1.0, 1.5, -0.1, float("nan")])
+    def test_scene_rho_outside_half_open_unit_rejected(self, rho):
+        kwargs = self._kwargs()
+        kwargs["scene_rho"] = rho
+        with pytest.raises(ValueError, match="scene_rho"):
+            GameSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "sigma", [-0.1, float("nan"), float("inf"), -float("inf")]
+    )
+    def test_scene_sigma_not_finite_non_negative_rejected(self, sigma):
+        kwargs = self._kwargs()
+        kwargs["scene_sigma"] = sigma
+        with pytest.raises(ValueError, match="scene_sigma"):
+            GameSpec(**kwargs)
+
+    def test_scene_edges_accepted(self):
+        kwargs = self._kwargs()
+        kwargs.update(scene_rho=0.0, scene_sigma=0.0)
+        GameSpec(**kwargs)
+        kwargs.update(scene_rho=0.999999, scene_sigma=1e-300)
+        GameSpec(**kwargs)
+
     def test_dict_round_trip(self):
         spec = GameSpec(**self._kwargs())
         restored = GameSpec.from_dict(spec.to_dict())

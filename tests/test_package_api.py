@@ -73,3 +73,34 @@ class TestImportCost:
             timeout=120,
         )
         assert done.returncode == 0, done.stderr or "scipy was imported"
+
+    def test_measuring_ground_truth_imports_no_scipy(self):
+        """The scene series is an in-repo recurrence, not a scipy filter.
+
+        A QoS ledger measures ground truth on the serving path, so a
+        measurement must leave scipy unloaded as well as ``import repro``.
+        """
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+        code = (
+            "import sys\n"
+            "from repro.games import build_catalog\n"
+            "from repro.simulator import GameInstance, run_colocations\n"
+            "catalog = build_catalog()\n"
+            "games = [GameInstance(catalog.get(n)) for n in ('H1Z1', 'Dota2')]\n"
+            "(result,) = run_colocations([games])\n"
+            "assert all(fps > 0 for fps in result.fps), result.fps\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "sys.exit(f'scipy loaded: {loaded}' if loaded else 0)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert done.returncode == 0, done.stderr or "scipy was imported"

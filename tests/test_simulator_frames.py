@@ -5,10 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.experiments.lab import Lab, LabConfig
 from repro.games import Resolution
 from repro.simulator.frames import (
     fps_from_frame_times,
     scene_complexity,
+    scene_powers,
     simulate_frame_times,
 )
 
@@ -50,6 +52,63 @@ class TestSceneComplexity:
         a = scene_complexity(0.9, 0.1, 100, np.random.default_rng(5))
         b = scene_complexity(0.9, 0.1, 100, np.random.default_rng(5))
         assert np.array_equal(a, b)
+
+
+def _lfilter_scene(rho, sigma, n, rng):
+    """Reference: the same series through ``scipy.signal.lfilter``."""
+    from scipy.signal import lfilter
+
+    if sigma == 0.0:
+        return np.ones(n, dtype=float)
+    eps = rng.normal(0.0, sigma, size=n)
+    stationary_var = sigma * sigma / (1.0 - rho * rho)
+    x0 = rng.normal(0.0, np.sqrt(stationary_var))
+    x = lfilter([1.0], [1.0, -rho], eps, zi=np.array([rho * x0]))[0]
+    return np.exp(x - stationary_var / 2.0)
+
+
+class TestSceneRecurrenceMatchesLfilter:
+    """The in-repo AR(1) recurrence is bitwise the IIR filter it replaced."""
+
+    @pytest.mark.parametrize("n", [1, 2, 400, 50_000])
+    @pytest.mark.parametrize("sigma", [0.0, 1e-300, 1e-12, 0.08, 0.2, 1.5])
+    @pytest.mark.parametrize("rho", [0.0, 0.5, 0.95, 0.999999, 0.3719])
+    def test_grid(self, rho, sigma, n):
+        seed = hash((rho, sigma, n)) % 2**32
+        ours = scene_complexity(rho, sigma, n, np.random.default_rng(seed))
+        ref = _lfilter_scene(rho, sigma, n, np.random.default_rng(seed))
+        assert ours.tobytes() == ref.tobytes()
+
+    def test_random_cases(self):
+        draw = np.random.default_rng(2024)
+        for case in range(300):
+            rho = float(draw.random())
+            sigma = float(10.0 ** draw.uniform(-300.0, 0.5))
+            n = int(draw.integers(1, 1500))
+            ours = scene_complexity(rho, sigma, n, np.random.default_rng(case))
+            ref = _lfilter_scene(rho, sigma, n, np.random.default_rng(case))
+            assert ours.tobytes() == ref.tobytes(), (rho, sigma, n)
+
+    def test_scene_powers_of_the_small_lab(self):
+        lab = Lab(LabConfig.small())
+        for seed in range(3):
+            for name in lab.names:
+                spec = lab.catalog.get(name)
+                cpu, gpu = scene_powers(spec, 400, np.random.default_rng(seed))
+                c = _lfilter_scene(
+                    spec.scene_rho, spec.scene_sigma, 400, np.random.default_rng(seed)
+                )
+                assert cpu.tobytes() == (c**spec.cpu_complexity_exp).tobytes()
+                assert gpu.tobytes() == (c**spec.gpu_complexity_exp).tobytes()
+
+    @pytest.mark.parametrize("sigma", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_sigma_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma"):
+            scene_complexity(0.9, sigma, 10, np.random.default_rng(0))
+
+    def test_nan_rho_rejected(self):
+        with pytest.raises(ValueError, match="rho"):
+            scene_complexity(float("nan"), 0.1, 10, np.random.default_rng(0))
 
 
 class TestSimulateFrameTimes:
