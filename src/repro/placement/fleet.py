@@ -49,7 +49,7 @@ from repro.placement.signature import (
 __all__ = ["Session", "FleetState", "degraded_to", "promoted_to"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Session:
     """One play session: a game at a resolution over [arrival, arrival+duration).
 

@@ -45,6 +45,11 @@ __all__ = [
 #: A server signature: sorted tuple of (game, resolution) entries.
 Signature = tuple[tuple[str, Resolution], ...]
 
+#: One shared ``(game, width, height)`` tuple per distinct key entry, so
+#: cached keys hold references instead of copies (bounded by games x
+#: resolutions; ``setdefault`` of equal tuples is safe across threads).
+_KEY_ENTRIES: dict[tuple[str, int, int], tuple[str, int, int]] = {}
+
 
 def entry_of(session) -> tuple[str, Resolution]:
     """The ``(game, resolution)`` entry a session contributes to a server.
@@ -74,10 +79,12 @@ def colocation_key(
     ``entries`` is any iterable of ``(game, resolution)`` pairs (a
     signature, or :attr:`ColocationSpec.entries`); ``qos`` folds the CM
     floor into the key so verdicts at different floors never collide.
-    Permutations of the same multiset map to the same key.
+    Permutations of the same multiset map to the same key, and every key
+    shares one interned tuple object per distinct entry.
     """
+    intern = _KEY_ENTRIES.setdefault
     signature = tuple(
-        sorted((name, res.width, res.height) for name, res in entries)
+        sorted(intern(e := (name, res.width, res.height), e) for name, res in entries)
     )
     return (signature, None if qos is None else float(qos))
 

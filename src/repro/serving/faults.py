@@ -306,7 +306,13 @@ class FaultyCache:
         return self._cache.lookup(key, default)
 
     def lookup_many(self, keys, default=None) -> list:
-        """One faulty :meth:`lookup` (one ``stale`` draw) per key, in order."""
+        """One faulty :meth:`lookup` (one ``stale`` draw) per key, in order.
+
+        At a zero stale rate no draw is made, so the wrapped cache's own
+        batch probe gives the same values, stats and fault stream.
+        """
+        if self._injector.config.stale_rate <= 0.0:
+            return self._cache.lookup_many(keys, default)
         return [self.lookup(key, default) for key in keys]
 
     def put(self, key, value) -> None:

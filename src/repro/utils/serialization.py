@@ -43,11 +43,18 @@ def to_jsonable(obj: Any) -> Any:
     raise TypeError(f"cannot serialize object of type {type(obj).__name__}")
 
 
-def dump_json(obj: Any, path: str | Path, *, indent: int = 2) -> None:
-    """Serialize ``obj`` to JSON at ``path`` (parent dirs created)."""
+def dump_json(obj: Any, path: str | Path) -> None:
+    """Serialize ``obj`` to compact, key-sorted JSON at ``path`` (parent dirs created).
+
+    No indentation: a predictor bundle is three-quarters whitespace when
+    indented, and the serving process reads the whole text into memory.
+    :func:`load_json` still reads indented files.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(to_jsonable(obj), indent=indent, sort_keys=True))
+    path.write_text(
+        json.dumps(to_jsonable(obj), sort_keys=True, separators=(",", ":"))
+    )
 
 
 def load_json(path: str | Path) -> Any:

@@ -1,5 +1,7 @@
 """Tests for estimator serialization round-trips."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -113,3 +115,35 @@ class TestPredictorBundle:
             restored.predict_feasible(spec, 60.0),
             minilab.predictor.predict_feasible(spec, 60.0),
         )
+
+    def test_save_writes_canonical_compact_json(self, minilab, tmp_path):
+        path = tmp_path / "predictor.json"
+        minilab.predictor.save(path)
+        text = path.read_text()
+        canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert text == canonical
+
+    def test_indented_bundle_serves_bitwise_equal(self, minilab, tmp_path):
+        # Bundles written before saves turned compact were indented.
+        from repro.core import InterferencePredictor
+        from repro.core.training import ColocationSpec
+        from repro.games.resolution import PRESET_RESOLUTIONS
+
+        compact, indented = tmp_path / "compact.json", tmp_path / "indented.json"
+        minilab.predictor.save(compact)
+        indented.write_text(json.dumps(json.loads(compact.read_text()), indent=2))
+        entries = [(n, r) for n in minilab.names for r in PRESET_RESOLUTIONS[:2]]
+        specs = [
+            ColocationSpec(tuple(entries[j % len(entries)] for j in range(i, i + size)))
+            for size in (1, 2, 3, 4)
+            for i in range(0, len(entries), 3)
+        ]
+        new = InterferencePredictor.load(compact)
+        old = InterferencePredictor.load(indented)
+        for qos in (30.0, 60.0):
+            assert (
+                old.colocations_feasible(specs, qos).tobytes()
+                == new.colocations_feasible(specs, qos).tobytes()
+            )
+        for a, b in zip(old.predict_fps_batch(specs), new.predict_fps_batch(specs)):
+            assert a.tobytes() == b.tobytes()

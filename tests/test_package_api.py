@@ -49,12 +49,14 @@ class TestPublicApi:
 
 class TestImportCost:
     def test_serving_stack_imports_without_scipy(self):
-        """scipy is a call-time import: three functions use it, nothing else.
+        """scipy is a call-time import: two offline functions use it, nothing else.
 
-        At module level it was most of what ``import repro`` cost (~1 s and
-        ~70 MiB), paid by every serving process whether or not it ever
-        fitted a curve or measured a frame series.  Run in a child process:
-        this one has long since imported scipy through some other test.
+        They are the Sigmoid baseline's ``curve_fit`` and the SVM's
+        ``minimize``.  At module level scipy was most of what ``import
+        repro`` cost (~1 s and ~70 MiB), paid by every serving process
+        whether or not it ever fitted a curve or measured a frame series.
+        Run in a child process: this one has long since imported scipy
+        through some other test.
         """
         import os
         import subprocess

@@ -7,7 +7,10 @@ crashes) replayed under a fixed seed produces byte-identical telemetry
 once wall-clock histograms are stripped.
 """
 
+import copy
 import json
+import pickle
+from dataclasses import FrozenInstanceError, replace
 
 import pytest
 
@@ -22,7 +25,9 @@ from repro.placement import (
     VBPFirstFitPolicy,
     build_policy,
     colocation_key,
+    degraded_to,
     entry_of,
+    promoted_to,
     signature_add,
     signature_of,
 )
@@ -59,6 +64,29 @@ class TestSignatureHelpers:
         assert signature_add(grown, ("b", R720)) == tuple(
             sorted(grown + (("b", R720),))
         )
+
+
+class TestSlottedSession:
+    def test_no_instance_dict(self):
+        session = _session()
+        assert not hasattr(session, "__dict__")
+        # FrozenInstanceError is an AttributeError; Python 3.11's frozen
+        # __setattr__ on a slotted class raises TypeError for a new name.
+        with pytest.raises((AttributeError, TypeError)):
+            session.note = "ad hoc"
+        with pytest.raises(FrozenInstanceError):
+            session.game = "b"
+
+    def test_copies_preserve_equality(self):
+        session = _session("x", R1080, arrival=2.0, duration=5.0)
+        low = degraded_to(session, R720)
+        assert low == Session("x", R720, 2.0, 5.0, requested=R1080)
+        assert promoted_to(low, R1080) == replace(session, requested=R1080)
+        assert replace(session, arrival=3.0) == _session("x", R1080, 3.0, 5.0)
+        for s in (session, low):
+            assert copy.copy(s) == s
+            assert pickle.loads(pickle.dumps(s)) == s
+            assert hash(pickle.loads(pickle.dumps(s))) == hash(s)
 
 
 class TestFleetState:

@@ -4,11 +4,13 @@ Each structure here keeps, as it changes, a value the code used to
 recompute from scratch: the signature index's pool order, the circuit
 breaker's failure count, the histogram's bucket (a bisect, not a loop),
 the cache's batched probe, the VBP judge's demand vectors and the
-engine's bound instruments.  Every property pins the kept value to the
-recomputation it replaced.
+engine's bound instruments, and the interned entries of the cache keys.
+Every property pins the kept value to the recomputation it replaced.
 """
 
 import math
+import sys
+import threading
 from dataclasses import replace
 
 import numpy as np
@@ -26,7 +28,7 @@ from repro.placement.cache import PredictionCache
 from repro.placement.engine import DecisionEngine
 from repro.placement.fleet import Session
 from repro.placement.policies import DedicatedPolicy
-from repro.placement.signature import SignatureIndex
+from repro.placement.signature import SignatureIndex, colocation_key
 from repro.profiling.database import ProfileDatabase
 from repro.serving import FaultConfig, FaultInjector
 
@@ -221,6 +223,104 @@ class TestLookupMany:
         assert many.lookup_many(keys) == [one.lookup(key) for key in keys]
         assert many_t.snapshot() == one_t.snapshot()
         assert many.stats() == one.stats()
+
+
+    @pytest.mark.parametrize("stale_rate", [0.0, 0.5])
+    def test_faulty_batch_probe_equals_the_per_key_loop(self, stale_rate):
+        class Recording(PredictionCache):
+            batches = 0
+
+            def lookup_many(self, keys, default=None):
+                self.batches += 1
+                return super().lookup_many(keys, default)
+
+        def wrapped():
+            config = FaultConfig(stale_rate=stale_rate, corrupt_rate=0.2, seed=5)
+            injector = FaultInjector(config, telemetry=Telemetry())
+            cache = Recording(16)
+            for key in range(0, 12, 2):
+                cache.put((key,), key)
+            return injector, injector.wrap_cache(cache), cache
+
+        keys = [(key % 12,) for key in range(60)]
+        loop_injector, loop, _ = wrapped()
+        many_injector, many, inner = wrapped()
+        assert many.lookup_many(keys, "miss") == [loop.lookup(k, "miss") for k in keys]
+        assert many.stats() == loop.stats()
+        assert list(inner._store) == list(loop._store)
+        assert (
+            many_injector._rng.bit_generator.state
+            == loop_injector._rng.bit_generator.state
+        )
+        assert many_injector.telemetry.snapshot() == loop_injector.telemetry.snapshot()
+        # Nothing can go stale: one batch call, not one lookup per key.
+        assert inner.batches == (1 if stale_rate == 0.0 else 0)
+
+
+# ----------------------------------------------------------------------
+# colocation_key: interned entries, same value and hash as a fresh build.
+
+
+def _fresh_key(entries, qos=None):
+    """The key colocation_key built before entries were interned."""
+    signature = tuple(sorted((name, res.width, res.height) for name, res in entries))
+    return (signature, None if qos is None else float(qos))
+
+
+key_entries = st.lists(
+    st.tuples(
+        st.sampled_from(["a", "b", "Dota2", "H1Z1"]), st.sampled_from(PRESET_RESOLUTIONS)
+    ),
+    max_size=6,
+)
+floors = st.none() | st.integers(0, 120) | st.floats(0.0, 240.0, allow_nan=False)
+
+
+class TestInternedKeys:
+    @given(key_entries, key_entries, floors)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_to_the_fresh_key_and_entries_shared(self, entries, other, qos):
+        key = colocation_key(entries, qos)
+        assert key == _fresh_key(entries, qos)
+        assert hash(key) == hash(_fresh_key(entries, qos))
+        assert colocation_key(reversed(entries), qos) == key
+        # The same entry is the same tuple object in every key holding it.
+        shared = {entry: entry for entry in key[0]}
+        for entry in colocation_key(other + entries)[0]:
+            if entry in shared:
+                assert entry is shared[entry]
+
+    def test_keys_built_concurrently_are_equal(self):
+        # Names no other test uses, so the threads race to intern them.
+        entries = [
+            (f"concurrent-{i}", res) for i in range(6) for res in PRESET_RESOLUTIONS
+        ]
+        barrier = threading.Barrier(4, timeout=30)
+        keys = [[] for _ in range(4)]
+
+        def build(out):
+            barrier.wait()
+            for start in range(len(entries)):
+                out.append(colocation_key(entries[start:] + entries[:start], 60.0))
+
+        threads = [threading.Thread(target=build, args=(out,)) for out in keys]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = _fresh_key(entries, 60.0)
+        canonical = keys[0][0][0]
+        for built in keys:
+            assert len(built) == len(entries)
+            for key in built:
+                assert key == expected
+                assert all(a is b for a, b in zip(key[0], canonical))
 
 
 # ----------------------------------------------------------------------

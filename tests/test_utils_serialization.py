@@ -1,5 +1,7 @@
 """Tests for JSON serialization helpers."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,20 @@ class TestDumpLoad:
         path = tmp_path / "sub" / "data.json"
         dump_json({"values": np.arange(3)}, path)
         assert load_json(path) == {"values": [0, 1, 2]}
+
+    def test_writes_canonical_compact_form(self, tmp_path):
+        # No indentation, no spaces after separators, keys sorted.
+        path = tmp_path / "data.json"
+        dump_json({"b": [1.5, {"d": None, "c": "x y"}], "a": np.arange(2)}, path)
+        text = path.read_text()
+        canonical = json.dumps(json.loads(text), sort_keys=True, separators=(",", ":"))
+        assert text == canonical
+        assert text == '{"a":[0,1],"b":[1.5,{"c":"x y","d":null}]}'
+
+    def test_indented_file_still_loads(self, tmp_path):
+        path = tmp_path / "indented.json"
+        path.write_text(json.dumps({"a": [1, 2], "b": {"c": 0.5}}, indent=2))
+        assert load_json(path) == {"a": [1, 2], "b": {"c": 0.5}}
 
     def test_creates_parent_dirs(self, tmp_path):
         path = tmp_path / "a" / "b" / "c.json"
