@@ -342,41 +342,6 @@ class InterferencePredictor:
             )
         return out
 
-    def predict_batch(
-        self, specs: Sequence[ColocationSpec], qos: float | None = None
-    ) -> list[dict]:
-        """Evaluate the attached models over ``specs`` in batched form.
-
-        Returns one dict per spec with keys ``"fps"`` / ``"degradations"``
-        (present when a regressor is attached) and ``"feasible"`` (present
-        when a classifier is attached and ``qos`` is given).  Values equal
-        the corresponding single-spec calls exactly, but the whole batch
-        costs one model invocation per attached model.
-
-        When instrumented (:meth:`instrument`), the whole call is timed
-        into ``predict_batch_s`` and the featurize/model-eval stages into
-        ``predict_featurize_s`` / ``predict_model_eval_s``, giving the
-        per-decision latency attribution the serving layer reports.
-        """
-        start = time.perf_counter()
-        with self.tracer.span("predict_batch", specs=len(specs)):
-            results: list[dict] = [{} for _ in specs]
-            if self.regressor is not None:
-                degradations = self.predict_degradations_batch(specs)
-                for spec, result, deg in zip(specs, results, degradations):
-                    result["degradations"] = deg
-                    result["fps"] = deg * self._solo_fps(spec)
-            if self.classifier is not None and qos is not None:
-                for result, verdicts in zip(
-                    results, self.predict_feasible_batch(specs, qos)
-                ):
-                    result["feasible"] = verdicts
-        if self.telemetry is not None:
-            self.telemetry.histogram("predict_batch_s").observe(
-                time.perf_counter() - start
-            )
-        return results
-
     # ------------------------------------------------------------------
     # RM-as-classifier (the paper's GAugur(RM) classification variant)
 

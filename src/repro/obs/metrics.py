@@ -332,15 +332,6 @@ def _absorb(store: dict, instrument, labels: dict | None) -> None:
     mine._merge(instrument)
 
 
-def _families(store: dict) -> list:
-    """``store``'s ``(key, instrument)`` pairs grouped by name, in name order:
-    each name's unlabeled series first, then its children by label key."""
-    return sorted(
-        store.items(),
-        key=lambda item: item[0] if item[0].__class__ is tuple else (item[0],),
-    )
-
-
 class Telemetry:
     """Registry of named counters, gauges and histograms with one snapshot.
 
@@ -414,10 +405,21 @@ class Telemetry:
         cap with an exact drop count.  ``other`` is left untouched.
         """
         for kind, store in self._stores.items():
-            for key, instrument in other._stores[kind].items():
-                labels = None if key.__class__ is str else instrument.labels
+            for labels, instrument in other.series(kind):
                 _absorb(store, instrument, labels)
         self._log(other._events, other._events_dropped)
+
+    def series(self, kind: str):
+        """Yield ``(labels, instrument)`` for every ``kind`` series, in export
+        order: names sorted, each name's unlabeled series (``labels`` is
+        ``None``) first, then its children by label key.  Reads only: no
+        instrument is created.
+        """
+        for key, instrument in sorted(
+            self._stores[kind].items(),
+            key=lambda item: item[0] if item[0].__class__ is tuple else (item[0],),
+        ):
+            yield (None if key.__class__ is str else instrument.labels), instrument
 
     def _log(self, events, dropped: int) -> None:
         """Append ``events`` under the cap; count ``dropped`` + overflow."""
@@ -432,8 +434,9 @@ class Telemetry:
         Lenient with hand-built or foreign snapshots: keys outside the
         schema (e.g. a broker report's folded-in ``caches``) are ignored,
         a labeled entry without ``labels`` stays a labeled child (with no
-        labels), and a histogram without buckets keeps its count in
-        overflow (:meth:`LatencyHistogram.from_dict`).
+        labels), a labeled counter or gauge without ``value`` reads 0, and
+        a histogram without buckets keeps its count in overflow
+        (:meth:`LatencyHistogram.from_dict`).
         """
         telemetry = cls()
         labeled = snapshot.get("labeled", {})
@@ -443,7 +446,7 @@ class Telemetry:
                 _absorb(store, load(name, data), None)
             for name, entries in labeled.get(kind, {}).items():
                 for entry in entries:
-                    payload = entry if kind == "histograms" else entry["value"]
+                    payload = entry if kind == "histograms" else entry.get("value", 0)
                     _absorb(store, load(name, payload), entry.get("labels", {}))
         dropped = int(snapshot.get("events_dropped", 0))
         telemetry._log(snapshot.get("events", ()), dropped)
@@ -460,12 +463,14 @@ class Telemetry:
         """
         snap: dict = {kind: {} for kind in _KINDS}
         labeled: dict = {kind: {} for kind in _KINDS}
-        for kind, store in self._stores.items():
-            for key, instrument in _families(store):
-                if key.__class__ is str:
-                    snap[kind][key] = instrument._dump()
+        for kind in _KINDS:
+            for labels, instrument in self.series(kind):
+                if labels is None:
+                    snap[kind][instrument.name] = instrument._dump()
                 else:
-                    labeled[kind].setdefault(key[0], []).append(instrument._entry())
+                    labeled[kind].setdefault(instrument.name, []).append(
+                        instrument._entry()
+                    )
         snap["labeled"] = labeled
         snap["events"] = list(self._events)
         snap["events_dropped"] = self._events_dropped
@@ -482,10 +487,9 @@ class Telemetry:
         series, then its children in label-key order.
         """
         lines: list[str] = []
-        for kind, store in self._stores.items():
-            _, prom_type, suffix = _KINDS[kind]
+        for kind, (_, prom_type, suffix) in _KINDS.items():
             family = None
-            for _, instrument in _families(store):
+            for _, instrument in self.series(kind):
                 prom = _prom_name(instrument.name) + suffix
                 if instrument.name != family:
                     family = instrument.name
@@ -525,8 +529,8 @@ def label_snapshot(snapshot: dict, **labels) -> dict:
     source = Telemetry.from_snapshot(snapshot)
     relabeled = Telemetry()
     for kind, store in relabeled._stores.items():
-        for key, instrument in source._stores[kind].items():
-            if key.__class__ is str:
+        for own, instrument in source.series(kind):
+            if own is None:
                 _absorb(store, instrument, None)
             _absorb(store, instrument, {**instrument.labels, **labels})
     events = [{**event, **labels} for event in source._events]

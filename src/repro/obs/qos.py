@@ -36,9 +36,10 @@ game and genre, so the sharded tier's existing ``label_snapshot`` +
 ``merge_snapshots`` machinery yields an exact fleet-wide calibration
 picture: MAE, signed bias and p95 absolute error computed from *merged*
 histograms equal what one giant ledger would have reported.
-:func:`build_qos_section` is the pure snapshot→report half: it derives
-the ``qos`` section of a :class:`~repro.serving.broker.ServingReport`
-from any (possibly merged) telemetry snapshot.
+:meth:`QoSLedger.section` derives the ``qos`` section of a
+:class:`~repro.serving.broker.ServingReport` from the ledger's live
+registry in one read-only pass, and :func:`build_qos_section` the same
+section from any (possibly merged) telemetry snapshot.
 
 The conservation invariant the CI smoke jobs gate on is structural:
 every ``fleet_placed`` opens exactly one record and every close path
@@ -53,7 +54,7 @@ import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
-from repro.obs.metrics import LatencyHistogram, Telemetry
+from repro.obs.metrics import Counter, LatencyHistogram, Telemetry, _absorb
 from repro.obs.snapshots import diff_row
 from repro.obs.tracing import NOOP_TRACER, Tracer
 
@@ -362,12 +363,13 @@ class QoSLedger:
     # -- report ---------------------------------------------------------
 
     def section(self, snapshot: dict | None = None) -> dict:
-        """The ``qos`` report section for this ledger's telemetry."""
-        if snapshot is None:
-            snapshot = self.telemetry.snapshot()
-        built = build_qos_section(
-            snapshot, slo_fps=self.slo_fps, budget_fraction=self.budget_fraction
+        """The ``qos`` report section of this ledger's live registry, or
+        of ``snapshot`` when given (the sharded tier passes its merged
+        one); ``{}`` when nothing was recorded."""
+        telemetry = (
+            self.telemetry if snapshot is None else Telemetry.from_snapshot(snapshot)
         )
+        built = _qos_section(telemetry, self.slo_fps, self.budget_fraction)
         return built if built is not None else {}
 
     # -- internals ------------------------------------------------------
@@ -616,121 +618,151 @@ class QoSLedger:
 
 
 # ----------------------------------------------------------------------
-# Snapshot -> qos report section.  Pure functions over plain dicts, so
-# they apply equally to live telemetry, loaded JSON files, and merged
-# multi-shard snapshots.
+# Registry -> qos report section: one pass over a Telemetry registry, a
+# ledger's live one or one loaded from a (possibly merged) snapshot.
+
+#: Breakdown -> (its grouping label, labels that keep a child out).  A
+#: per-shard group must not double-count the per-game children that also
+#: carry a ``shard`` label; bookkeeping labels like ``health`` merge across.
+_BREAKDOWNS = {
+    "per_game": ("game", ("genre", "reason")),
+    "per_genre": ("genre", ("game", "reason")),
+    "per_shard": ("shard", ("game", "genre", "reason")),
+}
+
+#: The instruments a breakdown group reads.
+_GROUPED = frozenset((
+    "fps_residual_abs", "fps_residual_overpredict", "fps_residual_underpredict",
+    "qos_session_minutes", "qos_violation_minutes", "qos_minutes_degraded",
+    "slo_breaches", "slo_burn_events", "qos_sessions_opened", "qos_sessions_closed",
+))
+
+#: Stand-ins for an instrument a group never recorded: they read as zero.
+_NO_HISTOGRAM = LatencyHistogram("absent")
+_NO_COUNTER = Counter("absent")
 
 
-_QOS_HISTOGRAMS = (
-    "fps_residual_abs",
-    "fps_residual_overpredict",
-    "fps_residual_underpredict",
-    "qos_session_minutes",
-    "qos_violation_minutes",
-    "qos_minutes_degraded",
-)
+def _stats(group: dict) -> dict:
+    """Calibration, then SLO statistics of a ``{name: instrument}`` group.
 
-
-def _hist(data: dict | None, name: str) -> LatencyHistogram | None:
-    return LatencyHistogram.from_dict(name, data) if data else None
-
-
-def _calibration_stats(abs_h, over_h, under_h) -> dict:
-    n = abs_h.count if abs_h is not None else 0
-    over_total = over_h.total if over_h is not None else 0.0
-    under_total = under_h.total if under_h is not None else 0.0
+    Every statistic reduces to histogram counts and totals and counter
+    values, never to re-averaged means, so it is exact under merging.
+    """
+    get = group.get
+    abs_h = get("fps_residual_abs", _NO_HISTOGRAM)
+    over_h = get("fps_residual_overpredict", _NO_HISTOGRAM)
+    under_h = get("fps_residual_underpredict", _NO_HISTOGRAM)
+    n = abs_h.count
+    session_minutes = get("qos_session_minutes", _NO_HISTOGRAM).total
+    violation_minutes = get("qos_violation_minutes", _NO_HISTOGRAM).total
     return {
         "samples": n,
-        "fps_residual_mae": abs_h.mean if abs_h is not None else 0.0,
-        "fps_residual_bias": (over_total - under_total) / n if n else 0.0,
-        "fps_residual_p95": abs_h.quantile(0.95) if n else 0.0,
-        "overpredictions": over_h.count if over_h is not None else 0,
-        "underpredictions": under_h.count if under_h is not None else 0,
-    }
-
-
-def _slo_stats(sess_h, viol_h, breaches: int) -> dict:
-    session_minutes = sess_h.total if sess_h is not None else 0.0
-    violation_minutes = viol_h.total if viol_h is not None else 0.0
-    return {
+        "fps_residual_mae": abs_h.mean,
+        "fps_residual_bias": (over_h.total - under_h.total) / n if n else 0.0,
+        "fps_residual_p95": abs_h.quantile(0.95),
+        "overpredictions": over_h.count,
+        "underpredictions": under_h.count,
         "session_minutes": session_minutes,
         "violation_minutes": violation_minutes,
         "violation_fraction": (
             violation_minutes / session_minutes if session_minutes else 0.0
         ),
-        "breaches": breaches,
+        "breaches": get("slo_breaches", _NO_COUNTER).value,
+        "burn_events": get("slo_burn_events", _NO_COUNTER).value,
     }
 
 
-def _labeled_groups(snapshot: dict, label: str, *, forbid: tuple[str, ...]) -> dict:
-    """Group labeled qos children by ``labels[label]``.
+def _qos_section(
+    telemetry: Telemetry, slo_fps: float | None, budget_fraction: float | None
+) -> dict | None:
+    """The ``qos`` section of ``telemetry``, or ``None`` without a ledger.
 
-    Children carrying any ``forbid`` label are skipped (a per-shard
-    group must not double-count the per-game children that also carry a
-    ``shard`` label); extra bookkeeping labels like ``health`` are
-    tolerated and merged across.
+    One pass over its counter and histogram series sorts each into the
+    fleet map (unlabeled), the close reasons and the breakdown groups.
+    A group merges its children in series order — label-key order, the
+    order a snapshot lists them in — into instruments of its own, so the
+    registry is only read.
     """
-    labeled = snapshot.get("labeled", {})
-    groups: dict[str, dict] = {}
-
-    def bucket(value: str) -> dict:
-        return groups.setdefault(value, {"histograms": {}, "counters": {}})
-
-    for name in _QOS_HISTOGRAMS:
-        for entry in labeled.get("histograms", {}).get(name, ()):
-            labels = entry.get("labels", {})
-            if label not in labels or any(f in labels for f in forbid):
+    fleet: dict = {}
+    close_reasons: dict[str, int] = {}
+    groups: dict[str, dict] = {breakdown: {} for breakdown in _BREAKDOWNS}
+    for kind in ("counters", "histograms"):
+        for labels, instrument in telemetry.series(kind):
+            name = instrument.name
+            if labels is None:
+                fleet[name] = instrument
                 continue
-            slot = bucket(labels[label])["histograms"]
-            hist = LatencyHistogram.from_dict(name, entry)
-            if name in slot:
-                slot[name].merge(hist)
-            else:
-                slot[name] = hist
-    for name in ("slo_breaches", "qos_sessions_opened", "qos_sessions_closed",
-                 "slo_burn_events"):
-        for entry in labeled.get("counters", {}).get(name, ()):
-            labels = entry.get("labels", {})
-            if label not in labels or any(f in labels for f in forbid):
+            if name == "qos_sessions_closed" and "reason" in labels:
+                reason = labels["reason"]
+                close_reasons[reason] = close_reasons.get(reason, 0) + instrument.value
+            if name not in _GROUPED:
                 continue
-            counters = bucket(labels[label])["counters"]
-            counters[name] = counters.get(name, 0) + entry.get("value", 0)
-    return groups
-
-
-def _group_section(groups: dict) -> dict:
-    out = {}
-    for value in sorted(groups):
-        hists = groups[value]["histograms"]
-        counters = groups[value]["counters"]
-        abs_h = hists.get("fps_residual_abs")
-        stats = _calibration_stats(
-            abs_h,
-            hists.get("fps_residual_overpredict"),
-            hists.get("fps_residual_underpredict"),
-        )
-        stats.update(
-            _slo_stats(
-                hists.get("qos_session_minutes"),
-                hists.get("qos_violation_minutes"),
-                counters.get("slo_breaches", 0),
-            )
-        )
-        stats["burn_events"] = counters.get("slo_burn_events", 0)
-        degraded_h = hists.get("qos_minutes_degraded")
-        if degraded_h is not None:
-            # Present only when the downscale actuator degraded sessions
-            # in this group — absent keys keep old reports byte-stable.
-            stats["degraded_sessions"] = degraded_h.count
-            stats["degraded_minutes"] = degraded_h.total
-        if "qos_sessions_opened" in counters:
-            # Only shard groups carry the ledger lifecycle counters (they
-            # are unlabeled per broker and gain the shard label on merge);
-            # surface per-shard conservation alongside the stats.
-            stats["opened"] = counters.get("qos_sessions_opened", 0)
-            stats["closed"] = counters.get("qos_sessions_closed", 0)
-        out[value] = stats
-    return out
+            for breakdown, (label, forbid) in _BREAKDOWNS.items():
+                if label in labels and not any(f in labels for f in forbid):
+                    group = groups[breakdown].setdefault(labels[label], {})
+                    _absorb(group, instrument, None)
+    if "qos_sessions_opened" not in fleet and "fps_residual_abs" not in fleet:
+        return None
+    opened, closed, measurements, predictions = (
+        fleet.get(name, _NO_COUNTER).value
+        for name in ("qos_sessions_opened", "qos_sessions_closed",
+                     "qos_measurements", "qos_predictions")
+    )
+    stats = _stats(fleet)
+    items = list(stats.items())  # six calibration keys, then the SLO ones
+    slo = {}
+    if slo_fps is not None:
+        slo["target_fps"] = float(slo_fps)
+    if budget_fraction is not None:
+        slo["budget_fraction"] = float(budget_fraction)
+    slo.update(items[6:])
+    burn_h = fleet.get("slo_burn_rate", _NO_HISTOGRAM)
+    slo["burn_rate_p50"] = burn_h.quantile(0.5)
+    slo["burn_rate_p99"] = burn_h.quantile(0.99)
+    section = {
+        "sessions": {
+            "opened": opened,
+            "closed": closed,
+            "conservation_errors": abs(opened - closed),
+            "close_reasons": {k: close_reasons[k] for k in sorted(close_reasons)},
+            "measurements": measurements,
+            "predictions": predictions,
+        },
+        "calibration": dict(items[:6]),
+        "slo": slo,
+    }
+    for breakdown, found in groups.items():
+        section[breakdown] = out = {}
+        for value in sorted(found):
+            group = found[value]
+            out[value] = row = _stats(group)
+            degraded_h = group.get("qos_minutes_degraded")
+            if degraded_h is not None:
+                # Present only when the downscale actuator degraded sessions
+                # in this group — absent keys keep old reports byte-stable.
+                row["degraded_sessions"] = degraded_h.count
+                row["degraded_minutes"] = degraded_h.total
+            if "qos_sessions_opened" in group:
+                # Only shard groups carry the ledger lifecycle counters (they
+                # are unlabeled per broker and gain the shard label on
+                # merge); surface per-shard conservation alongside the stats.
+                row["opened"] = group["qos_sessions_opened"].value
+                row["closed"] = group.get("qos_sessions_closed", _NO_COUNTER).value
+    degraded_h = fleet.get("qos_minutes_degraded")
+    if degraded_h is not None:
+        # Fleet-wide resolution-actuator accounting; the key exists only
+        # when at least one session closed after a degraded stint, so
+        # degrade-disabled reports stay byte-identical.
+        total_minutes = stats["session_minutes"]
+        section["degraded"] = {
+            "sessions": degraded_h.count,
+            "minutes": degraded_h.total,
+            "mean_minutes": degraded_h.mean,
+            "minutes_fraction": (
+                degraded_h.total / total_minutes if total_minutes else 0.0
+            ),
+        }
+    return section
 
 
 def build_qos_section(
@@ -742,85 +774,15 @@ def build_qos_section(
     """Derive the ``qos`` report section from a telemetry snapshot.
 
     Works on a single broker's snapshot or on the sharded tier's merged
-    snapshot: fleet-wide stats come from the top-level histograms, and
+    snapshot: fleet-wide stats come from the unlabeled histograms, and
     the per-game / per-genre / per-shard breakdowns from the labeled
     children (exact under ``merge_snapshots``, because every stat is
     derived from histogram totals and counts, never re-averaged).
     Returns ``None`` when the snapshot carries no qos instruments (the
-    ledger was not enabled).
+    ledger was not enabled).  The snapshot is loaded once
+    (:meth:`Telemetry.from_snapshot`) and read like a live registry.
     """
-    counters = snapshot.get("counters", {})
-    hists = snapshot.get("histograms", {})
-    if "qos_sessions_opened" not in counters and "fps_residual_abs" not in hists:
-        return None
-    opened = int(counters.get("qos_sessions_opened", 0))
-    closed = int(counters.get("qos_sessions_closed", 0))
-    calibration = _calibration_stats(
-        _hist(hists.get("fps_residual_abs"), "fps_residual_abs"),
-        _hist(hists.get("fps_residual_overpredict"), "fps_residual_overpredict"),
-        _hist(hists.get("fps_residual_underpredict"), "fps_residual_underpredict"),
-    )
-    slo = {}
-    if slo_fps is not None:
-        slo["target_fps"] = float(slo_fps)
-    if budget_fraction is not None:
-        slo["budget_fraction"] = float(budget_fraction)
-    slo.update(
-        _slo_stats(
-            _hist(hists.get("qos_session_minutes"), "qos_session_minutes"),
-            _hist(hists.get("qos_violation_minutes"), "qos_violation_minutes"),
-            int(counters.get("slo_breaches", 0)),
-        )
-    )
-    slo["burn_events"] = int(counters.get("slo_burn_events", 0))
-    burn_h = _hist(hists.get("slo_burn_rate"), "slo_burn_rate")
-    slo["burn_rate_p50"] = burn_h.quantile(0.5) if burn_h is not None else 0.0
-    slo["burn_rate_p99"] = burn_h.quantile(0.99) if burn_h is not None else 0.0
-    close_reasons: dict[str, int] = {}
-    for entry in snapshot.get("labeled", {}).get("counters", {}).get(
-        "qos_sessions_closed", ()
-    ):
-        labels = entry.get("labels", {})
-        reason = labels.get("reason")
-        if reason is not None:
-            close_reasons[reason] = close_reasons.get(reason, 0) + entry.get("value", 0)
-    section = {
-        "sessions": {
-            "opened": opened,
-            "closed": closed,
-            "conservation_errors": abs(opened - closed),
-            "close_reasons": {k: close_reasons[k] for k in sorted(close_reasons)},
-            "measurements": int(counters.get("qos_measurements", 0)),
-            "predictions": int(counters.get("qos_predictions", 0)),
-        },
-        "calibration": calibration,
-        "slo": slo,
-        "per_game": _group_section(
-            _labeled_groups(snapshot, "game", forbid=("genre", "reason"))
-        ),
-        "per_genre": _group_section(
-            _labeled_groups(snapshot, "genre", forbid=("game", "reason"))
-        ),
-        "per_shard": _group_section(
-            _labeled_groups(snapshot, "shard", forbid=("game", "genre", "reason"))
-        ),
-    }
-    degraded_h = _hist(hists.get("qos_minutes_degraded"), "qos_minutes_degraded")
-    if degraded_h is not None:
-        # Fleet-wide resolution-actuator accounting; the key exists only
-        # when at least one session closed after a degraded stint, so
-        # degrade-disabled reports stay byte-identical.
-        session_h = _hist(hists.get("qos_session_minutes"), "qos_session_minutes")
-        total_minutes = session_h.total if session_h is not None else 0.0
-        section["degraded"] = {
-            "sessions": degraded_h.count,
-            "minutes": degraded_h.total,
-            "mean_minutes": degraded_h.mean,
-            "minutes_fraction": (
-                degraded_h.total / total_minutes if total_minutes else 0.0
-            ),
-        }
-    return section
+    return _qos_section(Telemetry.from_snapshot(snapshot), slo_fps, budget_fraction)
 
 
 def extract_qos(payload: dict, source: str = "payload") -> dict:

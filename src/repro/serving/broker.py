@@ -269,8 +269,12 @@ class RequestBroker:
 
     def finish(self) -> ServingReport:
         """Snapshot telemetry and assemble the :class:`ServingReport`."""
+        qos = {}
         if self.ledger is not None:
             self.ledger.finalize()
+            # Read off the registry before the snapshot dict is built, so
+            # the two transient peaks do not stack.
+            qos = self.ledger.section()
         telemetry = self.controller.telemetry
         snapshot = telemetry.snapshot()
         snapshot["caches"] = {
@@ -305,7 +309,7 @@ class RequestBroker:
             resilience=resilience,
             migrations=self._migrations,
             n_arrivals=self._n_arrivals,
-            qos=self.ledger.section(snapshot) if self.ledger is not None else {},
+            qos=qos,
         )
 
     # -- migration hooks (driven by repro.sharding.Rebalancer) ----------

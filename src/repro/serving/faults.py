@@ -202,8 +202,6 @@ def _corrupt(value):
         return -abs(value) - 1.0
     if isinstance(value, (tuple, list)):
         return type(value)(_corrupt(v) for v in value)
-    if isinstance(value, dict):  # predict_batch result entries
-        return {k: _corrupt(v) for k, v in value.items()}
     if hasattr(value, "tolist"):  # numpy arrays and scalars
         return _corrupt(value.tolist())
     return value
@@ -249,7 +247,6 @@ class FaultyPredictor:
         "predict_degradations_batch",
         "predict_feasible_batch",
         "colocations_feasible",
-        "predict_batch",
     )
 
     def __init__(self, predictor, injector: FaultInjector):

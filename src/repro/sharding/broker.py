@@ -467,17 +467,8 @@ class ShardedBroker:
         # Fleet-wide qos: derived from the *merged* snapshot, so the
         # calibration stats are exactly what one giant ledger would have
         # reported (every stat reduces to histogram totals/counts).
-        qos: dict = {}
         ledgers = [b.ledger for b in self.brokers if b.ledger is not None]
-        if ledgers:
-            from repro.obs.qos import build_qos_section
-
-            built = build_qos_section(
-                merged,
-                slo_fps=ledgers[0].slo_fps,
-                budget_fraction=ledgers[0].budget_fraction,
-            )
-            qos = built if built is not None else {}
+        qos = ledgers[0].section(merged) if ledgers else {}
         return ShardedReport(
             shard_reports=reports,
             telemetry=merged,

@@ -48,23 +48,14 @@ def _specs(minilab, n_pairs=6, n_triples=3, seed=13):
 class TestBatchParity:
     """Batched predictions equal single calls, with fewer model invocations."""
 
-    def test_predict_batch_matches_single_calls(self, minilab, counting_predictor):
-        predictor, classifier, regressor = counting_predictor
-        specs = _specs(minilab)
-        batch = predictor.predict_batch(specs, qos=60.0)
-        batch_calls = (classifier.calls, regressor.calls)
-        for spec, result in zip(specs, batch):
-            assert np.array_equal(result["fps"], predictor.predict_fps(spec))
-            assert np.array_equal(
-                result["degradations"], predictor.predict_degradations(spec)
-            )
-            assert np.array_equal(
-                result["feasible"], predictor.predict_feasible(spec, 60.0)
-            )
-        # One invocation per model for the whole batch; each single-spec
-        # call with >= 2 entries costs one more.
-        assert batch_calls == (1, 1)
-        assert classifier.calls > 1 + len(specs) // 2
+    def test_fps_batch_matches(self, minilab, counting_predictor):
+        predictor, _, regressor = counting_predictor
+        specs = _specs(minilab, seed=13)
+        batched = predictor.predict_fps_batch(specs)
+        assert regressor.calls == 1
+        for spec, fps in zip(specs, batched):
+            assert np.array_equal(fps, predictor.predict_fps(spec))
+        # Each single-spec call with >= 2 entries costs one more.
         assert regressor.calls > 1 + len(specs) // 2
 
     def test_feasible_batch_matches(self, minilab, counting_predictor):
@@ -87,13 +78,6 @@ class TestBatchParity:
         solo = ColocationSpec(((minilab.names[0], REFERENCE_RESOLUTION),))
         (out,) = minilab.predictor.predict_degradations_batch([solo])
         assert np.array_equal(out, np.ones(1))
-
-    def test_predict_batch_without_qos_skips_cm(self, minilab, counting_predictor):
-        predictor, classifier, _ = counting_predictor
-        results = predictor.predict_batch(_specs(minilab, seed=16))
-        assert classifier.calls == 0
-        assert all("feasible" not in r for r in results)
-        assert all("fps" in r for r in results)
 
     def test_unfitted_models_raise(self, minilab):
         cm_only = InterferencePredictor(minilab.db, classifier=minilab.cm_model)

@@ -4,6 +4,8 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.obs import (
     check_regressions,
@@ -338,3 +340,77 @@ class TestMergeEdgeCases:
             {"histograms": {"lat": {"count": 4, "total_s": 2.0}}}, {}
         )
         assert merged["histograms"]["lat"]["count"] == 4
+
+    def test_labeled_scalar_entry_without_value_reads_zero(self):
+        hand = {
+            "labeled": {
+                "counters": {"hits": [{"labels": {"shard": "0"}}]},
+                "gauges": {"depth": [{"labels": {"shard": "1"}}]},
+            }
+        }
+        merged = merge_snapshots(hand, hand)
+        assert merged["labeled"]["counters"]["hits"] == [
+            {"labels": {"shard": "0"}, "value": 0}
+        ]
+        assert merged["labeled"]["gauges"]["depth"][0]["value"] == 0
+        text = snapshot_to_prometheus(hand)
+        assert validate_prometheus(text) == []
+        assert 'hits_total{shard="0"} 0' in text
+
+
+_names = st.sampled_from(["a", "b", "b_s", "qos", "z"])
+_label_sets = st.dictionaries(
+    st.sampled_from(["game", "shard", "reason"]),
+    st.sampled_from(["0", "1", "Dota2", "x y"]),
+    max_size=3,
+)
+
+
+class TestSeries:
+    """``Telemetry.series`` is the one definition of export order."""
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["counters", "gauges", "histograms"]),
+                _names,
+                st.none() | _label_sets,
+            ),
+            max_size=25,
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_series_follows_snapshot_order(self, recorded):
+        t = Telemetry()
+        for kind, name, labels in recorded:
+            if kind == "counters":
+                t.counter(name, **(labels or {})).inc()
+            elif kind == "gauges":
+                t.gauge(name, **(labels or {})).set(1.5)
+            else:
+                t.histogram(name, **(labels or {})).observe(0.25)
+        # A labeled child with an empty label set: only a snapshot makes one.
+        snap = t.snapshot()
+        snap["labeled"]["counters"]["bare"] = [{"labels": {}, "value": 2}]
+        t = Telemetry.from_snapshot(snap)
+        snap = t.snapshot()
+        before = json.dumps(snap)
+        for kind in ("counters", "gauges", "histograms"):
+            got = [(i.name, labels) for labels, i in t.series(kind)]
+            # Names sorted; the unlabeled series first, then the children
+            # by their sorted (key, value) pairs.
+            assert got == sorted(
+                got,
+                key=lambda s: (s[0], s[1] is not None, sorted((s[1] or {}).items())),
+            )
+            assert [name for name, labels in got if labels is None] == list(snap[kind])
+            children: dict = {}
+            for name, labels in got:
+                if labels is not None:
+                    children.setdefault(name, []).append(labels)
+            assert children == {
+                name: [entry["labels"] for entry in entries]
+                for name, entries in snap["labeled"][kind].items()
+            }
+        assert ("bare", {}) in [(i.name, lb) for lb, i in t.series("counters")]
+        assert json.dumps(t.snapshot()) == before  # reading created nothing

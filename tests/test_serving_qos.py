@@ -204,16 +204,73 @@ class TestShardedLedger:
         assert qos["sessions"]["conservation_errors"] == 0
         assert qos["sessions"]["opened"] == qos["sessions"]["closed"]
 
-    def test_merged_section_equals_rebuild_from_snapshot(self, minilab, trace):
-        config = ShardConfig(slo_fps=SLO_FPS, seed=7)
+    def test_merged_section_equals_rebuild_from_snapshot(self, minilab):
+        # Two shards under degrade, crash and fault chaos: the fleet section
+        # (from the merged snapshot) and each shard's (from its live
+        # registry) equal a rebuild from the snapshot they report, key
+        # order included.
+        config = ShardConfig(
+            slo_fps=45.0, qos_budget=0.1, seed=7, fault_rate=0.05,
+            crash_rate=0.03, degrade_ladder=DegradeLadder.from_str("1080p,720p"),
+            restore_interval=16,
+        )
         brokers = build_shard_brokers(
             minilab.predictor, 2, config, catalog=minilab.catalog
         )
-        report = ShardedBroker(brokers).run(trace)
-        rebuilt = build_qos_section(
-            report.telemetry, slo_fps=SLO_FPS, budget_fraction=0.05
+        sessions = generate_sessions(minilab.names, 200, arrival_rate=9.0, seed=5)
+        report = ShardedBroker(brokers).run(sessions)
+        assert report.qos["sessions"]["close_reasons"].get("evicted", 0) > 0
+        assert set(report.qos["per_shard"]) == {"0", "1"}
+        for qos, snapshot in [(report.qos, report.telemetry)] + [
+            (shard.qos, shard.telemetry) for shard in report.shard_reports
+        ]:
+            rebuilt = build_qos_section(snapshot, slo_fps=45.0, budget_fraction=0.1)
+            assert json.dumps(rebuilt) == json.dumps(qos)
+
+
+class TestSectionFromRegistry:
+    """``QoSLedger.section()`` reads the live registry, and only reads it."""
+
+    def serve(self, minilab):
+        ledger = QoSLedger(
+            minilab.catalog, minilab.predictor, slo_fps=45.0, server=minilab.server
         )
-        assert rebuilt == report.qos
+        return ledger, serve_chaos(minilab, ledger)
+
+    def test_live_section_equals_snapshot_rebuild(self, minilab):
+        ledger, report = self.serve(minilab)
+        qos = ledger.section()
+        counters = report.telemetry["counters"]
+        for exercised in ("server_crashes", "faults_error", "slo_burn_events"):
+            assert counters.get(exercised, 0) > 0, exercised
+        assert qos["degraded"]["sessions"] > 0
+        assert qos["sessions"]["close_reasons"].get("evicted", 0) > 0
+        rebuilt = build_qos_section(
+            ledger.telemetry.snapshot(), slo_fps=45.0, budget_fraction=0.05
+        )
+        assert json.dumps(qos) == json.dumps(rebuilt)
+        assert json.dumps(report.qos) == json.dumps(qos)
+
+    def test_building_the_section_leaves_the_registry_unchanged(self, minilab):
+        ledger, _ = self.serve(minilab)
+        before = ledger.telemetry.snapshot()
+        ledger.section()
+        assert ledger.telemetry.snapshot() == before
+        # A registry missing most qos instruments gains none of them, and
+        # a group merging two children leaves both children as they were.
+        sparse = make_ledger(minilab)
+        t = sparse.telemetry
+        t.counter("qos_sessions_opened").inc()
+        for shard, minutes in (("0", 1.0), ("1", 2.0)):
+            t.histogram("qos_session_minutes", game="Dota2", shard=shard).observe(
+                minutes
+            )
+        before = t.snapshot()
+        for _ in range(2):
+            section = sparse.section()
+            assert section["sessions"]["opened"] == 1
+            assert section["per_game"]["Dota2"]["session_minutes"] == 3.0
+        assert t.snapshot() == before
 
 
 class TestLedgerPrometheusExport:
@@ -325,6 +382,58 @@ def flush_spans(tracer):
     ]
 
 
+def serve_chaos(minilab, ledger, tracer=None):
+    """Serve 320 sessions through ``ledger`` under faults, crashes, the
+    breaker, downscales and restores, with one planned migration."""
+    from tests.test_serving_degrade import LADDER
+
+    telemetry = Telemetry()
+    injector = FaultInjector(
+        FaultConfig(error_rate=0.03, corrupt_rate=0.04, stale_rate=0.08, seed=13),
+        telemetry=telemetry,
+    )
+    controller = DecisionEngine(
+        CMFeasiblePolicy(
+            injector.wrap_predictor(minilab.predictor),
+            45.0,
+            cache=injector.wrap_cache(PredictionCache(96)),
+            margin=1.05,
+        ),
+        fallback=WorstFitPolicy(minilab.vbp),
+        telemetry=telemetry,
+        breaker=BreakerConfig(
+            failure_threshold=0.5, window=12, min_requests=4, cooldown=10
+        ),
+        downscale_ladder=LADDER,
+    )
+    broker = RequestBroker(
+        controller, crash_rate=0.03, crash_seed=13, ledger=ledger,
+        restore_interval=16, tracer=tracer,
+    )
+    config = TraceConfig(
+        n_requests=320, arrival_rate=9.0, mean_duration=25.0, seed=13
+    )
+    sessions = sorted(
+        generate_trace(minilab.predictor.db.names(), config),
+        key=lambda s: s.arrival,
+    )
+    broker.start()
+    for index, session in enumerate(sessions):
+        broker.submit(session, index)
+        if index == 150:
+            # A planned migration of the fullest server, back into the
+            # same fleet: closed "migrated" and re-placed at one instant.
+            now = session.arrival
+            signatures = broker.fleet.signatures()
+            fullest = max(range(len(signatures)), key=lambda i: len(signatures[i]))
+            moved = broker.evict_for_migration(
+                broker.fleet.server_ids()[fullest], now=now, index=index
+            )
+            assert len(moved) >= 2
+            broker.admit_migrations(moved, index, now=now)
+    return broker.finish()
+
+
 class TestDeferredGroundTruth:
     """When a composition is measured cannot change what is booked.
 
@@ -337,56 +446,12 @@ class TestDeferredGroundTruth:
     """
 
     def serve(self, minilab, ledger_cls, tracer=None):
-        from tests.test_serving_degrade import LADDER, normalized
+        from tests.test_serving_degrade import normalized
 
-        telemetry = Telemetry()
-        injector = FaultInjector(
-            FaultConfig(error_rate=0.03, corrupt_rate=0.04, stale_rate=0.08, seed=13),
-            telemetry=telemetry,
-        )
-        controller = DecisionEngine(
-            CMFeasiblePolicy(
-                injector.wrap_predictor(minilab.predictor),
-                45.0,
-                cache=injector.wrap_cache(PredictionCache(96)),
-                margin=1.05,
-            ),
-            fallback=WorstFitPolicy(minilab.vbp),
-            telemetry=telemetry,
-            breaker=BreakerConfig(
-                failure_threshold=0.5, window=12, min_requests=4, cooldown=10
-            ),
-            downscale_ladder=LADDER,
-        )
         ledger = ledger_cls(
             minilab.catalog, minilab.predictor, slo_fps=45.0, server=minilab.server
         )
-        broker = RequestBroker(
-            controller, crash_rate=0.03, crash_seed=13, ledger=ledger,
-            restore_interval=16, tracer=tracer,
-        )
-        config = TraceConfig(
-            n_requests=320, arrival_rate=9.0, mean_duration=25.0, seed=13
-        )
-        sessions = sorted(
-            generate_trace(minilab.predictor.db.names(), config),
-            key=lambda s: s.arrival,
-        )
-        broker.start()
-        for index, session in enumerate(sessions):
-            broker.submit(session, index)
-            if index == 150:
-                # A planned migration of the fullest server, back into the
-                # same fleet: closed "migrated" and re-placed at one instant.
-                now = session.arrival
-                signatures = broker.fleet.signatures()
-                fullest = max(range(len(signatures)), key=lambda i: len(signatures[i]))
-                moved = broker.evict_for_migration(
-                    broker.fleet.server_ids()[fullest], now=now, index=index
-                )
-                assert len(moved) >= 2
-                broker.admit_migrations(moved, index, now=now)
-        return normalized(broker.finish().to_dict())
+        return normalized(serve_chaos(minilab, ledger, tracer).to_dict())
 
     def test_chaos_run_books_the_same_report(self, minilab):
         tracer = Tracer(enabled=True)
