@@ -1,19 +1,20 @@
 """Online request assignment onto a fixed fleet (Section 5.2).
 
 Prediction-guided policies place each arriving request on the server whose
-predicted post-assignment frame rates are best; VBP places worst-fit by
-remaining capacity.  Because a server's predicted value depends only on its
-*signature* (the multiset of hosted (game, resolution) entries), deltas are
-memoized per (signature, request) pair — with 10 games the signature space
+predicted total frame rate gains most; VBP places worst-fit by remaining
+capacity.  Both are one greedy over the placement core's
+:class:`~repro.placement.signature.SignatureIndex`: a server's score
+depends only on its *signature* (the multiset of hosted (game, resolution)
+entries), so each distinct signature is scored once per request and each
+(signature, entry) score once per call — with 10 games the signature space
 is tiny, making the greedy exact yet fast for thousands of requests.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from functools import cache
 
 import numpy as np
 
@@ -21,11 +22,8 @@ from repro.baselines.vbp import VBPJudge
 from repro.core.training import ColocationSpec
 from repro.games.catalog import GameCatalog
 from repro.hardware.server import DEFAULT_SERVER, ServerSpec
-from repro.placement.signature import Signature, entry_of, signature_add
+from repro.placement.signature import Signature, SignatureIndex, entry_of, signature_add
 from repro.simulator.measurement import MeasurementConfig, run_colocations
-
-if TYPE_CHECKING:
-    from repro.scheduling.requests import GameRequest
 
 __all__ = ["AssignmentResult", "assign_max_fps", "assign_worst_fit", "evaluate_assignment"]
 
@@ -51,8 +49,40 @@ class AssignmentResult:
         return [s for s in self.servers if s]
 
 
+def _assign(
+    requests: Sequence,
+    n_servers: int,
+    max_colocation: int,
+    score: Callable[[Signature, tuple], object],
+) -> AssignmentResult:
+    """Place each request on the open server with the highest ``score``.
+
+    ``score(signature, entry)`` rates a server holding ``signature`` for a
+    request contributing ``entry``; it is called once per distinct pair.
+    Groups come in first-occurrence pool order and the first maximum wins,
+    so an exact tie goes to the lowest server id — the serving policies'
+    tie rule.
+    """
+    if n_servers < 1:
+        raise ValueError("n_servers must be >= 1")
+    if len(requests) > n_servers * max_colocation:
+        raise ValueError(
+            f"{len(requests)} requests cannot fit on {n_servers} servers "
+            f"of capacity {max_colocation}"
+        )
+    index = SignatureIndex([()] * n_servers)
+    memo = cache(score)
+    for request in requests:
+        entry = entry_of(request)
+        groups = index.open_groups(max_colocation)
+        scores = [memo(group.signature, entry) for group in groups]
+        best = groups[scores.index(max(scores))]
+        index.move(best.ids[0], signature_add(best.signature, entry))
+    return AssignmentResult(servers=list(index.signatures.values()))
+
+
 def assign_max_fps(
-    requests: Sequence[GameRequest],
+    requests: Sequence,
     predictor,
     n_servers: int,
     *,
@@ -62,59 +92,24 @@ def assign_max_fps(
 
     ``predictor`` must expose ``predict_fps(ColocationSpec) -> array``
     (GAugur's RM, Sigmoid or SMiTe all qualify).  Each request goes to the
-    server maximizing the predicted total FPS after placement; servers at
+    server whose predicted total FPS grows most once it joins; servers at
     ``max_colocation`` games are excluded.
     """
-    if n_servers < 1:
-        raise ValueError("n_servers must be >= 1")
-    if len(requests) > n_servers * max_colocation:
-        raise ValueError(
-            f"{len(requests)} requests cannot fit on {n_servers} servers "
-            f"of capacity {max_colocation}"
-        )
 
-    servers: list[Signature] = [() for _ in range(n_servers)]
-    by_signature: dict[Signature, set[int]] = defaultdict(set)
-    for i in range(n_servers):
-        by_signature[()].add(i)
+    @cache
+    def predicted_sum(signature: Signature) -> float:
+        if not signature:
+            return 0.0
+        return float(np.sum(predictor.predict_fps(ColocationSpec(signature))))
 
-    sum_cache: dict[Signature, float] = {(): 0.0}
+    def gain(signature: Signature, entry: tuple) -> float:
+        return predicted_sum(signature_add(signature, entry)) - predicted_sum(signature)
 
-    def predicted_sum(sig: Signature) -> float:
-        if sig not in sum_cache:
-            spec = ColocationSpec(sig)
-            sum_cache[sig] = float(np.sum(predictor.predict_fps(spec)))
-        return sum_cache[sig]
-
-    delta_cache: dict[tuple[Signature, tuple], float] = {}
-
-    for request in requests:
-        key_entry = entry_of(request)
-        best_sig, best_delta = None, -np.inf
-        for sig, members in by_signature.items():
-            if not members or len(sig) >= max_colocation:
-                continue
-            cache_key = (sig, key_entry)
-            if cache_key not in delta_cache:
-                delta_cache[cache_key] = predicted_sum(
-                    signature_add(sig, key_entry)
-                ) - predicted_sum(sig)
-            delta = delta_cache[cache_key]
-            if delta > best_delta:
-                best_delta, best_sig = delta, sig
-        if best_sig is None:
-            raise RuntimeError("no server has remaining capacity")
-        server_id = next(iter(by_signature[best_sig]))
-        by_signature[best_sig].discard(server_id)
-        new_sig = signature_add(best_sig, key_entry)
-        servers[server_id] = new_sig
-        by_signature[new_sig].add(server_id)
-
-    return AssignmentResult(servers=servers)
+    return _assign(requests, n_servers, max_colocation, gain)
 
 
 def assign_worst_fit(
-    requests: Sequence[GameRequest],
+    requests: Sequence,
     vbp: VBPJudge,
     n_servers: int,
     *,
@@ -126,32 +121,12 @@ def assign_worst_fit(
     emptiest server (by slack) takes it anyway — the fleet size is fixed and
     every request must be served.
     """
-    if n_servers < 1:
-        raise ValueError("n_servers must be >= 1")
-    if len(requests) > n_servers * max_colocation:
-        raise ValueError(
-            f"{len(requests)} requests cannot fit on {n_servers} servers "
-            f"of capacity {max_colocation}"
-        )
 
-    dims = len(vbp.demand_vector(requests[0].game, requests[0].resolution))
-    usage = np.zeros((n_servers, dims), dtype=float)
-    counts = np.zeros(n_servers, dtype=int)
-    servers: list[list[tuple]] = [[] for _ in range(n_servers)]
+    def fit_then_slack(signature: Signature, entry: tuple) -> tuple[bool, float]:
+        spec = ColocationSpec(signature) if signature else None
+        return vbp.fits_after_adding(spec, *entry), vbp.remaining_capacity(spec)
 
-    for request in requests:
-        key = entry_of(request)
-        demand = vbp.demand_vector(request.game, request.resolution)
-        slack = dims - usage.sum(axis=1)
-        open_mask = counts < max_colocation
-        fits = open_mask & np.all(usage + demand <= 1.0 + 1e-9, axis=1)
-        pool = np.where(fits)[0] if fits.any() else np.where(open_mask)[0]
-        target = int(pool[np.argmax(slack[pool])])
-        usage[target] += demand
-        counts[target] += 1
-        servers[target].append(key)
-
-    return AssignmentResult(servers=[tuple(sorted(s)) for s in servers])
+    return _assign(requests, n_servers, max_colocation, fit_then_slack)
 
 
 def evaluate_assignment(

@@ -32,12 +32,6 @@ from repro.scheduling.feasible import (
     judge_feasibility,
     score_judgements,
 )
-from repro.scheduling.metrics import (
-    FleetSummary,
-    jain_fairness,
-    qos_satisfaction,
-    summarize_fleet,
-)
 from repro.scheduling.packing import PackingResult, pack_requests
 from repro.scheduling.requests import GameRequest, generate_requests
 
@@ -59,8 +53,4 @@ __all__ = [
     "generate_sessions",
     "simulate_sessions",
     "DynamicMetrics",
-    "FleetSummary",
-    "jain_fairness",
-    "qos_satisfaction",
-    "summarize_fleet",
 ]

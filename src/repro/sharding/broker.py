@@ -60,7 +60,7 @@ __all__ = [
     "build_shard_brokers",
 ]
 
-#: Chunk size for the route → drain alternation when no rebalance
+#: Chunk size for the route → drain alternation when no rebalancer
 #: interval dictates one: large enough to amortize thread handoff,
 #: small enough to keep per-chunk batch lists cache-friendly.
 DEFAULT_CHUNK = 8192
@@ -332,8 +332,9 @@ class ShardedBroker:
         self._supervising = supervisor is not None and supervisor.active
         self.parallel = bool(parallel)
         if chunk_size is None:
-            interval = rebalancer.config.interval if rebalancer is not None else 0
-            chunk_size = interval if interval > 0 else DEFAULT_CHUNK
+            chunk_size = (
+                rebalancer.config.interval if rebalancer is not None else DEFAULT_CHUNK
+            )
         if chunk_size < 1:
             raise ValueError(f"chunk_size must be >= 1, got {chunk_size}")
         self.chunk_size = int(chunk_size)

@@ -39,7 +39,7 @@ class RebalanceConfig:
 
     ``interval`` is the number of routed arrivals between checks (the
     sharded broker also uses it as its chunk size so checks land on
-    deterministic barriers); 0 disables rebalancing entirely.
+    deterministic barriers); ``rebalancer=None`` turns rebalancing off.
     ``hot_factor`` is the occupancy multiple of the fleet mean beyond
     which a shard counts as hot; ``max_moves`` caps server migrations
     per cycle so one check never stalls the drain.
@@ -50,8 +50,8 @@ class RebalanceConfig:
     max_moves: int = 4
 
     def __post_init__(self) -> None:
-        if self.interval < 0:
-            raise ValueError(f"interval must be >= 0, got {self.interval}")
+        if self.interval < 1:
+            raise ValueError(f"interval must be >= 1, got {self.interval}")
         if self.hot_factor < 1.0:
             raise ValueError(f"hot_factor must be >= 1, got {self.hot_factor}")
         if self.max_moves < 1:

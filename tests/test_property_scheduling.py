@@ -6,12 +6,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.baselines import VBPJudge
 from repro.core.training import ColocationSpec
 from repro.games.resolution import Resolution
+from repro.placement.assignment import assign_max_fps, assign_worst_fit
 from repro.scheduling import GameRequest, pack_requests
-from repro.placement.assignment import assign_max_fps
 
 R = Resolution(1920, 1080)
+RESOLUTIONS = [R, Resolution(1280, 720)]
 GAMES = ["a", "b", "c", "d", "e"]
 
 request_counts = st.dictionaries(
@@ -28,6 +30,44 @@ class _FlatPredictor:
 
     def predict_fps(self, spec):
         return np.full(spec.size, 100.0 / spec.size)
+
+
+class _HalvingPredictor:
+    """Toy predictor: each co-runner halves everyone's FPS.
+
+    Totals are 100, 100, 75, 50 for sizes 1-4, so joining a server of
+    size 2 or of size 3 gains exactly the same (-25).
+    """
+
+    def predict_fps(self, spec):
+        return np.full(spec.size, 100.0 / 2 ** (spec.size - 1))
+
+
+def _per_server_greedy(requests, n_servers, score, max_colocation=4):
+    """Reference assignment: score every server alone, lowest id wins a tie."""
+    servers = [()] * n_servers
+    for request in requests:
+        entry = (request.game, request.resolution)
+        best, best_score = None, None
+        for server_id, signature in enumerate(servers):
+            if len(signature) >= max_colocation:
+                continue
+            value = score(signature, entry)
+            if best is None or value > best_score:
+                best, best_score = server_id, value
+        servers[best] = tuple(sorted(servers[best] + (entry,)))
+    return servers
+
+
+@st.composite
+def _fleets(draw, names):
+    """``(requests, n_servers)``; half are tight fleets, 4 games a server."""
+    n_servers = draw(st.integers(1, 6))
+    tight = draw(st.booleans())
+    n_requests = 4 * n_servers if tight else draw(st.integers(1, 4 * n_servers))
+    picks = st.tuples(st.sampled_from(names), st.sampled_from(RESOLUTIONS))
+    entries = draw(st.lists(picks, min_size=n_requests, max_size=n_requests))
+    return [GameRequest(name, res) for name, res in entries], n_servers
 
 
 class TestPackingProperties:
@@ -102,3 +142,39 @@ class TestAssignmentProperties:
         requests = [GameRequest(g, R) for g in games]
         result = assign_max_fps(requests, _FlatPredictor(), n_servers=len(games))
         assert all(len(sig) == 1 for sig in result.occupied())
+
+
+class TestAssignmentTieRule:
+    """Both assigners equal a per-server greedy whose exact ties go to the
+    lowest server id — the serving policies' tie rule."""
+
+    @given(_fleets(GAMES), st.sampled_from([_FlatPredictor(), _HalvingPredictor()]))
+    @settings(max_examples=150, deadline=None)
+    def test_max_fps_matches_per_server_greedy(self, fleet, predictor):
+        requests, n_servers = fleet
+
+        def total(signature):
+            if not signature:
+                return 0.0
+            return float(np.sum(predictor.predict_fps(ColocationSpec(signature))))
+
+        def gain(signature, entry):
+            return total(tuple(sorted(signature + (entry,)))) - total(signature)
+
+        result = assign_max_fps(requests, predictor, n_servers)
+        assert result.servers == _per_server_greedy(requests, n_servers, gain)
+
+    @given(data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_worst_fit_matches_per_server_greedy(self, minilab, data):
+        requests, n_servers = data.draw(_fleets(minilab.names[:5]))
+        vbp = VBPJudge(minilab.db)
+
+        def fit_then_slack(signature, entry):
+            spec = ColocationSpec(signature) if signature else None
+            return vbp.fits_after_adding(spec, *entry), vbp.remaining_capacity(spec)
+
+        result = assign_worst_fit(requests, vbp, n_servers)
+        assert result.servers == _per_server_greedy(
+            requests, n_servers, fit_then_slack
+        )

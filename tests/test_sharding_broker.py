@@ -264,6 +264,8 @@ class TestRebalancer:
     def test_config_validated(self):
         with pytest.raises(ValueError, match="interval"):
             RebalanceConfig(interval=-1)
+        with pytest.raises(ValueError, match="interval"):
+            RebalanceConfig(interval=0)
         with pytest.raises(ValueError, match="hot_factor"):
             RebalanceConfig(hot_factor=0.9)
         with pytest.raises(ValueError, match="max_moves"):
