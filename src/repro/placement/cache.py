@@ -14,11 +14,17 @@ The store is a plain LRU over an :class:`collections.OrderedDict` with
 monotonic hit/miss/eviction statistics, sized for the serving hot path
 where the same few hundred server signatures recur across thousands of
 arrivals.
+
+Its ``generation`` stamp changes whenever it forgets or overwrites a
+key; the policies' per-group verdict memo
+(:class:`~repro.placement.signature.SignatureGroup`) is valid only
+while it has not.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
+from itertools import count
 from typing import Any
 
 from repro.placement.signature import colocation_key
@@ -28,6 +34,10 @@ __all__ = ["colocation_key", "PredictionCache"]
 #: Sentinel distinguishing "not cached" from a cached ``None``.
 _MISS = object()
 
+#: One process-wide source of generations: no two caches, and no two
+#: states of one cache, ever share a value.
+_GENERATIONS = count()
+
 
 class PredictionCache:
     """Bounded LRU cache for per-colocation prediction results.
@@ -35,6 +45,13 @@ class PredictionCache:
     ``capacity=0`` disables caching (every lookup misses, nothing is
     stored), which keeps the serving code path uniform when caching is
     turned off for measurement.
+
+    ``generation`` goes up whenever an entry is forgotten or overwritten
+    (eviction, :meth:`invalidate`, :meth:`clear`, a :meth:`put` over an
+    existing key); hits, misses and a ``put`` that evicts nothing leave
+    it alone.  While it is unchanged, every key that was present still
+    holds the value it had.  A cache wrapper that can lose or alter
+    entries behind the stamp's back sets it to ``None``: no memo then.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -46,6 +63,7 @@ class PredictionCache:
         self._misses = 0
         self._evictions = 0
         self._invalidations = 0
+        self.generation = next(_GENERATIONS)
 
     # ------------------------------------------------------------------
 
@@ -87,10 +105,12 @@ class PredictionCache:
             return
         if key in self._store:
             self._store.move_to_end(key)
+            self.generation = next(_GENERATIONS)
         self._store[key] = value
         if len(self._store) > self.capacity:
             self._store.popitem(last=False)
             self._evictions += 1
+            self.generation = next(_GENERATIONS)
 
     def get_or_compute(self, key: tuple, compute) -> Any:
         """Cached value for ``key``, calling ``compute()`` on a miss."""
@@ -111,6 +131,7 @@ class PredictionCache:
             return False
         del self._store[key]
         self._invalidations += 1
+        self.generation = next(_GENERATIONS)
         return True
 
     def __len__(self) -> int:
@@ -119,6 +140,7 @@ class PredictionCache:
     def clear(self) -> None:
         """Drop all entries (statistics are preserved — they are monotonic)."""
         self._store.clear()
+        self.generation = next(_GENERATIONS)
 
     # ------------------------------------------------------------------
 

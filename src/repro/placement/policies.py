@@ -11,9 +11,10 @@ decision parity holds by construction rather than by duplicated code.
 A decision depends only on the multiset of signatures, so every policy
 walks the pool's :class:`~repro.placement.signature.SignatureIndex` — one
 group per distinct signature, in first-occurrence pool order — not its
-servers.  The prediction-guided ones probe a shared
-:class:`PredictionCache` once per distinct candidate and score all misses
-with one batched predictor call.
+servers.  The prediction-guided ones keep each group's cache hits in its
+memo while the shared :class:`PredictionCache` forgets nothing, probe
+the cache once per other candidate and score all misses with one
+batched predictor call.
 """
 
 from __future__ import annotations
@@ -49,6 +50,10 @@ __all__ = [
 
 #: CLI-facing policy names accepted by :func:`build_policy`.
 POLICY_NAMES: tuple[str, ...] = ("cm-feasible", "max-fps", "worst-fit", "dedicated")
+
+#: The scan's generation over a cache whose ``generation`` is ``None``:
+#: equal to no stamp, so every candidate is probed and nothing stamped.
+_NO_MEMO = object()
 
 
 class AdmissionPolicy(Protocol):
@@ -98,17 +103,19 @@ class _InstrumentedPolicy:
         if callable(forward):
             forward(telemetry=telemetry, tracer=tracer)
 
-    def _resolve(self, pairs: list[tuple[Signature, tuple]], query) -> list:
-        """Values for distinct ``(signature, cache key)`` pairs, in order.
+    def _resolve(self, pairs, query, memo: int = 0) -> tuple[list, list[int]]:
+        """Values for distinct ``(signature, cache key, ...)`` pairs, in order.
 
         The one cache-then-single-batch path: every key is probed exactly
         once and all misses are scored by one ``query(specs)`` call, whose
-        answers fill the cache in the same order.
+        answers fill the cache in the same order.  Also returns the
+        positions that missed; ``memo`` is how many more candidates the
+        caller answered from its verdict memo (a span attribute).
         """
         with self.tracer.span("cache", policy=self.name) as span:
-            values = self.cache.lookup_many([key for _, key in pairs])
+            values = self.cache.lookup_many([pair[1] for pair in pairs])
             unknown = [i for i, value in enumerate(values) if value is None]
-            span.set(hits=len(pairs) - len(unknown), misses=len(unknown))
+            span.set(hits=len(pairs) - len(unknown), misses=len(unknown), memo=memo)
         with self.tracer.span(
             "predict", policy=self.name, batched=len(unknown), cached=not unknown
         ):
@@ -122,14 +129,14 @@ class _InstrumentedPolicy:
                         )
                         self._shortcuts = (telemetry, shortcuts)
                     shortcuts.inc()
-                return values
+                return values, unknown
             answers = query([ColocationSpec(pairs[i][0]) for i in unknown])
             for i, value in zip(unknown, answers):
                 values[i] = value
                 self.cache.put(pairs[i][1], value)
         if len(answers) < len(unknown):  # e.g. a stale replayed batch
             raise KeyError(pairs[unknown[len(answers)]][0])
-        return values
+        return values, unknown
 
     def _scan(self, signatures, session, floor: float | None, query):
         """``(index, open groups, value of each once session joins it)``.
@@ -138,6 +145,12 @@ class _InstrumentedPolicy:
         keeps a per-server scan's lowest-pool-index tie-break; one entry
         added to distinct signatures gives distinct candidates, so
         :meth:`_resolve` never sees a repeat.
+
+        A group's memoized verdict answers for it while the cache is still
+        at the generation the verdict was read at (the key is then still
+        cached with that value); every other group goes to
+        :meth:`_resolve`, and its hits are stamped only if no key was
+        forgotten or overwritten during that call.
         """
         index = index_of(signatures)
         groups = index.open_groups(self.max_colocation)
@@ -145,15 +158,36 @@ class _InstrumentedPolicy:
         arrival = self._arrivals.get((entry, floor))
         if arrival is None:
             arrival = self._arrivals[entry, floor] = colocation_key((entry,), floor)
-        pairs = []
+        cache = self.cache
+        now = cache.generation
+        if now is None:
+            now = _NO_MEMO
+        values, slots, pairs = [], [], []
         for group in groups:
-            pair = group.memo.get(arrival)
-            if pair is None:
+            known = group.memo.get(arrival)
+            if known is None:
                 candidate = signature_add(group.signature, entry)
-                pair = (candidate, colocation_key(candidate, floor))
-                group.memo[arrival] = pair
-            pairs.append(pair)
-        return index, groups, self._resolve(pairs, query)
+                known = (candidate, colocation_key(candidate, floor), None, None)
+                group.memo[arrival] = known
+            elif known[2] == now:
+                values.append(known[3])
+                continue
+            slots.append(len(values))
+            values.append(None)
+            pairs.append(known)
+        resolved, missed = self._resolve(pairs, query, len(groups) - len(pairs))
+        # Never true over an opted-out cache: ``now`` is then _NO_MEMO.
+        if len(missed) < len(pairs) and cache.generation == now:
+            missed = set(missed)
+            for i, slot in enumerate(slots):
+                if i not in missed:
+                    candidate, key = pairs[i][:2]
+                    groups[slot].memo[arrival] = (candidate, key, now, resolved[i])
+        if len(pairs) == len(groups):
+            return index, groups, resolved
+        for slot, value in zip(slots, resolved):
+            values[slot] = value
+        return index, groups, values
 
 
 class CMFeasiblePolicy(_InstrumentedPolicy):
@@ -212,7 +246,7 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
         if len(signature) > self.max_colocation:
             return False
         key = colocation_key(signature, self.qos * self.margin)
-        return self._resolve([(signature, key)], self._query)[0]
+        return self._resolve([(signature, key)], self._query)[0][0]
 
 
 class MaxFPSPolicy(_InstrumentedPolicy):
@@ -245,7 +279,8 @@ class MaxFPSPolicy(_InstrumentedPolicy):
         """RM verdict for one whole colocation: every member meets the floor."""
         if len(signature) > self.max_colocation:
             return False
-        values = self._resolve([(signature, colocation_key(signature))], self._query)[0]
+        pair = (signature, colocation_key(signature))
+        values = self._resolve([pair], self._query)[0][0]
         return min(values) >= self.qos
 
 

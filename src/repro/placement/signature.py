@@ -93,9 +93,12 @@ class SignatureGroup:
     """One distinct signature: the ascending ids of the servers holding it.
 
     ``memo`` maps an arrival (``colocation_key((entry,), floor)``) to the
-    ``(candidate signature, cache key)`` this group yields when that entry
-    joins it — filled lazily by the policies, gone with the group, so
-    bounded by the live pool.
+    ``(candidate signature, cache key, generation, verdict)`` this group
+    yields when that entry joins it — filled lazily by the policies, gone
+    with the group, so bounded by the live pool.  ``verdict`` is a cache
+    hit read while the cache was at ``generation`` (``None`` for both
+    until one is read); it stands for a probe only while the cache is
+    still at that generation.
     """
 
     __slots__ = ("signature", "ids", "memo")
@@ -103,7 +106,7 @@ class SignatureGroup:
     def __init__(self, signature: Signature):
         self.signature = signature
         self.ids: list[int] = []
-        self.memo: dict[tuple, tuple[Signature, tuple]] = {}
+        self.memo: dict[tuple, tuple[Signature, tuple, int | None, object]] = {}
 
 
 class SignatureIndex:

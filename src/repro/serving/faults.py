@@ -284,7 +284,13 @@ class FaultyCache:
     A stale fault turns a hit into a miss (the entry was "lost" by a
     restarted replica); a corrupt fault mangles the value being stored,
     modelling a poisoned cache line the policies must survive.
+
+    ``generation`` is ``None`` (not forwarded): a lost entry or a stale
+    draw must be met by a real probe every time, so the policies keep no
+    verdict memo over this cache and the fault stream stays the same.
     """
+
+    generation = None
 
     def __init__(self, cache, injector: FaultInjector):
         self._cache = cache

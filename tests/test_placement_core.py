@@ -280,6 +280,78 @@ class TestOneProbePerDistinctCandidate:
         assert all("error" not in s.attributes for s in tracer.spans)
 
 
+class TestVerdictMemo:
+    """A live group answers a repeated arrival from the verdict it has read."""
+
+    def _run(self, cache, predictor=None):
+        from repro.obs import Telemetry
+        from repro.obs.tracing import Tracer
+
+        fleet = FleetState()
+        fleet.place(None, _session("a"))
+        fleet.place(None, _session("b"))
+        policy = MaxFPSPolicy(predictor or _ConstantFPS(), 60.0, cache=cache)
+        telemetry, tracer = Telemetry(), Tracer()
+        policy.instrument(telemetry=telemetry, tracer=tracer)
+        return fleet, policy, telemetry, tracer
+
+    def test_second_hit_is_not_probed(self):
+        from tests.test_vectorized_parity import _RecordingCache
+
+        cache = _RecordingCache()
+        fleet, policy, telemetry, tracer = self._run(cache)
+        keys = [colocation_key((("a", R1080), ("c", R1080)))]
+        keys.append(colocation_key((("b", R1080), ("c", R1080))))
+        for _ in range(3):
+            assert policy.select(fleet.signatures(), _session("c")) == 0
+        # Missed and stored, then hit (and stamped), then answered by the memo.
+        assert cache.log == [
+            *(("lookup", k) for k in keys), *(("put", k) for k in keys),
+            *(("lookup", k) for k in keys),
+        ]
+        assert (cache.hits, cache.misses) == (2, 2)
+        cached = [s.attributes for s in tracer.spans if s.name == "cache"]
+        assert [(a["hits"], a["misses"], a["memo"]) for a in cached] == [
+            (0, 2, 0), (2, 0, 0), (0, 0, 2),
+        ]
+        shortcuts = telemetry.counter("predict_cache_shortcuts", policy="max-fps")
+        assert shortcuts.value == 2
+        # A forgotten key voids every stamp: the next arrival probes again.
+        cache.clear()
+        assert policy.select(fleet.signatures(), _session("c")) == 0
+        assert cache.log[-4:] == [
+            *(("lookup", k) for k in keys), *(("put", k) for k in keys),
+        ]
+
+    def test_faulty_cache_probes_every_time(self):
+        from tests.test_vectorized_parity import _RecordingCache
+
+        cache = _RecordingCache()
+        wrapped = FaultInjector(FaultConfig()).wrap_cache(cache)
+        fleet, policy, _, _ = self._run(wrapped)
+        for _ in range(3):
+            assert policy.select(fleet.signatures(), _session("c")) == 0
+        assert (cache.hits, cache.misses) == (4, 2)
+
+    def test_zero_capacity_asks_the_model_every_time(self):
+        class _Counting(_ConstantFPS):
+            calls = 0
+
+            def predict_fps_batch(self, specs):
+                self.calls += 1
+                return super().predict_fps_batch(specs)
+
+        predictor = _Counting()
+        fleet, policy, _, _ = self._run(PredictionCache(0), predictor)
+        for _ in range(3):
+            assert policy.select(fleet.signatures(), _session("c")) == 0
+        assert predictor.calls == 3
+        assert all(
+            memo[2] is None for g in index_of(fleet.signatures()).groups.values()
+            for memo in g.memo.values()
+        )
+
+
 class TestStrictEngine:
     class _Raises:
         name = "boom"

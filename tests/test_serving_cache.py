@@ -152,3 +152,78 @@ class TestInvalidateCanonicalKeys:
         cache.put(colocation_key(self.ENTRIES, 50.0), True)
         assert cache.invalidate(colocation_key(self.ENTRIES, 60.0))
         assert cache.lookup(colocation_key(self.ENTRIES, 50.0)) is True
+
+
+class TestGeneration:
+    """``generation`` moves exactly when an entry is forgotten or overwritten."""
+
+    def _cache(self):
+        cache = PredictionCache(2)
+        cache.put(("a",), 1)
+        cache.put(("b",), 2)
+        return cache
+
+    def test_eviction_moves_it(self):
+        cache = self._cache()
+        before = cache.generation
+        cache.put(("c",), 3)
+        assert cache.evictions == 1 and cache.generation > before
+
+    def test_invalidate_moves_it(self):
+        cache = self._cache()
+        before = cache.generation
+        assert cache.invalidate(("a",))
+        assert cache.generation > before
+        # Nothing was forgotten: nothing to announce.
+        after = cache.generation
+        assert not cache.invalidate(("a",))
+        assert cache.generation == after
+
+    def test_clear_moves_it(self):
+        cache = self._cache()
+        before = cache.generation
+        cache.clear()
+        assert cache.generation > before
+
+    def test_overwriting_put_moves_it(self):
+        cache = self._cache()
+        before = cache.generation
+        cache.put(("a",), 1)
+        assert len(cache) == 2 and cache.evictions == 0
+        assert cache.generation > before
+
+    def test_hits_misses_and_fresh_puts_leave_it(self):
+        cache = PredictionCache(4)
+        before = cache.generation
+        cache.put(("a",), 1)
+        cache.put(("b",), 2)
+        assert cache.lookup(("a",)) == 1 and cache.lookup(("z",)) is None
+        assert cache.lookup_many([("b",), ("y",), ("a",)]) == [2, None, 1]
+        assert cache.get_or_compute(("c",), lambda: 3) == 3
+        assert cache.hits == 3 and cache.misses == 3 and cache.evictions == 0
+        assert cache.generation == before
+
+    def test_zero_capacity_never_moves_it(self):
+        cache = PredictionCache(0)
+        before = cache.generation
+        cache.put(("a",), 1)
+        cache.put(("a",), 1)
+        assert cache.lookup(("a",)) is None
+        assert cache.generation == before
+
+    def test_no_two_caches_share_a_generation(self):
+        # A stamp read from one cache never validates against another.
+        first, second = PredictionCache(4), PredictionCache(4)
+        assert first.generation != second.generation
+        first.clear()
+        assert first.generation != second.generation
+
+    def test_faulty_cache_opts_out(self):
+        from repro.serving.faults import FaultConfig, FaultInjector
+
+        cache = PredictionCache(4)
+        wrapped = FaultInjector(FaultConfig()).wrap_cache(cache)
+        assert wrapped.generation is None
+        assert isinstance(cache.generation, int)
+        # Everything else is still forwarded to the wrapped cache.
+        assert wrapped.capacity == 4 and wrapped.hit_rate == cache.hit_rate

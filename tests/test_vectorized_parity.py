@@ -6,8 +6,9 @@ replaced: batch feature matrices equal row-by-row feature vectors
 the per-tree Python loop, incrementally maintained fleet signatures
 equal a from-scratch recomputation after arbitrary mutation sequences,
 the fleet's signature index equals a from-scratch grouping of them, and
-a policy's scan over that index picks the server — through the same
-cache probes — that a straight-line per-server scan picks.
+a policy's scan over that index picks the server that a straight-line
+per-server scan picks — with the same misses and stores, probing a
+subset of its keys (the groups' verdict memo answers the rest).
 """
 
 import numpy as np
@@ -537,24 +538,38 @@ class _FakeVBP:
 
 
 class _RecordingCache(PredictionCache):
-    """A real LRU that also logs every probe and store, in order."""
+    """A real LRU that also logs every probe and store, in order.
+
+    ``stores`` logs the misses and puts alone: what a verdict memo, which
+    may skip probes of cached keys, must leave unchanged.
+    """
 
     def __init__(self, capacity=64):
         super().__init__(capacity)
         self.log = []
+        self.stores = []
 
     def lookup(self, key, default=None):
         self.log.append(("lookup", key))
+        if key not in self:
+            self.stores.append(("miss", key))
         return super().lookup(key, default)
 
     def lookup_many(self, keys, default=None):
         keys = list(keys)
         self.log.extend(("lookup", key) for key in keys)
+        self.stores.extend(("miss", key) for key in keys if key not in self)
         return super().lookup_many(keys, default)
 
     def put(self, key, value):
         self.log.append(("put", key))
+        self.stores.append(("put", key))
         super().put(key, value)
+
+
+def _probed(log):
+    """The keys a cache log probed."""
+    return {key for event, key in log if event == "lookup"}
 
 
 def _linear_resolve(cache, candidates, floor, query, policy=None):
@@ -744,11 +759,21 @@ class TestSignatureIndexParity:
                 # memo: entries live and die with their group.
                 if op != "probe" and before.get(sig) is not group:
                     assert not group.memo
-                for arrival, (candidate, key) in group.memo.items():
+                for arrival, memo in group.memo.items():
+                    candidate, key, generation, verdict = memo
                     ((game, width, height),), floor = arrival
                     entry = (game, Resolution(width, height))
                     assert candidate == signature_add(sig, entry)
                     assert key == colocation_key(candidate, floor)
+                    if generation is None:
+                        assert verdict is None
+                        continue
+                    # A stamped verdict is the CM's answer for the candidate
+                    # and, while the cache is at its generation, the value
+                    # a probe of its key would return.
+                    assert verdict == policy._query([ColocationSpec(candidate)])[0]
+                    if generation == policy.cache.generation:
+                        assert policy.cache._store[key] == verdict
             before = dict(index.groups)
 
     @given(pools_st, st.lists(st.integers(0, 10 ** 6), min_size=1, max_size=4), st.data())
@@ -763,14 +788,113 @@ class TestSignatureIndexParity:
             for (policy, linear), (reference, _) in zip(
                 _make_policies(), _make_policies()
             ):
-                # Several arrivals through one cache: hits, misses and LRU
-                # order have to stay in lockstep, not just the answer.
+                # Several arrivals through one cache: the group memo may
+                # skip probes of keys the cache holds, never add a probe,
+                # and never change a miss or a store.
+                log = getattr(getattr(policy, "cache", None), "log", None)
                 for r in arrivals:
                     session = _arrival(r)
+                    if log is not None:
+                        mark, reference_mark = len(log), len(reference.cache.log)
                     expected = linear(reference, straight, session)
                     assert policy.select(present(), session) == expected
-                    if hasattr(policy, "cache"):
-                        assert policy.cache.log == reference.cache.log
+                    if log is not None:
+                        assert _probed(log[mark:]) <= _probed(
+                            reference.cache.log[reference_mark:]
+                        )
+                if log is not None:
+                    assert policy.cache.evictions == reference.cache.evictions == 0
+                    assert policy.cache.stores == reference.cache.stores
+
+
+class _CountingPredictor(_FakePredictor):
+    """The fake models, counting the batched calls made to them."""
+
+    calls = 0
+
+    def colocations_feasible(self, specs, qos):
+        self.calls += 1
+        return super().colocations_feasible(specs, qos)
+
+    def predict_fps_batch(self, specs):
+        self.calls += 1
+        return super().predict_fps_batch(specs)
+
+
+memo_ops = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["arrive", "arrive", "arrive", "depart", "crash", "resolution"]
+        ),
+        st.integers(0, 10 ** 6),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+class TestVerdictMemoParity:
+    """The fleet's groups keep verdicts across arrivals and mutations.
+
+    A serving-shaped run — arrivals placed where the policy says, plus
+    departures, crashes and resolution changes — through a plain
+    ``PredictionCache``, next to the straight-line reference on a cache
+    of its own with the same capacity.
+    """
+
+    @given(memo_ops, st.sampled_from([0, 3, 8, 64]), st.booleans())
+    @settings(max_examples=120, deadline=None)
+    def test_memo_path_matches_the_probing_scan(self, ops, capacity, use_rm):
+        predictor = _CountingPredictor()
+        kind, linear, knobs = (
+            (MaxFPSPolicy, linear_max_fps, {})
+            if use_rm
+            else (CMFeasiblePolicy, linear_cm, {"margin": 1.1})
+        )
+        policy, reference = (
+            kind(p, QOS, cache=_RecordingCache(capacity), **knobs)
+            for p in (predictor, _FakePredictor())
+        )
+        log, reference_log = policy.cache.log, reference.cache.log
+        fleet, clock = FleetState(), 0.0
+        for op, r in ops:
+            if op == "arrive" or fleet.n_open == 0:
+                session = _arrival(r)
+                pool = fleet.signatures()
+                mark, reference_mark = len(log), len(reference_log)
+                calls = predictor.calls
+                choice = policy.select(pool, session)
+                assert choice == linear(reference, list(pool), session)
+                # Every probe is one the reference makes at this arrival.
+                assert _probed(log[mark:]) <= _probed(reference_log[reference_mark:])
+                # While nothing was evicted, misses and stores are in lockstep.
+                if policy.cache.evictions == reference.cache.evictions == 0:
+                    assert policy.cache.stores == reference.cache.stores
+                # Nothing is ever stamped without a cache: the models answer.
+                limit = policy.max_colocation
+                if capacity == 0 and any(len(sig) < limit for sig in pool):
+                    assert predictor.calls == calls + 1
+                # A verdict stamped at the cache's current generation is
+                # still cached, with that value: it stands for a probe.
+                cache = policy.cache
+                for group in fleet._index.groups.values():
+                    for _, key, generation, verdict in group.memo.values():
+                        if generation == cache.generation:
+                            assert key in cache and cache._store[key] == verdict
+                fleet.place(choice, Session(
+                    session.game, session.resolution, clock, session.duration
+                ))
+            elif op == "depart":
+                clock += 1.0 + (r % 3)
+                fleet.pop_departures(clock)
+            elif op == "crash":
+                fleet.crash(fleet.server_ids()[r % fleet.n_open])
+            else:
+                server_id = fleet.server_ids()[r % fleet.n_open]
+                member_id, old = fleet._servers[server_id][0]
+                fleet.update_resolution(server_id, member_id, Session(
+                    old.game, RESOLUTIONS[r % 2], old.arrival, old.duration
+                ))
 
 
 class _LinearCMFeasible(CMFeasiblePolicy):
