@@ -175,6 +175,7 @@ _SERVE_RANGES = (
     ("--min-healthy-shards", lambda v: v >= 1, ">= 1"),
     ("--slo-fps", lambda v: v > 0, "positive"),
     ("--qos-budget", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
+    ("--max-colocation", lambda v: v >= 1, ">= 1"),
 )
 
 #: ``serve`` flags that only mean something next to another flag; a

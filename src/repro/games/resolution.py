@@ -5,7 +5,7 @@ resolution for hidden catalog parameters is 1080p; GPU-side quantities scale
 with the pixel ratio relative to it (Observations 7-8).
 
 This module also owns the *degrade ladder* vocabulary used by the
-placement tier's :class:`~repro.placement.engine.ResolutionDownscaleActuator`:
+placement tier's downscale step (``DecisionEngine.ladder``):
 a named, ordered list of resolutions a session may be stepped down
 through when the CM deems every candidate infeasible at the requested
 resolution (and stepped back up through when capacity frees).  Ladders

@@ -4,10 +4,10 @@ This package is the single implementation of "where does this session
 go": canonical signatures and cache keys (:mod:`.signature`), the fleet
 bookkeeping (:mod:`.fleet`), the prediction cache (:mod:`.cache`), the
 placement policies (:mod:`.policies`), circuit breakers (:mod:`.breaker`),
-and the :class:`DecisionEngine` (:mod:`.engine`) that walks an actuator
-pipeline — breaker-guarded policy steps, the resolution-downscale
-quality actuator, deadline budgets, degraded modes, tracing spans and
-telemetry — and applies decisions to the fleet.
+and the :class:`DecisionEngine` (:mod:`.engine`) that walks one decision
+chain — breaker-guarded primary and fallback policies, the resolution
+downscale, a dedicated server — under deadline budgets, degraded modes,
+tracing spans and telemetry, and applies decisions to the fleet.
 
 One frontend drives it: the event-loop broker
 (:class:`repro.serving.RequestBroker`); the offline simulator
@@ -32,7 +32,6 @@ from repro.placement.engine import (
     Mode,
     PlacementOutcome,
     PolicyActuator,
-    ResolutionDownscaleActuator,
 )
 from repro.placement.fleet import FleetState, Session, degraded_to, promoted_to
 from repro.placement.policies import (
@@ -70,7 +69,6 @@ __all__ = [
     "PlacementOutcome",
     "PolicyActuator",
     "PredictionCache",
-    "ResolutionDownscaleActuator",
     "Session",
     "Signature",
     "VBPFirstFitPolicy",

@@ -112,14 +112,6 @@ class PredictionCache:
             self._evictions += 1
             self.generation = next(_GENERATIONS)
 
-    def get_or_compute(self, key: tuple, compute) -> Any:
-        """Cached value for ``key``, calling ``compute()`` on a miss."""
-        value = self.lookup(key, _MISS)
-        if value is _MISS:
-            value = compute()
-            self.put(key, value)
-        return value
-
     def invalidate(self, key: tuple) -> bool:
         """Drop ``key`` if present (returns whether an entry was removed).
 

@@ -1,38 +1,31 @@
-"""The decision engine: an actuator pipeline between policies and the fleet.
+"""The decision engine: one decision chain between policies and the fleet.
 
 The event-loop broker (:class:`repro.serving.RequestBroker`) — and so
 the offline simulator, a strict run of it
 (:func:`repro.scheduling.dynamic.simulate_sessions`) — answers every
-arrival through :class:`DecisionEngine`.  Since the actuator refactor the
-engine no longer hardwires a ``primary → fallback → dedicated`` chain:
-it walks an ordered pipeline of **actuators**, where each step is one
-lever the admission path can pull when the previous step could not place
-the session.  Three kinds of lever exist, in escalation order:
+arrival through :class:`DecisionEngine`.  Each arrival walks one chain,
+pulling the next lever only when the previous one could not place the
+session:
 
-1. **degrade placement** — consult the next (more conservative) policy
-   in the chain.  Each :class:`PolicyActuator` wraps one
-   :class:`~repro.placement.policies.AdmissionPolicy` together with its
-   own circuit breaker, skip counter, and error counter.
-2. **degrade quality** — transform the *session* instead of the
-   placement: :class:`ResolutionDownscaleActuator` re-queries the
-   deciding policy at a ladder of lower resolutions (the Eq. 2 pixel
-   scaling of GPU intensity and solo FPS) before giving up on
-   colocation.
-3. **add capacity** — the implicit terminal actuator: open a dedicated
-   server.  It cannot fail, so the pipeline always terminates.
-
-The default construction (a primary policy, an optional fallback, no
-ladder) builds the exact pre-refactor chain, and the decision path is
-byte-identical to it: same counters in the same order, same spans, same
-breaker consultations — pinned by the chaos/parity suites.
+1. **primary** — the configured policy.
+2. **fallback** — an optional more conservative policy.  Both policy
+   steps live in ``engine.pipeline``: each :class:`PolicyActuator`
+   record holds one :class:`~repro.placement.policies.AdmissionPolicy`
+   with its own circuit breaker, skip counter and error counter.
+3. **downscale** — the quality lever, when ``engine.ladder`` is set:
+   the deciding policy said "open a new server", so it is re-asked at
+   the ladder's lower resolutions (the Eq. 2 pixel scaling of GPU
+   intensity and solo FPS) before giving up on colocation.
+4. **dedicated** — open a new server.  It cannot fail, so the chain
+   always terminates.
 
 A production dispatcher must never crash on one bad request, so in the
 default (serving) configuration *any* exception during placement
 evaluation — a game missing from the profile database
 (:class:`repro.core.MissingProfileError`), an unfitted model raising
 ``RuntimeError``, a numerical failure, an injected chaos fault — is
-counted and absorbed: the decision falls through the pipeline, and in
-the worst case to opening a dedicated server.  A policy returning an
+counted and absorbed: the decision falls through the chain, and in the
+worst case to opening a dedicated server.  A policy returning an
 out-of-range server index is treated exactly like a policy that raised
 (``invalid_choices`` counter), so a buggy return value can never corrupt
 the fleet bookkeeping downstream.  The offline frontend instead runs
@@ -43,16 +36,15 @@ conservatively.
 Beyond per-decision fallthrough, the engine runs an explicit
 degraded-mode state machine when given a :class:`BreakerConfig`:
 
-- **NORMAL** — the first policy actuator answers (its circuit breaker
-  is CLOSED).
+- **NORMAL** — the primary answers (its circuit breaker is CLOSED).
 - **DEGRADED** — sustained primary failures (error rate or decision
-  deadline overruns over a sliding window) tripped the first breaker;
-  arrivals are served by a later policy actuator without consulting the
-  primary.  After a cooldown the breaker half-opens and probes the
-  primary; enough successful probes recover to NORMAL.
-- **CONSERVATIVE** — every later policy actuator's breaker tripped too
-  (or there is none); every arrival opens a dedicated server until a
-  probe window recovers a policy.
+  deadline overruns over a sliding window) tripped the primary breaker;
+  arrivals are served by the fallback without consulting the primary.
+  After a cooldown the breaker half-opens and probes the primary; enough
+  successful probes recover to NORMAL.
+- **CONSERVATIVE** — the fallback's breaker tripped too (or there is
+  none); every arrival opens a dedicated server until a probe window
+  recovers a policy.
 
 Every decision is timed into a fixed-bucket latency histogram; when a
 ``decision_deadline_s`` budget is set, overruns are counted and fed to
@@ -64,10 +56,9 @@ policy's breaker like any other slow answer.
 The quality lever is reversible.  :meth:`DecisionEngine.restore` walks
 the fleet's degraded sessions (oldest first) and re-promotes each to the
 best resolution — its original request, or an intermediate ladder rung —
-that the first policy actuator still deems feasible for the session's
-current server group.  One frontend calls it, on departure-freed
-capacity: the serving broker, every ``restore_interval`` of its own
-arrivals — sharded or not.
+that the primary still deems feasible for the session's current server
+group.  One frontend calls it, on departure-freed capacity: the serving
+broker, every ``restore_interval`` of its own arrivals — sharded or not.
 """
 
 from __future__ import annotations
@@ -91,7 +82,6 @@ __all__ = [
     "DecisionEngine",
     "Mode",
     "PolicyActuator",
-    "ResolutionDownscaleActuator",
 ]
 
 
@@ -106,110 +96,27 @@ class Mode(Enum):
 #: The ``mode_level`` gauge's value in each mode.
 _MODE_LEVEL = {Mode.NORMAL: 0, Mode.DEGRADED: 1, Mode.CONSERVATIVE: 2}
 
+#: The shared do-nothing span: a downscale re-query opens no span of its
+#: own (the ``downscale`` span covers the whole ladder walk).
+_NO_SPAN = NOOP_TRACER.span("query")
 
+
+@dataclass(slots=True)
 class PolicyActuator:
-    """A placement policy as a pipeline step, with its breaker and counters.
+    """One policy step of the decision chain.
 
-    ``skip_counter`` is incremented when the breaker rejects the step
-    without consulting the policy (``degraded_decisions`` for the first
-    step, ``conservative_decisions`` for later steps — the historical
-    names of the mode machine), and ``error_counter`` when the policy
-    raises or answers out of range (``policy_errors`` /
-    ``fallback_errors``).
+    ``skip_counter`` counts the decisions on which the breaker skipped
+    the step without consulting the policy (``degraded_decisions`` for
+    the primary, ``conservative_decisions`` for the fallback), and
+    ``error_counter`` the policy's raises and out-of-range answers
+    (``policy_errors`` / ``fallback_errors``).  Every step after the
+    first is a fallback.
     """
 
-    def __init__(
-        self,
-        policy: AdmissionPolicy,
-        *,
-        breaker: CircuitBreaker | None = None,
-        skip_counter: str,
-        error_counter: str,
-        is_fallback: bool,
-    ):
-        self.policy = policy
-        self.breaker = breaker
-        self.skip_counter = skip_counter
-        self.error_counter = error_counter
-        self.is_fallback = bool(is_fallback)
-
-    @property
-    def name(self) -> str:
-        return self.policy.name
-
-    @property
-    def available(self) -> bool:
-        """Whether the step would currently be consulted (breaker not OPEN)."""
-        return self.breaker is None or self.breaker.state in (
-            BreakerState.CLOSED,
-            BreakerState.HALF_OPEN,
-        )
-
-
-class ResolutionDownscaleActuator:
-    """Degrade quality before adding capacity (ROADMAP item 3, Stimpack-style).
-
-    When the deciding policy answers "open a new server" for a session,
-    this actuator re-queries the *same* policy with the session rewritten
-    to each ladder rung strictly below its current resolution, best rung
-    first.  Eq. 2 makes the re-query trustworthy: solo FPS and GPU
-    intensity scale linearly with pixel count while CPU intensity and
-    sensitivity are resolution-invariant, so a lower rung strictly
-    shrinks the candidate's footprint.  The first rung the policy accepts
-    wins; the session is placed at that rung with its original request
-    remembered (``Session.requested``) so the restore loop can promote
-    it back when capacity frees.
-    """
-
-    name = "resolution-downscale"
-
-    def __init__(self, ladder: DegradeLadder):
-        self.ladder = ladder
-
-    def actuate(
-        self,
-        engine: "DecisionEngine",
-        policy: AdmissionPolicy,
-        signatures: list[Signature],
-        session,
-    ) -> tuple[int, Session] | None:
-        """Try the ladder; returns ``(choice, degraded_session)`` or ``None``."""
-        rungs = self.ladder.rungs_below(session.resolution)
-        if not rungs:
-            return None
-        t = engine.telemetry
-        span = engine.tracer.span(
-            "downscale",
-            policy=policy.name,
-            game=getattr(session, "game", None),
-            rungs=len(rungs),
-        )
-        with span:
-            for rung in rungs:
-                t.counter("downscale_queries", resolution=str(rung)).inc()
-                candidate = degraded_to(session, rung)
-                try:
-                    choice = policy.select(signatures, candidate)
-                except Exception:
-                    if engine.strict:
-                        raise
-                    t.counter("downscale_errors").inc()
-                    span.set(outcome="error")
-                    return None
-                if choice is None:
-                    continue
-                index = engine._valid_index(
-                    policy, choice, len(signatures), "downscale_errors",
-                    " during downscale",
-                )
-                if index is None:
-                    span.set(outcome="error")
-                    return None
-                t.counter("downscales", resolution=str(rung)).inc()
-                span.set(outcome="hit", choice=index, resolution=str(rung))
-                return index, candidate
-            span.set(outcome="miss")
-        return None
+    policy: AdmissionPolicy
+    breaker: CircuitBreaker | None
+    skip_counter: str
+    error_counter: str
 
 
 @dataclass(frozen=True)
@@ -220,9 +127,9 @@ class AdmissionDecision:
     opens a new server), ``policy`` names the policy whose answer was
     used, and ``fallback`` flags that the primary policy's answer was not
     (the primary failed, answered out of range, or was skipped by the
-    breaker).  ``session`` is set when a transform actuator rewrote the
-    session (resolution downscale): the rewritten session is the one to
-    place; ``None`` means place the session as requested.
+    breaker).  ``session`` is set when the downscale step rewrote the
+    session: the rewritten session is the one to place; ``None`` means
+    place the session as requested.
     """
 
     server: int | None
@@ -239,7 +146,7 @@ class PlacementOutcome:
     at decision time (``None`` = new server) — directly comparable
     across frontends; ``server_id`` is the stable id of the server that
     ended up hosting the session.  ``session`` is the session as placed
-    — it differs from the session submitted only when a quality actuator
+    — it differs from the session submitted only when the downscale step
     degraded its resolution.
     """
 
@@ -251,14 +158,14 @@ class PlacementOutcome:
 
 
 class DecisionEngine:
-    """Evaluates placements through the actuator pipeline and mutates the fleet.
+    """Evaluates placements through the decision chain and mutates the fleet.
 
     ``strict=True`` (the offline frontend) disables the absorb-and-
     degrade machinery: a policy exception propagates and an out-of-range
     index raises ``IndexError`` instead of being converted into a
-    fallback decision.  The downscale actuator still runs under
-    ``strict`` (the offline experiments measure it); only its error
-    absorption is disabled.
+    fallback decision.  The downscale step still runs under ``strict``
+    (the offline experiments measure it); only its error absorption is
+    disabled.
     """
 
     def __init__(
@@ -282,45 +189,23 @@ class DecisionEngine:
         self.mode = Mode.NORMAL
         self.mode_transitions: list[dict] = []
         self._bound_to: Telemetry | None = None  # see _bind
-        # The policy chain: step 0 is the primary, later steps are the
-        # conservative fallbacks, each with its own breaker.  Breaker
-        # names keep their historical labels ("primary"/"fallback") so
-        # resilience snapshots and breaker events stay byte-compatible.
-        primary_breaker = fallback_breaker = None
-        if breaker is not None:
-            primary_breaker = CircuitBreaker(
-                breaker, name="primary", on_transition=self._breaker_event("primary")
-            )
-            if fallback is not None:
-                fallback_breaker = CircuitBreaker(
-                    breaker,
-                    name="fallback",
-                    on_transition=self._breaker_event("fallback"),
-                )
-        self.pipeline: list[PolicyActuator] = [
-            PolicyActuator(
-                policy,
-                breaker=primary_breaker,
-                skip_counter="degraded_decisions",
-                error_counter="policy_errors",
-                is_fallback=False,
-            )
+        self.pipeline = [
+            PolicyActuator(policy, None, "degraded_decisions", "policy_errors")
         ]
         if fallback is not None:
             self.pipeline.append(
                 PolicyActuator(
-                    fallback,
-                    breaker=fallback_breaker,
-                    skip_counter="conservative_decisions",
-                    error_counter="fallback_errors",
-                    is_fallback=True,
+                    fallback, None, "conservative_decisions", "fallback_errors"
                 )
             )
-        self.downscale: ResolutionDownscaleActuator | None = (
-            ResolutionDownscaleActuator(downscale_ladder)
-            if downscale_ladder is not None
-            else None
-        )
+        if breaker is not None:
+            # Breaker names ("primary"/"fallback") label resilience
+            # snapshots and breaker events.
+            for step, name in zip(self.pipeline, ("primary", "fallback")):
+                step.breaker = CircuitBreaker(
+                    breaker, name=name, on_transition=self._breaker_event(name)
+                )
+        self.ladder = downscale_ladder
         self._instrument_members()
 
     def _instrument_members(self) -> None:
@@ -355,61 +240,93 @@ class DecisionEngine:
 
     # ------------------------------------------------------------------
 
-    def _valid_index(
-        self, policy: AdmissionPolicy, choice, n_servers: int, error_counter: str,
-        context: str = "",
-    ) -> int | None:
-        """``choice`` as an index into the pool, or ``None`` for a bad answer.
-
-        A buggy policy return value is a policy error, not a crash in the
-        fleet bookkeeping downstream: counted (``invalid_choices``, then
-        ``error_counter``) and absorbed, or raised under ``strict``.
-        """
-        try:
-            index = operator.index(choice)
-        except TypeError:
-            index = -1
-        if 0 <= index < n_servers:
-            return index
-        if self.strict:
-            raise IndexError(
-                f"policy {policy.name!r} returned server index {choice!r} "
-                f"for a pool of {n_servers} servers{context}"
-            )
-        self.telemetry.counter("invalid_choices").inc()
-        self.telemetry.counter(error_counter).inc()
-        return None
-
-    def _attempt(
-        self, step: PolicyActuator, signatures: list[Signature], session
+    def _ask(
+        self, policy: AdmissionPolicy, signatures: list[Signature], session,
+        error_counter: str, span,
     ) -> tuple[bool, int | None]:
-        """Run one step's policy, validating its answer.  Returns (ok, choice)."""
-        policy = step.policy
-        span = self.tracer.span(
-            "policy", policy=policy.name, fallback=step.is_fallback
-        )
+        """Ask ``policy`` to place ``session``: ``(ok, index or None)``.
+
+        A raise, or an answer that is not an index into ``signatures``, is
+        a policy error rather than a crash in the fleet bookkeeping
+        downstream: counted (``invalid_choices`` for a bad answer, then
+        ``error_counter``) and returned as ``(False, None)`` — or raised
+        under ``strict``.  ``span`` wraps the policy call.
+        """
+        counters = self._counters
         try:
             with span:
                 choice = policy.select(signatures, session)
         except Exception:
             if self.strict:
                 raise
-            self.telemetry.counter(step.error_counter).inc()
+            counters[error_counter].inc()
             return False, None
         if choice is None:
             return True, None
-        index = self._valid_index(
-            policy, choice, len(signatures), step.error_counter
+        try:
+            index = operator.index(choice)
+        except TypeError:
+            index = -1
+        if 0 <= index < len(signatures):
+            return True, index
+        if self.strict:
+            raise IndexError(
+                f"policy {policy.name!r} returned server index {choice!r} "
+                f"for a pool of {len(signatures)} servers"
+            )
+        counters["invalid_choices"].inc()
+        counters[error_counter].inc()
+        return False, None
+
+    def _downscale(
+        self, policy: AdmissionPolicy, signatures: list[Signature], session
+    ) -> tuple[int, Session] | None:
+        """Degrade quality before adding capacity (Stimpack-style).
+
+        ``policy`` answered "open a new server" for ``session``: re-ask it
+        with the session rewritten to each ladder rung below its
+        resolution, best rung first.  Eq. 2 makes the re-query
+        trustworthy: solo FPS and GPU intensity scale linearly with pixel
+        count while CPU intensity and sensitivity are resolution-
+        invariant, so a lower rung strictly shrinks the footprint.  The
+        first accepted rung wins: ``(index, degraded session)``, the
+        original request kept in ``Session.requested`` for
+        :meth:`restore`.  ``None`` on a miss or a policy error.
+        """
+        rungs = self.ladder.rungs_below(session.resolution)
+        if not rungs:
+            return None
+        counter = self.telemetry.counter
+        span = self.tracer.span(
+            "downscale",
+            policy=policy.name,
+            game=getattr(session, "game", None),
+            rungs=len(rungs),
         )
-        return index is not None, index
+        with span:
+            for rung in rungs:
+                counter("downscale_queries", resolution=str(rung)).inc()
+                candidate = degraded_to(session, rung)
+                ok, index = self._ask(
+                    policy, signatures, candidate, "downscale_errors", _NO_SPAN
+                )
+                if not ok:
+                    span.set(outcome="error")
+                    return None
+                if index is not None:
+                    counter("downscales", resolution=str(rung)).inc()
+                    span.set(outcome="hit", choice=index, resolution=str(rung))
+                    return index, candidate
+            span.set(outcome="miss")
+        return None
 
     def decide(self, signatures: list[Signature], session) -> AdmissionDecision:
         """Place ``session`` against the open-server ``signatures``.
 
         Never raises (unless ``strict``): policy failures (exceptions,
         invalid indices, deadline overruns) are absorbed into the
-        actuator pipeline (policy chain -> downscale -> dedicated) and
-        surfaced as the ``policy_errors`` / ``fallbacks`` /
+        decision chain (primary -> fallback -> downscale -> dedicated)
+        and surfaced as the ``policy_errors`` / ``fallbacks`` /
         ``fallback_errors`` / ``invalid_choices`` / ``deadline_overruns``
         counters.
         """
@@ -425,54 +342,37 @@ class DecisionEngine:
         with span:
             start = time.perf_counter()
             choice: int | None = None
-            policy_used = "dedicated"
-            used_fallback = False
-            placed_session: Session | None = None
             deciding: PolicyActuator | None = None
+            used_fallback = False
             # (step, ok) for every step whose policy was actually
             # consulted, in consultation order — the breaker feed.
             attempted: list[tuple[PolicyActuator, bool]] = []
-
-            first = self.pipeline[0]
-            first_ok: bool | None = None
-            first_allowed = first.breaker.allow() if first.breaker else True
-            if first_allowed:
-                first_ok, choice = self._attempt(first, signatures, session)
-                attempted.append((first, first_ok))
-                if first_ok:
-                    policy_used = first.name
-                    deciding = first
-            else:
-                counters[first.skip_counter].inc()
-
-            if not (first_allowed and first_ok):
-                used_fallback = True
-                counters["fallbacks"].inc()
-                choice = None
-                for step in self.pipeline[1:]:
-                    if not (step.breaker.allow() if step.breaker else True):
-                        counters[step.skip_counter].inc()
-                        continue
-                    ok, choice = self._attempt(step, signatures, session)
+            for step in self.pipeline:
+                if step.breaker is None or step.breaker.allow():
+                    ok, choice = self._ask(
+                        step.policy, signatures, session, step.error_counter,
+                        self.tracer.span(
+                            "policy", policy=step.policy.name, fallback=used_fallback
+                        ),
+                    )
                     attempted.append((step, ok))
                     if ok:
-                        policy_used = step.name
                         deciding = step
                         break
-                    choice = None
+                else:
+                    counters[step.skip_counter].inc()
+                if not used_fallback:
+                    used_fallback = True
+                    counters["fallbacks"].inc()
 
-            if (
-                self.downscale is not None
-                and choice is None
-                and deciding is not None
-            ):
+            placed_session: Session | None = None
+            if choice is None and deciding is not None and self.ladder is not None:
                 # The deciding policy said "open a new server" — pull the
                 # quality lever before the capacity one.
-                found = self.downscale.actuate(
-                    self, deciding.policy, signatures, session
-                )
+                found = self._downscale(deciding.policy, signatures, session)
                 if found is not None:
                     choice, placed_session = found
+            policy_used = "dedicated" if deciding is None else deciding.policy.name
 
             elapsed = time.perf_counter() - start
             overrun = (
@@ -515,7 +415,7 @@ class DecisionEngine:
         distinct signature, incrementally under mutation: the pool
         presented here is a list copy carrying that index, and policies
         scan its groups rather than its servers.
-        When a quality actuator rewrote the session, the rewritten
+        When the downscale step rewrote the session, the rewritten
         session is the one placed.
         """
         decision = self.decide(fleet.signatures(), session)
@@ -539,7 +439,7 @@ class DecisionEngine:
         group-level feasibility (``group_feasible``); model-free chains
         without it simply never promote.
         """
-        return self.downscale is not None and callable(
+        return self.ladder is not None and callable(
             getattr(self.pipeline[0].policy, "group_feasible", None)
         )
 
@@ -564,7 +464,6 @@ class DecisionEngine:
         if first.breaker is not None and first.breaker.state is BreakerState.OPEN:
             return 0
         t = self.telemetry
-        ladder = self.downscale.ladder
         promoted = 0
         span = self.tracer.span("restore", degraded=fleet.n_degraded)
         with span:
@@ -574,7 +473,7 @@ class DecisionEngine:
                 sig = fleet.server_signature(server_id)
                 i = sig.index(entry_of(session))
                 without = sig[:i] + sig[i + 1 :]
-                targets = (requested,) + ladder.rungs_between(
+                targets = (requested,) + self.ladder.rungs_between(
                     session.resolution, requested
                 )
                 for target in targets:
@@ -607,7 +506,10 @@ class DecisionEngine:
             return
         if first.breaker.state is BreakerState.CLOSED:
             mode = Mode.NORMAL
-        elif any(step.available for step in self.pipeline[1:]):
+        elif any(
+            step.breaker is None or step.breaker.state is not BreakerState.OPEN
+            for step in self.pipeline[1:]
+        ):
             mode = Mode.DEGRADED
         else:
             mode = Mode.CONSERVATIVE

@@ -291,12 +291,12 @@ class RequestBroker:
                 "readmissions": counters.get("readmissions", 0),
             }
         )
-        downscale = self.controller.downscale
-        if downscale is not None:
-            # Extra key only when the actuator rode the run: degrade-
+        ladder = self.controller.ladder
+        if ladder is not None:
+            # Extra key only when the quality lever rode the run: degrade-
             # disabled reports stay byte-identical to previous releases.
             resilience["downscale"] = {
-                "ladder": downscale.ladder.to_list(),
+                "ladder": ladder.to_list(),
                 "restore": bool(self.controller.can_restore),
                 "restore_interval": self.restore_interval,
             }

@@ -323,12 +323,3 @@ class FaultyCache:
         if self._injector.fire("corrupt"):
             value = _corrupt(value)
         self._cache.put(key, value)
-
-    def get_or_compute(self, key, compute):
-        """Mirror :meth:`PredictionCache.get_or_compute` through the faults."""
-        sentinel = object()
-        value = self.lookup(key, sentinel)
-        if value is sentinel:
-            value = compute()
-            self.put(key, value)
-        return value

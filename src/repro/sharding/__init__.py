@@ -21,7 +21,6 @@ from repro.sharding.broker import (
     build_shard_brokers,
 )
 from repro.sharding.chaos import (
-    OutageWindow,
     ShardChaos,
     ShardChaosConfig,
     parse_outage_window,
@@ -42,7 +41,6 @@ __all__ = [
     "build_shard_brokers",
     "RebalanceConfig",
     "Rebalancer",
-    "OutageWindow",
     "ShardChaos",
     "ShardChaosConfig",
     "parse_outage_window",

@@ -39,7 +39,6 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
 from concurrent.futures import ThreadPoolExecutor
-from concurrent.futures import TimeoutError as DrainTimeout
 from dataclasses import dataclass, field
 from itertools import islice
 
@@ -369,9 +368,6 @@ class ShardedBroker:
             if self.parallel and n_shards > 1
             else None
         )
-        deadline = (
-            self.supervisor.config.drain_deadline_s if self._supervising else None
-        )
         index = 0
         try:
             while True:
@@ -414,19 +410,7 @@ class ShardedBroker:
                         if batch
                     ]
                     for future in futures:
-                        if deadline is None:
-                            future.result()
-                            continue
-                        try:
-                            future.result(timeout=deadline)
-                        except DrainTimeout:
-                            # Tripwire only: count the overrun, then wait
-                            # it out — abandoning a drain mid-chunk would
-                            # lose sessions, the one thing we must not do.
-                            self.telemetry.counter(
-                                "drain_deadline_exceeded"
-                            ).inc()
-                            future.result()
+                        future.result()
                 else:
                     for shard_id, batch in enumerate(batches):
                         if batch:

@@ -38,14 +38,10 @@ from repro.serving.faults import InjectionWindow, windowed_rate
 from repro.utils.rng import derive_seed, spawn_rng
 
 __all__ = [
-    "OutageWindow",
     "parse_outage_window",
     "ShardChaosConfig",
     "ShardChaos",
 ]
-
-#: Shard-targeted alias of the generic time-varying injection window.
-OutageWindow = InjectionWindow
 
 
 def parse_outage_window(text: str) -> InjectionWindow:

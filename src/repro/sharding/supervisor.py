@@ -72,10 +72,7 @@ class SupervisorConfig:
     ``backoff_base_s`` bound the probe retry loop (backoff doubles per
     attempt and is only slept when the base is nonzero — tests keep it
     at 0 so chaos suites stay fast); ``cooldown_chunks`` and
-    ``probe_window`` parameterize the recovery breaker; and
-    ``drain_deadline_s`` is an optional wall-clock guard on each chunk
-    drain (overruns are counted, never acted on — a tripwire for stuck
-    workers, not a determinism hazard).
+    ``probe_window`` parameterize the recovery breaker.
     """
 
     min_healthy: int = 1
@@ -83,7 +80,6 @@ class SupervisorConfig:
     backoff_base_s: float = 0.0
     cooldown_chunks: int = 2
     probe_window: int = 1
-    drain_deadline_s: float | None = None
 
     def __post_init__(self) -> None:
         if self.min_healthy < 1:
@@ -100,10 +96,6 @@ class SupervisorConfig:
             )
         if self.probe_window < 1:
             raise ValueError(f"probe_window must be >= 1, got {self.probe_window}")
-        if self.drain_deadline_s is not None and self.drain_deadline_s <= 0:
-            raise ValueError(
-                f"drain_deadline_s must be > 0, got {self.drain_deadline_s}"
-            )
 
     def to_dict(self) -> dict:
         """JSON-able form (embedded in the supervision report)."""
@@ -113,7 +105,6 @@ class SupervisorConfig:
             "backoff_base_s": self.backoff_base_s,
             "cooldown_chunks": self.cooldown_chunks,
             "probe_window": self.probe_window,
-            "drain_deadline_s": self.drain_deadline_s,
         }
 
 

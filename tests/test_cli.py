@@ -334,6 +334,42 @@ class TestUserInputErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-2"])
+    def test_max_colocation_below_one_exit_1(self, predictor_path, capsys, value):
+        # A server that may hold no game would open one server per
+        # session and admit nothing, silently.
+        rc = main(
+            [
+                "serve",
+                "--predictor",
+                predictor_path,
+                "--requests",
+                "5",
+                "--max-colocation",
+                value,
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--max-colocation" in err
+        assert len(err.strip().splitlines()) == 1  # no traceback
+
+    def test_max_colocation_one_is_legal(self, predictor_path, capsys):
+        rc = main(
+            [
+                "serve",
+                "--predictor",
+                predictor_path,
+                "--requests",
+                "20",
+                "--max-colocation",
+                "1",
+            ]
+        )
+        assert rc == 0
+        counters = json.loads(capsys.readouterr().out)["telemetry"]["counters"]
+        assert counters["servers_opened"] == 20  # one game per server
+
 
 def _strip_wall_clock(snapshot):
     snapshot = json.loads(json.dumps(snapshot))

@@ -1,16 +1,19 @@
-"""Unit tests for the actuator pipeline: structure, the downscale
-actuator, the restore loop, and the fleet's degraded-session bookkeeping."""
+"""Unit tests for the decision chain: structure, the downscale step, the
+restore loop, and the fleet's degraded-session bookkeeping."""
+
+from itertools import cycle
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.games.resolution import DegradeLadder, Resolution
-from repro.placement.engine import (
-    DecisionEngine,
-    PolicyActuator,
-    ResolutionDownscaleActuator,
-)
+from repro.obs.tracing import Tracer
+from repro.placement.breaker import BreakerConfig
+from repro.placement.engine import DecisionEngine, PolicyActuator
 from repro.placement.fleet import FleetState, Session, degraded_to, promoted_to
 from repro.placement.signature import entry_of
+from tests import _reference_engine as frozen
 
 R1080 = Resolution(1920, 1080)
 R900 = Resolution(1600, 900)
@@ -58,18 +61,20 @@ class TestPipelineStructure:
         )
         assert len(engine.pipeline) == 2
         assert all(isinstance(step, PolicyActuator) for step in engine.pipeline)
-        assert not engine.pipeline[0].is_fallback
-        assert engine.pipeline[1].is_fallback
-        assert engine.downscale is None
+        assert [step.error_counter for step in engine.pipeline] == [
+            "policy_errors",
+            "fallback_errors",
+        ]
+        assert engine.ladder is None
 
     def test_ladder_appends_transform_step(self):
+        # The ladder arms the chain's downscale step; the policy steps
+        # stay as they were.
         engine = DecisionEngine(
             StubPolicy(lambda s, x: None), downscale_ladder=LADDER
         )
         assert len(engine.pipeline) == 1
-        assert isinstance(engine.downscale, ResolutionDownscaleActuator)
-        assert engine.downscale.name == "resolution-downscale"
-        assert engine.downscale.ladder is LADDER
+        assert engine.ladder is LADDER
 
     def test_historical_accessors(self):
         primary = StubPolicy(lambda s, x: None)
@@ -77,6 +82,114 @@ class TestPipelineStructure:
         engine = DecisionEngine(primary, fallback=fb)
         assert engine.pipeline[0].policy is primary
         assert engine.pipeline[1].policy is fb
+
+
+#: A scripted answer that raises instead of returning.
+RAISE = "raise"
+N_SERVERS = 3
+#: Every kind of answer a policy can give: a raise, "open a new server",
+#: a valid index, an out-of-range index, and a value that is no index.
+ANSWERS = st.one_of(
+    st.just(RAISE),
+    st.none(),
+    st.integers(0, N_SERVERS - 1),
+    st.integers(N_SERVERS, N_SERVERS + 2) | st.integers(-2, -1),
+    st.sampled_from(["0", 1.5, 2.0]),
+)
+SCRIPTS = st.lists(ANSWERS, min_size=1, max_size=30)
+TIGHT = BreakerConfig(window=4, min_requests=2, cooldown=3, probe_window=2)
+
+
+class ScriptedPolicy:
+    """Answers each ``select`` with the next entry of a cycled script."""
+
+    def __init__(self, name, script):
+        self.name = name
+        self._answers = cycle(script)
+
+    def select(self, signatures, session):
+        answer = next(self._answers)
+        if answer == RAISE:
+            raise RuntimeError("scripted failure")
+        return answer
+
+
+def _timeless(span):
+    record = span.to_dict()
+    for key in ("start_s", "end_s", "duration_s"):
+        del record[key]
+    return record
+
+
+def _wall_clock_free(snapshot):
+    snapshot.pop("histograms")
+    snapshot["labeled"].pop("histograms")
+    return snapshot
+
+
+class TestReferenceParity:
+    """The one-loop chain decides exactly as the frozen two-policy engine.
+
+    Both engines get identical scripted policies; every decision, the
+    mode after it, the spans, the counters, the events and the resilience
+    snapshot must agree.  A tight breaker and a deadline every decision
+    overruns reach the DEGRADED and CONSERVATIVE modes and the fallback
+    breaker's skips, which the seeded chaos run does not.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        primary=SCRIPTS,
+        fallback=st.none() | SCRIPTS,
+        breaker=st.sampled_from([None, TIGHT]),
+        deadline=st.sampled_from([None, 1e-9]),
+        n_decisions=st.integers(1, 60),
+    )
+    @example(
+        primary=[RAISE], fallback=[RAISE, 0, None], breaker=TIGHT,
+        deadline=None, n_decisions=60,
+    )
+    @example(
+        primary=[0, 7], fallback=[None, "0"], breaker=TIGHT,
+        deadline=1e-9, n_decisions=60,
+    )
+    def test_decisions_match_reference_engine(
+        self, primary, fallback, breaker, deadline, n_decisions
+    ):
+        engines = []
+        for cls in (DecisionEngine, frozen.DecisionEngine):
+            engines.append(
+                cls(
+                    ScriptedPolicy("primary-stub", primary),
+                    fallback=(
+                        None
+                        if fallback is None
+                        else ScriptedPolicy("fallback-stub", fallback)
+                    ),
+                    breaker=breaker,
+                    decision_deadline_s=deadline,
+                    tracer=Tracer(clock=lambda: 0.0),
+                )
+            )
+        new, old = engines
+        signatures = [()] * N_SERVERS
+        for i in range(n_decisions):
+            x = session(arrival=float(i))
+            got, want = new.decide(signatures, x), old.decide(signatures, x)
+            assert (got.server, got.policy, got.fallback, got.session) == (
+                want.server,
+                want.policy,
+                want.fallback,
+                None,
+            )
+            assert new.mode.value == old.mode.value
+        assert [_timeless(s) for s in new.tracer.spans] == [
+            _timeless(s) for s in old.tracer.spans
+        ]
+        assert _wall_clock_free(new.telemetry.snapshot()) == _wall_clock_free(
+            old.telemetry.snapshot()
+        )
+        assert new.resilience_snapshot() == old.resilience_snapshot()
 
 
 class TestDownscaleDecision:

@@ -74,18 +74,6 @@ class TestPredictionCache:
         with pytest.raises(ValueError):
             PredictionCache(-1)
 
-    def test_get_or_compute(self):
-        cache = PredictionCache(4)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return "value"
-
-        assert cache.get_or_compute(("k",), compute) == "value"
-        assert cache.get_or_compute(("k",), compute) == "value"
-        assert len(calls) == 1
-
     def test_clear_keeps_stats(self):
         cache = PredictionCache(4)
         cache.put(("k",), 1)
@@ -199,7 +187,8 @@ class TestGeneration:
         cache.put(("b",), 2)
         assert cache.lookup(("a",)) == 1 and cache.lookup(("z",)) is None
         assert cache.lookup_many([("b",), ("y",), ("a",)]) == [2, None, 1]
-        assert cache.get_or_compute(("c",), lambda: 3) == 3
+        assert cache.lookup(("c",)) is None
+        cache.put(("c",), 3)
         assert cache.hits == 3 and cache.misses == 3 and cache.evictions == 0
         assert cache.generation == before
 

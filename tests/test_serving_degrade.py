@@ -104,7 +104,7 @@ class FrozenEngine(frozen.DecisionEngine):
     actuator, no restore path, and places sessions as submitted.
     """
 
-    downscale = None
+    ladder = None
     can_restore = False
 
     def admit(self, fleet, session):

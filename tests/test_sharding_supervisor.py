@@ -22,7 +22,6 @@ from repro.games.resolution import Resolution
 from repro.scheduling import generate_sessions
 from repro.serving.faults import InjectionWindow, windowed_rate
 from repro.sharding import (
-    OutageWindow,
     RebalanceConfig,
     Rebalancer,
     ShardChaos,
@@ -94,9 +93,6 @@ class TestOutageWindows:
 
     def test_parse_without_target(self):
         assert parse_outage_window("0:20:1").target is None
-
-    def test_alias_is_injection_window(self):
-        assert OutageWindow is InjectionWindow
 
     @pytest.mark.parametrize(
         "text", ["10:5", "10:5:0.5:7", "a:b:c", "1:2:0.5@x", ""]
@@ -208,7 +204,6 @@ class TestSupervisorConfig:
             ({"backoff_base_s": -0.1}, "backoff_base_s"),
             ({"cooldown_chunks": 0}, "cooldown_chunks"),
             ({"probe_window": 0}, "probe_window"),
-            ({"drain_deadline_s": 0.0}, "drain_deadline_s"),
         ],
     )
     def test_validation(self, kwargs, match):
