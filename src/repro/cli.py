@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -173,7 +174,8 @@ _SERVE_RANGES = (
     ("--shard-flake-rate", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     ("--shard-outage-chunks", lambda v: v >= 1, ">= 1"),
     ("--min-healthy-shards", lambda v: v >= 1, ">= 1"),
-    ("--slo-fps", lambda v: v > 0, "positive"),
+    ("--qos", lambda v: 0 < v < math.inf, "positive and finite"),
+    ("--slo-fps", lambda v: 0 < v < math.inf, "positive and finite"),
     ("--qos-budget", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     ("--max-colocation", lambda v: v >= 1, ">= 1"),
 )

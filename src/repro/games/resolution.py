@@ -17,6 +17,7 @@ parse from the CLI (``--degrade-ladder 1080p,900p,720p``) via
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 __all__ = [
     "Resolution",
@@ -28,16 +29,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class Resolution:
-    """A display resolution in pixels."""
-
+class _WidthHeight(NamedTuple):
     width: int
     height: int
 
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError(f"resolution must be positive, got {self.width}x{self.height}")
+
+class Resolution(_WidthHeight):
+    """A display resolution in pixels: a ``(width, height)`` tuple, so it
+    hashes, compares and orders in C, exactly like the plain pair."""
+
+    __slots__ = ()
+
+    def __new__(cls, width: int, height: int) -> "Resolution":
+        if width <= 0 or height <= 0:
+            raise ValueError(f"resolution must be positive, got {width}x{height}")
+        return tuple.__new__(cls, (width, height))
+
+    @classmethod
+    def _make(cls, iterable) -> "Resolution":
+        # Through __new__, so _make and _replace keep the positivity check.
+        return cls(*iterable)
 
     @property
     def pixels(self) -> int:

@@ -65,6 +65,7 @@ from __future__ import annotations
 
 import operator
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
 from enum import Enum
 
@@ -119,7 +120,7 @@ class PolicyActuator:
     error_counter: str
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class AdmissionDecision:
     """Outcome of one placement evaluation.
 
@@ -138,7 +139,7 @@ class AdmissionDecision:
     session: Session | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlacementOutcome:
     """Outcome of one decision *applied* to a fleet.
 
@@ -241,7 +242,7 @@ class DecisionEngine:
     # ------------------------------------------------------------------
 
     def _ask(
-        self, policy: AdmissionPolicy, signatures: list[Signature], session,
+        self, policy: AdmissionPolicy, signatures: Sequence[Signature], session,
         error_counter: str, span,
     ) -> tuple[bool, int | None]:
         """Ask ``policy`` to place ``session``: ``(ok, index or None)``.
@@ -279,7 +280,7 @@ class DecisionEngine:
         return False, None
 
     def _downscale(
-        self, policy: AdmissionPolicy, signatures: list[Signature], session
+        self, policy: AdmissionPolicy, signatures: Sequence[Signature], session
     ) -> tuple[int, Session] | None:
         """Degrade quality before adding capacity (Stimpack-style).
 
@@ -320,7 +321,7 @@ class DecisionEngine:
             span.set(outcome="miss")
         return None
 
-    def decide(self, signatures: list[Signature], session) -> AdmissionDecision:
+    def decide(self, signatures: Sequence[Signature], session) -> AdmissionDecision:
         """Place ``session`` against the open-server ``signatures``.
 
         Never raises (unless ``strict``): policy failures (exceptions,
@@ -408,17 +409,19 @@ class DecisionEngine:
         """Decide against ``fleet``'s current pool and apply the placement.
 
         The one mutation path shared by every frontend: the decision is
-        evaluated against :meth:`FleetState.signatures` and immediately
-        applied with :meth:`FleetState.place`, so the index a policy
-        returned can never be re-interpreted against a stale pool.
+        evaluated against the fleet's pool and immediately applied with
+        :meth:`FleetState.place`, so the index a policy returned can
+        never be re-interpreted against a stale pool.
         The fleet maintains those signatures, and their grouping by
         distinct signature, incrementally under mutation: the pool
-        presented here is a list copy carrying that index, and policies
-        scan its groups rather than its servers.
+        presented here is a read-only view of that index
+        (:meth:`FleetState.signature_view`, equal to
+        :meth:`FleetState.signatures` item for item, without the copy),
+        and policies scan its groups rather than its servers.
         When the downscale step rewrote the session, the rewritten
         session is the one placed.
         """
-        decision = self.decide(fleet.signatures(), session)
+        decision = self.decide(fleet.signature_view(), session)
         placed = decision.session if decision.session is not None else session
         server_id = fleet.place(decision.server, placed)
         return PlacementOutcome(

@@ -39,9 +39,9 @@ from dataclasses import dataclass, replace
 
 from repro.games.resolution import Resolution
 from repro.placement.signature import (
+    PoolView,
     Signature,
     SignatureIndex,
-    SignaturePool,
     entry_of,
     signature_add,
 )
@@ -204,15 +204,20 @@ class FleetState:
         """Stable ids of the open servers, in pool (decision-index) order."""
         return list(self._index.ids)
 
-    def signatures(self) -> SignaturePool:
+    def signatures(self) -> list[Signature]:
         """Canonical signatures of the open servers, in pool order.
 
-        This is the list placement policies decide against; the index a
-        policy returns is a position in this list.  It is a snapshot
-        (one C-level copy) carrying the live signature index policies
-        scan instead, valid for it until the next mutation.
+        A snapshot list (one C-level copy); the index a policy returns is
+        a position in it.  Decisions use :meth:`signature_view`, the same
+        pool uncopied, whose live grouping policies scan instead.
         """
-        return SignaturePool(self._index)
+        return list(self._index.signatures.values())
+
+    def signature_view(self) -> PoolView:
+        """:meth:`signatures` without the copy: a read-only view of the
+        live index, valid until the next mutation — what every decision
+        is made against."""
+        return PoolView(self._index)
 
     def members(self, server_id: int) -> list[Session]:
         """Live sessions hosted on ``server_id``, departure-ordered."""

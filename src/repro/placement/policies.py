@@ -19,6 +19,7 @@ batched predictor call.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from typing import Protocol
 
 import numpy as np
@@ -61,12 +62,14 @@ class AdmissionPolicy(Protocol):
 
     ``session`` is anything with ``game`` and ``resolution`` attributes
     (:class:`repro.placement.fleet.Session`,
-    :class:`repro.scheduling.requests.GameRequest`, ...).
+    :class:`repro.scheduling.requests.GameRequest`, ...).  ``signatures``
+    is a read-only sequence: a list, or the engine's
+    :class:`~repro.placement.signature.PoolView`.
     """
 
     name: str
 
-    def select(self, signatures: list[Signature], session) -> int | None:
+    def select(self, signatures: Sequence[Signature], session) -> int | None:
         """Index into ``signatures`` to join, or ``None`` to open a server."""
         ...
 
@@ -141,10 +144,13 @@ class _InstrumentedPolicy:
     def _scan(self, signatures, session, floor: float | None, query):
         """``(index, open groups, value of each once session joins it)``.
 
-        Groups come in first-occurrence pool order, so a strict ``>`` walk
-        keeps a per-server scan's lowest-pool-index tie-break; one entry
-        added to distinct signatures gives distinct candidates, so
-        :meth:`_resolve` never sees a repeat.
+        Groups whose memo answers come first, then the ones sent to
+        :meth:`_resolve`, each part in first-occurrence pool order: a tie
+        goes to the lower pool position, so to the lower first server id.
+        A memo answer that is falsy (an infeasible CM verdict, which no
+        policy picks) is left out, so the caller's walk is short on a
+        cache-hot pool.  One entry added to distinct signatures gives
+        distinct candidates, so :meth:`_resolve` never sees a repeat.
 
         A group's memoized verdict answers for it while the cache is still
         at the generation the verdict was read at (the key is then still
@@ -153,7 +159,6 @@ class _InstrumentedPolicy:
         forgotten or overwritten during that call.
         """
         index = index_of(signatures)
-        groups = index.open_groups(self.max_colocation)
         entry = entry_of(session)
         arrival = self._arrivals.get((entry, floor))
         if arrival is None:
@@ -162,32 +167,31 @@ class _InstrumentedPolicy:
         now = cache.generation
         if now is None:
             now = _NO_MEMO
-        values, slots, pairs = [], [], []
-        for group in groups:
+        answered, values, asked, pairs = [], [], [], []
+        for group in index.open_groups(self.max_colocation):
             known = group.memo.get(arrival)
             if known is None:
                 candidate = signature_add(group.signature, entry)
                 known = (candidate, colocation_key(candidate, floor), None, None)
                 group.memo[arrival] = known
             elif known[2] == now:
-                values.append(known[3])
+                if known[3]:
+                    answered.append(group)
+                    values.append(known[3])
                 continue
-            slots.append(len(values))
-            values.append(None)
+            asked.append(group)
             pairs.append(known)
-        resolved, missed = self._resolve(pairs, query, len(groups) - len(pairs))
+        resolved, missed = self._resolve(pairs, query, len(answered))
         # Never true over an opted-out cache: ``now`` is then _NO_MEMO.
         if len(missed) < len(pairs) and cache.generation == now:
             missed = set(missed)
-            for i, slot in enumerate(slots):
+            for i, group in enumerate(asked):
                 if i not in missed:
                     candidate, key = pairs[i][:2]
-                    groups[slot].memo[arrival] = (candidate, key, now, resolved[i])
-        if len(pairs) == len(groups):
-            return index, groups, resolved
-        for slot, value in zip(slots, resolved):
-            values[slot] = value
-        return index, groups, values
+                    group.memo[arrival] = (candidate, key, now, resolved[i])
+        if not answered:
+            return index, asked, resolved
+        return index, answered + asked, values + resolved
 
 
 class CMFeasiblePolicy(_InstrumentedPolicy):
@@ -226,14 +230,17 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
         answers = self.predictor.colocations_feasible(specs, self.qos * self.margin)
         return [bool(verdict) for verdict in answers]
 
-    def select(self, signatures: list[Signature], session) -> int | None:
+    def select(self, signatures: Sequence[Signature], session) -> int | None:
         """Fullest server the CM predicts stays feasible; ``None`` otherwise."""
         floor = self.qos * self.margin
         index, groups, verdicts = self._scan(signatures, session, floor, self._query)
+        # Fullest wins; a tie goes to the lower first server id.
         best, best_size = None, -1
         for group, feasible in zip(groups, verdicts):
-            if feasible and len(group.signature) > best_size:
-                best, best_size = group, len(group.signature)
+            if feasible:
+                size = len(group.signature)
+                if size > best_size or size == best_size and group.ids[0] < best.ids[0]:
+                    best, best_size = group, size
         return index.position(best)
 
     def group_feasible(self, signature: Signature) -> bool:
@@ -265,13 +272,15 @@ class MaxFPSPolicy(_InstrumentedPolicy):
         batched = self.predictor.predict_fps_batch(specs)
         return [tuple(float(v) for v in values) for values in batched]
 
-    def select(self, signatures: list[Signature], session) -> int | None:
+    def select(self, signatures: Sequence[Signature], session) -> int | None:
         """Feasible server maximizing predicted total FPS; ``None`` otherwise."""
         index, groups, fps = self._scan(signatures, session, None, self._query)
         best, best_total = None, -np.inf
         for group, values in zip(groups, fps):
             total = sum(values)
-            if min(values) >= self.qos and total > best_total:
+            if min(values) >= self.qos and (
+                total > best_total or total == best_total and group.ids[0] < best.ids[0]
+            ):
                 best, best_total = group, total
         return index.position(best)
 
@@ -310,7 +319,7 @@ class WorstFitPolicy(_VBPPolicy):
 
     name = "worst-fit"
 
-    def select(self, signatures: list[Signature], session) -> int | None:
+    def select(self, signatures: Sequence[Signature], session) -> int | None:
         """Fitting server with maximal slack; ``None`` when nothing fits."""
         best, best_slack = None, -np.inf
         for position, spec in self._fitting(signatures, session):
@@ -330,7 +339,7 @@ class VBPFirstFitPolicy(_VBPPolicy):
 
     name = "vbp-first-fit"
 
-    def select(self, signatures: list[Signature], session) -> int | None:
+    def select(self, signatures: Sequence[Signature], session) -> int | None:
         """First fitting server in pool order; ``None`` when nothing fits."""
         return next((p for p, _ in self._fitting(signatures, session)), None)
 
@@ -340,7 +349,7 @@ class DedicatedPolicy:
 
     name = "dedicated"
 
-    def select(self, _signatures: list[Signature], _session) -> int | None:
+    def select(self, _signatures: Sequence[Signature], _session) -> int | None:
         """Always ``None``."""
         return None
 

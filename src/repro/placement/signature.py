@@ -19,14 +19,14 @@ policies' candidate construction, and the
 Placement depends only on the *multiset* of signatures in the pool, so
 the module also owns the grouping every policy scans: a
 :class:`SignatureIndex` of one :class:`SignatureGroup` per distinct
-signature, attached to the :class:`SignaturePool` list policies receive
-(:func:`index_of` groups a plain list on the spot).
+signature, carried by the :class:`PoolView` policies receive from the
+decision engine (:func:`index_of` groups a plain list on the spot).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 
 from repro.games.resolution import Resolution
 
@@ -38,7 +38,7 @@ __all__ = [
     "colocation_key",
     "SignatureGroup",
     "SignatureIndex",
-    "SignaturePool",
+    "PoolView",
     "index_of",
 ]
 
@@ -183,24 +183,36 @@ class SignatureIndex:
         return None if group is None else bisect_left(self.ids, group.ids[0])
 
 
-class SignaturePool(list):
-    """Pool-order signatures — a plain ``list`` to callers — plus their index.
+class PoolView(Sequence):
+    """Pool-order signatures read off a live :class:`SignatureIndex`, no copy.
 
-    The list is a snapshot; ``grouped`` is its maintainer's index and
-    describes it only while ``epoch == grouped.epoch`` (:func:`index_of`).
+    A read-only :class:`~collections.abc.Sequence` of the pool, not a list
+    (a slice is a list copy): it describes the pool while
+    ``epoch == grouped.epoch`` (:func:`index_of`); ``list(view)`` keeps a
+    snapshot.
     """
 
     __slots__ = ("grouped", "epoch")
 
     def __init__(self, index: SignatureIndex):
-        super().__init__(index.signatures.values())
         self.grouped = index
         self.epoch = index.epoch
+
+    def __len__(self) -> int:
+        return len(self.grouped.ids)
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            return list(self)[position]
+        return self.grouped.signatures[self.grouped.ids[position]]
+
+    def __iter__(self):
+        return iter(self.grouped.signatures.values())
 
 
 def index_of(signatures) -> SignatureIndex:
     """The current index of ``signatures``, grouping a plain (or outdated) list."""
-    index = signatures.grouped if isinstance(signatures, SignaturePool) else None
+    index = signatures.grouped if isinstance(signatures, PoolView) else None
     if index is None or index.epoch != signatures.epoch:
         index = SignatureIndex(signatures)
     return index

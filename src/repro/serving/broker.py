@@ -48,7 +48,7 @@ from repro.utils.rng import spawn_rng
 __all__ = ["PlacementRecord", "ServingReport", "RequestBroker"]
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class PlacementRecord:
     """One admission decision's outcome.
 

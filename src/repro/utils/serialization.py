@@ -35,6 +35,8 @@ def to_jsonable(obj: Any) -> Any:
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
+        if hasattr(obj, "to_dict"):  # a tuple-based record, e.g. Resolution
+            return to_jsonable(obj.to_dict())
         return [to_jsonable(v) for v in obj]
     if isinstance(obj, (str, int, float, bool)) or obj is None:
         return obj

@@ -286,14 +286,14 @@ class DecisionEngine:
         """Decide against ``fleet``'s current pool and apply the placement.
 
         The one mutation path shared by every frontend: the decision is
-        evaluated against :meth:`FleetState.signatures` and immediately
+        evaluated against :meth:`FleetState.signature_view` and immediately
         applied with :meth:`FleetState.place`, so the index a policy
         returned can never be re-interpreted against a stale pool.
         The fleet maintains those signatures incrementally under
-        mutation, so presenting the pool here is a pool-order list copy
+        mutation, so presenting the pool here is a view of its index
         rather than a per-server canonicalization on every arrival.
         """
-        decision = self.decide(fleet.signatures(), session)
+        decision = self.decide(fleet.signature_view(), session)
         server_id = fleet.place(decision.server, session)
         return PlacementOutcome(
             choice=decision.server,

@@ -370,6 +370,30 @@ class TestUserInputErrors:
         counters = json.loads(capsys.readouterr().out)["telemetry"]["counters"]
         assert counters["servers_opened"] == 20  # one game per server
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--qos", "0"),
+            ("--qos", "-30"),
+            ("--qos", "inf"),
+            ("--qos", "nan"),
+            ("--slo-fps", "inf"),
+        ],
+    )
+    def test_qos_floors_must_be_positive_and_finite(
+        self, predictor_path, capsys, flag, value
+    ):
+        # A zero, negative or NaN floor makes every colocation feasible,
+        # and an infinite --slo-fps wrote Infinity into the report JSON.
+        rc = main(
+            ["serve", "--predictor", predictor_path, "--requests", "5", flag, value]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and flag in err
+        assert "positive and finite" in err
+        assert len(err.strip().splitlines()) == 1  # no traceback
+
 
 def _strip_wall_clock(snapshot):
     snapshot = json.loads(json.dumps(snapshot))

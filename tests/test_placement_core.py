@@ -10,6 +10,7 @@ once wall-clock histograms are stripped.
 import copy
 import json
 import pickle
+from collections.abc import Sequence
 from dataclasses import FrozenInstanceError, replace
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.games.resolution import Resolution
 from repro.obs import QoSLedger
 from repro.placement import (
+    CMFeasiblePolicy,
     DecisionEngine,
     DedicatedPolicy,
     FleetState,
@@ -31,7 +33,7 @@ from repro.placement import (
     signature_add,
     signature_of,
 )
-from repro.placement.signature import index_of
+from repro.placement.signature import PoolView, index_of
 from repro.scheduling.dynamic import generate_sessions, simulate_sessions
 from repro.serving import (
     BreakerConfig,
@@ -187,13 +189,13 @@ class TestSignaturePool:
 
     def test_groups_follow_first_occurrence_order(self):
         fleet = self._fleet()
-        index = index_of(fleet.signatures())
+        index = index_of(fleet.signature_view())
         groups = index.open_groups(4)
         assert [g.ids for g in groups] == [[0, 2], [1]]
         assert [index.position(g) for g in groups] == [0, 1]
         assert index.open_groups(1) == [] and index.position(None) is None
         fleet.crash(0)
-        groups = index_of(fleet.signatures()).open_groups(4)
+        groups = index_of(fleet.signature_view()).open_groups(4)
         assert [g.ids for g in groups] == [[1], [2]]
 
     def test_outdated_pool_is_regrouped_from_its_snapshot(self):
@@ -201,22 +203,96 @@ class TestSignaturePool:
         stale = fleet.signatures()
         fleet.crash(0)
         # The fleet moved on; the old list still means what it says.
-        assert index_of(stale) is not index_of(fleet.signatures())
+        assert index_of(stale) is not index_of(fleet.signature_view())
         assert [g.ids for g in index_of(stale).open_groups(4)] == [[0, 2], [1]]
         policy = VBPFirstFitPolicy(_FitsOnly("b"))
         assert policy.select(stale, _session("z")) == 1
-        assert policy.select(fleet.signatures(), _session("z")) == 0
+        assert policy.select(fleet.signature_view(), _session("z")) == 0
 
     def test_memo_dies_with_its_group(self):
         fleet = self._fleet()
         policy = MaxFPSPolicy(_ConstantFPS(), 60.0)
-        assert policy.select(fleet.signatures(), _session("c")) == 0
-        index = index_of(fleet.signatures())
+        assert policy.select(fleet.signature_view(), _session("c")) == 0
+        index = index_of(fleet.signature_view())
         assert all(len(g.memo) == 1 for g in index.groups.values())
         fleet.crash(1)
         assert set(index.groups) == {(("a", R1080),)}
         fleet.place(None, _session("b"))
         assert not index.groups[(("b", R1080),)].memo
+
+
+class TestPoolView:
+    """``DecisionEngine.admit`` decides against a view, not a copy."""
+
+    class _Recorder:
+        """A policy that checks the pool it is handed against a snapshot."""
+
+        name = "recorder"
+
+        def __init__(self, fleet):
+            self.fleet = fleet
+            self.pools = 0
+
+        def select(self, signatures, session):
+            snapshot = self.fleet.signatures()
+            assert isinstance(signatures, PoolView)
+            assert len(signatures) == len(snapshot)
+            assert [signatures[i] for i in range(len(snapshot))] == snapshot
+            assert list(signatures) == snapshot
+            if snapshot:
+                assert signatures[-1] == snapshot[-1]
+            with pytest.raises(IndexError):
+                signatures[len(snapshot)]
+            index = index_of(signatures)
+            assert index is self.fleet._index
+            rebuilt = index_of(list(snapshot))
+            assert [
+                (g.signature, index.position(g), len(g.ids))
+                for g in index.open_groups(4)
+            ] == [
+                (g.signature, rebuilt.position(g), len(g.ids))
+                for g in rebuilt.open_groups(4)
+            ]
+            self.pools += 1
+            # Join the last server while it has room, else open one.
+            last = len(snapshot) - 1
+            return last if snapshot and len(snapshot[last]) < 3 else None
+
+    def test_engine_hands_policies_the_live_pool(self):
+        fleet = FleetState()
+        recorder = self._Recorder(fleet)
+        engine = DecisionEngine(recorder, strict=True)
+        games = "abcab"
+        for i in range(30):
+            session = _session(games[i % 5], arrival=float(i), duration=4.0 + i % 7)
+            fleet.pop_departures(session.arrival)
+            engine.admit(fleet, session)
+            if i == 17:
+                fleet.crash(fleet.server_ids()[0])
+        assert recorder.pools == 30
+
+    def test_view_reads_the_index_until_the_next_mutation(self):
+        fleet = FleetState()
+        fleet.place(None, _session("a"))
+        fleet.place(None, _session("b"))
+        view = fleet.signature_view()
+        assert view.grouped is fleet._index and view.epoch == fleet._index.epoch
+        fleet.place(0, _session("c"))
+        assert view.epoch != view.grouped.epoch
+        # index_of then regroups what the view reads: the live pool.
+        assert index_of(view) is not fleet._index
+        assert list(view) == fleet.signatures()
+
+    def test_view_is_a_read_only_sequence(self):
+        fleet = TestSignaturePool()._fleet()
+        view, snapshot = fleet.signature_view(), fleet.signatures()
+        a, b = snapshot[0], snapshot[1]
+        assert isinstance(view, Sequence) and not isinstance(view, list)
+        assert view.index(b) == 1 and view.count(a) == 2 and b in view
+        assert list(reversed(view)) == snapshot[::-1]
+        assert view[1:] == snapshot[1:] and view[::-1] == snapshot[::-1]
+        with pytest.raises(TypeError):
+            view[0] = a
 
 
 class _FitsOnly:
@@ -244,7 +320,7 @@ class TestOneProbePerDistinctCandidate:
         fleet = FleetState()
         fleet.place(None, _session("a"))
         fleet.place(None, _session("a"))
-        pool = fleet.signatures() if as_fleet else list(fleet.signatures())
+        pool = fleet.signature_view() if as_fleet else list(fleet.signatures())
         from tests.test_vectorized_parity import _RecordingCache
 
         cache = _RecordingCache()
@@ -303,7 +379,7 @@ class TestVerdictMemo:
         keys = [colocation_key((("a", R1080), ("c", R1080)))]
         keys.append(colocation_key((("b", R1080), ("c", R1080))))
         for _ in range(3):
-            assert policy.select(fleet.signatures(), _session("c")) == 0
+            assert policy.select(fleet.signature_view(), _session("c")) == 0
         # Missed and stored, then hit (and stamped), then answered by the memo.
         assert cache.log == [
             *(("lookup", k) for k in keys), *(("put", k) for k in keys),
@@ -318,7 +394,7 @@ class TestVerdictMemo:
         assert shortcuts.value == 2
         # A forgotten key voids every stamp: the next arrival probes again.
         cache.clear()
-        assert policy.select(fleet.signatures(), _session("c")) == 0
+        assert policy.select(fleet.signature_view(), _session("c")) == 0
         assert cache.log[-4:] == [
             *(("lookup", k) for k in keys), *(("put", k) for k in keys),
         ]
@@ -330,7 +406,7 @@ class TestVerdictMemo:
         wrapped = FaultInjector(FaultConfig()).wrap_cache(cache)
         fleet, policy, _, _ = self._run(wrapped)
         for _ in range(3):
-            assert policy.select(fleet.signatures(), _session("c")) == 0
+            assert policy.select(fleet.signature_view(), _session("c")) == 0
         assert (cache.hits, cache.misses) == (4, 2)
 
     def test_zero_capacity_asks_the_model_every_time(self):
@@ -344,12 +420,86 @@ class TestVerdictMemo:
         predictor = _Counting()
         fleet, policy, _, _ = self._run(PredictionCache(0), predictor)
         for _ in range(3):
-            assert policy.select(fleet.signatures(), _session("c")) == 0
+            assert policy.select(fleet.signature_view(), _session("c")) == 0
         assert predictor.calls == 3
         assert all(
-            memo[2] is None for g in index_of(fleet.signatures()).groups.values()
+            memo[2] is None for g in index_of(fleet.signature_view()).groups.values()
             for memo in g.memo.values()
         )
+
+
+class _AllFeasible:
+    """A CM (and RM) under which every colocation is feasible, every game
+    at 90 FPS."""
+
+    classifier = object()
+
+    def __init__(self):
+        self.judged = []
+
+    def colocations_feasible(self, specs, _qos):
+        self.judged.extend(spec.entries for spec in specs)
+        return [True] * len(specs)
+
+    def predict_fps_batch(self, specs):
+        self.judged.extend(spec.entries for spec in specs)
+        return [[90.0] * spec.size for spec in specs]
+
+
+class TestCMTieAcrossMemo:
+    """Equal-size feasible groups: the lower pool position wins, whether
+    its verdict came from the group's memo or from a fresh probe (and
+    for max-fps, whose equal totals tie the same way)."""
+
+    @pytest.fixture(autouse=True, params=[CMFeasiblePolicy, MaxFPSPolicy])
+    def _kind(self, request):
+        self.kind = request.param
+
+    def _stamped(self, first, second):
+        """A fleet of ``first`` and ``second`` whose groups hold stamped
+        verdicts for arrival ``z``, and the policy that stamped them."""
+        fleet = FleetState()
+        fleet.place(None, _session(first))
+        fleet.place(None, _session(second))
+        predictor = _AllFeasible()
+        policy = self.kind(predictor, 60.0, cache=PredictionCache())
+        for _ in range(2):  # miss and store, then hit and stamp
+            assert policy.select(fleet.signature_view(), _session("z")) == 0
+        return fleet, policy, predictor
+
+    def _probes(self, policy):
+        return policy.cache.hits + policy.cache.misses
+
+    def test_memo_group_first(self):
+        fleet, policy, predictor = self._stamped("a", "x")
+        # Server 1 moves to a signature of the same size that no arrival
+        # has met: a fresh group behind the memo-answered one.
+        member_id, old = fleet._servers[1][0]
+        fleet.update_resolution(1, member_id, replace(old, resolution=R720))
+        probes, judged = self._probes(policy), len(predictor.judged)
+        assert policy.select(fleet.signature_view(), _session("z")) == 0
+        assert self._probes(policy) == probes + 1  # only the fresh group
+        assert len(predictor.judged) == judged + 1
+
+    def test_fresh_group_first(self):
+        fleet, policy, predictor = self._stamped("x", "a")
+        member_id, old = fleet._servers[0][0]
+        fleet.update_resolution(0, member_id, replace(old, resolution=R720))
+        probes, judged = self._probes(policy), len(predictor.judged)
+        assert policy.select(fleet.signature_view(), _session("z")) == 0
+        assert self._probes(policy) == probes + 1
+        assert predictor.judged[judged:] == [(("x", R720), ("z", R1080))]
+
+    def test_fuller_memo_group_beats_a_lower_fresh_one(self):
+        fleet, policy, _ = self._stamped("x", "a")
+        fleet.place(1, _session("b"))  # server 1: a fresh size-2 group
+        for _ in range(2):
+            assert policy.select(fleet.signature_view(), _session("z")) == 1
+        member_id, old = fleet._servers[0][0]
+        fleet.update_resolution(0, member_id, replace(old, resolution=R720))
+        probes = self._probes(policy)
+        assert policy.select(fleet.signature_view(), _session("z")) == 1
+        assert self._probes(policy) == probes + 1
 
 
 class TestStrictEngine:

@@ -718,7 +718,7 @@ class TestSignatureIndexParity:
         clock, highest, before = 0.0, -1, {}
         for op, r in ops:
             if op == "probe":
-                pool = fleet.signatures()
+                pool = fleet.signature_view()
                 assert policy.select(pool, _arrival(r)) == linear_cm(
                     policy, list(pool), _arrival(r)
                 )
@@ -784,7 +784,7 @@ class TestSignatureIndexParity:
         fleet = _fleet_hosting(hosted, decoys)
         assert fleet.signatures() == hosted
         # A plain list (lifted at the boundary) and a fleet's own pool.
-        for present, straight in ((lambda: pool, pool), (fleet.signatures, hosted)):
+        for present, straight in ((lambda: pool, pool), (fleet.signature_view, hosted)):
             for (policy, linear), (reference, _) in zip(
                 _make_policies(), _make_policies()
             ):
@@ -860,7 +860,7 @@ class TestVerdictMemoParity:
         for op, r in ops:
             if op == "arrive" or fleet.n_open == 0:
                 session = _arrival(r)
-                pool = fleet.signatures()
+                pool = fleet.signature_view()
                 mark, reference_mark = len(log), len(reference_log)
                 calls = predictor.calls
                 choice = policy.select(pool, session)
