@@ -14,6 +14,7 @@ from repro.core import (
     ColocationSpec,
     GAugurDelayRegressor,
     GAugurRegressor,
+    InterferencePredictor,
     build_dataset,
     build_delay_dataset,
     generate_colocations,
@@ -40,6 +41,7 @@ def main() -> None:
     delay_measured = measure_delay_colocations(catalog, colocations)
 
     rm = GAugurRegressor().fit(build_dataset(fps_measured, db).rm)
+    predictor = InterferencePredictor(db, regressor=rm)
     delay_model = GAugurDelayRegressor().fit(
         build_delay_dataset(delay_measured, db)
     )
@@ -50,12 +52,7 @@ def main() -> None:
         spec = ColocationSpec(
             ((a, REFERENCE_RESOLUTION), (b, REFERENCE_RESOLUTION))
         )
-        profiles = [(db.get(a), REFERENCE_RESOLUTION), (db.get(b), REFERENCE_RESOLUTION)]
-        fps = [
-            rm.predict_fps(db.get(x), REFERENCE_RESOLUTION,
-                           [p for p in profiles if p[0].name != x])
-            for x in (a, b)
-        ]
+        fps = predictor.predict_fps(spec)
         delays = delay_model.predict_delay_ms(db, spec)
         ok = min(fps) >= QOS_FPS and max(delays) <= DELAY_CEILING_MS
         print(

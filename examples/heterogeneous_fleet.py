@@ -12,6 +12,7 @@ Run:  python examples/heterogeneous_fleet.py
 from repro.core import (
     ColocationSpec,
     GAugurRegressor,
+    InterferencePredictor,
     build_dataset,
     generate_colocations,
     measure_colocations,
@@ -44,14 +45,7 @@ def main() -> None:
         rm = GAugurRegressor().fit(dataset.rm)
 
         # Predicted vs actual for the studied colocation on this hardware.
-        predicted = []
-        for i, (game, resolution) in enumerate(spec.entries):
-            co = [
-                (db.get(g), r)
-                for j, (g, r) in enumerate(spec.entries)
-                if j != i
-            ]
-            predicted.append(rm.predict_fps(db.get(game), resolution, co))
+        predicted = InterferencePredictor(db, regressor=rm).predict_fps(spec)
         actual = run_colocation(spec.instances(catalog), server=server).fps
         error = sum(
             abs(p - a) / a for p, a in zip(predicted, actual)

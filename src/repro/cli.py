@@ -127,6 +127,7 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_train(args) -> int:
+    qos = _checked(args, *_QOS_RANGE)
     catalog = build_catalog(args.seed)
     db = ProfileDatabase.load(args.db)
     sizes = {2: args.pairs}
@@ -137,7 +138,7 @@ def _cmd_train(args) -> int:
     print(f"measuring campaign {sizes} over {len(db)} games...")
     colocations = generate_colocations(db.names(), sizes=sizes, seed=args.seed)
     measured = measure_colocations(catalog, colocations)
-    dataset = build_dataset(measured, db, qos_values=(args.qos,))
+    dataset = build_dataset(measured, db, qos_values=(qos,))
     print(f"training CM and RM on {len(dataset.rm)} samples...")
     predictor = InterferencePredictor(
         db,
@@ -150,10 +151,11 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    qos = _checked(args, *_QOS_RANGE)
     predictor = InterferencePredictor.load(args.predictor)
     spec = parse_colocation(args.colocation)
     fps = predictor.predict_fps(spec)
-    verdicts = predictor.predict_feasible(spec, args.qos)
+    verdicts = predictor.predict_feasible(spec, qos)
     print(f"{'game':40s} {'predicted FPS':>13s} {'meets QoS':>10s}")
     for i, (name, resolution) in enumerate(spec.entries):
         print(
@@ -161,9 +163,13 @@ def _cmd_predict(args) -> int:
             f"{str(bool(verdicts[i])):>10s}"
         )
     feasible = bool(verdicts.all())
-    print(f"\ncolocation {'FEASIBLE' if feasible else 'NOT feasible'} at {args.qos:.0f} FPS")
+    print(f"\ncolocation {'FEASIBLE' if feasible else 'NOT feasible'} at {qos:.0f} FPS")
     return 0 if feasible else 2
 
+
+#: The QoS floor every subcommand takes: a zero, negative or NaN floor
+#: makes every colocation feasible.
+_QOS_RANGE = ("--qos", lambda v: 0 < v < math.inf, "positive and finite")
 
 #: ``serve`` flag -> accepted range; a value outside it exits 1 with a
 #: one-line ``error:`` (raised as ValueError, printed by ``main``).
@@ -174,7 +180,7 @@ _SERVE_RANGES = (
     ("--shard-flake-rate", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     ("--shard-outage-chunks", lambda v: v >= 1, ">= 1"),
     ("--min-healthy-shards", lambda v: v >= 1, ">= 1"),
-    ("--qos", lambda v: 0 < v < math.inf, "positive and finite"),
+    _QOS_RANGE,
     ("--slo-fps", lambda v: 0 < v < math.inf, "positive and finite"),
     ("--qos-budget", lambda v: 0.0 < v <= 1.0, "in (0, 1]"),
     ("--max-colocation", lambda v: v >= 1, ">= 1"),
@@ -242,7 +248,6 @@ def _cmd_serve(args) -> int:
         ShardConfig,
         ShardedBroker,
         ShardSupervisor,
-        SupervisorConfig,
         build_shard_brokers,
         parse_outage_window,
     )
@@ -343,7 +348,7 @@ def _cmd_serve(args) -> int:
         if chaos_config.active:
             supervisor = ShardSupervisor(
                 ShardChaos(chaos_config, n_shards),
-                SupervisorConfig(min_healthy=args.min_healthy_shards),
+                min_healthy=args.min_healthy_shards,
             )
         report = ShardedBroker(
             brokers,

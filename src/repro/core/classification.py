@@ -3,19 +3,16 @@
 Predicts whether a game meets the QoS frame-rate floor under a colocation.
 The paper keeps the CM alongside the RM because direct classification beats
 thresholding regression output (Section 3.4); GBDT is the default learner.
+The feature rows come from
+:class:`~repro.core.predictor.InterferencePredictor`, the prediction API.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.core.features import cm_feature_vector
-from repro.core.profiles import GameProfile
 from repro.core.scaled import ScaledModel
 from repro.core.training import SampleSet
-from repro.games.resolution import Resolution
 from repro.ml.base import BaseEstimator
 from repro.ml.gbdt import GradientBoostingClassifier
 
@@ -48,25 +45,6 @@ class GAugurClassifier(ScaledModel):
     def predict_from_features(self, X) -> np.ndarray:
         """Predict 0/1 QoS outcomes for raw CM feature rows."""
         return np.asarray(self._predict(X), dtype=int)
-
-    def predict(
-        self,
-        target: GameProfile,
-        target_resolution: Resolution,
-        co_runners: Sequence[tuple[GameProfile, Resolution]],
-        qos: float,
-    ) -> bool:
-        """Does ``target`` meet ``qos`` FPS when colocated with ``co_runners``?"""
-        if not co_runners:
-            raise ValueError("predict requires at least one co-runner")
-        co = [p.intensity_at(res).values for p, res in co_runners]
-        x = cm_feature_vector(
-            qos,
-            target.solo_fps_at(target_resolution),
-            target.sensitivity_vector(),
-            co,
-        )
-        return bool(self.predict_from_features(x.reshape(1, -1))[0])
 
     # ------------------------------------------------------------------
 

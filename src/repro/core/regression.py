@@ -2,20 +2,16 @@
 
 Predicts the exact degradation ratio a game suffers under a colocation.
 Wraps any regressor from :mod:`repro.ml` (GBRT by default — the paper's
-most accurate choice) behind feature construction and standardization.
+most accurate choice) behind standardization; the feature rows come from
+:class:`~repro.core.predictor.InterferencePredictor`, the prediction API.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
 
-from repro.core.features import rm_feature_vector
-from repro.core.profiles import GameProfile
 from repro.core.scaled import ScaledModel
 from repro.core.training import SampleSet
-from repro.games.resolution import Resolution
 from repro.ml.base import BaseEstimator
 from repro.ml.gbdt import GradientBoostingRegressor
 
@@ -48,32 +44,6 @@ class GAugurRegressor(ScaledModel):
     def predict_from_features(self, X) -> np.ndarray:
         """Predict degradation ratios for raw RM feature rows."""
         return np.clip(self._predict(X), 0.01, None)
-
-    def predict(
-        self,
-        target: GameProfile,
-        co_runners: Sequence[tuple[GameProfile, Resolution]],
-    ) -> float:
-        """Predicted degradation of ``target`` colocated with ``co_runners``.
-
-        Each co-runner is (profile, resolution); intensities are resolved
-        at the co-runner's resolution via the Observation 7/8 laws.
-        """
-        if not co_runners:
-            raise ValueError("predict requires at least one co-runner")
-        co = [p.intensity_at(res).values for p, res in co_runners]
-        x = rm_feature_vector(target.sensitivity_vector(), co)
-        return float(self.predict_from_features(x.reshape(1, -1))[0])
-
-    def predict_fps(
-        self,
-        target: GameProfile,
-        target_resolution: Resolution,
-        co_runners: Sequence[tuple[GameProfile, Resolution]],
-    ) -> float:
-        """Predicted colocated FPS: degradation x solo FPS at the resolution."""
-        degradation = self.predict(target, co_runners)
-        return degradation * target.solo_fps_at(target_resolution)
 
     # ------------------------------------------------------------------
 

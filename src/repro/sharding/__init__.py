@@ -28,7 +28,7 @@ from repro.sharding.chaos import (
 from repro.sharding.rebalance import RebalanceConfig, Rebalancer
 from repro.sharding.ring import HashRing, stable_hash
 from repro.sharding.router import ShardRouter, routing_key
-from repro.sharding.supervisor import ShardSupervisor, SupervisorConfig
+from repro.sharding.supervisor import ShardSupervisor
 
 __all__ = [
     "HashRing",
@@ -45,5 +45,4 @@ __all__ = [
     "ShardChaosConfig",
     "parse_outage_window",
     "ShardSupervisor",
-    "SupervisorConfig",
 ]

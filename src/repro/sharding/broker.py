@@ -249,11 +249,6 @@ class ShardedReport:
             for r in self.shard_reports
         )
 
-    @property
-    def sessions_failed_over(self) -> int:
-        """Sessions evicted off dead shards and re-admitted elsewhere."""
-        return self.coordinator.get("counters", {}).get("sessions_failed_over", 0)
-
     def to_dict(self) -> dict:
         """JSON-able summary plus per-shard reports.
 
@@ -294,7 +289,6 @@ class ShardedBroker:
         self,
         brokers: Sequence[RequestBroker],
         *,
-        router: ShardRouter | None = None,
         rebalancer: Rebalancer | None = None,
         supervisor: ShardSupervisor | None = None,
         telemetry: Telemetry | None = None,
@@ -307,25 +301,14 @@ class ShardedBroker:
         self.brokers = list(brokers)
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.router = (
-            router
-            if router is not None
-            else ShardRouter(len(self.brokers), tracer=self.tracer)
-        )
-        if self.router.n_shards != len(self.brokers):
-            raise ValueError(
-                f"router covers {self.router.n_shards} shards, "
-                f"got {len(self.brokers)} brokers"
-            )
+        self.router = ShardRouter(len(self.brokers), tracer=self.tracer)
         self.rebalancer = rebalancer
         self.supervisor = supervisor
         if supervisor is not None:
-            # Adopt the supervisor: its counters, events and spans land in
-            # the coordinator's telemetry/tracer, so one snapshot carries
-            # routing volume and the resilience timeline side by side.
-            supervisor.telemetry = self.telemetry
-            supervisor.tracer = self.tracer
-            supervisor.bind(len(self.brokers))
+            # Its counters, events and spans land in the coordinator's
+            # telemetry/tracer, so one snapshot carries routing volume and
+            # the resilience timeline side by side.
+            supervisor.bind(len(self.brokers), self.telemetry, self.tracer)
         # Supervision only observably acts when the chaos schedule can
         # fire; gating here keeps zero-chaos runs byte-exact pass-throughs.
         self._supervising = supervisor is not None and supervisor.active

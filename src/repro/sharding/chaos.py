@@ -76,7 +76,7 @@ class ShardChaosConfig:
     ``outage_rate`` and ``flake_rate`` are per shard per chunk barrier;
     ``outage_chunks`` is how many barriers a shard stays down once an
     outage fires (its recovery is deterministic, so the supervisor's
-    backoff/probe loop — not luck — decides when it rejoins the ring).
+    cooldown/probe loop — not luck — decides when it rejoins the ring).
     ``windows`` add time-varying outage probability on top of the base
     rate.
     """

@@ -32,6 +32,10 @@ from repro.serving.broker import RequestBroker
 
 __all__ = ["RebalanceConfig", "Rebalancer"]
 
+#: Server migrations per cycle at most, so one check never stalls the
+#: drain.
+MAX_MOVES = 4
+
 
 @dataclass(frozen=True)
 class RebalanceConfig:
@@ -41,21 +45,17 @@ class RebalanceConfig:
     sharded broker also uses it as its chunk size so checks land on
     deterministic barriers); ``rebalancer=None`` turns rebalancing off.
     ``hot_factor`` is the occupancy multiple of the fleet mean beyond
-    which a shard counts as hot; ``max_moves`` caps server migrations
-    per cycle so one check never stalls the drain.
+    which a shard counts as hot.
     """
 
     interval: int = 2048
     hot_factor: float = 1.5
-    max_moves: int = 4
 
     def __post_init__(self) -> None:
         if self.interval < 1:
             raise ValueError(f"interval must be >= 1, got {self.interval}")
         if self.hot_factor < 1.0:
             raise ValueError(f"hot_factor must be >= 1, got {self.hot_factor}")
-        if self.max_moves < 1:
-            raise ValueError(f"max_moves must be >= 1, got {self.max_moves}")
 
 
 class Rebalancer:
@@ -102,7 +102,7 @@ class Rebalancer:
             return 0
         mean = total / n
         moved = 0
-        for _ in range(self.config.max_moves):
+        for _ in range(MAX_MOVES):
             hot = max(ids, key=lambda i: (loads[i], -i))
             cold = min(ids, key=lambda i: (loads[i], i))
             if hot == cold or loads[hot] <= self.config.hot_factor * mean:

@@ -40,16 +40,10 @@ class ShardRouter:
     :meth:`remove_shard` topology changes.
     """
 
-    def __init__(
-        self,
-        n_shards: int,
-        *,
-        vnodes: int = 96,
-        tracer: Tracer | None = None,
-    ):
+    def __init__(self, n_shards: int, *, tracer: Tracer | None = None):
         if n_shards < 1:
             raise ValueError(f"n_shards must be >= 1, got {n_shards}")
-        self.ring = HashRing(range(n_shards), vnodes=vnodes)
+        self.ring = HashRing(range(n_shards))
         self.tracer = tracer if tracer is not None else NOOP_TRACER
         self._memo: dict[tuple, int] = {}
 
@@ -74,15 +68,7 @@ class ShardRouter:
         """Route one arrival, opening a ``route`` span when tracing."""
         if not self.tracer.enabled:
             return self.shard_of(session)
-        with self.tracer.span(
-            "route",
-            request=index,
-            game=session.game,
-            resolution=str(session.resolution),
-        ) as span:
-            shard = self.shard_of(session)
-            span.set(shard=shard)
-        return shard
+        return self._traced(session, index, None)
 
     def route_forced(self, session, index: int, shard: int) -> int:
         """Route one arrival to a caller-chosen shard (degraded mode).
@@ -94,13 +80,22 @@ class ShardRouter:
         """
         if not self.tracer.enabled:
             return shard
+        return self._traced(session, index, shard)
+
+    def _traced(self, session, index: int, forced: int | None) -> int:
+        """The ``route`` span around a ring lookup, or a ``forced`` shard."""
         with self.tracer.span(
             "route",
             request=index,
             game=session.game,
             resolution=str(session.resolution),
         ) as span:
-            span.set(shard=shard, fallback=True)
+            if forced is None:
+                shard = self.shard_of(session)
+                span.set(shard=shard)
+            else:
+                shard = forced
+                span.set(shard=shard, fallback=True)
         return shard
 
     # -- topology -------------------------------------------------------

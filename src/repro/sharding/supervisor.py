@@ -7,10 +7,8 @@ loop between the chaos layer's ground truth
 (:class:`~repro.sharding.chaos.ShardChaos`) and the routing ring:
 
 1. **Health probing.**  Every ring member is probed once per barrier.  A
-   failed probe is retried up to ``max_retries`` times with
-   deterministic exponential backoff (``backoff_base_s * 2**attempt``,
-   recorded in the ``probe_backoff_s`` histogram whether or not it is
-   actually slept), so transient flakes never touch the ring.
+   failed probe is retried at once up to :data:`MAX_RETRIES` times
+   (``probe_retries``), so transient flakes never touch the ring.
 2. **Ejection + failover.**  A shard that stays unresponsive is ejected
    from the consistent-hash ring (``ring_ejections``; remapping is
    minimal by construction) and every live session it hosted is evicted
@@ -22,12 +20,12 @@ loop between the chaos layer's ground truth
    routed or failed over, never dropped.
 3. **Recovery.**  Each shard's health is tracked by a
    :class:`~repro.placement.breaker.CircuitBreaker` clocked in barriers:
-   ejection trips it OPEN, ``cooldown_chunks`` barriers later it goes
-   HALF_OPEN and probes the shard again, and ``probe_window`` consecutive
-   healthy probes readmit the shard to the ring (``ring_readmissions``,
-   with the outage length recorded in the ``shard_recovery_chunks``
-   histogram).  A readmitted shard reclaims exactly its old ring arcs,
-   so routing converges back to the pre-outage assignment.
+   ejection trips it OPEN, :data:`COOLDOWN_CHUNKS` barriers later it
+   goes HALF_OPEN and probes the shard again, and :data:`PROBE_WINDOW`
+   healthy probes readmit it (``ring_readmissions``; the outage length
+   goes to the ``shard_recovery_chunks`` histogram).  A readmitted shard
+   reclaims exactly its old ring arcs, so routing converges back to the
+   pre-outage assignment.
 4. **Degraded mode.**  When the healthy-shard count drops below
    ``min_healthy``, routing abandons signature affinity and sends every
    arrival to the least-loaded healthy shard (``shard_fallbacks``) until
@@ -36,76 +34,37 @@ loop between the chaos layer's ground truth
    cannot conserve sessions, so liveness wins over fidelity to the
    chaos schedule.
 
-Everything is deterministic — probes, backoff values, ejections and
-failover destinations are pure functions of the chaos seed and the trace
-— so a same-seed chaos run is byte-identical in telemetry and traces,
+Everything is deterministic — probes, ejections and failover
+destinations are pure functions of the chaos seed and the trace — so a
+same-seed chaos run is byte-identical in telemetry and traces,
 and a supervisor whose chaos layer is inactive is a perfect pass-through.
 """
 
 from __future__ import annotations
 
-import time
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from repro.obs.metrics import Telemetry
-from repro.obs.tracing import NOOP_TRACER, Tracer
+from repro.obs.tracing import Tracer
 from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.fleet import Session
 from repro.serving.broker import RequestBroker
 from repro.sharding.chaos import ShardChaos
 from repro.sharding.router import ShardRouter
 
-__all__ = ["SupervisorConfig", "ShardSupervisor"]
+__all__ = ["ShardSupervisor"]
 
 #: Bucket edges for the ``shard_recovery_chunks`` histogram: recovery
 #: times are counted in chunk barriers (small integers), not seconds.
 RECOVERY_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 
-
-@dataclass(frozen=True)
-class SupervisorConfig:
-    """Supervision policy knobs.
-
-    ``min_healthy`` is the healthy-shard floor below which routing
-    enters degraded route-to-any-healthy mode; ``max_retries`` and
-    ``backoff_base_s`` bound the probe retry loop (backoff doubles per
-    attempt and is only slept when the base is nonzero — tests keep it
-    at 0 so chaos suites stay fast); ``cooldown_chunks`` and
-    ``probe_window`` parameterize the recovery breaker.
-    """
-
-    min_healthy: int = 1
-    max_retries: int = 2
-    backoff_base_s: float = 0.0
-    cooldown_chunks: int = 2
-    probe_window: int = 1
-
-    def __post_init__(self) -> None:
-        if self.min_healthy < 1:
-            raise ValueError(f"min_healthy must be >= 1, got {self.min_healthy}")
-        if self.max_retries < 0:
-            raise ValueError(f"max_retries must be >= 0, got {self.max_retries}")
-        if self.backoff_base_s < 0:
-            raise ValueError(
-                f"backoff_base_s must be >= 0, got {self.backoff_base_s}"
-            )
-        if self.cooldown_chunks < 1:
-            raise ValueError(
-                f"cooldown_chunks must be >= 1, got {self.cooldown_chunks}"
-            )
-        if self.probe_window < 1:
-            raise ValueError(f"probe_window must be >= 1, got {self.probe_window}")
-
-    def to_dict(self) -> dict:
-        """JSON-able form (embedded in the supervision report)."""
-        return {
-            "min_healthy": self.min_healthy,
-            "max_retries": self.max_retries,
-            "backoff_base_s": self.backoff_base_s,
-            "cooldown_chunks": self.cooldown_chunks,
-            "probe_window": self.probe_window,
-        }
+#: Immediate re-probes of a failed health probe before the shard counts
+#: as down for this barrier.
+MAX_RETRIES = 2
+#: Barriers an ejected shard's breaker stays OPEN before it is probed.
+COOLDOWN_CHUNKS = 2
+#: Consecutive healthy HALF_OPEN probes that readmit a shard.
+PROBE_WINDOW = 1
 
 
 class ShardSupervisor:
@@ -119,18 +78,11 @@ class ShardSupervisor:
     comparable with unsupervised runs.
     """
 
-    def __init__(
-        self,
-        chaos: ShardChaos | None = None,
-        config: SupervisorConfig | None = None,
-        *,
-        telemetry: Telemetry | None = None,
-        tracer: Tracer | None = None,
-    ):
+    def __init__(self, chaos: ShardChaos, *, min_healthy: int = 1):
+        if min_healthy < 1:
+            raise ValueError(f"min_healthy must be >= 1, got {min_healthy}")
         self.chaos = chaos
-        self.config = config if config is not None else SupervisorConfig()
-        self.telemetry = telemetry if telemetry is not None else Telemetry()
-        self.tracer = tracer if tracer is not None else NOOP_TRACER
+        self.min_healthy = min_healthy
         self.degraded = False
         self._breakers: dict[int, CircuitBreaker] = {}
         self._ejected_at: dict[int, tuple[int, float]] = {}  # id -> (barrier, now)
@@ -139,23 +91,29 @@ class ShardSupervisor:
     @property
     def active(self) -> bool:
         """Whether supervision can observably act (a live chaos schedule)."""
-        return self.chaos is not None and self.chaos.config.active
+        return self.chaos.config.active
 
-    def bind(self, n_shards: int) -> None:
-        """Attach to a tier of ``n_shards`` (one recovery breaker each)."""
-        if self.chaos is not None and self.chaos.n_shards != n_shards:
+    def bind(self, n_shards: int, telemetry: Telemetry, tracer: Tracer) -> None:
+        """Attach to a tier of ``n_shards`` (one recovery breaker each).
+
+        ``telemetry`` and ``tracer`` are the coordinator's: counters,
+        events and spans land next to its routing volume.
+        """
+        if self.chaos.n_shards != n_shards:
             raise ValueError(
                 f"chaos schedule covers {self.chaos.n_shards} shards, "
                 f"got {n_shards} brokers"
             )
+        self.telemetry = telemetry
+        self.tracer = tracer
         self._breakers = {
             shard_id: CircuitBreaker(
                 BreakerConfig(
                     failure_threshold=1.0,
                     window=1,
                     min_requests=1,
-                    cooldown=self.config.cooldown_chunks,
-                    probe_window=self.config.probe_window,
+                    cooldown=COOLDOWN_CHUNKS,
+                    probe_window=PROBE_WINDOW,
                 ),
                 name=f"shard-{shard_id}",
             )
@@ -179,10 +137,8 @@ class ShardSupervisor:
         now: float,
         index: int,
     ) -> None:
-        """Run one supervision cycle; must be called between chunk drains."""
+        """Run one supervision cycle between chunk drains, while :attr:`active`."""
         self._barrier += 1
-        if not self.active:
-            return  # inactive chaos: byte-exact pass-through
         self.chaos.begin_barrier(now)
         ejected_before = sorted(self._ejected_at)
         healthy = set(router.shard_ids)
@@ -212,7 +168,7 @@ class ShardSupervisor:
             for shard_id in ejected_before:
                 self._maybe_readmit(shard_id, router, now=now, index=index)
             healthy_now = len(router.ring)
-            degraded = healthy_now < self.config.min_healthy
+            degraded = healthy_now < self.min_healthy
             if degraded != self.degraded:
                 self.degraded = degraded
                 self.telemetry.counter("degraded_transitions").inc()
@@ -230,21 +186,14 @@ class ShardSupervisor:
             span.set(ejected=len(self._ejected_at), degraded=self.degraded)
 
     def _probe_with_retries(self, shard_id: int) -> bool:
-        ok = self.chaos.probe(shard_id)
-        attempt = 0
-        while not ok and attempt < self.config.max_retries:
-            backoff = self.config.backoff_base_s * (2**attempt)
+        if self.chaos.probe(shard_id):
+            return True
+        for _ in range(MAX_RETRIES):
             self.telemetry.counter("probe_retries").inc()
-            self.telemetry.histogram(
-                "probe_backoff_s"
-            ).observe(backoff)
-            if backoff > 0:
-                time.sleep(backoff)
-            attempt += 1
-            ok = self.chaos.probe(shard_id)
-        if ok and attempt:
-            self.telemetry.counter("shard_flakes_recovered").inc()
-        return ok
+            if self.chaos.probe(shard_id):
+                self.telemetry.counter("shard_flakes_recovered").inc()
+                return True
+        return False
 
     def _eject(
         self,
@@ -294,7 +243,7 @@ class ShardSupervisor:
         self, shard_id: int, router: ShardRouter, *, now: float, index: int
     ) -> None:
         breaker = self._breakers[shard_id]
-        if not breaker.allow():  # OPEN: still inside the recovery backoff
+        if not breaker.allow():  # OPEN: still inside the recovery cooldown
             return
         breaker.record(self.chaos.probe(shard_id))
         if breaker.state is not BreakerState.CLOSED:
@@ -327,16 +276,14 @@ class ShardSupervisor:
 
         Healthy fleets route by signature affinity exactly as an
         unsupervised tier would; below the ``min_healthy`` floor every
-        arrival goes to the least-loaded healthy shard instead
-        (``shard_fallbacks``), trading cache affinity for survival.
+        arrival goes to the least-loaded healthy shard instead, trading
+        cache affinity for survival.
         """
         if not self.degraded:
             return router.route(session, index)
-        self.telemetry.counter("shard_fallbacks").inc()
-        shard = min(
-            router.shard_ids, key=lambda i: (brokers[i].fleet.n_live, i)
+        return router.route_forced(
+            session, index, self._least_loaded(router, brokers)
         )
-        return router.route_forced(session, index, shard)
 
     def _destination(
         self,
@@ -344,20 +291,26 @@ class ShardSupervisor:
         router: ShardRouter,
         brokers: Sequence[RequestBroker],
     ) -> int:
-        if len(router.ring) < self.config.min_healthy:
-            self.telemetry.counter("shard_fallbacks").inc()
-            return min(
-                router.shard_ids, key=lambda i: (brokers[i].fleet.n_live, i)
-            )
+        # The live ring, not ``self.degraded``: mid-tick an ejection may
+        # already have breached the floor that the barrier has not seen.
+        if len(router.ring) < self.min_healthy:
+            return self._least_loaded(router, brokers)
         return router.shard_of(session)
+
+    def _least_loaded(
+        self, router: ShardRouter, brokers: Sequence[RequestBroker]
+    ) -> int:
+        """The healthy shard with the fewest live sessions (``shard_fallbacks``)."""
+        self.telemetry.counter("shard_fallbacks").inc()
+        return min(router.shard_ids, key=lambda i: (brokers[i].fleet.n_live, i))
 
     # -- reporting ------------------------------------------------------
 
     def snapshot(self) -> dict:
         """The supervision section of the sharded report."""
         return {
-            "config": self.config.to_dict(),
-            "chaos": self.chaos.config.to_dict() if self.chaos else None,
+            "config": {"min_healthy": self.min_healthy},
+            "chaos": self.chaos.config.to_dict(),
             "degraded": self.degraded,
             "ejected": sorted(self._ejected_at),
             "health": {

@@ -394,6 +394,56 @@ class TestUserInputErrors:
         assert "positive and finite" in err
         assert len(err.strip().splitlines()) == 1  # no traceback
 
+    @pytest.mark.parametrize("value", ["-5", "0", "inf", "nan"])
+    def test_predict_qos_must_be_positive_and_finite(
+        self, minilab, predictor_path, capsys, value
+    ):
+        # -5 printed "colocation FEASIBLE at -5 FPS"; inf and nan failed
+        # inside the model instead of naming the flag.
+        colocation = ",".join(minilab.names[:2])
+        rc = main(
+            [
+                "predict",
+                "--predictor",
+                predictor_path,
+                "--colocation",
+                colocation,
+                "--qos",
+                value,
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --qos must be positive and finite")
+        assert len(captured.err.strip().splitlines()) == 1  # no traceback
+
+    def test_train_qos_must_be_positive_and_finite(self, minilab, tmp_path, capsys):
+        db_path = tmp_path / "db.json"
+        minilab.db.save(db_path)
+        rc = main(
+            [
+                "train",
+                "--db",
+                str(db_path),
+                "--pairs",
+                "1",
+                "--triples",
+                "0",
+                "--quads",
+                "0",
+                "--qos",
+                "-5",
+                "--out",
+                str(tmp_path / "predictor.json"),
+            ]
+        )
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""  # rejected before measuring anything
+        assert captured.err.startswith("error: --qos must be positive and finite")
+        assert not (tmp_path / "predictor.json").exists()
+
 
 def _strip_wall_clock(snapshot):
     snapshot = json.loads(json.dumps(snapshot))

@@ -1,5 +1,6 @@
 """Tests for the GAugur CM/RM wrappers and online predictor."""
 
+import itertools
 import json
 
 import numpy as np
@@ -11,7 +12,6 @@ from repro.games.resolution import Resolution
 from repro.ml import SVR, DecisionTreeClassifier, DecisionTreeRegressor
 
 R1080 = Resolution(1920, 1080)
-R720 = Resolution(1280, 720)
 
 
 @pytest.fixture(scope="module")
@@ -55,23 +55,6 @@ class TestGAugurRegressor:
         mse_mean = np.mean((rm_tr.y.mean() - rm_te.y) ** 2)
         assert mse_model < mse_mean
 
-    def test_high_level_predict(self, minilab, rm):
-        names = minilab.names
-        target = minilab.db.get(names[0])
-        co = [(minilab.db.get(names[1]), R1080)]
-        degr = rm.predict(target, co)
-        assert 0.0 < degr <= 1.5
-
-    def test_predict_requires_corunner(self, minilab, rm):
-        with pytest.raises(ValueError):
-            rm.predict(minilab.db.get(minilab.names[0]), [])
-
-    def test_predict_fps_uses_solo_law(self, minilab, rm):
-        target = minilab.db.get(minilab.names[0])
-        co = [(minilab.db.get(minilab.names[1]), R1080)]
-        fps = rm.predict_fps(target, R720, co)
-        assert fps == pytest.approx(rm.predict(target, co) * target.solo_fps_at(R720))
-
 
 class TestGAugurClassifier:
     def test_rejects_non_binary_labels(self, split):
@@ -87,19 +70,6 @@ class TestGAugurClassifier:
         pred = cm.predict_from_features(cm_te.X)
         majority = max(np.mean(cm_te.y), 1 - np.mean(cm_te.y))
         assert np.mean(pred == cm_te.y) > majority
-
-    def test_high_level_predict(self, minilab, cm):
-        names = minilab.names
-        target = minilab.db.get(names[0])
-        co = [(minilab.db.get(names[1]), R1080)]
-        verdict = cm.predict(target, R1080, co, qos=60.0)
-        assert isinstance(verdict, bool)
-
-    def test_trivial_qos_always_feasible(self, minilab, cm):
-        names = minilab.names
-        target = minilab.db.get(names[0])
-        co = [(minilab.db.get(names[1]), R1080)]
-        assert cm.predict(target, R1080, co, qos=0.5)
 
 
 class TestInterferencePredictor:
@@ -131,6 +101,16 @@ class TestInterferencePredictor:
             [minilab.db.get(n).solo_fps_at(R1080) for n in minilab.names[:2]]
         )
         assert np.allclose(fps, degr * solos)
+
+    def test_trivial_qos_always_feasible(self, minilab):
+        # The lab's CM is trained at a spread of floors, so QoS is a
+        # learned input (this module's single-floor CM cannot learn it).
+        pairs = [
+            ColocationSpec(((a, R1080), (b, R1080)))
+            for a, b in itertools.permutations(minilab.names, 2)
+        ]
+        verdicts = minilab.predictor.predict_feasible_batch(pairs, 0.5)
+        assert all(v.all() for v in verdicts)
 
     def test_rm_feasibility_consistent(self, minilab, predictor):
         spec = ColocationSpec(tuple((n, R1080) for n in minilab.names[:2]))

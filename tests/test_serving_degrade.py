@@ -218,7 +218,6 @@ class TestDegradedSharded:
             ShardConfig,
             ShardedBroker,
             ShardSupervisor,
-            SupervisorConfig,
             build_shard_brokers,
         )
 
@@ -240,7 +239,7 @@ class TestDegradedSharded:
         broker = ShardedBroker(
             brokers,
             rebalancer=Rebalancer(RebalanceConfig(interval=40), telemetry=telemetry),
-            supervisor=ShardSupervisor(chaos, SupervisorConfig(min_healthy=1)),
+            supervisor=ShardSupervisor(chaos, min_healthy=1),
             telemetry=telemetry,
         )
         trace = TraceConfig(

@@ -185,7 +185,6 @@ class TestShardedLedger:
             ShardChaos,
             ShardChaosConfig,
             ShardSupervisor,
-            SupervisorConfig,
         )
 
         sessions = generate_sessions(
@@ -196,7 +195,7 @@ class TestShardedLedger:
             minilab.predictor, 3, config, catalog=minilab.catalog
         )
         chaos = ShardChaos(ShardChaosConfig(outage_rate=0.05, seed=17), 3)
-        supervisor = ShardSupervisor(chaos, SupervisorConfig(min_healthy=1))
+        supervisor = ShardSupervisor(chaos, min_healthy=1)
         report = ShardedBroker(
             brokers, supervisor=supervisor, chunk_size=32
         ).run(sessions)

@@ -31,9 +31,9 @@ from repro.sharding import (
     Rebalancer,
     ShardConfig,
     ShardedBroker,
-    ShardRouter,
     build_shard_brokers,
 )
+from repro.sharding.rebalance import MAX_MOVES
 
 R = Resolution(1920, 1080)
 
@@ -163,7 +163,7 @@ class TestShardsOneParity:
 def _run_sharded(predictor, trace, *, parallel=True):
     coordinator = Telemetry()
     rebalancer = Rebalancer(
-        RebalanceConfig(interval=64, hot_factor=1.2, max_moves=2),
+        RebalanceConfig(interval=64, hot_factor=1.2),
         telemetry=coordinator,
     )
     broker = ShardedBroker(
@@ -268,19 +268,17 @@ class TestRebalancer:
             RebalanceConfig(interval=0)
         with pytest.raises(ValueError, match="hot_factor"):
             RebalanceConfig(hot_factor=0.9)
-        with pytest.raises(ValueError, match="max_moves"):
-            RebalanceConfig(max_moves=0)
 
     def test_moves_hot_to_cold_until_under_threshold(self):
         hot, cold = _dedicated_broker().start(), _dedicated_broker().start()
         _fill(hot, 6)
         coordinator = Telemetry()
         rebalancer = Rebalancer(
-            RebalanceConfig(hot_factor=1.5, max_moves=4), telemetry=coordinator
+            RebalanceConfig(hot_factor=1.5), telemetry=coordinator
         )
         moved = rebalancer.rebalance([hot, cold], now=1.0, index=5)
         # mean is 3, threshold 4.5: two single-session servers move
-        # (6 -> 5 -> 4), then 4 <= 4.5 stops the cycle within max_moves.
+        # (6 -> 5 -> 4), then 4 <= 4.5 stops the cycle within MAX_MOVES.
         assert moved == 2
         assert hot.fleet.n_live == 4
         assert cold.fleet.n_live == 2
@@ -292,7 +290,7 @@ class TestRebalancer:
     def test_ledger_is_migrations_not_crashes(self):
         hot, cold = _dedicated_broker().start(), _dedicated_broker().start()
         _fill(hot, 6)
-        Rebalancer(RebalanceConfig(hot_factor=1.5, max_moves=4)).rebalance(
+        Rebalancer(RebalanceConfig(hot_factor=1.5)).rebalance(
             [hot, cold], now=1.0, index=5
         )
         out = hot.finish().telemetry["counters"]
@@ -306,7 +304,7 @@ class TestRebalancer:
     def test_destination_records_are_marked_migrated(self):
         hot, cold = _dedicated_broker().start(), _dedicated_broker().start()
         _fill(hot, 6)
-        Rebalancer(RebalanceConfig(hot_factor=1.5, max_moves=4)).rebalance(
+        Rebalancer(RebalanceConfig(hot_factor=1.5)).rebalance(
             [hot, cold], now=1.0, index=5
         )
         cold_report = cold.finish()
@@ -315,13 +313,14 @@ class TestRebalancer:
         assert [p.migrated for p in cold_report.migrations] == [True, True]
 
     def test_max_moves_caps_a_cycle(self):
+        # Uncapped, 12 single-session servers would move 6 times to (6, 6).
         hot, cold = _dedicated_broker().start(), _dedicated_broker().start()
-        _fill(hot, 10)
-        moved = Rebalancer(
-            RebalanceConfig(hot_factor=1.0, max_moves=3)
-        ).rebalance([hot, cold], now=1.0, index=9)
-        assert moved == 3
-        assert (hot.fleet.n_live, cold.fleet.n_live) == (7, 3)
+        _fill(hot, 12)
+        moved = Rebalancer(RebalanceConfig(hot_factor=1.0)).rebalance(
+            [hot, cold], now=1.0, index=11
+        )
+        assert moved == MAX_MOVES == 4
+        assert (hot.fleet.n_live, cold.fleet.n_live) == (8, 4)
 
     def test_balanced_fleet_is_left_alone(self):
         a, b = _dedicated_broker().start(), _dedicated_broker().start()
@@ -353,11 +352,6 @@ class TestShardedBrokerWiring:
     def test_needs_brokers(self):
         with pytest.raises(ValueError, match="at least one"):
             ShardedBroker([])
-
-    def test_router_shard_count_must_match(self):
-        brokers = [_dedicated_broker() for _ in range(3)]
-        with pytest.raises(ValueError, match="router covers"):
-            ShardedBroker(brokers, router=ShardRouter(2))
 
     def test_chunk_size_validated(self):
         with pytest.raises(ValueError, match="chunk_size"):

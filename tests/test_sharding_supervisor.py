@@ -29,7 +29,6 @@ from repro.sharding import (
     ShardConfig,
     ShardedBroker,
     ShardSupervisor,
-    SupervisorConfig,
     build_shard_brokers,
     parse_outage_window,
 )
@@ -65,14 +64,14 @@ def _run(
     trace,
     *,
     chaos: ShardChaosConfig | None = None,
-    supervision: SupervisorConfig | None = None,
+    min_healthy: int = 1,
     n_shards: int = 4,
     chunk_size: int = 32,
     rebalancer: Rebalancer | None = None,
 ):
     brokers = build_shard_brokers(predictor, n_shards, ShardConfig(seed=3))
     supervisor = (
-        ShardSupervisor(ShardChaos(chaos, n_shards), supervision)
+        ShardSupervisor(ShardChaos(chaos, n_shards), min_healthy=min_healthy)
         if chaos is not None
         else None
     )
@@ -196,31 +195,17 @@ class TestShardChaos:
 
 
 class TestSupervisorConfig:
-    @pytest.mark.parametrize(
-        "kwargs,match",
-        [
-            ({"min_healthy": 0}, "min_healthy"),
-            ({"max_retries": -1}, "max_retries"),
-            ({"backoff_base_s": -0.1}, "backoff_base_s"),
-            ({"cooldown_chunks": 0}, "cooldown_chunks"),
-            ({"probe_window": 0}, "probe_window"),
-        ],
-    )
+    @pytest.mark.parametrize("kwargs,match", [({"min_healthy": 0}, "min_healthy")])
     def test_validation(self, kwargs, match):
+        chaos = ShardChaos(ShardChaosConfig(outage_rate=0.5), 4)
         with pytest.raises(ValueError, match=match):
-            SupervisorConfig(**kwargs)
-
-    def test_backoff_is_deterministic_exponential(self):
-        config = SupervisorConfig(backoff_base_s=0.5, max_retries=3)
-        assert [config.backoff_base_s * 2**i for i in range(3)] == [0.5, 1.0, 2.0]
+            ShardSupervisor(chaos, **kwargs)
 
 
 class TestPassThrough:
     def test_inactive_supervisor_is_byte_identical(self, predictor, trace):
         plain = _run(predictor, trace)
-        supervised = _run(
-            predictor, trace, chaos=ShardChaosConfig(), supervision=SupervisorConfig()
-        )
+        supervised = _run(predictor, trace, chaos=ShardChaosConfig())
         assert _strip_wall_clock(plain.telemetry) == _strip_wall_clock(
             supervised.telemetry
         )
@@ -249,9 +234,7 @@ class TestKillEachShardInTurn:
                 InjectionWindow(start=0, duration=30, rate=1.0, target=victim),
             ),
         )
-        report = _run(
-            predictor, trace, chaos=chaos, supervision=SupervisorConfig()
-        )
+        report = _run(predictor, trace, chaos=chaos)
         counters = report.coordinator["counters"]
         assert counters["sessions_lost"] == 0
         assert sum(r.n_arrivals for r in report.shard_reports) == len(trace)
@@ -280,7 +263,7 @@ class TestRandomOutageSchedules:
             predictor,
             trace,
             chaos=chaos,
-            supervision=SupervisorConfig(min_healthy=2),
+            min_healthy=2,
         )
         counters = report.coordinator["counters"]
         assert counters["sessions_lost"] == 0
@@ -320,12 +303,8 @@ class TestDegradedMode:
             outage_chunks=2,
             windows=(InjectionWindow(start=0, duration=30, rate=1.0, target=0),),
         )
-        report = _run(
-            predictor,
-            trace,
-            chaos=chaos,
-            supervision=SupervisorConfig(min_healthy=4),
-        )
+        report = _run(predictor, trace, chaos=chaos, min_healthy=4)
+        assert report.supervision["config"] == {"min_healthy": 4}
         counters = report.coordinator["counters"]
         assert counters["degraded_transitions"] >= 2  # entered and left
         assert counters["shard_fallbacks"] >= 1
@@ -337,12 +316,60 @@ class TestDegradedMode:
 
     def test_healthy_fleet_never_degrades(self, predictor, trace):
         chaos = ShardChaosConfig(flake_rate=0.3, seed=5)
-        report = _run(
-            predictor, trace, chaos=chaos, supervision=SupervisorConfig(min_healthy=4)
-        )
+        report = _run(predictor, trace, chaos=chaos, min_healthy=4)
         counters = report.coordinator["counters"]
         assert counters.get("degraded_transitions", 0) == 0
         assert counters.get("shard_fallbacks", 0) == 0
+
+    def test_forced_routes_traced_with_their_shard(self, predictor, trace):
+        from repro.obs import Tracer
+
+        chaos = ShardChaosConfig(
+            outage_chunks=2,
+            windows=(InjectionWindow(start=0, duration=30, rate=1.0, target=0),),
+        )
+        tracer = Tracer(enabled=True)
+        brokers = build_shard_brokers(predictor, 4, ShardConfig(seed=3))
+        sharded = ShardedBroker(
+            brokers,
+            supervisor=ShardSupervisor(ShardChaos(chaos, 4), min_healthy=4),
+            tracer=tracer,
+            parallel=False,
+            chunk_size=32,
+        )
+        router, picks = sharded.router, []
+        route_forced = router.route_forced
+
+        def recording(session, index, shard):
+            loads = {i: brokers[i].fleet.n_live for i in router.shard_ids}
+            picks.append((shard, loads))
+            return route_forced(session, index, shard)
+
+        router.route_forced = recording
+        report = sharded.run(trace)
+        # Degraded mode picks the least-loaded healthy shard, lowest id first.
+        assert picks
+        for shard, loads in picks:
+            assert shard == min(loads, key=lambda i: (loads[i], i))
+        routes = [span for span in tracer.spans if span.name == "route"]
+        assert len(routes) == len(trace)
+        forced = [span for span in routes if span.attributes.get("fallback")]
+        assert [span.attributes["shard"] for span in forced] == [s for s, _ in picks]
+        counters = report.coordinator["counters"]
+        # Every ejection breaches a floor of 4, so each failed-over
+        # session took one fallback too; the rest were forced routes.
+        assert len(forced) == (
+            counters["shard_fallbacks"] - counters["sessions_failed_over"]
+        )
+        arrivals = {
+            record.index: shard_id
+            for shard_id, shard in enumerate(report.shard_reports)
+            for record in shard.placements
+        }
+        for span in forced:
+            assert span.attributes["fallback"] is True
+            assert span.attributes["shard"] != 0  # never the ejected shard
+            assert arrivals[span.attributes["request"]] == span.attributes["shard"]
 
 
 class TestLastShardSuppression:
@@ -388,7 +415,7 @@ class TestSupervisionReport:
 
     def test_supervision_section_in_report_dict(self, killed_report):
         payload = killed_report.to_dict()
-        assert payload["supervision"]["config"]["min_healthy"] == 1
+        assert payload["supervision"]["config"] == {"min_healthy": 1}
         assert payload["supervision"]["chaos"]["outage_chunks"] == 2
         assert set(payload["supervision"]["health"]) == {"0", "1", "2", "3"}
 
