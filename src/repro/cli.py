@@ -256,6 +256,11 @@ def _cmd_serve(args) -> int:
         flag: _checked(args, flag, accepts, wording)
         for flag, accepts, wording in _SERVE_RANGES
     }
+    if args.shards is not None and args.min_healthy_shards > args.shards:
+        raise ValueError(
+            f"--min-healthy-shards must be <= --shards ({args.shards}), "
+            f"got {args.min_healthy_shards}"
+        )
     slo_fps, qos_budget = checked["--slo-fps"], checked["--qos-budget"]
     if qos_budget is None:
         qos_budget = 0.05

@@ -50,8 +50,9 @@ class PredictionCache:
     (eviction, :meth:`invalidate`, :meth:`clear`, a :meth:`put` over an
     existing key); hits, misses and a ``put`` that evicts nothing leave
     it alone.  While it is unchanged, every key that was present still
-    holds the value it had.  A cache wrapper that can lose or alter
-    entries behind the stamp's back sets it to ``None``: no memo then.
+    holds the value it had.  A memo answer stands in for a probe that
+    would hit, but is no probe: it counts no hit and does not refresh the
+    entry's LRU position.
     """
 
     def __init__(self, capacity: int = 4096):
@@ -80,8 +81,8 @@ class PredictionCache:
     def lookup_many(self, keys, default: Any = None) -> list:
         """:meth:`lookup` of each of ``keys``, in order, as one call.
 
-        A cache wrapper must define its own, or its per-key behaviour (a
-        fault draw, a log line) silently leaves the policies' probe path.
+        A cache subclass must define its own, or its per-key behaviour (a
+        log line, a counter) silently leaves the policies' probe path.
         """
         store, miss = self._store, _MISS
         values = []
@@ -116,8 +117,8 @@ class PredictionCache:
         """Drop ``key`` if present (returns whether an entry was removed).
 
         Invalidation is the *semantic* removal path — a profile was
-        re-measured, a model was retrained, a fault injector declared the
-        entry stale — counted separately from capacity evictions.
+        re-measured, a model was retrained — counted separately from
+        capacity evictions.
         """
         if key not in self._store:
             return False

@@ -551,8 +551,10 @@ class DecisionEngine:
     def caches(self) -> dict[str, object]:
         """Prediction caches attached to the policies, keyed by policy name.
 
-        Duck-typed on ``stats()`` so fault-injection cache wrappers
-        (:class:`repro.serving.faults.FaultyCache`) are reported too.
+        Duck-typed on ``stats()``.  Fault injection wraps the predictor,
+        never the cache, so under ``--fault-rate`` too these are the
+        policies' own caches, and their ``hits`` count probes only: a
+        group verdict memo answer is not one.
         """
         out: dict[str, object] = {}
         for step in self.pipeline:

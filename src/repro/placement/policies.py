@@ -52,10 +52,6 @@ __all__ = [
 #: CLI-facing policy names accepted by :func:`build_policy`.
 POLICY_NAMES: tuple[str, ...] = ("cm-feasible", "max-fps", "worst-fit", "dedicated")
 
-#: The scan's generation over a cache whose ``generation`` is ``None``:
-#: equal to no stamp, so every candidate is probed and nothing stamped.
-_NO_MEMO = object()
-
 
 class AdmissionPolicy(Protocol):
     """The policy interface: pick a server index for a session, or ``None``.
@@ -137,7 +133,9 @@ class _InstrumentedPolicy:
             for i, value in zip(unknown, answers):
                 values[i] = value
                 self.cache.put(pairs[i][1], value)
-        if len(answers) < len(unknown):  # e.g. a stale replayed batch
+        # Fewer answers than asked breaks the predictor's contract: raise
+        # rather than leave a ``None`` verdict (the answered prefix is cached).
+        if len(answers) < len(unknown):
             raise KeyError(pairs[unknown[len(answers)]][0])
         return values, unknown
 
@@ -165,8 +163,6 @@ class _InstrumentedPolicy:
             arrival = self._arrivals[entry, floor] = colocation_key((entry,), floor)
         cache = self.cache
         now = cache.generation
-        if now is None:
-            now = _NO_MEMO
         answered, values, asked, pairs = [], [], [], []
         for group in index.open_groups(self.max_colocation):
             known = group.memo.get(arrival)
@@ -182,7 +178,6 @@ class _InstrumentedPolicy:
             asked.append(group)
             pairs.append(known)
         resolved, missed = self._resolve(pairs, query, len(answered))
-        # Never true over an opted-out cache: ``now`` is then _NO_MEMO.
         if len(missed) < len(pairs) and cache.generation == now:
             missed = set(missed)
             for i, group in enumerate(asked):
@@ -225,8 +220,7 @@ class CMFeasiblePolicy(_InstrumentedPolicy):
         self.margin = float(margin)
 
     def _query(self, specs: list[ColocationSpec]) -> list[bool]:
-        # One call judges every miss.  A fault proxy may answer with a list
-        # (corrupted) or an older batch's array (stale): assume no ndarray.
+        # One call judges every miss (an array, or a plain list from a stub).
         answers = self.predictor.colocations_feasible(specs, self.qos * self.margin)
         return [bool(verdict) for verdict in answers]
 
@@ -373,8 +367,8 @@ def build_policy(
     server if they raise).
 
     ``injector`` (a :class:`repro.serving.faults.FaultInjector`) wraps the
-    predictor and cache on the *primary* path so chaos runs inject errors,
-    latency spikes, stale answers, and corrupted predictions there; the
+    predictor on the *primary* path so chaos runs inject errors there (the
+    cache stays unwrapped, so the group verdict memo stays on); the
     fallback path stays un-injected — it is the component the degraded
     modes rely on, and it queries only the profile database.
     """
@@ -386,8 +380,6 @@ def build_policy(
         raise ValueError(f"policy {name!r} requires a predictor")
     if injector is not None:
         predictor = injector.wrap_predictor(predictor)
-        if cache is not None:
-            cache = injector.wrap_cache(cache)
     worst_fit = WorstFitPolicy(
         VBPJudge(predictor.db, server=server), max_colocation=max_colocation
     )

@@ -19,9 +19,9 @@ and ``python -m repro serve`` without ``--shards`` drives shard 0 of a
 one-shard stack through :meth:`RequestBroker.run`.
 
 The fault-tolerance layer keeps the dispatcher up when components fail:
-a seeded :class:`FaultInjector` wraps policies/predictors/caches with
-deterministic chaos (errors, latency spikes, stale answers, corrupted
-predictions), a :class:`CircuitBreaker` per policy drives the
+a seeded :class:`FaultInjector` wraps the predictor in a proxy that
+raises deterministic errors (``--fault-rate``), a
+:class:`CircuitBreaker` per policy drives the
 engine's NORMAL → DEGRADED → CONSERVATIVE state machine, and the
 broker survives server crashes by re-admitting evicted sessions — all
 surfaced in the report's resilience section.
@@ -40,14 +40,7 @@ from repro.placement.policies import (
     build_policy,
 )
 from repro.serving.broker import PlacementRecord, RequestBroker, ServingReport
-from repro.serving.faults import (
-    FaultConfig,
-    FaultInjector,
-    FaultyCache,
-    FaultyPolicy,
-    FaultyPredictor,
-    InjectedFault,
-)
+from repro.serving.faults import FaultInjector, FaultyPredictor, InjectedFault
 from repro.serving.loadgen import TraceConfig, generate_trace
 
 __all__ = [
@@ -57,10 +50,7 @@ __all__ = [
     "BreakerConfig",
     "BreakerState",
     "CircuitBreaker",
-    "FaultConfig",
     "FaultInjector",
-    "FaultyCache",
-    "FaultyPolicy",
     "FaultyPredictor",
     "InjectedFault",
     "RequestBroker",

@@ -21,9 +21,11 @@ from repro.sharding.broker import (
     build_shard_brokers,
 )
 from repro.sharding.chaos import (
+    InjectionWindow,
     ShardChaos,
     ShardChaosConfig,
     parse_outage_window,
+    windowed_rate,
 )
 from repro.sharding.rebalance import RebalanceConfig, Rebalancer
 from repro.sharding.ring import HashRing, stable_hash
@@ -43,6 +45,8 @@ __all__ = [
     "Rebalancer",
     "ShardChaos",
     "ShardChaosConfig",
+    "InjectionWindow",
+    "windowed_rate",
     "parse_outage_window",
     "ShardSupervisor",
 ]

@@ -128,7 +128,7 @@ def build_shard_brokers(
         PredictionCache,
         build_policy,
     )
-    from repro.serving.faults import FaultConfig, FaultInjector
+    from repro.serving.faults import FaultInjector
 
     if n_shards < 1:
         raise ValueError(f"n_shards must be >= 1, got {n_shards}")
@@ -145,15 +145,13 @@ def build_shard_brokers(
             classifier=predictor.classifier,
             regressor=predictor.regressor,
         )
-        fault_config = FaultConfig(
-            error_rate=config.fault_rate,
-            seed=derive_seed(config.seed, "shard", shard_id),
-        )
-        injector = (
-            FaultInjector(fault_config, telemetry=telemetry)
-            if fault_config.active
-            else None
-        )
+        injector = None
+        if config.fault_rate:  # the injector rejects a rate outside [0, 1]
+            injector = FaultInjector(
+                config.fault_rate,
+                seed=derive_seed(config.seed, "shard", shard_id),
+                telemetry=telemetry,
+            )
         policy, fallback = build_policy(
             config.policy,
             predictor=facade,

@@ -1,7 +1,8 @@
 """Shard-level chaos: seeded whole-shard outages and transient flakes.
 
-PR 2's fault model stops at the component layer (a lying predictor, a
-crashing server inside one fleet); this module models the failure domain
+The serving fault model (:mod:`repro.serving.faults`, the broker's
+server crashes) stops at the component layer — an erroring predictor, a
+crashing server inside one fleet; this module models the failure domain
 above it — an entire broker shard dropping out of the serving tier, the
 way a rack loses power or a worker process is OOM-killed.  It is the
 *generative* half of shard supervision: :class:`ShardChaos` decides,
@@ -20,10 +21,10 @@ Failures come in two severities:
   without touching the ring.
 
 Rates are per shard per chunk barrier.  The base ``outage_rate`` can be
-shaped in time by :class:`~repro.serving.faults.InjectionWindow` outage
-windows (start/duration/intensity, optionally targeting one shard), so a
-test can script "kill shard 2 a third of the way into the trace" as
-data.  Every draw comes from the shard's own substream
+shaped in time by :class:`InjectionWindow` outage windows
+(start/duration/intensity, optionally targeting one shard), so a test
+can script "kill shard 2 a third of the way into the trace" as data.
+Every draw comes from the shard's own substream
 (``derive_seed(seed, "shard-chaos", shard_id)``), so adding a shard
 never perturbs another shard's schedule, a zero-rate configuration never
 touches an RNG, and the same seed replays the same outages byte for
@@ -34,14 +35,70 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.serving.faults import InjectionWindow, windowed_rate
 from repro.utils.rng import derive_seed, spawn_rng
 
 __all__ = [
+    "InjectionWindow",
+    "windowed_rate",
     "parse_outage_window",
     "ShardChaosConfig",
     "ShardChaos",
 ]
+
+
+@dataclass(frozen=True)
+class InjectionWindow:
+    """A time-varying injection window: extra fault probability while open.
+
+    The anomaly-injector shape — a failure burst with a start, a
+    duration, and an intensity — as a reusable primitive.  ``rate`` is
+    added to the base injection rate while ``start <= now < start +
+    duration``; ``target`` optionally narrows the window to one
+    component (here, a shard id).  Windows are pure functions of the
+    logical clock, so enabling one never perturbs draws outside its span.
+    """
+
+    start: float
+    duration: float
+    rate: float
+    target: int | str | None = None
+
+    def __post_init__(self) -> None:
+        if self.start < 0:
+            raise ValueError(f"window start must be >= 0, got {self.start}")
+        if self.duration <= 0:
+            raise ValueError(f"window duration must be > 0, got {self.duration}")
+        if not 0.0 <= self.rate <= 1.0:
+            raise ValueError(f"window rate must be in [0, 1], got {self.rate}")
+
+    def open_at(self, now: float) -> bool:
+        """Whether the window covers logical time ``now``."""
+        return self.start <= now < self.start + self.duration
+
+    def rate_at(self, now: float, target=None) -> float:
+        """The extra rate this window contributes for ``target`` at ``now``."""
+        if not self.open_at(now):
+            return 0.0
+        if self.target is not None and target != self.target:
+            return 0.0
+        return self.rate
+
+    def to_dict(self) -> dict:
+        """JSON-able form (embedded in serving reports)."""
+        return {
+            "start": self.start,
+            "duration": self.duration,
+            "rate": self.rate,
+            "target": self.target,
+        }
+
+
+def windowed_rate(
+    base: float, windows, now: float, target=None, *, cap: float = 1.0
+) -> float:
+    """``base`` plus every open window's contribution, clamped to ``cap``."""
+    rate = base + sum(w.rate_at(now, target) for w in windows)
+    return min(rate, cap)
 
 
 def parse_outage_window(text: str) -> InjectionWindow:
@@ -175,8 +232,8 @@ class ShardChaos:
         outage = windowed_rate(
             self.config.outage_rate, self.config.windows, self._now, shard_id
         )
-        # Zero rates short-circuit before the RNG, mirroring
-        # FaultInjector.fire: a fully inactive config never draws.
+        # Zero rates short-circuit before the RNG, as FaultInjector.fire
+        # does: a fully inactive config never draws.
         if outage > 0.0 and rng.random() < outage:
             self._down_until[shard_id] = self._barrier + self.config.outage_chunks
             return

@@ -355,8 +355,7 @@ class DecisionEngine:
     def caches(self) -> dict[str, object]:
         """Prediction caches attached to the policies, keyed by policy name.
 
-        Duck-typed on ``stats()`` so fault-injection cache wrappers
-        (:class:`repro.serving.faults.FaultyCache`) are reported too.
+        Duck-typed on ``stats()``.
         """
         out: dict[str, object] = {}
         for policy in (self.policy, self.fallback):

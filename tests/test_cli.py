@@ -354,6 +354,28 @@ class TestUserInputErrors:
         assert err.startswith("error:") and "--max-colocation" in err
         assert len(err.strip().splitlines()) == 1  # no traceback
 
+    def test_min_healthy_shards_above_shards_exit_1(self, predictor_path, capsys):
+        # A floor no run can reach routes every arrival least-loaded from
+        # the first barrier: signature affinity silently off.
+        rc = main(
+            [
+                "serve",
+                "--predictor",
+                predictor_path,
+                "--requests",
+                "5",
+                "--shards",
+                "2",
+                "--min-healthy-shards",
+                "3",
+            ]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert "--min-healthy-shards" in err and "--shards (2)" in err
+        assert len(err.strip().splitlines()) == 1  # no traceback
+
     def test_max_colocation_one_is_legal(self, predictor_path, capsys):
         rc = main(
             [

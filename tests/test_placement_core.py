@@ -37,7 +37,6 @@ from repro.placement.signature import PoolView, index_of
 from repro.scheduling.dynamic import generate_sessions, simulate_sessions
 from repro.serving import (
     BreakerConfig,
-    FaultConfig,
     FaultInjector,
     PredictionCache,
     RequestBroker,
@@ -399,15 +398,33 @@ class TestVerdictMemo:
             *(("lookup", k) for k in keys), *(("put", k) for k in keys),
         ]
 
-    def test_faulty_cache_probes_every_time(self):
+    def test_fault_injected_policy_keeps_the_memo(self, minilab):
+        # The injector wraps the predictor, not the cache: a cache-hot pool
+        # asked twice is answered from the groups' memo the second time,
+        # without a probe and without a predictor call that could fault.
         from tests.test_vectorized_parity import _RecordingCache
 
-        cache = _RecordingCache()
-        wrapped = FaultInjector(FaultConfig()).wrap_cache(cache)
-        fleet, policy, _, _ = self._run(wrapped)
-        for _ in range(3):
-            assert policy.select(fleet.signature_view(), _session("c")) == 0
-        assert (cache.hits, cache.misses) == (4, 2)
+        a, b, c = minilab.names[:3]
+        fleet = FleetState()
+        fleet.place(None, _session(a))
+        fleet.place(None, _session(b))
+        cache, injector = _RecordingCache(), FaultInjector(0.0, seed=5)
+        policy, _ = build_policy(
+            "cm-feasible",
+            predictor=minilab.predictor,
+            qos=45.0,
+            cache=cache,
+            injector=injector,
+        )
+        assert policy.cache is cache
+        policy.select(fleet.signature_view(), _session(c))  # misses, stores
+        injector.error_rate = 1.0  # any predictor call from here raises
+        choice = policy.select(fleet.signature_view(), _session(c))  # hits
+        probed = len(cache.log)
+        assert policy.select(fleet.signature_view(), _session(c)) == choice
+        assert len(cache.log) == probed
+        assert (cache.hits, cache.misses) == (2, 2)
+        assert "faults_injected" not in injector.telemetry.snapshot()["counters"]
 
     def test_zero_capacity_asks_the_model_every_time(self):
         class _Counting(_ConstantFPS):
@@ -567,9 +584,7 @@ class TestSameSeedDeterminism:
 
     def _chaos_run(self, minilab):
         sessions = generate_sessions(minilab.names, 150, arrival_rate=4.0, seed=77)
-        injector = FaultInjector(
-            FaultConfig(error_rate=0.25, corrupt_rate=0.1, stale_rate=0.1, seed=77)
-        )
+        injector = FaultInjector(0.25, seed=77)
         policy, fallback = build_policy(
             "cm-feasible",
             predictor=minilab.predictor,
@@ -578,7 +593,7 @@ class TestSameSeedDeterminism:
             injector=injector,
         )
         controller = DecisionEngine(
-            injector.wrap_policy(policy),
+            policy,
             fallback=fallback,
             telemetry=injector.telemetry,
             breaker=BreakerConfig(

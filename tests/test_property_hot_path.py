@@ -30,7 +30,6 @@ from repro.placement.fleet import Session
 from repro.placement.policies import DedicatedPolicy
 from repro.placement.signature import SignatureIndex, colocation_key
 from repro.profiling.database import ProfileDatabase
-from repro.serving import FaultConfig, FaultInjector
 
 # ----------------------------------------------------------------------
 # SignatureIndex: pool order kept across move().
@@ -205,56 +204,6 @@ class TestLookupMany:
                 assert many.lookup_many([(key,) for key in keys], "miss") == expected
             assert one.stats() == many.stats()
             assert list(one._store) == list(many._store)
-
-    def test_faulty_cache_draws_once_per_key_in_order(self):
-        def wrapped():
-            telemetry = Telemetry()
-            injector = FaultInjector(
-                FaultConfig(stale_rate=0.5, seed=3), telemetry=telemetry
-            )
-            cache = PredictionCache(16)
-            for key in range(8):
-                cache.put((key,), key)
-            return injector.wrap_cache(cache), telemetry
-
-        keys = [(key % 8,) for key in range(40)]
-        one, one_t = wrapped()
-        many, many_t = wrapped()
-        assert many.lookup_many(keys) == [one.lookup(key) for key in keys]
-        assert many_t.snapshot() == one_t.snapshot()
-        assert many.stats() == one.stats()
-
-
-    @pytest.mark.parametrize("stale_rate", [0.0, 0.5])
-    def test_faulty_batch_probe_equals_the_per_key_loop(self, stale_rate):
-        class Recording(PredictionCache):
-            batches = 0
-
-            def lookup_many(self, keys, default=None):
-                self.batches += 1
-                return super().lookup_many(keys, default)
-
-        def wrapped():
-            config = FaultConfig(stale_rate=stale_rate, corrupt_rate=0.2, seed=5)
-            injector = FaultInjector(config, telemetry=Telemetry())
-            cache = Recording(16)
-            for key in range(0, 12, 2):
-                cache.put((key,), key)
-            return injector, injector.wrap_cache(cache), cache
-
-        keys = [(key % 12,) for key in range(60)]
-        loop_injector, loop, _ = wrapped()
-        many_injector, many, inner = wrapped()
-        assert many.lookup_many(keys, "miss") == [loop.lookup(k, "miss") for k in keys]
-        assert many.stats() == loop.stats()
-        assert list(inner._store) == list(loop._store)
-        assert (
-            many_injector._rng.bit_generator.state
-            == loop_injector._rng.bit_generator.state
-        )
-        assert many_injector.telemetry.snapshot() == loop_injector.telemetry.snapshot()
-        # Nothing can go stale: one batch call, not one lookup per key.
-        assert inner.batches == (1 if stale_rate == 0.0 else 0)
 
 
 # ----------------------------------------------------------------------

@@ -206,13 +206,3 @@ class TestGeneration:
         assert first.generation != second.generation
         first.clear()
         assert first.generation != second.generation
-
-    def test_faulty_cache_opts_out(self):
-        from repro.serving.faults import FaultConfig, FaultInjector
-
-        cache = PredictionCache(4)
-        wrapped = FaultInjector(FaultConfig()).wrap_cache(cache)
-        assert wrapped.generation is None
-        assert isinstance(cache.generation, int)
-        # Everything else is still forwarded to the wrapped cache.
-        assert wrapped.capacity == 4 and wrapped.hit_rate == cache.hit_rate

@@ -23,7 +23,6 @@ from repro.placement import (
 from repro.placement.policies import WorstFitPolicy
 from repro.serving import (
     DecisionEngine,
-    FaultConfig,
     FaultInjector,
     RequestBroker,
     TraceConfig,
@@ -77,12 +76,11 @@ def normalized(payload):
 
 def build_controller(minilab, engine_cls, **kwargs):
     telemetry = Telemetry()
-    injector = FaultInjector(
-        FaultConfig(error_rate=0.08, corrupt_rate=0.02, seed=11),
-        telemetry=telemetry,
-    )
-    policy = injector.wrap_policy(
-        CMFeasiblePolicy(minilab.predictor, 45.0, cache=PredictionCache(256))
+    injector = FaultInjector(0.08, seed=11, telemetry=telemetry)
+    policy = CMFeasiblePolicy(
+        injector.wrap_predictor(minilab.predictor),
+        45.0,
+        cache=PredictionCache(256),
     )
     fallback = WorstFitPolicy(minilab.vbp)
     return engine_cls(

@@ -18,7 +18,6 @@ from repro.serving import (
     CMFeasiblePolicy,
     DecisionEngine,
     DedicatedPolicy,
-    FaultConfig,
     FaultInjector,
     InjectedFault,
     Mode,
@@ -63,177 +62,89 @@ class _OpensServer:
         return None
 
 
-class TestFaultConfig:
+class TestFaultInjector:
     def test_rate_validation(self):
-        with pytest.raises(ValueError, match="error_rate"):
-            FaultConfig(error_rate=1.5)
-        with pytest.raises(ValueError, match="latency_s"):
-            FaultConfig(latency_s=-1)
-
-    def test_active(self):
-        assert not FaultConfig().active
-        assert FaultConfig(corrupt_rate=0.1).active
-
-    def test_to_dict_json(self):
-        config = FaultConfig(error_rate=0.2, seed=7)
-        assert json.loads(json.dumps(config.to_dict()))["error_rate"] == 0.2
+        for rate in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="error_rate"):
+                FaultInjector(rate)
 
 
 class TestInjectorDeterminism:
     def test_same_seed_same_sequence(self):
-        a = FaultInjector(FaultConfig(error_rate=0.3, seed=42))
-        b = FaultInjector(FaultConfig(error_rate=0.3, seed=42))
-        assert [a.fire("error") for _ in range(200)] == [
-            b.fire("error") for _ in range(200)
-        ]
+        a = FaultInjector(0.3, seed=42)
+        b = FaultInjector(0.3, seed=42)
+        assert [a.fire() for _ in range(200)] == [b.fire() for _ in range(200)]
 
     def test_zero_rate_never_fires_and_skips_rng(self):
-        injector = FaultInjector(FaultConfig(seed=1))
-        assert not any(injector.fire("error") for _ in range(100))
-        # The RNG was never consumed: enabling one kind later still sees
-        # the virgin stream (same draws as a fresh injector).
-        probe = FaultInjector(FaultConfig(error_rate=1.0, seed=1))
-        assert probe.fire("error")
+        injector = FaultInjector(0.0, seed=1)
+        state = injector._rng.bit_generator.state
+        assert not any(injector.fire() for _ in range(100))
+        # The RNG was never consumed: the stream is still the virgin one.
+        assert injector._rng.bit_generator.state == state
 
     def test_fire_counts_telemetry(self):
-        injector = FaultInjector(FaultConfig(error_rate=1.0, stale_rate=1.0))
-        injector.fire("error")
-        injector.fire("stale")
+        injector = FaultInjector(1.0)
+        injector.fire()
+        injector.fire()
         counters = injector.telemetry.snapshot()["counters"]
         assert counters["faults_injected"] == 2
-        assert counters["faults_error"] == 1
-        assert counters["faults_stale"] == 1
+        assert counters["faults_error"] == 2
 
 
 class TestWrappers:
-    def test_policy_error_injection(self):
-        policy = FaultInjector(FaultConfig(error_rate=1.0)).wrap_policy(
-            _OpensServer()
-        )
-        assert policy.name == "opener"
-        with pytest.raises(InjectedFault):
-            policy.select([], None)
-
-    def test_policy_corrupt_returns_out_of_range(self):
-        policy = FaultInjector(FaultConfig(corrupt_rate=1.0)).wrap_policy(
-            _OpensServer()
-        )
-        assert policy.select([(), ()], None) == 3  # len + 1: out of range
-
     def test_predictor_error_injection(self, minilab):
-        wrapped = FaultInjector(FaultConfig(error_rate=1.0)).wrap_predictor(
-            minilab.predictor
-        )
+        wrapped = FaultInjector(1.0).wrap_predictor(minilab.predictor)
         with pytest.raises(InjectedFault):
             wrapped.colocations_feasible([], 60.0)
         # Non-prediction attributes delegate untouched.
         assert wrapped.db is minilab.predictor.db
 
-    def test_predictor_stale_returns_previous_answer(self, minilab):
-        from repro.core import ColocationSpec
-        from repro.games.resolution import Resolution
-
-        r = Resolution(1920, 1080)
-        specs_a = [ColocationSpec(((minilab.names[0], r), (minilab.names[1], r)))]
-        specs_b = [ColocationSpec(((minilab.names[2], r), (minilab.names[3], r)))]
-        wrapped = FaultInjector(FaultConfig(stale_rate=1.0)).wrap_predictor(
-            minilab.predictor
-        )
-        first = wrapped.predict_fps_batch(specs_a)  # nothing stale yet: computed
-        second = wrapped.predict_fps_batch(specs_b)  # stale: the previous answer
-        assert second is first
-
-    def test_predictor_corrupt_flips_verdicts(self, minilab):
-        from repro.core import ColocationSpec
-        from repro.games.resolution import Resolution
-
-        r = Resolution(1920, 1080)
-        specs = [ColocationSpec(((minilab.names[0], r), (minilab.names[1], r)))]
-        clean = minilab.predictor.colocations_feasible(specs, 60.0)
-        wrapped = FaultInjector(FaultConfig(corrupt_rate=1.0)).wrap_predictor(
-            minilab.predictor
-        )
-        corrupted = wrapped.colocations_feasible(specs, 60.0)
-        assert list(corrupted) == [not v for v in clean]
-
-    def test_cache_stale_loses_entry(self):
-        cache = PredictionCache(16)
-        wrapped = FaultInjector(FaultConfig(stale_rate=1.0)).wrap_cache(cache)
-        wrapped.put(("k",), True)
-        assert wrapped.lookup(("k",), "gone") == "gone"
-        assert cache.invalidations == 1
-        assert ("k",) not in cache
-
-    def test_cache_corrupt_on_put(self):
-        cache = PredictionCache(16)
-        wrapped = FaultInjector(FaultConfig(corrupt_rate=1.0)).wrap_cache(cache)
-        wrapped.put(("k",), True)
-        assert cache.lookup(("k",)) is False
-        assert wrapped.stats()["size"] == 1  # stats delegate to the real cache
-
 
 class _RecordingInjector(FaultInjector):
-    """Logs the kind of every draw it is asked for."""
+    """Counts every draw it is asked for."""
 
-    def __init__(self, config):
-        super().__init__(config)
-        self.fired = []
+    def __init__(self, error_rate, *, seed=0):
+        super().__init__(error_rate, seed=seed)
+        self.fired = 0
 
-    def fire(self, kind):
-        self.fired.append(kind)
-        return super().fire(kind)
+    def fire(self):
+        self.fired += 1
+        return super().fire()
 
 
 class TestWholeColocationFaults:
     """``cm-feasible`` puts one whole-colocation question per decision."""
 
-    def _case(self, minilab, config, injector=FaultInjector):
-        from repro.core import ColocationSpec
+    def _case(self, minilab, predictor):
         from repro.games.resolution import Resolution
         from repro.placement.fleet import Session
-        from repro.placement.signature import signature_add
 
         r = Resolution(1920, 1080)
         names = minilab.names
         pools = [[((name, r),) for name in names[i : i + 2]] for i in (0, 2)]
         arrival = Session(names[4], r, arrival=0.0, duration=1.0)
-        truth = [
-            minilab.predictor.colocations_feasible(
-                [ColocationSpec(signature_add(sig, (names[4], r))) for sig in pool],
-                60.0,
-            ).tolist()
-            for pool in pools
-        ]
-        faults = injector(config)
-        policy = CMFeasiblePolicy(faults.wrap_predictor(minilab.predictor), 60.0)
-        return policy, faults, pools, arrival, truth
+        return CMFeasiblePolicy(predictor, 60.0), pools, arrival
 
-    def test_corrupt_answer_is_a_lie_the_policy_acts_on(self, minilab):
-        # The corrupted ndarray arrives as a list with every verdict
-        # flipped: an in-range wrong choice, not an AttributeError booked
-        # as a policy error.
-        policy, _, (pool, _), arrival, (truth, _) = self._case(
-            minilab, FaultConfig(corrupt_rate=1.0)
-        )
-        honest = CMFeasiblePolicy(minilab.predictor, 60.0)
-        lie = [not verdict for verdict in truth]
-        choice = policy.select(pool, arrival)
-        assert choice == (lie.index(True) if any(lie) else None)
-        assert choice != honest.select(pool, arrival)
-        assert list(policy.cache._store.values()) == lie
+    def test_short_answer_batch_raises_keyerror(self, minilab):
+        # A predictor answering one verdict too few breaks its contract:
+        # the answered prefix is cached, the unanswered candidate raises
+        # instead of leaving a None verdict behind.
+        from repro.placement.signature import entry_of, signature_add
 
-    def test_short_stale_replay_reaches_the_resolve_keyerror(self, minilab):
-        policy, _, (pool, other), arrival, (truth, _) = self._case(
-            minilab, FaultConfig(stale_rate=1.0)
-        )
-        policy.select(pool[:1], arrival)  # nothing stale yet: one fresh verdict
-        with pytest.raises(KeyError):
-            policy.select(other, arrival)  # two misses, one replayed answer
-        assert len(policy.cache) == 2
+        class _OneShort:
+            def colocations_feasible(self, specs, qos):
+                return minilab.predictor.colocations_feasible(specs, qos)[:-1]
+
+        policy, (pool, _), arrival = self._case(minilab, _OneShort())
+        with pytest.raises(KeyError) as raised:
+            policy.select(pool, arrival)  # two misses, one answer
+        assert raised.value.args == (signature_add(pool[1], entry_of(arrival)),)
+        assert len(policy.cache) == 1
 
     def test_one_error_draw_per_query(self, minilab):
-        policy, faults, pools, arrival, _ = self._case(
-            minilab, FaultConfig(error_rate=0.5, seed=3), _RecordingInjector
+        faults = _RecordingInjector(0.5, seed=3)
+        policy, pools, arrival = self._case(
+            minilab, faults.wrap_predictor(minilab.predictor)
         )
         queries = raised = 0
         inner = policy._query
@@ -252,7 +163,7 @@ class TestWholeColocationFaults:
                     raised += 1
                 policy.cache.clear()
         assert queries == 24 and 0 < raised < 24
-        assert faults.fired.count("error") == queries
+        assert faults.fired == queries
 
 
 class TestDegradedModes:
@@ -385,7 +296,7 @@ class TestChaosEndToEnd:
         sessions = generate_sessions(
             minilab.names, 220, arrival_rate=4.0, seed=31
         )
-        injector = FaultInjector(FaultConfig(error_rate=0.35, seed=31))
+        injector = FaultInjector(0.35, seed=31)
         cache = PredictionCache(1024)
         policy, fallback = build_policy(
             "cm-feasible",
@@ -422,20 +333,11 @@ class TestChaosEndToEnd:
         # The whole report stays JSON-able.
         json.dumps(report.to_dict())
 
-    def test_full_chaos_all_fault_kinds(self, minilab):
+    def test_max_fps_chaos_run_completes(self, minilab):
         sessions = generate_sessions(
             minilab.names, 200, arrival_rate=4.0, seed=32
         )
-        injector = FaultInjector(
-            FaultConfig(
-                error_rate=0.2,
-                latency_rate=0.05,
-                latency_s=1e-4,
-                corrupt_rate=0.15,
-                stale_rate=0.15,
-                seed=32,
-            )
-        )
+        injector = FaultInjector(0.2, seed=32)
         cache = PredictionCache(512)
         primary, fallback = build_policy(
             "max-fps",
@@ -445,7 +347,7 @@ class TestChaosEndToEnd:
             injector=injector,
         )
         controller = DecisionEngine(
-            injector.wrap_policy(primary),
+            primary,
             fallback=fallback,
             telemetry=injector.telemetry,
             breaker=CHAOS_BREAKER,
@@ -458,9 +360,8 @@ class TestChaosEndToEnd:
         assert counters["admissions"] + counters["servers_opened"] == counters[
             "requests"
         ]
-        # The corrupt policy wrapper produced out-of-range indices and the
-        # controller absorbed every one of them.
-        assert counters["invalid_choices"] > 0
+        # Every injected RM error was absorbed by the fallback chain.
+        assert counters["faults_injected"] == counters["policy_errors"] > 0
         json.dumps(report.to_dict())
 
     def test_zero_fault_rate_is_byte_identical_to_offline(self, minilab):
@@ -468,7 +369,7 @@ class TestChaosEndToEnd:
         sessions = generate_sessions(
             minilab.names, 200, arrival_rate=4.0, seed=33
         )
-        injector = FaultInjector(FaultConfig(seed=33))  # all rates zero
+        injector = FaultInjector(0.0, seed=33)
         cache = PredictionCache(1024)
         policy, fallback = build_policy(
             "cm-feasible",
@@ -478,7 +379,7 @@ class TestChaosEndToEnd:
             injector=injector,
         )
         controller = DecisionEngine(
-            injector.wrap_policy(policy),
+            policy,
             fallback=fallback,
             telemetry=injector.telemetry,
             breaker=CHAOS_BREAKER,

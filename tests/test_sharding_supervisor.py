@@ -20,8 +20,8 @@ import pytest
 
 from repro.games.resolution import Resolution
 from repro.scheduling import generate_sessions
-from repro.serving.faults import InjectionWindow, windowed_rate
 from repro.sharding import (
+    InjectionWindow,
     RebalanceConfig,
     Rebalancer,
     ShardChaos,
@@ -31,6 +31,7 @@ from repro.sharding import (
     ShardSupervisor,
     build_shard_brokers,
     parse_outage_window,
+    windowed_rate,
 )
 from repro.sharding.supervisor import RECOVERY_BUCKETS
 
