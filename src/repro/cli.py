@@ -307,12 +307,6 @@ def _cmd_serve(args) -> int:
             max_colocation=args.max_colocation,
             fault_rate=args.fault_rate,
             crash_rate=args.crash_rate,
-            decision_deadline_s=(
-                args.decision_deadline_ms / 1000.0
-                if args.decision_deadline_ms is not None
-                else None
-            ),
-            breaker_threshold=args.breaker_threshold,
             seed=args.trace_seed,
             slo_fps=slo_fps,
             qos_budget=qos_budget,
@@ -385,8 +379,6 @@ def _cmd_serve(args) -> int:
         "max_colocation": args.max_colocation,
         "fault_rate": args.fault_rate,
         "crash_rate": args.crash_rate,
-        "decision_deadline_ms": args.decision_deadline_ms,
-        "breaker_threshold": args.breaker_threshold,
     }
     if args.shards is not None:
         config["shards"] = args.shards
@@ -596,18 +588,6 @@ def build_parser() -> argparse.ArgumentParser:
         type=float,
         default=0.0,
         help="chaos: per-arrival probability that an open server crashes",
-    )
-    p.add_argument(
-        "--decision-deadline-ms",
-        type=float,
-        default=None,
-        help="per-decision latency budget; overruns count as policy failures",
-    )
-    p.add_argument(
-        "--breaker-threshold",
-        type=float,
-        default=0.5,
-        help="failure fraction over the breaker window that trips DEGRADED mode",
     )
     p.add_argument(
         "--shards",

@@ -38,7 +38,7 @@ __all__ = [
     "MAX_EVENTS",
 ]
 
-#: Cap on retained events: a misbehaving component (a flapping breaker, a
+#: Cap on retained events: a misbehaving component (a flapping shard, a
 #: chaos run with extreme rates) must not grow the snapshot without bound.
 MAX_EVENTS = 10_000
 
@@ -118,7 +118,7 @@ class Counter(_Scalar):
 
 
 class Gauge(_Scalar):
-    """A value that can move both ways (pool size, live sessions, mode)."""
+    """A value that can move both ways (pool size, live sessions)."""
 
     _value = 0.0
 
@@ -378,7 +378,7 @@ class Telemetry:
             self.histogram(name, **labels).observe(time.perf_counter() - start)
 
     def event(self, name: str, **fields) -> None:
-        """Append a structured event (breaker trip, mode change, crash...).
+        """Append a structured event (server crash, shard outage...).
 
         Events form an ordered log next to the aggregate counters — the
         "what happened when" an operator needs after an incident.  At most

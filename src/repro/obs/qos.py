@@ -3,7 +3,7 @@
 GAugur's whole premise is that the interference model's FPS predictions
 are trustworthy enough to pack sessions aggressively.  Everything the
 serving stack reports, though, is *about the decision path* — latencies,
-fallbacks, breaker trips — not about whether admitted sessions actually
+fallbacks, policy errors — not about whether admitted sessions actually
 received the FPS the predictor promised.  The :class:`QoSLedger` closes
 that loop:
 

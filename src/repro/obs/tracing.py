@@ -163,7 +163,7 @@ class Tracer:
         return Span(self, name, attributes)
 
     def instant(self, name: str, **attributes) -> None:
-        """Record a zero-duration marker span (breaker trip, mode flip...)."""
+        """Record a zero-duration marker span (server crash, shard readmission...)."""
         if not self.enabled:
             return
         span = Span(self, name, attributes)

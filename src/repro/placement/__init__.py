@@ -3,11 +3,10 @@
 This package is the single implementation of "where does this session
 go": canonical signatures and cache keys (:mod:`.signature`), the fleet
 bookkeeping (:mod:`.fleet`), the prediction cache (:mod:`.cache`), the
-placement policies (:mod:`.policies`), circuit breakers (:mod:`.breaker`),
-and the :class:`DecisionEngine` (:mod:`.engine`) that walks one decision
-chain — breaker-guarded primary and fallback policies, the resolution
-downscale, a dedicated server — under deadline budgets, degraded modes,
-tracing spans and telemetry, and applies decisions to the fleet.
+placement policies (:mod:`.policies`), and the :class:`DecisionEngine`
+(:mod:`.engine`) that walks one decision chain — primary and fallback
+policies, the resolution downscale, a dedicated server — under tracing
+spans and telemetry, and applies decisions to the fleet.
 
 One frontend drives it: the event-loop broker
 (:class:`repro.serving.RequestBroker`); the offline simulator
@@ -24,12 +23,10 @@ from repro.placement.assignment import (
     assign_worst_fit,
     evaluate_assignment,
 )
-from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.cache import PredictionCache
 from repro.placement.engine import (
     AdmissionDecision,
     DecisionEngine,
-    Mode,
     PlacementOutcome,
     PolicyActuator,
 )
@@ -56,15 +53,11 @@ __all__ = [
     "AdmissionDecision",
     "AdmissionPolicy",
     "AssignmentResult",
-    "BreakerConfig",
-    "BreakerState",
-    "CircuitBreaker",
     "CMFeasiblePolicy",
     "DecisionEngine",
     "DedicatedPolicy",
     "FleetState",
     "MaxFPSPolicy",
-    "Mode",
     "POLICY_NAMES",
     "PlacementOutcome",
     "PolicyActuator",

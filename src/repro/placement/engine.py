@@ -11,7 +11,7 @@ session:
 2. **fallback** — an optional more conservative policy.  Both policy
    steps live in ``engine.pipeline``: each :class:`PolicyActuator`
    record holds one :class:`~repro.placement.policies.AdmissionPolicy`
-   with its own circuit breaker, skip counter and error counter.
+   with its error counter.
 3. **downscale** — the quality lever, when ``engine.ladder`` is set:
    the deciding policy said "open a new server", so it is re-asked at
    the ladder's lower resolutions (the Eq. 2 pixel scaling of GPU
@@ -33,25 +33,10 @@ with ``strict=True``, where a policy error propagates to the caller — a
 simulation with a broken policy should fail loudly, not consolidate
 conservatively.
 
-Beyond per-decision fallthrough, the engine runs an explicit
-degraded-mode state machine when given a :class:`BreakerConfig`:
-
-- **NORMAL** — the primary answers (its circuit breaker is CLOSED).
-- **DEGRADED** — sustained primary failures (error rate or decision
-  deadline overruns over a sliding window) tripped the primary breaker;
-  arrivals are served by the fallback without consulting the primary.
-  After a cooldown the breaker half-opens and probes the primary; enough
-  successful probes recover to NORMAL.
-- **CONSERVATIVE** — the fallback's breaker tripped too (or there is
-  none); every arrival opens a dedicated server until a probe window
-  recovers a policy.
-
-Every decision is timed into a fixed-bucket latency histogram; when a
-``decision_deadline_s`` budget is set, overruns are counted and fed to
-the breaker as failures — a policy that answers correctly but too slowly
-is still a policy you stop asking.  Downscale re-queries run inside the
-same budget: a ladder walk that blows the deadline charges the deciding
-policy's breaker like any other slow answer.
+Failure handling is per decision only: a policy that failed is asked
+again on the very next arrival, so a recovered model serves at once.
+Every decision is timed into a fixed-bucket latency histogram
+(``decision_latency_s``).
 
 The quality lever is reversible.  :meth:`DecisionEngine.restore` walks
 the fleet's degraded sessions (oldest first) and re-promotes each to the
@@ -67,12 +52,10 @@ import operator
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
-from enum import Enum
 
 from repro.games.resolution import DegradeLadder
 from repro.obs.metrics import BoundInstruments, Telemetry
 from repro.obs.tracing import NOOP_TRACER, Tracer
-from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.fleet import FleetState, Session, degraded_to, promoted_to
 from repro.placement.policies import AdmissionPolicy, Signature
 from repro.placement.signature import entry_of, signature_add
@@ -81,21 +64,9 @@ __all__ = [
     "AdmissionDecision",
     "PlacementOutcome",
     "DecisionEngine",
-    "Mode",
     "PolicyActuator",
 ]
 
-
-class Mode(Enum):
-    """Health modes of the admission path (see module docstring)."""
-
-    NORMAL = "normal"
-    DEGRADED = "degraded"
-    CONSERVATIVE = "conservative"
-
-
-#: The ``mode_level`` gauge's value in each mode.
-_MODE_LEVEL = {Mode.NORMAL: 0, Mode.DEGRADED: 1, Mode.CONSERVATIVE: 2}
 
 #: The shared do-nothing span: a downscale re-query opens no span of its
 #: own (the ``downscale`` span covers the whole ladder walk).
@@ -106,17 +77,12 @@ _NO_SPAN = NOOP_TRACER.span("query")
 class PolicyActuator:
     """One policy step of the decision chain.
 
-    ``skip_counter`` counts the decisions on which the breaker skipped
-    the step without consulting the policy (``degraded_decisions`` for
-    the primary, ``conservative_decisions`` for the fallback), and
-    ``error_counter`` the policy's raises and out-of-range answers
+    ``error_counter`` counts the policy's raises and out-of-range answers
     (``policy_errors`` / ``fallback_errors``).  Every step after the
     first is a fallback.
     """
 
     policy: AdmissionPolicy
-    breaker: CircuitBreaker | None
-    skip_counter: str
     error_counter: str
 
 
@@ -127,10 +93,9 @@ class AdmissionDecision:
     ``server`` is the index into the candidate-signature list (``None``
     opens a new server), ``policy`` names the policy whose answer was
     used, and ``fallback`` flags that the primary policy's answer was not
-    (the primary failed, answered out of range, or was skipped by the
-    breaker).  ``session`` is set when the downscale step rewrote the
-    session: the rewritten session is the one to place; ``None`` means
-    place the session as requested.
+    (the primary failed or answered out of range).  ``session`` is set
+    when the downscale step rewrote the session: the rewritten session is
+    the one to place; ``None`` means place the session as requested.
     """
 
     server: int | None
@@ -175,37 +140,17 @@ class DecisionEngine:
         *,
         fallback: AdmissionPolicy | None = None,
         telemetry: Telemetry | None = None,
-        breaker: BreakerConfig | None = None,
-        decision_deadline_s: float | None = None,
         tracer: Tracer | None = None,
         strict: bool = False,
         downscale_ladder: DegradeLadder | None = None,
     ):
-        if decision_deadline_s is not None and decision_deadline_s <= 0:
-            raise ValueError("decision_deadline_s must be positive")
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.tracer = tracer if tracer is not None else NOOP_TRACER
-        self.decision_deadline_s = decision_deadline_s
         self.strict = bool(strict)
-        self.mode = Mode.NORMAL
-        self.mode_transitions: list[dict] = []
         self._bound_to: Telemetry | None = None  # see _bind
-        self.pipeline = [
-            PolicyActuator(policy, None, "degraded_decisions", "policy_errors")
-        ]
+        self.pipeline = [PolicyActuator(policy, "policy_errors")]
         if fallback is not None:
-            self.pipeline.append(
-                PolicyActuator(
-                    fallback, None, "conservative_decisions", "fallback_errors"
-                )
-            )
-        if breaker is not None:
-            # Breaker names ("primary"/"fallback") label resilience
-            # snapshots and breaker events.
-            for step, name in zip(self.pipeline, ("primary", "fallback")):
-                step.breaker = CircuitBreaker(
-                    breaker, name=name, on_transition=self._breaker_event(name)
-                )
+            self.pipeline.append(PolicyActuator(fallback, "fallback_errors"))
         self.ladder = downscale_ladder
         self._instrument_members()
 
@@ -227,17 +172,9 @@ class DecisionEngine:
         self._bound_to = telemetry
         self._counters = BoundInstruments(telemetry.counter)
         self._decisions = BoundInstruments(
-            lambda key: telemetry.counter("decisions", policy=key[0], mode=key[1])
+            lambda policy: telemetry.counter("decisions", policy=policy)
         )
         self._histograms = BoundInstruments(telemetry.histogram)
-        self._gauges = BoundInstruments(telemetry.gauge)
-
-    def _breaker_event(self, which: str):
-        def emit(change: dict) -> None:
-            self.telemetry.event("breaker_transition", breaker=which, **change)
-            self.tracer.instant("breaker_transition", breaker=which, **change)
-
-        return emit
 
     # ------------------------------------------------------------------
 
@@ -325,11 +262,10 @@ class DecisionEngine:
         """Place ``session`` against the open-server ``signatures``.
 
         Never raises (unless ``strict``): policy failures (exceptions,
-        invalid indices, deadline overruns) are absorbed into the
-        decision chain (primary -> fallback -> downscale -> dedicated)
-        and surfaced as the ``policy_errors`` / ``fallbacks`` /
-        ``fallback_errors`` / ``invalid_choices`` / ``deadline_overruns``
-        counters.
+        invalid indices) are absorbed into the decision chain (primary ->
+        fallback -> downscale -> dedicated) and surfaced as the
+        ``policy_errors`` / ``fallbacks`` / ``fallback_errors`` /
+        ``invalid_choices`` counters.
         """
         if self.telemetry is not self._bound_to:
             self._bind(self.telemetry)
@@ -345,23 +281,16 @@ class DecisionEngine:
             choice: int | None = None
             deciding: PolicyActuator | None = None
             used_fallback = False
-            # (step, ok) for every step whose policy was actually
-            # consulted, in consultation order — the breaker feed.
-            attempted: list[tuple[PolicyActuator, bool]] = []
             for step in self.pipeline:
-                if step.breaker is None or step.breaker.allow():
-                    ok, choice = self._ask(
-                        step.policy, signatures, session, step.error_counter,
-                        self.tracer.span(
-                            "policy", policy=step.policy.name, fallback=used_fallback
-                        ),
-                    )
-                    attempted.append((step, ok))
-                    if ok:
-                        deciding = step
-                        break
-                else:
-                    counters[step.skip_counter].inc()
+                ok, choice = self._ask(
+                    step.policy, signatures, session, step.error_counter,
+                    self.tracer.span(
+                        "policy", policy=step.policy.name, fallback=used_fallback
+                    ),
+                )
+                if ok:
+                    deciding = step
+                    break
                 if not used_fallback:
                     used_fallback = True
                     counters["fallbacks"].inc()
@@ -375,27 +304,12 @@ class DecisionEngine:
                     choice, placed_session = found
             policy_used = "dedicated" if deciding is None else deciding.policy.name
 
-            elapsed = time.perf_counter() - start
-            overrun = (
-                self.decision_deadline_s is not None
-                and elapsed > self.decision_deadline_s
+            self._histograms["decision_latency_s"].observe(
+                time.perf_counter() - start
             )
-            if overrun:
-                counters["deadline_overruns"].inc()
-            for step, ok in attempted:
-                if step.breaker is not None:
-                    step.breaker.record(ok and not overrun)
-            self._histograms["decision_latency_s"].observe(elapsed)
             counters["admissions" if choice is not None else "servers_opened"].inc()
-            self._update_mode()
-            mode = self.mode.value
-            self._decisions[policy_used, mode].inc()
-            span.set(
-                policy=policy_used,
-                fallback=used_fallback,
-                choice=choice,
-                mode=mode,
-            )
+            self._decisions[policy_used].inc()
+            span.set(policy=policy_used, fallback=used_fallback, choice=choice)
             if placed_session is not None:
                 span.set(resolution=str(placed_session.resolution))
         return AdmissionDecision(
@@ -456,16 +370,10 @@ class DecisionEngine:
         The best feasible target wins and the fleet is updated in place
         (same server, same departure; only the resolution entry of the
         signature changes).  Returns the number of sessions promoted.
-
-        Skipped entirely while the first policy's breaker is OPEN — a
-        tripped primary is not consulted for promotions any more than
-        for admissions.
         """
         if not self.can_restore or fleet.n_degraded == 0:
             return 0
         first = self.pipeline[0]
-        if first.breaker is not None and first.breaker.state is BreakerState.OPEN:
-            return 0
         t = self.telemetry
         promoted = 0
         span = self.tracer.span("restore", degraded=fleet.n_degraded)
@@ -501,52 +409,6 @@ class DecisionEngine:
         return promoted
 
     # ------------------------------------------------------------------
-
-    def _update_mode(self) -> None:
-        """Re-derive the health mode from the breaker states, logging changes."""
-        first = self.pipeline[0]
-        if first.breaker is None:
-            return
-        if first.breaker.state is BreakerState.CLOSED:
-            mode = Mode.NORMAL
-        elif any(
-            step.breaker is None or step.breaker.state is not BreakerState.OPEN
-            for step in self.pipeline[1:]
-        ):
-            mode = Mode.DEGRADED
-        else:
-            mode = Mode.CONSERVATIVE
-        if mode is not self.mode:
-            change = {
-                "decision": self.telemetry.counter("requests").value,
-                "from": self.mode.value,
-                "to": mode.value,
-            }
-            self.mode_transitions.append(change)
-            self.telemetry.counter("mode_transitions").inc()
-            self.telemetry.event("mode_transition", **change)
-            self.tracer.instant("mode_transition", **change)
-            self.mode = mode
-        self._gauges["mode_level"].set(_MODE_LEVEL[mode])
-
-    def resilience_snapshot(self) -> dict:
-        """JSON-able resilience state: mode, transitions, breakers, budget."""
-        breakers = {}
-        trips = recoveries = 0
-        for step in self.pipeline:
-            if step.breaker is not None:
-                breakers[step.breaker.name] = step.breaker.to_dict()
-                trips += step.breaker.trips
-                recoveries += step.breaker.recoveries
-        return {
-            "enabled": self.pipeline[0].breaker is not None,
-            "mode": self.mode.value,
-            "mode_transitions": list(self.mode_transitions),
-            "decision_deadline_s": self.decision_deadline_s,
-            "trips": trips,
-            "recoveries": recoveries,
-            "breakers": breakers,
-        }
 
     def caches(self) -> dict[str, object]:
         """Prediction caches attached to the policies, keyed by policy name.

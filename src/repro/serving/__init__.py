@@ -8,7 +8,7 @@ the :class:`DecisionEngine` evaluates candidate servers through
 pluggable policies with graceful fallback, a canonical-key LRU
 :class:`PredictionCache` over the predictor's batched API, and
 :class:`Telemetry` (counters + latency histograms + event log) exposed as
-one JSON snapshot.  The engine, policy, cache and breaker names
+one JSON snapshot.  The engine, policy and cache names
 re-exported here live in :mod:`repro.placement`; the telemetry names are
 imported from :mod:`repro.obs` only.
 
@@ -20,16 +20,15 @@ one-shard stack through :meth:`RequestBroker.run`.
 
 The fault-tolerance layer keeps the dispatcher up when components fail:
 a seeded :class:`FaultInjector` wraps the predictor in a proxy that
-raises deterministic errors (``--fault-rate``), a
-:class:`CircuitBreaker` per policy drives the
-engine's NORMAL → DEGRADED → CONSERVATIVE state machine, and the
-broker survives server crashes by re-admitting evicted sessions — all
-surfaced in the report's resilience section.
+raises deterministic errors (``--fault-rate``), each failed decision
+falls through the engine's chain to the next policy (and at worst to a
+dedicated server), and the broker survives server crashes by
+re-admitting evicted sessions — surfaced in the report's resilience
+section and the ``policy_errors`` / ``fallbacks`` counters.
 """
 
-from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.cache import PredictionCache, colocation_key
-from repro.placement.engine import AdmissionDecision, DecisionEngine, Mode
+from repro.placement.engine import AdmissionDecision, DecisionEngine
 from repro.placement.policies import (
     POLICY_NAMES,
     AdmissionPolicy,
@@ -46,10 +45,6 @@ from repro.serving.loadgen import TraceConfig, generate_trace
 __all__ = [
     "DecisionEngine",
     "AdmissionDecision",
-    "Mode",
-    "BreakerConfig",
-    "BreakerState",
-    "CircuitBreaker",
     "FaultInjector",
     "FaultyPredictor",
     "InjectedFault",

@@ -282,15 +282,12 @@ class RequestBroker:
             for name, cache in self.controller.caches().items()
         }
         counters = snapshot["counters"]
-        resilience = self.controller.resilience_snapshot()
-        resilience.update(
-            {
-                "crash_rate": self.crash_rate,
-                "server_crashes": counters.get("server_crashes", 0),
-                "sessions_evicted": counters.get("sessions_evicted", 0),
-                "readmissions": counters.get("readmissions", 0),
-            }
-        )
+        resilience = {
+            "crash_rate": self.crash_rate,
+            "server_crashes": counters.get("server_crashes", 0),
+            "sessions_evicted": counters.get("sessions_evicted", 0),
+            "readmissions": counters.get("readmissions", 0),
+        }
         ladder = self.controller.ladder
         if ladder is not None:
             # Extra key only when the quality lever rode the run: degrade-

@@ -4,8 +4,8 @@ Chaos testing a dispatcher means answering "what happens when the
 predictor throws?" *before* production does.  :class:`FaultInjector`
 hands out a :class:`FaultyPredictor` proxy whose prediction entry points
 raise :class:`InjectedFault` at a configurable ``error_rate`` (a crashed
-model server, a poisoned request); the admission fallback chain and the
-circuit breakers must absorb every one.  ``repro serve --fault-rate``
+model server, a poisoned request); the decision engine's fallback chain
+must absorb every one.  ``repro serve --fault-rate``
 sets the rate (:attr:`repro.sharding.ShardConfig.fault_rate`).
 
 Every draw comes from one seeded substream

@@ -9,7 +9,7 @@ migrates sessions off hot shards between drain chunks, and a
 :class:`ShardSupervisor` keeps the tier alive through whole-shard
 outages — seeded chaos (:class:`ShardChaos`) kills shards, the
 supervisor ejects them from the ring, fails their sessions over, and
-readmits them after half-open probing.  Per-shard telemetry merges into
+readmits each once a probe after a fixed cooldown finds it healthy.  Per-shard telemetry merges into
 one shard-labeled snapshot; ``repro serve --shards N`` is the CLI
 frontend and ``benchmarks/bench_sharded.py`` the scale proof.
 """

@@ -80,8 +80,6 @@ class ShardConfig:
     max_colocation: int = 4
     fault_rate: float = 0.0
     crash_rate: float = 0.0
-    decision_deadline_s: float | None = None
-    breaker_threshold: float = 0.5
     seed: int = 0
     keep_records: bool = True
     #: Per-session FPS target for the QoS ledger; ``None`` disables
@@ -122,12 +120,7 @@ def build_shard_brokers(
     merge exactly through the labeled-snapshot machinery.
     """
     from repro.core.predictor import InterferencePredictor
-    from repro.placement import (
-        BreakerConfig,
-        DecisionEngine,
-        PredictionCache,
-        build_policy,
-    )
+    from repro.placement import DecisionEngine, PredictionCache, build_policy
     from repro.serving.faults import FaultInjector
 
     if n_shards < 1:
@@ -164,8 +157,6 @@ def build_shard_brokers(
             policy,
             fallback=fallback,
             telemetry=telemetry,
-            breaker=BreakerConfig(failure_threshold=config.breaker_threshold),
-            decision_deadline_s=config.decision_deadline_s,
             tracer=tracers[shard_id] if tracers is not None else None,
             downscale_ladder=config.degrade_ladder,
         )

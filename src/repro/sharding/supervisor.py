@@ -18,14 +18,13 @@ loop between the chaos layer's ground truth
    ``sessions_failed_over`` and traced as a ``failover`` span.  Zero
    sessions are lost: every arrival is either admitted where it was
    routed or failed over, never dropped.
-3. **Recovery.**  Each shard's health is tracked by a
-   :class:`~repro.placement.breaker.CircuitBreaker` clocked in barriers:
-   ejection trips it OPEN, :data:`COOLDOWN_CHUNKS` barriers later it
-   goes HALF_OPEN and probes the shard again, and :data:`PROBE_WINDOW`
-   healthy probes readmit it (``ring_readmissions``; the outage length
-   goes to the ``shard_recovery_chunks`` histogram).  A readmitted shard
-   reclaims exactly its old ring arcs, so routing converges back to the
-   pre-outage assignment.
+3. **Recovery.**  An ejected shard is probed again
+   :data:`COOLDOWN_CHUNKS` barriers after its ejection; one healthy probe
+   readmits it (``ring_readmissions``; the outage length goes to the
+   ``shard_recovery_chunks`` histogram), and a failed one
+   (``readmit_probes_failed``) starts the same countdown again.  A
+   readmitted shard reclaims exactly its old ring arcs, so routing
+   converges back to the pre-outage assignment.
 4. **Degraded mode.**  When the healthy-shard count drops below
    ``min_healthy``, routing abandons signature affinity and sends every
    arrival to the least-loaded healthy shard (``shard_fallbacks``) until
@@ -46,7 +45,6 @@ from collections.abc import Sequence
 
 from repro.obs.metrics import Telemetry
 from repro.obs.tracing import Tracer
-from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.fleet import Session
 from repro.serving.broker import RequestBroker
 from repro.sharding.chaos import ShardChaos
@@ -61,19 +59,17 @@ RECOVERY_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 #: Immediate re-probes of a failed health probe before the shard counts
 #: as down for this barrier.
 MAX_RETRIES = 2
-#: Barriers an ejected shard's breaker stays OPEN before it is probed.
+#: Barriers between an ejection (or a failed readmission probe) and the
+#: next readmission probe.
 COOLDOWN_CHUNKS = 2
-#: Consecutive healthy HALF_OPEN probes that readmit a shard.
-PROBE_WINDOW = 1
 
 
 class ShardSupervisor:
     """Barrier-clocked supervision loop over the shard brokers.
 
-    Owns one :class:`CircuitBreaker` per shard (CLOSED = ring member,
-    OPEN = ejected and cooling down, HALF_OPEN = probing for
-    readmission) and writes its counters, events and spans to the
-    *coordinator's* telemetry/tracer — shard-local telemetry only ever
+    Tracks each ejected shard's ejection barrier and the barrier of its
+    next readmission probe, and writes its counters, events and spans to
+    the *coordinator's* telemetry/tracer — shard-local telemetry only ever
     sees the migration primitives, so per-shard snapshots stay
     comparable with unsupervised runs.
     """
@@ -84,8 +80,8 @@ class ShardSupervisor:
         self.chaos = chaos
         self.min_healthy = min_healthy
         self.degraded = False
-        self._breakers: dict[int, CircuitBreaker] = {}
-        self._ejected_at: dict[int, tuple[int, float]] = {}  # id -> (barrier, now)
+        self._ejected_at: dict[int, int] = {}  # id -> ejection barrier
+        self._retry_at: dict[int, int] = {}  # id -> barrier of the next probe
         self._barrier = 0
 
     @property
@@ -94,7 +90,7 @@ class ShardSupervisor:
         return self.chaos.config.active
 
     def bind(self, n_shards: int, telemetry: Telemetry, tracer: Tracer) -> None:
-        """Attach to a tier of ``n_shards`` (one recovery breaker each).
+        """Attach to a tier of ``n_shards``.
 
         ``telemetry`` and ``tracer`` are the coordinator's: counters,
         events and spans land next to its routing volume.
@@ -106,26 +102,10 @@ class ShardSupervisor:
             )
         self.telemetry = telemetry
         self.tracer = tracer
-        self._breakers = {
-            shard_id: CircuitBreaker(
-                BreakerConfig(
-                    failure_threshold=1.0,
-                    window=1,
-                    min_requests=1,
-                    cooldown=COOLDOWN_CHUNKS,
-                    probe_window=PROBE_WINDOW,
-                ),
-                name=f"shard-{shard_id}",
-            )
-            for shard_id in range(n_shards)
-        }
 
     def health_of(self, shard_id: int) -> str:
-        """``healthy`` / ``ejected`` / ``probing`` — the Prometheus label."""
-        breaker = self._breakers.get(shard_id)
-        if breaker is None or breaker.state is BreakerState.CLOSED:
-            return "healthy"
-        return "probing" if breaker.state is BreakerState.HALF_OPEN else "ejected"
+        """``healthy`` / ``ejected`` — the Prometheus label."""
+        return "ejected" if shard_id in self._ejected_at else "healthy"
 
     # -- the barrier loop ----------------------------------------------
 
@@ -204,9 +184,9 @@ class ShardSupervisor:
         now: float,
         index: int,
     ) -> None:
-        self._breakers[shard_id].record(False)  # single failure trips OPEN
         router.remove_shard(shard_id)
-        self._ejected_at[shard_id] = (self._barrier, now)
+        self._ejected_at[shard_id] = self._barrier
+        self._retry_at[shard_id] = self._barrier + COOLDOWN_CHUNKS
         self.telemetry.counter("shard_outages").inc()
         self.telemetry.counter("ring_ejections").inc()
         self.telemetry.event(
@@ -242,14 +222,15 @@ class ShardSupervisor:
     def _maybe_readmit(
         self, shard_id: int, router: ShardRouter, *, now: float, index: int
     ) -> None:
-        breaker = self._breakers[shard_id]
-        if not breaker.allow():  # OPEN: still inside the recovery cooldown
+        if self._barrier < self._retry_at[shard_id]:  # still cooling down
             return
-        breaker.record(self.chaos.probe(shard_id))
-        if breaker.state is not BreakerState.CLOSED:
+        if not self.chaos.probe(shard_id):
+            self.telemetry.counter("readmit_probes_failed").inc()
+            self._retry_at[shard_id] = self._barrier + COOLDOWN_CHUNKS
             return
         router.add_shard(shard_id)
-        ejected_barrier, _ = self._ejected_at.pop(shard_id)
+        del self._retry_at[shard_id]
+        ejected_barrier = self._ejected_at.pop(shard_id)
         self.telemetry.counter("ring_readmissions").inc()
         self.telemetry.histogram(
             "shard_recovery_chunks", buckets=RECOVERY_BUCKETS
@@ -315,10 +296,6 @@ class ShardSupervisor:
             "ejected": sorted(self._ejected_at),
             "health": {
                 str(shard_id): self.health_of(shard_id)
-                for shard_id in sorted(self._breakers)
-            },
-            "breakers": {
-                str(shard_id): breaker.to_dict()
-                for shard_id, breaker in sorted(self._breakers.items())
+                for shard_id in range(self.chaos.n_shards)
             },
         }

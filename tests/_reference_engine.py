@@ -5,8 +5,8 @@ Both frontends — the offline batch-clocked simulator
 event-loop broker (:class:`repro.serving.RequestBroker`) — answer every
 arrival through :class:`DecisionEngine`: it dispatches the configured
 policy (with counted fallback), validates the returned index, times the
-decision against an optional deadline budget, feeds circuit breakers,
-emits tracing spans and telemetry, and applies the decision to a
+decision against an optional deadline budget, emits tracing spans and
+telemetry, and applies the decision to a
 :class:`~repro.placement.fleet.FleetState`.  Offline/online placement
 parity is therefore structural: there is no second copy of the dispatch
 or mutation logic to drift.
@@ -25,24 +25,11 @@ downstream.  The offline frontend instead runs with ``strict=True``,
 where a policy error propagates to the caller — a simulation with a
 broken policy should fail loudly, not consolidate conservatively.
 
-Beyond per-decision fallback, the engine runs an explicit degraded-mode
-state machine when given a :class:`BreakerConfig`:
-
-- **NORMAL** — the primary policy answers (its circuit breaker is
-  CLOSED).
-- **DEGRADED** — sustained primary failures (error rate or decision
-  deadline overruns over a sliding window) tripped the primary breaker;
-  arrivals are served by the fallback policy without consulting the
-  primary.  After a cooldown the breaker half-opens and probes the
-  primary; enough successful probes recover to NORMAL.
-- **CONSERVATIVE** — the fallback's breaker tripped too (or there is no
-  fallback); every arrival opens a dedicated server until a probe window
-  recovers a policy.
-
-Every decision is timed into a fixed-bucket latency histogram; when a
-``decision_deadline_s`` budget is set, overruns are counted and fed to
-the breaker as failures — a policy that answers correctly but too slowly
-is still a policy you stop asking.
+This frozen copy is kept for the parity tests as the engine ran without
+a circuit breaker, its only configuration they compare against: every
+decision is labeled with the health mode, which is always ``normal``
+here.  Every decision is timed into a fixed-bucket latency histogram;
+when a ``decision_deadline_s`` budget is set, overruns are counted.
 """
 
 from __future__ import annotations
@@ -54,7 +41,6 @@ from enum import Enum
 
 from repro.obs.metrics import Telemetry
 from repro.obs.tracing import NOOP_TRACER, Tracer
-from repro.placement.breaker import BreakerConfig, BreakerState, CircuitBreaker
 from repro.placement.fleet import FleetState
 from repro.placement.policies import AdmissionPolicy, Signature
 
@@ -62,7 +48,7 @@ __all__ = ["AdmissionDecision", "PlacementOutcome", "DecisionEngine", "Mode"]
 
 
 class Mode(Enum):
-    """Health modes of the admission path (see module docstring)."""
+    """Health modes of the admission path; only ``NORMAL`` is reached here."""
 
     NORMAL = "normal"
     DEGRADED = "degraded"
@@ -76,8 +62,7 @@ class AdmissionDecision:
     ``server`` is the index into the candidate-signature list (``None``
     opens a new server), ``policy`` names the policy whose answer was
     used, and ``fallback`` flags that the primary policy's answer was not
-    (the primary failed, answered out of range, or was skipped by the
-    breaker).
+    (the primary failed or answered out of range).
     """
 
     server: int | None
@@ -116,7 +101,6 @@ class DecisionEngine:
         *,
         fallback: AdmissionPolicy | None = None,
         telemetry: Telemetry | None = None,
-        breaker: BreakerConfig | None = None,
         decision_deadline_s: float | None = None,
         tracer: Tracer | None = None,
         strict: bool = False,
@@ -130,19 +114,6 @@ class DecisionEngine:
         self.decision_deadline_s = decision_deadline_s
         self.strict = bool(strict)
         self.mode = Mode.NORMAL
-        self.mode_transitions: list[dict] = []
-        self._primary_breaker: CircuitBreaker | None = None
-        self._fallback_breaker: CircuitBreaker | None = None
-        if breaker is not None:
-            self._primary_breaker = CircuitBreaker(
-                breaker, name="primary", on_transition=self._breaker_event("primary")
-            )
-            if fallback is not None:
-                self._fallback_breaker = CircuitBreaker(
-                    breaker,
-                    name="fallback",
-                    on_transition=self._breaker_event("fallback"),
-                )
         self._instrument_members()
 
     def _instrument_members(self) -> None:
@@ -157,13 +128,6 @@ class DecisionEngine:
         """Swap the tracer, re-instrumenting policies and predictor."""
         self.tracer = tracer
         self._instrument_members()
-
-    def _breaker_event(self, which: str):
-        def emit(change: dict) -> None:
-            self.telemetry.event("breaker_transition", breaker=which, **change)
-            self.tracer.instant("breaker_transition", breaker=which, **change)
-
-        return emit
 
     # ------------------------------------------------------------------
 
@@ -224,29 +188,17 @@ class DecisionEngine:
             choice: int | None = None
             policy_used = "dedicated"
             used_fallback = False
-            primary_ok: bool | None = None  # None = primary not consulted
-            fallback_ok: bool | None = None
 
-            primary_allowed = (
-                self._primary_breaker.allow() if self._primary_breaker else True
+            primary_ok, choice = self._attempt(
+                self.policy, signatures, session, is_fallback=False
             )
-            if primary_allowed:
-                primary_ok, choice = self._attempt(
-                    self.policy, signatures, session, is_fallback=False
-                )
-                if primary_ok:
-                    policy_used = self.policy.name
+            if primary_ok:
+                policy_used = self.policy.name
             else:
-                t.counter("degraded_decisions").inc()
-
-            if not (primary_allowed and primary_ok):
                 used_fallback = True
                 t.counter("fallbacks").inc()
                 choice = None
-                fallback_allowed = self.fallback is not None and (
-                    self._fallback_breaker.allow() if self._fallback_breaker else True
-                )
-                if fallback_allowed:
+                if self.fallback is not None:
                     fallback_ok, choice = self._attempt(
                         self.fallback, signatures, session, is_fallback=True
                     )
@@ -254,8 +206,6 @@ class DecisionEngine:
                         policy_used = self.fallback.name
                     else:
                         choice = None
-                elif self.fallback is not None:
-                    t.counter("conservative_decisions").inc()
 
             elapsed = time.perf_counter() - start
             overrun = (
@@ -264,13 +214,8 @@ class DecisionEngine:
             )
             if overrun:
                 t.counter("deadline_overruns").inc()
-            if self._primary_breaker is not None and primary_ok is not None:
-                self._primary_breaker.record(primary_ok and not overrun)
-            if self._fallback_breaker is not None and fallback_ok is not None:
-                self._fallback_breaker.record(fallback_ok and not overrun)
             t.histogram("decision_latency_s").observe(elapsed)
             t.counter("admissions" if choice is not None else "servers_opened").inc()
-            self._update_mode()
             t.counter("decisions", policy=policy_used, mode=self.mode.value).inc()
             span.set(
                 policy=policy_used,
@@ -304,54 +249,6 @@ class DecisionEngine:
 
     # ------------------------------------------------------------------
 
-    def _update_mode(self) -> None:
-        """Re-derive the health mode from the breaker states, logging changes."""
-        if self._primary_breaker is None:
-            return
-        if self._primary_breaker.state is BreakerState.CLOSED:
-            mode = Mode.NORMAL
-        elif self.fallback is not None and (
-            self._fallback_breaker is None
-            or self._fallback_breaker.state is BreakerState.CLOSED
-            or self._fallback_breaker.state is BreakerState.HALF_OPEN
-        ):
-            mode = Mode.DEGRADED
-        else:
-            mode = Mode.CONSERVATIVE
-        if mode is not self.mode:
-            change = {
-                "decision": self.telemetry.counter("requests").value,
-                "from": self.mode.value,
-                "to": mode.value,
-            }
-            self.mode_transitions.append(change)
-            self.telemetry.counter("mode_transitions").inc()
-            self.telemetry.event("mode_transition", **change)
-            self.tracer.instant("mode_transition", **change)
-            self.mode = mode
-        self.telemetry.gauge("mode_level").set(
-            {"normal": 0, "degraded": 1, "conservative": 2}[mode.value]
-        )
-
-    def resilience_snapshot(self) -> dict:
-        """JSON-able resilience state: mode, transitions, breakers, budget."""
-        breakers = {}
-        trips = recoveries = 0
-        for breaker in (self._primary_breaker, self._fallback_breaker):
-            if breaker is not None:
-                breakers[breaker.name] = breaker.to_dict()
-                trips += breaker.trips
-                recoveries += breaker.recoveries
-        return {
-            "enabled": self._primary_breaker is not None,
-            "mode": self.mode.value,
-            "mode_transitions": list(self.mode_transitions),
-            "decision_deadline_s": self.decision_deadline_s,
-            "trips": trips,
-            "recoveries": recoveries,
-            "breakers": breakers,
-        }
-
     def caches(self) -> dict[str, object]:
         """Prediction caches attached to the policies, keyed by policy name.
 
@@ -363,3 +260,17 @@ class DecisionEngine:
             if cache is not None and callable(getattr(cache, "stats", None)):
                 out[policy.name] = cache
         return out
+
+
+def drop_mode(node):
+    """``node`` (a span record, snapshot or report) without ``mode`` keys.
+
+    This engine labels every ``decisions`` count and ``admission`` span
+    with its health mode; the current engine has no modes.  Stripping the
+    label is the one normalization the parity tests apply to this side.
+    """
+    if isinstance(node, dict):
+        return {key: drop_mode(value) for key, value in node.items() if key != "mode"}
+    if isinstance(node, list):
+        return [drop_mode(value) for value in node]
+    return node

@@ -232,8 +232,6 @@ class TestServeResilience:
                 "0.35",
                 "--crash-rate",
                 "0.05",
-                "--breaker-threshold",
-                "0.3",
                 "--trace-seed",
                 "13",
             ]
@@ -245,11 +243,16 @@ class TestServeResilience:
         assert counters["faults_injected"] > 0
         assert counters["server_crashes"] > 0
         assert counters["requests"] == 200 + counters.get("readmissions", 0)
-        assert payload["resilience"]["enabled"] is True
-        assert payload["resilience"]["breakers"]["primary"]["transitions"]
+        # Every injected fault fell through to worst-fit on its own decision.
+        assert counters["fallbacks"] == counters["policy_errors"] > 0
+        assert payload["resilience"] == {
+            "crash_rate": 0.05,
+            "server_crashes": counters["server_crashes"],
+            "sessions_evicted": counters["sessions_evicted"],
+            "readmissions": counters["readmissions"],
+        }
         assert payload["config"]["fault_rate"] == 0.35
         assert payload["config"]["crash_rate"] == 0.05
-        assert payload["config"]["breaker_threshold"] == 0.3
 
     def test_zero_fault_flags_match_plain_serve(self, predictor_path, capsys):
         base = [
@@ -271,9 +274,11 @@ class TestServeResilience:
         )
         chaosless = json.loads(capsys.readouterr().out)
         assert plain["placements"] == chaosless["placements"]
-        assert chaosless["resilience"]["trips"] == 0
+        assert plain["resilience"] == chaosless["resilience"]
 
-    def test_decision_deadline_flag(self, predictor_path, capsys):
+    def test_decision_latency_histogram_counts_every_decision(
+        self, predictor_path, capsys
+    ):
         rc = main(
             [
                 "serve",
@@ -283,15 +288,13 @@ class TestServeResilience:
                 "30",
                 "--policy",
                 "worst-fit",
-                "--decision-deadline-ms",
-                "1e-9",
             ]
         )
         assert rc == 0
         payload = json.loads(capsys.readouterr().out)
         counters = payload["telemetry"]["counters"]
-        assert counters["deadline_overruns"] == counters["requests"]
-        assert payload["resilience"]["trips"] >= 1
+        latency = payload["telemetry"]["histograms"]["decision_latency_s"]
+        assert latency["count"] == counters["requests"] == 30
 
     def test_bad_fault_rate_is_clean_error(self, predictor_path, capsys):
         rc = main(

@@ -16,7 +16,7 @@ def _workload(tracer):
                 cache.set(hits=2, misses=1)
             with tracer.span("predict", batched=1):
                 pass
-        tracer.instant("mode_transition", to="degraded")
+        tracer.instant("shard_readmitted", shard=1)
     with tracer.span("request", index=1) as root:
         root.set(server_id=3)
 
@@ -79,8 +79,8 @@ class TestSpanNesting:
     def test_instant_is_zero_length_child(self):
         tracer = Tracer(clock=TickClock())
         with tracer.span("request") as root:
-            tracer.instant("breaker_transition", to="open")
-        marker = next(s for s in tracer.spans if s.name == "breaker_transition")
+            tracer.instant("server_crash", server_id=3)
+        marker = next(s for s in tracer.spans if s.name == "server_crash")
         assert marker.parent_id == root.span_id
         assert marker.duration_s == 0.0
 

@@ -2,8 +2,7 @@
 
 Covers the fleet bookkeeping verbs, the strict engine mode the offline
 frontend runs with, the canonical signature helpers, and the
-same-seed determinism contract: a chaos serving run (faults + breaker +
-crashes) replayed under a fixed seed produces byte-identical telemetry
+same-seed determinism contract: a chaos serving run (faults + crashes) replayed under a fixed seed produces byte-identical telemetry
 once wall-clock histograms are stripped.
 """
 
@@ -36,7 +35,6 @@ from repro.placement import (
 from repro.placement.signature import PoolView, index_of
 from repro.scheduling.dynamic import generate_sessions, simulate_sessions
 from repro.serving import (
-    BreakerConfig,
     FaultInjector,
     PredictionCache,
     RequestBroker,
@@ -596,13 +594,6 @@ class TestSameSeedDeterminism:
             policy,
             fallback=fallback,
             telemetry=injector.telemetry,
-            breaker=BreakerConfig(
-                failure_threshold=0.3,
-                window=10,
-                min_requests=5,
-                cooldown=10,
-                probe_window=2,
-            ),
         )
         broker = RequestBroker(controller, crash_rate=0.1, crash_seed=77)
         return broker.run(sessions)

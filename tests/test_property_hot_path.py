@@ -1,8 +1,8 @@
 """Invariants of the admission hot path's incremental bookkeeping.
 
 Each structure here keeps, as it changes, a value the code used to
-recompute from scratch: the signature index's pool order, the circuit
-breaker's failure count, the histogram's bucket (a bisect, not a loop),
+recompute from scratch: the signature index's pool order, the
+histogram's bucket (a bisect, not a loop),
 the cache's batched probe, the VBP judge's demand vectors and the
 engine's bound instruments, and the interned entries of the cache keys.
 Every property pins the kept value to the recomputation it replaced.
@@ -22,8 +22,6 @@ from repro.baselines import VBPJudge
 from repro.core.training import ColocationSpec
 from repro.games.resolution import PRESET_RESOLUTIONS
 from repro.obs.metrics import DEFAULT_LATENCY_BUCKETS, LatencyHistogram, Telemetry
-from repro.placement import BreakerConfig
-from repro.placement.breaker import BreakerState, CircuitBreaker
 from repro.placement.cache import PredictionCache
 from repro.placement.engine import DecisionEngine
 from repro.placement.fleet import Session
@@ -88,44 +86,6 @@ class TestSignatureIndexOrder:
         assert [g.signature for g in index.open_groups(5)] == [("c",), ("b",), ("a",)]
         index.move(1, ("a",))  # joins a below its first id: a starts at 1
         assert [g.ids for g in index.open_groups(5)] == [[0], [1, 2]]
-
-
-# ----------------------------------------------------------------------
-# CircuitBreaker: a running failure count.
-
-outcomes = st.lists(st.booleans(), min_size=1, max_size=120)
-BREAKER = BreakerConfig(
-    failure_threshold=0.5, window=6, min_requests=3, cooldown=2, probe_window=2
-)
-
-
-def _drive(breaker, oks):
-    for ok in oks:
-        if breaker.allow():
-            breaker.record(ok)
-        window = list(breaker._outcomes)
-        failures = sum(not ok for ok in window)
-        assert breaker._failures == failures
-        assert breaker.failure_rate == (failures / len(window) if window else 0.0)
-
-
-class TestBreakerRunningCount:
-    @given(outcomes)
-    @settings(max_examples=200, deadline=None)
-    def test_count_equals_recomputed_sum(self, oks):
-        _drive(CircuitBreaker(BREAKER), oks)
-
-    def test_count_survives_a_full_cycle(self):
-        breaker = CircuitBreaker(BREAKER)
-        # Fill past the window, trip, wait out the cooldown, probe back.
-        _drive(breaker, [True] * 7 + [False, True, False, False])
-        assert breaker.state is BreakerState.OPEN
-        _drive(breaker, [True] * 4)
-        assert breaker.state is BreakerState.CLOSED
-        assert [t["to"] for t in breaker.transitions] == [
-            "open", "half_open", "closed",
-        ]
-        _drive(breaker, [False, True] * 4)  # and the window slides again
 
 
 # ----------------------------------------------------------------------
@@ -335,5 +295,5 @@ class TestBoundInstruments:
             assert snapshot["counters"] == {"requests": n, "servers_opened": n}
             assert snapshot["histograms"]["decision_latency_s"]["count"] == n
             assert snapshot["labeled"]["counters"]["decisions"] == [
-                {"labels": {"policy": "dedicated", "mode": "normal"}, "value": n}
+                {"labels": {"policy": "dedicated"}, "value": n}
             ]

@@ -1,35 +1,31 @@
-"""Chaos suite: fault injection, degraded modes, and server crashes.
+"""Chaos suite: fault injection, per-decision fallthrough, server crashes.
 
 The load-bearing properties: a fully zero-rate injector is a perfect
 pass-through (placements equal a plain, unwrapped policy's),
 every injected failure mode is absorbed by the admission fallback chain
-(the broker never sees an exception), the breaker state machine walks
-NORMAL -> DEGRADED -> CONSERVATIVE and back deterministically, and server
+(the broker never sees an exception), a failed decision falls through to
+the next policy while the next arrival asks the primary again, and server
 crashes re-admit every evicted session.
 """
 
 import json
+from types import SimpleNamespace
 
 import pytest
 
 from repro.scheduling.dynamic import generate_sessions
 from repro.serving import (
-    BreakerConfig,
     CMFeasiblePolicy,
     DecisionEngine,
     DedicatedPolicy,
     FaultInjector,
     InjectedFault,
-    Mode,
     PredictionCache,
     RequestBroker,
     WorstFitPolicy,
     build_policy,
 )
-
-CHAOS_BREAKER = BreakerConfig(
-    failure_threshold=0.3, window=10, min_requests=5, cooldown=10, probe_window=2
-)
+from repro.sharding import ShardConfig, build_shard_brokers
 
 
 class _FailsFirstN:
@@ -167,73 +163,41 @@ class TestWholeColocationFaults:
 
 
 class TestDegradedModes:
-    def test_trip_degrade_recover(self):
-        config = BreakerConfig(
-            failure_threshold=0.5, window=4, min_requests=2, cooldown=3, probe_window=2
-        )
-        controller = DecisionEngine(
-            _FailsFirstN(4), fallback=_OpensServer(), breaker=config
-        )
-        for _ in range(25):
-            decision = controller.decide([], object())
-            assert decision.server is None  # opener/dedicated both open
-        assert controller.mode is Mode.NORMAL  # healed and recovered
-        snap = controller.resilience_snapshot()
-        assert snap["trips"] >= 1
-        assert snap["recoveries"] >= 1
-        modes = [t["to"] for t in snap["mode_transitions"]]
-        assert "degraded" in modes
-        assert modes[-1] == "normal"
-        # Breaker transitions are mirrored into the telemetry event log.
-        events = controller.telemetry.snapshot()["events"]
-        assert any(e["event"] == "breaker_transition" for e in events)
-        assert any(e["event"] == "mode_transition" for e in events)
+    def test_fallthrough_then_immediate_recovery(self):
+        primary = _FailsFirstN(4)
+        controller = DecisionEngine(primary, fallback=_OpensServer())
+        decisions = [controller.decide([], object()) for _ in range(25)]
+        assert all(d.server is None for d in decisions)  # both open a server
+        # Each failing decision fell through to the fallback; the first
+        # arrival after the primary healed is the primary's again.
+        assert [d.policy for d in decisions[:5]] == ["opener"] * 4 + ["flaky"]
+        assert [d.fallback for d in decisions] == [True] * 4 + [False] * 21
+        assert all(d.policy == "flaky" for d in decisions[4:])
+        assert primary.calls == 25  # asked on every arrival, never skipped
+        counters = controller.telemetry.snapshot()["counters"]
+        assert counters["policy_errors"] == counters["fallbacks"] == 4
 
     def test_conservative_when_both_policies_fail(self):
-        config = BreakerConfig(
-            failure_threshold=0.5, window=4, min_requests=2, cooldown=5, probe_window=2
-        )
-        controller = DecisionEngine(
-            _AlwaysFails(), fallback=_AlwaysFails(), breaker=config
-        )
-        saw_conservative = False
+        controller = DecisionEngine(_AlwaysFails(), fallback=_AlwaysFails())
         for _ in range(30):
             decision = controller.decide([], object())
             assert decision.server is None
             assert decision.policy == "dedicated"
-            saw_conservative = saw_conservative or controller.mode is Mode.CONSERVATIVE
-        assert saw_conservative
         counters = controller.telemetry.snapshot()["counters"]
-        assert counters["degraded_decisions"] > 0
-        assert counters["conservative_decisions"] > 0
+        assert counters["policy_errors"] == counters["fallback_errors"] == 30
+        labeled = controller.telemetry.snapshot()["labeled"]["counters"]
+        assert labeled["decisions"] == [
+            {"labels": {"policy": "dedicated"}, "value": 30}
+        ]
 
-    def test_deadline_overruns_trip_breaker(self):
-        config = BreakerConfig(
-            failure_threshold=0.5, window=4, min_requests=2, cooldown=50, probe_window=2
-        )
-        controller = DecisionEngine(
-            _OpensServer(),
-            fallback=_OpensServer(),
-            breaker=config,
-            decision_deadline_s=1e-12,  # everything overruns
-        )
-        for _ in range(10):
-            assert controller.decide([], object()).server is None
-        counters = controller.telemetry.snapshot()["counters"]
-        assert counters["deadline_overruns"] == counters["requests"]
-        assert controller.mode is not Mode.NORMAL
-
-    def test_deadline_validation(self):
-        with pytest.raises(ValueError, match="decision_deadline_s"):
-            DecisionEngine(_OpensServer(), decision_deadline_s=0)
-
-    def test_no_breaker_keeps_legacy_shape(self):
-        controller = DecisionEngine(_OpensServer())
-        controller.decide([], object())
-        snap = controller.resilience_snapshot()
-        assert snap["enabled"] is False
-        assert snap["mode"] == "normal"
-        assert snap["breakers"] == {}
+    def test_resilience_section_is_crash_accounting(self):
+        report = RequestBroker(DecisionEngine(_OpensServer())).run([])
+        assert report.resilience == {
+            "crash_rate": 0.0,
+            "server_crashes": 0,
+            "sessions_evicted": 0,
+            "readmissions": 0,
+        }
 
 
 class TestServerCrashes:
@@ -306,10 +270,7 @@ class TestChaosEndToEnd:
             injector=injector,
         )
         controller = DecisionEngine(
-            policy,
-            fallback=fallback,
-            telemetry=injector.telemetry,
-            breaker=CHAOS_BREAKER,
+            policy, fallback=fallback, telemetry=injector.telemetry
         )
         broker = RequestBroker(controller, crash_rate=0.05, crash_seed=31)
         report = broker.run(sessions)  # zero uncaught exceptions
@@ -323,13 +284,8 @@ class TestChaosEndToEnd:
         decisions = counters["requests"]
         assert decisions == 220 + counters["readmissions"]
         assert counters["admissions"] + counters["servers_opened"] == decisions
-        # Breaker state transitions made it into telemetry.
-        assert report.resilience["trips"] >= 1
-        assert report.resilience["breakers"]["primary"]["transitions"]
-        assert any(
-            e["event"] == "breaker_transition"
-            for e in report.telemetry["events"]
-        )
+        # Every primary error fell through on its own decision.
+        assert counters["fallbacks"] == counters["policy_errors"]
         # The whole report stays JSON-able.
         json.dumps(report.to_dict())
 
@@ -347,10 +303,7 @@ class TestChaosEndToEnd:
             injector=injector,
         )
         controller = DecisionEngine(
-            primary,
-            fallback=fallback,
-            telemetry=injector.telemetry,
-            breaker=CHAOS_BREAKER,
+            primary, fallback=fallback, telemetry=injector.telemetry
         )
         report = RequestBroker(controller, crash_rate=0.03, crash_seed=32).run(
             sessions
@@ -379,11 +332,7 @@ class TestChaosEndToEnd:
             injector=injector,
         )
         controller = DecisionEngine(
-            policy,
-            fallback=fallback,
-            telemetry=injector.telemetry,
-            breaker=CHAOS_BREAKER,
-            decision_deadline_s=60.0,
+            policy, fallback=fallback, telemetry=injector.telemetry
         )
         report = RequestBroker(controller, crash_rate=0.0, crash_seed=33).run(
             sessions
@@ -397,9 +346,91 @@ class TestChaosEndToEnd:
         counters = report.telemetry["counters"]
         assert counters.get("faults_injected", 0) == 0
         assert counters.get("policy_errors", 0) == 0
-        assert report.resilience["trips"] == 0
-        assert report.resilience["mode"] == "normal"
+        assert counters.get("fallbacks", 0) == 0
         assert report.readmissions == []
+
+
+class _OutageClassifier:
+    """A classifier whose model calls raise while :attr:`arrival` is in
+    ``outage``; logs the arrival of every call it answers or refuses."""
+
+    def __init__(self, inner, outage: range):
+        self.inner = inner
+        self.outage = outage
+        self.arrival = -1
+        self.calls: list[int] = []
+
+    def predict_from_features(self, X):
+        self.calls.append(self.arrival)
+        if self.arrival in self.outage:
+            raise RuntimeError("model server down")
+        return self.inner.predict_from_features(X)
+
+    def __getattr__(self, name):
+        return getattr(self.inner, name)
+
+
+class TestPredictorOutage:
+    """A predictor outage costs only the decisions it covers."""
+
+    WARM, OUTAGE = 60, 20
+
+    def _serve(self, minilab, trace, config, classifier=None):
+        predictor = minilab.predictor
+        if classifier is not None:
+            predictor = SimpleNamespace(
+                db=predictor.db, classifier=classifier, regressor=predictor.regressor
+            )
+        (broker,) = build_shard_brokers(predictor, 1, config)
+        broker.start()
+        records = []
+        for index, session in enumerate(trace):
+            if classifier is not None:
+                classifier.arrival = index
+            records.append(broker.submit(session, index))
+        return records, broker.finish()
+
+    def test_recovery_starts_with_the_first_healthy_arrival(self, minilab):
+        k = self.WARM
+        trace = generate_sessions(minilab.names, 140, arrival_rate=6.0, seed=41)
+        classifier = _OutageClassifier(
+            minilab.predictor.classifier, range(k, k + self.OUTAGE)
+        )
+        # No cache: every candidate is a model call, so every arrival in
+        # the window with a candidate server fails.
+        config = ShardConfig(cache_size=0, seed=41)
+        records, report = self._serve(minilab, trace, config, classifier)
+        refused = sorted(set(classifier.calls) & set(range(k, k + self.OUTAGE)))
+        assert len(refused) >= self.OUTAGE // 2
+        for index in refused:
+            assert (records[index].policy, records[index].fallback) == (
+                "worst-fit",
+                True,
+            )
+        after = records[k + self.OUTAGE]
+        assert k + self.OUTAGE in classifier.calls  # the primary was asked
+        assert (after.policy, after.fallback) == ("cm-feasible", False)
+        assert all(not r.fallback for r in records[k + self.OUTAGE :])
+        counters = report.telemetry["counters"]
+        assert counters["fallbacks"] == counters["policy_errors"] == len(refused)
+
+    def test_total_outage_places_like_worst_fit(self, minilab):
+        trace = generate_sessions(minilab.names, 200, arrival_rate=6.0, seed=42)
+        _, down = self._serve(minilab, trace, ShardConfig(fault_rate=1.0, seed=42))
+        _, worst = self._serve(minilab, trace, ShardConfig(policy="worst-fit", seed=42))
+
+        def placed(report):
+            return [(p.choice, p.server_id) for p in report.placements]
+
+        assert placed(down) == placed(worst)
+        assert down.servers_opened == worst.servers_opened
+        assert down.peak_servers == worst.peak_servers
+        counters = down.telemetry["counters"]
+        # Every arrival with a candidate server fell through to worst-fit;
+        # the rest (an empty or full pool) never reached the predictor.
+        assert counters["fallbacks"] == counters["policy_errors"]
+        assert counters["fallbacks"] == sum(p.fallback for p in down.placements)
+        assert counters["fallbacks"] >= len(trace) // 2
 
 
 class TestFallbackChainCounters:

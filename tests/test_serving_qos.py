@@ -26,7 +26,6 @@ from repro.obs import (
 from repro.placement.fleet import Session, degraded_to, promoted_to
 from repro.scheduling import generate_sessions
 from repro.serving import (
-    BreakerConfig,
     CMFeasiblePolicy,
     DecisionEngine,
     FaultInjector,
@@ -381,8 +380,8 @@ def flush_spans(tracer):
 
 
 def serve_chaos(minilab, ledger, tracer=None):
-    """Serve 320 sessions through ``ledger`` under faults, crashes, the
-    breaker, downscales and restores, with one planned migration."""
+    """Serve 320 sessions through ``ledger`` under faults, crashes,
+    downscales and restores, with one planned migration."""
     from tests.test_serving_degrade import LADDER
 
     telemetry = Telemetry()
@@ -396,9 +395,6 @@ def serve_chaos(minilab, ledger, tracer=None):
         ),
         fallback=WorstFitPolicy(minilab.vbp),
         telemetry=telemetry,
-        breaker=BreakerConfig(
-            failure_threshold=0.5, window=12, min_requests=4, cooldown=10
-        ),
         downscale_ladder=LADDER,
     )
     broker = RequestBroker(

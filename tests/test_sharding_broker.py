@@ -88,7 +88,7 @@ class TestShardsOneParity:
 
     @staticmethod
     def _unsharded(predictor, sessions):
-        from repro.placement import BreakerConfig, PredictionCache, build_policy
+        from repro.placement import PredictionCache, build_policy
 
         telemetry = Telemetry()
         policy, fallback = build_policy(
@@ -98,12 +98,7 @@ class TestShardsOneParity:
             cache=PredictionCache(4096),
             max_colocation=4,
         )
-        controller = DecisionEngine(
-            policy,
-            fallback=fallback,
-            telemetry=telemetry,
-            breaker=BreakerConfig(failure_threshold=0.5),
-        )
+        controller = DecisionEngine(policy, fallback=fallback, telemetry=telemetry)
         return RequestBroker(controller).run(sessions)
 
     def test_identical_telemetry_and_decisions(self, predictor, trace):

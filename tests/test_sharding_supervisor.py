@@ -19,6 +19,7 @@ import json
 import pytest
 
 from repro.games.resolution import Resolution
+from repro.obs import Telemetry, Tracer
 from repro.scheduling import generate_sessions
 from repro.sharding import (
     InjectionWindow,
@@ -33,7 +34,8 @@ from repro.sharding import (
     parse_outage_window,
     windowed_rate,
 )
-from repro.sharding.supervisor import RECOVERY_BUCKETS
+from repro.sharding.router import ShardRouter
+from repro.sharding.supervisor import COOLDOWN_CHUNKS, MAX_RETRIES, RECOVERY_BUCKETS
 
 
 def _strip_wall_clock(snapshot: dict) -> dict:
@@ -407,12 +409,24 @@ class TestSupervisionReport:
         )
         return _run(predictor, trace, chaos=chaos)
 
-    def test_breaker_timeline_shows_full_cycle(self, killed_report):
-        transitions = killed_report.supervision["breakers"]["1"]["transitions"]
-        states = [(t["from"], t["to"]) for t in transitions]
-        assert ("closed", "open") in states
-        assert ("open", "half_open") in states
-        assert ("half_open", "closed") in states
+    def test_outage_timeline_shows_full_cycle(self, killed_report):
+        events = [
+            e
+            for e in killed_report.coordinator["events"]
+            if e["event"] in ("shard_outage", "shard_readmitted")
+        ]
+        assert {e["shard"] for e in events} == {1}  # the one targeted shard
+        kinds = [e["event"] for e in events]
+        # Outages and readmissions alternate, starting with an outage.
+        assert kinds[:2] == ["shard_outage", "shard_readmitted"]
+        assert kinds[::2] == ["shard_outage"] * len(kinds[::2])
+        assert kinds[1::2] == ["shard_readmitted"] * len(kinds[1::2])
+        counters = killed_report.coordinator["counters"]
+        assert kinds.count("shard_outage") == counters["ring_ejections"]
+        assert kinds.count("shard_readmitted") == counters["ring_readmissions"]
+        for event in events[1::2]:
+            assert event["down_chunks"] >= COOLDOWN_CHUNKS
+        assert "breakers" not in killed_report.supervision
 
     def test_supervision_section_in_report_dict(self, killed_report):
         payload = killed_report.to_dict()
@@ -432,11 +446,9 @@ class TestSupervisionReport:
         entries = killed_report.telemetry["labeled"]["counters"]["admissions"]
         labels = {e["labels"]["shard"]: e["labels"]["health"] for e in entries}
         assert set(labels) == {"0", "1", "2", "3"}
-        assert set(labels.values()) <= {"healthy", "ejected", "probing"}
+        assert set(labels.values()) <= {"healthy", "ejected"}
 
     def test_supervise_and_failover_spans_traced(self, predictor, trace):
-        from repro.obs import Tracer
-
         tracer = Tracer(enabled=True)
         brokers = build_shard_brokers(predictor, 4, ShardConfig(seed=3))
         chaos = ShardChaosConfig(
@@ -458,6 +470,88 @@ class TestSupervisionReport:
         failover = next(s for s in tracer.spans if s.name == "failover")
         assert failover.attributes["shard"] == 1
         assert "destinations" in failover.attributes
+
+
+class _ScriptedChaos:
+    """Probe answers scripted per shard by barrier; logs every probe."""
+
+    def __init__(self, n_shards: int, down: dict[int, set[int]]):
+        self.n_shards = n_shards
+        self.config = ShardChaosConfig(flake_rate=0.5)  # any active config
+        self.down = down
+        self.barrier = 0
+        self.probes: list[tuple[int, int]] = []  # (barrier, shard)
+
+    def begin_barrier(self, now: float) -> None:
+        self.barrier += 1
+
+    def probe(self, shard_id: int) -> bool:
+        self.probes.append((self.barrier, shard_id))
+        return self.barrier not in self.down.get(shard_id, set())
+
+
+class _IdleBroker:
+    """A shard with nothing to fail over."""
+
+    class fleet:
+        n_live = 0
+
+        @staticmethod
+        def server_ids():
+            return []
+
+
+class TestRecoveryTiming:
+    """Ejection, readmission probes and recovery lengths, barrier by barrier."""
+
+    def _tick(self, down, n_barriers, n_shards=3):
+        chaos = _ScriptedChaos(n_shards, down)
+        supervisor = ShardSupervisor(chaos)
+        telemetry = Telemetry()
+        supervisor.bind(n_shards, telemetry, Tracer())
+        router = ShardRouter(n_shards)
+        brokers = [_IdleBroker()] * n_shards
+        members = []
+        for barrier in range(1, n_barriers + 1):
+            supervisor.tick(brokers, router, now=float(barrier), index=barrier)
+            members.append(sorted(router.shard_ids))
+        return chaos, supervisor, telemetry.snapshot(), members
+
+    def test_first_probe_cooldown_barriers_after_ejection(self):
+        chaos, supervisor, snapshot, members = self._tick({1: {2}}, 6)
+        probes = [b for b, shard in chaos.probes if shard == 1]
+        # Barrier 2: the failed probe and its retries eject it; barrier
+        # 2 + COOLDOWN_CHUNKS: the first readmission probe, which passes.
+        assert COOLDOWN_CHUNKS == 2
+        assert probes == [1] + [2] * (1 + MAX_RETRIES) + [4, 5, 6]
+        assert [1 in m for m in members] == [True, False, False, True, True, True]
+        readmitted = [e for e in snapshot["events"] if e["event"] == "shard_readmitted"]
+        assert [(e["shard"], e["down_chunks"]) for e in readmitted] == [(1, 2)]
+        hist = snapshot["histograms"]["shard_recovery_chunks"]
+        assert (hist["count"], hist["total_s"]) == (1, 2)
+        assert "readmit_probes_failed" not in snapshot["counters"]
+        assert supervisor.health_of(1) == "healthy"
+
+    def test_failed_probe_rearms_the_countdown(self):
+        chaos, supervisor, snapshot, members = self._tick({1: {2, 4, 6}}, 9)
+        probes = [b for b, shard in chaos.probes if shard == 1]
+        assert probes == [1] + [2] * (1 + MAX_RETRIES) + [4, 6, 8, 9]
+        assert [1 in m for m in members] == [True] + [False] * 6 + [True, True]
+        assert snapshot["counters"]["readmit_probes_failed"] == 2
+        readmitted = [e for e in snapshot["events"] if e["event"] == "shard_readmitted"]
+        assert [(e["shard"], e["down_chunks"]) for e in readmitted] == [(1, 6)]
+        hist = snapshot["histograms"]["shard_recovery_chunks"]
+        assert (hist["count"], hist["total_s"]) == (1, 6)
+
+    def test_ejected_shard_reports_ejected_until_readmitted(self):
+        _, supervisor, _, _ = self._tick({1: {2, 4}}, 5)
+        assert supervisor.health_of(1) == "ejected"
+        assert supervisor.snapshot()["health"] == {
+            "0": "healthy",
+            "1": "ejected",
+            "2": "healthy",
+        }
+        assert supervisor.snapshot()["ejected"] == [1]
 
 
 class TestRebalancerHealthySubset:

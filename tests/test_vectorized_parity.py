@@ -30,7 +30,6 @@ from repro.ml.packed import pack_trees, raw_thresholds
 from repro.ml.preprocessing import StandardScaler
 from repro.ml.tree import DecisionTreeClassifier, DecisionTreeRegressor, _Tree
 from repro.obs import QoSLedger, Telemetry
-from repro.placement import BreakerConfig
 from repro.placement.cache import PredictionCache
 from repro.placement.fleet import FleetState, Session
 from repro.placement.policies import (
@@ -918,7 +917,7 @@ class _LinearWorstFit(WorstFitPolicy):
 class TestGroupedScanUnderChaos:
     """A ``ledger_churn``-shaped run decides, counts and draws identically.
 
-    Crashes and readmissions, predictor errors, breakers, a downscale
+    Crashes and readmissions, predictor errors, a downscale
     ladder with its restore loop, and the QoS ledger over an evicting
     cache: an extra or missing predictor call shifts the fault RNG stream,
     so equal reports mean the grouped scan asks the predictor the same
@@ -942,9 +941,6 @@ class TestGroupedScanUnderChaos:
             ),
             fallback=worst_fit(minilab.vbp),
             telemetry=telemetry,
-            breaker=BreakerConfig(
-                failure_threshold=0.5, window=12, min_requests=4, cooldown=10
-            ),
             downscale_ladder=LADDER,
         )
         ledger = QoSLedger(
