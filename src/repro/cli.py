@@ -10,7 +10,7 @@ Wraps the library's offline/online workflow in seven subcommands::
     python -m repro serve    --predictor predictor.json --requests 500 \\
                              --policy cm-feasible [--trace-out trace.json] \\
                              [--shards 4 --rebalance-interval 2048] \\
-                             [--shard-crash-rate 0.05 --shard-outage-window 10:5:1@2] \\
+                             [--shard-crash-rate 0.05 --shard-outage-chunks 2] \\
                              [--slo-fps 30 --qos-budget 0.05]
     python -m repro metrics  summary|diff|merge|export ...
     python -m repro slo      summary|diff ...
@@ -25,10 +25,10 @@ it is shard 0 of a one-shard stack driven by ``RequestBroker.run`` (so
 its chaos substreams are shard 0's, and ``--shards 1`` reproduces it);
 ``--shards N`` routes the trace across N consistent-hash broker shards
 with optional occupancy rebalancing and emits the shard-labeled merged
-snapshot — see :mod:`repro.sharding`; the ``--shard-crash-rate`` /
-``--shard-flake-rate`` / ``--shard-outage-window`` chaos flags kill whole
-shards on a seeded schedule and engage the shard supervisor (ring
-ejection, session failover, half-open readmission); ``--trace-out``
+snapshot — see :mod:`repro.sharding`; ``--shard-crash-rate`` kills whole
+shards for ``--shard-outage-chunks`` barriers on a seeded schedule and
+engages the shard supervisor (ring ejection, session failover,
+readmission after a cooldown probe); ``--trace-out``
 additionally records a per-request span trace (Chrome trace-event JSON
 by default, Perfetto-loadable).  ``metrics`` post-processes snapshot and
 trace files: human summaries, run-to-run regression diffs with
@@ -177,7 +177,6 @@ _SERVE_RANGES = (
     ("--shards", lambda v: v >= 1, ">= 1"),
     ("--rebalance-interval", lambda v: v >= 1, ">= 1"),
     ("--shard-crash-rate", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
-    ("--shard-flake-rate", lambda v: 0.0 <= v <= 1.0, "in [0, 1]"),
     ("--shard-outage-chunks", lambda v: v >= 1, ">= 1"),
     ("--min-healthy-shards", lambda v: v >= 1, ">= 1"),
     _QOS_RANGE,
@@ -203,8 +202,7 @@ _SERVE_REQUIRES = (
     ),
     (
         "shard chaos flags require --shards",
-        lambda a: a.shards is None
-        and (a.shard_crash_rate or a.shard_flake_rate or a.shard_outage_window),
+        lambda a: a.shards is None and a.shard_crash_rate,
     ),
 )
 
@@ -244,12 +242,10 @@ def _cmd_serve(args) -> int:
         RebalanceConfig,
         Rebalancer,
         ShardChaos,
-        ShardChaosConfig,
         ShardConfig,
         ShardedBroker,
         ShardSupervisor,
         build_shard_brokers,
-        parse_outage_window,
     )
 
     checked = {
@@ -335,20 +331,14 @@ def _cmd_serve(args) -> int:
             if args.rebalance_interval
             else None
         )
-        chaos_config = ShardChaosConfig(
-            outage_rate=args.shard_crash_rate,
-            flake_rate=args.shard_flake_rate,
+        chaos = ShardChaos(
+            n_shards,
+            args.shard_crash_rate,
             outage_chunks=args.shard_outage_chunks,
-            windows=tuple(
-                parse_outage_window(text) for text in args.shard_outage_window
-            ),
             seed=args.trace_seed,
         )
-        if chaos_config.active:
-            supervisor = ShardSupervisor(
-                ShardChaos(chaos_config, n_shards),
-                min_healthy=args.min_healthy_shards,
-            )
+        if chaos.active:
+            supervisor = ShardSupervisor(chaos, min_healthy=args.min_healthy_shards)
         report = ShardedBroker(
             brokers,
             rebalancer=rebalancer,
@@ -387,7 +377,7 @@ def _cmd_serve(args) -> int:
     # Optional keys appear only when their feature ran, so reports from
     # runs without it stay byte-identical to previous releases.
     if supervisor is not None:
-        config["shard_chaos"] = chaos_config.to_dict()
+        config["shard_chaos"] = chaos.to_dict()
         config["min_healthy_shards"] = args.min_healthy_shards
     if slo_fps is not None:
         config["slo_fps"] = slo_fps
@@ -610,21 +600,6 @@ def build_parser() -> argparse.ArgumentParser:
         default=0.0,
         help="chaos: per-shard per-chunk probability that a whole shard "
         "drops out of the serving tier (with --shards; see repro.sharding)",
-    )
-    p.add_argument(
-        "--shard-flake-rate",
-        type=float,
-        default=0.0,
-        help="chaos: per-shard per-chunk probability of one failed health "
-        "probe that the next probe survives (with --shards)",
-    )
-    p.add_argument(
-        "--shard-outage-window",
-        action="append",
-        default=[],
-        metavar="START:DURATION:RATE[@SHARD]",
-        help="chaos: extra shard-outage probability while the window is "
-        "open, in trace minutes (repeatable; with --shards)",
     )
     p.add_argument(
         "--shard-outage-chunks",

@@ -49,53 +49,6 @@ class TraceConfig:
             "seed": self.seed,
         }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "TraceConfig":
-        """Rebuild a config from :meth:`to_dict` output, validating shape.
-
-        Malformed configs (non-dict input, unknown keys, wrong value
-        types) raise :class:`ValueError` with a one-line message naming
-        the offending field — never a bare ``TypeError`` traceback — so
-        user-supplied trace files surface as clean CLI errors.
-        """
-        if not isinstance(data, dict):
-            raise ValueError(
-                f"trace config must be a mapping, got {type(data).__name__}"
-            )
-        known = {
-            "n_requests": int,
-            "arrival_rate": float,
-            "mean_duration": float,
-            "mixed_resolutions": bool,
-            "seed": int,
-        }
-        unknown = sorted(set(data) - set(known))
-        if unknown:
-            raise ValueError(
-                f"unknown trace config key(s): {', '.join(unknown)}; "
-                f"expected {', '.join(sorted(known))}"
-            )
-        kwargs = {}
-        for key, value in data.items():
-            want = known[key]
-            if isinstance(value, bool) and want is not bool:
-                raise ValueError(f"trace config {key!r} must be {want.__name__}")
-            # Coercion must not change the value: bool("false") is True
-            # and int(2.7) is 2.
-            lossy = (want is bool and not isinstance(value, bool)) or (
-                want is int and isinstance(value, float) and not value.is_integer()
-            )
-            try:
-                if lossy:
-                    raise ValueError(value)
-                kwargs[key] = want(value)
-            except (TypeError, ValueError) as exc:
-                raise ValueError(
-                    f"trace config {key!r} must be {want.__name__}, "
-                    f"got {value!r}"
-                ) from exc
-        return cls(**kwargs)
-
 
 def generate_trace(names: Sequence[str], config: TraceConfig) -> list[Session]:
     """Sessions over ``names`` as described by ``config`` (deterministic)."""

@@ -7,10 +7,11 @@ N independent broker shards (:class:`ShardedBroker` +
 :func:`build_shard_brokers`), an occupancy-driven :class:`Rebalancer`
 migrates sessions off hot shards between drain chunks, and a
 :class:`ShardSupervisor` keeps the tier alive through whole-shard
-outages — seeded chaos (:class:`ShardChaos`) kills shards, the
-supervisor ejects them from the ring, fails their sessions over, and
-readmits each once a probe after a fixed cooldown finds it healthy.  Per-shard telemetry merges into
-one shard-labeled snapshot; ``repro serve --shards N`` is the CLI
+outages — seeded chaos (:class:`ShardChaos`, whole-shard outages only)
+kills shards, the supervisor probes each shard once per barrier, ejects
+a dead one from the ring, fails its sessions over, and readmits it once
+a probe after a fixed cooldown finds it healthy.  Per-shard telemetry
+merges into one shard-labeled snapshot; ``repro serve --shards N`` is the CLI
 frontend and ``benchmarks/bench_sharded.py`` the scale proof.
 """
 
@@ -20,13 +21,7 @@ from repro.sharding.broker import (
     ShardedReport,
     build_shard_brokers,
 )
-from repro.sharding.chaos import (
-    InjectionWindow,
-    ShardChaos,
-    ShardChaosConfig,
-    parse_outage_window,
-    windowed_rate,
-)
+from repro.sharding.chaos import ShardChaos
 from repro.sharding.rebalance import RebalanceConfig, Rebalancer
 from repro.sharding.ring import HashRing, stable_hash
 from repro.sharding.router import ShardRouter, routing_key
@@ -44,9 +39,5 @@ __all__ = [
     "RebalanceConfig",
     "Rebalancer",
     "ShardChaos",
-    "ShardChaosConfig",
-    "InjectionWindow",
-    "windowed_rate",
-    "parse_outage_window",
     "ShardSupervisor",
 ]

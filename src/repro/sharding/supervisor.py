@@ -6,10 +6,10 @@ every chunk barrier of the :class:`~repro.sharding.ShardedBroker` drain
 loop between the chaos layer's ground truth
 (:class:`~repro.sharding.chaos.ShardChaos`) and the routing ring:
 
-1. **Health probing.**  Every ring member is probed once per barrier.  A
-   failed probe is retried at once up to :data:`MAX_RETRIES` times
-   (``probe_retries``), so transient flakes never touch the ring.
-2. **Ejection + failover.**  A shard that stays unresponsive is ejected
+1. **Health probing.**  Every ring member is probed once per barrier.
+   An outage holds for whole barriers, so a failed probe is never
+   retried: it would fail again.
+2. **Ejection + failover.**  A shard that fails its probe is ejected
    from the consistent-hash ring (``ring_ejections``; remapping is
    minimal by construction) and every live session it hosted is evicted
    through the existing migration primitive
@@ -56,9 +56,6 @@ __all__ = ["ShardSupervisor"]
 #: times are counted in chunk barriers (small integers), not seconds.
 RECOVERY_BUCKETS: tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
 
-#: Immediate re-probes of a failed health probe before the shard counts
-#: as down for this barrier.
-MAX_RETRIES = 2
 #: Barriers between an ejection (or a failed readmission probe) and the
 #: next readmission probe.
 COOLDOWN_CHUNKS = 2
@@ -87,7 +84,7 @@ class ShardSupervisor:
     @property
     def active(self) -> bool:
         """Whether supervision can observably act (a live chaos schedule)."""
-        return self.chaos.config.active
+        return self.chaos.active
 
     def bind(self, n_shards: int, telemetry: Telemetry, tracer: Tracer) -> None:
         """Attach to a tier of ``n_shards``.
@@ -119,7 +116,7 @@ class ShardSupervisor:
     ) -> None:
         """Run one supervision cycle between chunk drains, while :attr:`active`."""
         self._barrier += 1
-        self.chaos.begin_barrier(now)
+        self.chaos.begin_barrier()
         ejected_before = sorted(self._ejected_at)
         healthy = set(router.shard_ids)
         with self.tracer.span(
@@ -130,7 +127,7 @@ class ShardSupervisor:
         ) as span:
             self.telemetry.counter("supervise_cycles").inc()
             for shard_id in sorted(healthy):
-                if self._probe_with_retries(shard_id):
+                if self.chaos.probe(shard_id):
                     continue
                 if len(healthy) <= 1:
                     # Refuse to empty the tier: the last shard serves on
@@ -164,16 +161,6 @@ class ShardSupervisor:
                 )
             self.telemetry.gauge("healthy_shards").set(healthy_now)
             span.set(ejected=len(self._ejected_at), degraded=self.degraded)
-
-    def _probe_with_retries(self, shard_id: int) -> bool:
-        if self.chaos.probe(shard_id):
-            return True
-        for _ in range(MAX_RETRIES):
-            self.telemetry.counter("probe_retries").inc()
-            if self.chaos.probe(shard_id):
-                self.telemetry.counter("shard_flakes_recovered").inc()
-                return True
-        return False
 
     def _eject(
         self,
@@ -291,7 +278,7 @@ class ShardSupervisor:
         """The supervision section of the sharded report."""
         return {
             "config": {"min_healthy": self.min_healthy},
-            "chaos": self.chaos.config.to_dict(),
+            "chaos": self.chaos.to_dict(),
             "degraded": self.degraded,
             "ejected": sorted(self._ejected_at),
             "health": {

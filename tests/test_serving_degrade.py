@@ -198,7 +198,6 @@ class TestDegradedSharded:
             RebalanceConfig,
             Rebalancer,
             ShardChaos,
-            ShardChaosConfig,
             ShardConfig,
             ShardedBroker,
             ShardSupervisor,
@@ -217,9 +216,7 @@ class TestDegradedSharded:
         brokers = build_shard_brokers(
             minilab.predictor, 3, config, catalog=minilab.catalog
         )
-        chaos = ShardChaos(
-            ShardChaosConfig(outage_rate=0.25, outage_chunks=1, seed=9), 3
-        )
+        chaos = ShardChaos(3, 0.25, outage_chunks=1, seed=9)
         broker = ShardedBroker(
             brokers,
             rebalancer=Rebalancer(RebalanceConfig(interval=40), telemetry=telemetry),

@@ -179,11 +179,7 @@ class TestShardedLedger:
             assert qos["sessions"]["close_reasons"].get("migrated", 0) == moved
 
     def test_shard_chaos_conserves_sessions(self, minilab):
-        from repro.sharding import (
-            ShardChaos,
-            ShardChaosConfig,
-            ShardSupervisor,
-        )
+        from repro.sharding import ShardChaos, ShardSupervisor
 
         sessions = generate_sessions(
             minilab.names, 200, arrival_rate=8.0, seed=17
@@ -192,7 +188,7 @@ class TestShardedLedger:
         brokers = build_shard_brokers(
             minilab.predictor, 3, config, catalog=minilab.catalog
         )
-        chaos = ShardChaos(ShardChaosConfig(outage_rate=0.05, seed=17), 3)
+        chaos = ShardChaos(3, 0.05, seed=17)
         supervisor = ShardSupervisor(chaos, min_healthy=1)
         report = ShardedBroker(
             brokers, supervisor=supervisor, chunk_size=32
