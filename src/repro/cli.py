@@ -202,7 +202,15 @@ _SERVE_REQUIRES = (
     ),
     (
         "shard chaos flags require --shards",
-        lambda a: a.shards is None and a.shard_crash_rate,
+        lambda a: a.shards is None
+        and (a.shard_crash_rate or a.shard_outage_chunks or a.min_healthy_shards),
+    ),
+    (
+        # Range checks ran first: a given supervisor setting is >= 1.
+        "--shard-outage-chunks and --min-healthy-shards require a nonzero "
+        "--shard-crash-rate",
+        lambda a: not a.shard_crash_rate
+        and (a.shard_outage_chunks or a.min_healthy_shards),
     ),
 )
 
@@ -252,7 +260,7 @@ def _cmd_serve(args) -> int:
         flag: _checked(args, flag, accepts, wording)
         for flag, accepts, wording in _SERVE_RANGES
     }
-    if args.shards is not None and args.min_healthy_shards > args.shards:
+    if args.shards is not None and (args.min_healthy_shards or 0) > args.shards:
         raise ValueError(
             f"--min-healthy-shards must be <= --shards ({args.shards}), "
             f"got {args.min_healthy_shards}"
@@ -334,11 +342,13 @@ def _cmd_serve(args) -> int:
         chaos = ShardChaos(
             n_shards,
             args.shard_crash_rate,
-            outage_chunks=args.shard_outage_chunks,
+            outage_chunks=args.shard_outage_chunks or 4,
             seed=args.trace_seed,
         )
         if chaos.active:
-            supervisor = ShardSupervisor(chaos, min_healthy=args.min_healthy_shards)
+            supervisor = ShardSupervisor(
+                chaos, min_healthy=args.min_healthy_shards or 1
+            )
         report = ShardedBroker(
             brokers,
             rebalancer=rebalancer,
@@ -378,7 +388,7 @@ def _cmd_serve(args) -> int:
     # runs without it stay byte-identical to previous releases.
     if supervisor is not None:
         config["shard_chaos"] = chaos.to_dict()
-        config["min_healthy_shards"] = args.min_healthy_shards
+        config["min_healthy_shards"] = supervisor.min_healthy
     if slo_fps is not None:
         config["slo_fps"] = slo_fps
         config["qos_budget"] = qos_budget
@@ -604,15 +614,17 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--shard-outage-chunks",
         type=int,
-        default=4,
-        help="chaos: chunk barriers a shard stays down once an outage fires",
+        default=None,
+        help="chaos: chunk barriers a shard stays down once an outage fires "
+        "(default 4; with --shards and a nonzero --shard-crash-rate)",
     )
     p.add_argument(
         "--min-healthy-shards",
         type=int,
-        default=1,
+        default=None,
         help="healthy-shard floor below which routing falls back to "
-        "least-loaded (degraded mode) instead of the hash ring",
+        "least-loaded (degraded mode) instead of the hash ring "
+        "(default 1; with --shards and a nonzero --shard-crash-rate)",
     )
     p.add_argument(
         "--slo-fps",

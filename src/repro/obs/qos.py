@@ -9,19 +9,17 @@ that loop:
 
 * it observes every fleet mutation (placements, departures, crash and
   migration evictions) through the :class:`repro.placement.FleetState`
-  observer hooks,
-* recomputes **ground-truth FPS** for every session in each affected
-  colocation group with the simulator's interference model
-  (:func:`repro.simulator.measurement.run_colocations`; the ledger is
-  also the offline simulator's only scorer) — not inside the hook, where no
-  decision would read it, but when the ledger itself first needs the
-  value, together with every other composition waiting by then and the
-  composition each of their servers will have after its next departure —
-  and
+  observer hooks, which only journal the call — no decision reads the
+  ledger, so booking waits for :meth:`QoSLedger.settle`,
+* settles the journal in bulk: every composition it forms is measured
+  for **ground-truth FPS** with the simulator's interference model in
+  one batch (:func:`repro.simulator.measurement.run_colocations`; the
+  ledger is also the offline simulator's only scorer), every group it
+  claims is priced in a few predictor calls, and the entries are then
+  replayed in order, and
 * fixes each session's **promise** at admission time: the FPS the
   predictor's regression model claimed the session would get in its
-  post-placement group (priced with the next read's batch, or at the
-  session's own close if that comes first).
+  post-placement group.
 
 When a session's record closes (departure, eviction, or end-of-run
 finalization) the ledger books exactly one calibration sample — the
@@ -50,7 +48,6 @@ under any chaos.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING
 
@@ -65,6 +62,7 @@ __all__ = [
     "FPS_RESIDUAL_BUCKETS",
     "QOS_MINUTES_BUCKETS",
     "BURN_RATE_BUCKETS",
+    "SETTLE_EVERY",
     "QoSLedger",
     "build_qos_section",
     "extract_qos",
@@ -92,6 +90,14 @@ BURN_RATE_BUCKETS: tuple[float, ...] = (
     0.1, 0.25, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 20.0,
 )
 
+#: Journal entries a ledger holds before it settles them.  It bounds the
+#: work one fleet mutation can absorb; what is booked never depends on it.
+SETTLE_EVERY = 128
+
+# Groups priced per predictor call in a settle: 90 at once held 2.7 MiB
+# of tree-evaluation temporaries, more than any decision needs.
+_PRICE_SLICE = 16
+
 
 @dataclass
 class _OpenRecord:
@@ -104,9 +110,6 @@ class _OpenRecord:
     genre: str
     opened_at: float
     promised_fps: float = 0.0
-    # (signature, slot) of the newest promise not priced yet; see
-    # :meth:`QoSLedger._claim`.
-    claim: tuple | None = None
     current_fps: float = 0.0
     # Index in the group's canonical ordering; refreshed by every recompute.
     slot: int = 0
@@ -130,6 +133,13 @@ class QoSLedger:
     (the broker wires this when given a ledger) and drive its clock with
     :meth:`advance` before each batch of mutations.  The ledger never
     mutates the fleet; it mirrors membership from the observer callbacks.
+
+    The hooks journal their call with the ledger clock; the books are
+    current after :meth:`settle`, :meth:`finalize` or :meth:`section`,
+    and a journal of :data:`SETTLE_EVERY` entries settles on its own.
+    A caller that logs telemetry events next to the ledger's own
+    (``resolution_change``, ``slo_burn``) logs them through :meth:`event`,
+    so the shared event log keeps the order they happened in.
 
     ``slo_fps`` is the per-session FPS target; ``budget_fraction`` the
     tolerated fraction of a session's lifetime below it (the SLO error
@@ -185,15 +195,11 @@ class QoSLedger:
     # -- lifecycle ------------------------------------------------------
 
     def reset(self) -> "QoSLedger":
-        """Clear per-run state (records, pending marks and claims, the
-        clock), keep caches."""
+        """Clear per-run state (records, the journal, the clock), keep caches."""
         self._servers: dict[int, dict[int, _OpenRecord]] = {}
-        # server id -> (signature, slot-ordered records) of a composition
-        # not measured yet; see :meth:`_flush`.
-        self._pending: dict[int, tuple[tuple, list[_OpenRecord]]] = {}
-        # signature -> records whose promise waits for it, in first-claim
-        # order; see :meth:`_price`.
-        self._claims: dict[tuple, list[_OpenRecord]] = {}
+        # (body, ledger clock, eviction reason, args) of every call not
+        # booked yet, in call order; see :meth:`settle`.
+        self._journal: list[tuple] = []
         self._now = 0.0
         self._evict_reason = "evicted"
         self.opened = 0
@@ -220,16 +226,188 @@ class QoSLedger:
 
     @property
     def open_records(self) -> int:
-        """Records placed but not yet closed."""
+        """Records placed but not yet closed, as of the last settle."""
         return self.opened - self.closed
 
     # -- FleetState observer hooks --------------------------------------
 
     def fleet_placed(self, server_id: int, member_id: int, session: "Session") -> None:
         """A session was placed (admission, readmission, or migration-in)."""
-        now = self._now
+        self._log(self._placed, server_id, member_id, session)
+
+    def fleet_departed(
+        self, server_id: int, member_id: int, session: "Session", when: float
+    ) -> None:
+        """A session departed normally at ``when``."""
+        self._log(self._departed, server_id, member_id, session, when)
+
+    def fleet_evicted(self, server_id: int, members: list) -> None:
+        """A whole server was evicted (crash or planned migration)."""
+        self._log(self._evicted, server_id, members)
+        self._evict_reason = "evicted"
+
+    def fleet_resolution_changed(
+        self, server_id: int, member_id: int, old: "Session", new: "Session"
+    ) -> None:
+        """A member's served resolution changed in place (restore loop)."""
+        self._log(self._resolution_changed, server_id, member_id, old, new)
+
+    def event(self, name: str, **fields) -> None:
+        """Log telemetry event ``name`` in its place among the ledger's own."""
+        self._log(self._event, name, fields)
+
+    def mark_eviction(self, reason: str) -> None:
+        """Label the *next* eviction's close reason (e.g. ``"migrated"``).
+
+        Consumed by the following :meth:`fleet_evicted`; resets to the
+        default ``"evicted"`` afterwards.
+        """
+        self._evict_reason = str(reason)
+
+    def settle(self) -> None:
+        """Book every journaled call, in call order.
+
+        A dry walk of the journal collects the compositions it forms and
+        the groups it claims; the new ones are measured in one batch and
+        priced :data:`_PRICE_SLICE` groups a predictor call; then each
+        entry replays through its hook's body with the clock and eviction
+        reason it was journaled with.  Measurements and prices are pure
+        functions of the group, so how the journal is cut cannot change
+        what it books: accrual, burn events, closes and every float sum
+        run in the same order on the same values.
+        """
+        journal = self._journal
+        if not journal:
+            return
+        self._journal = []
+        with self.tracer.span("qos", op="settle") as span:
+            formed, claimed = self._walk(journal)
+            measured = self._measure(formed)
+            priced = self._price(claimed)
+            span.set(compositions=measured, priced=priced)
+            for body, now, reason, args in journal:
+                body(now, reason, *args)
+
+    def finalize(self) -> None:
+        """Close every still-open record at its own departure time.
+
+        Called when the trace ends: remaining sessions run to their
+        scheduled departures, shrinking each group in departure order so
+        late sessions are credited with the (faster) thinner groups,
+        exactly as the fleet would have retired them.
+        """
+        self.settle()
+        pending = sorted(
+            (record.session.departure, record.member_id, server_id)
+            for server_id, members in self._servers.items()
+            for record in members.values()
+        )
+        for when, member_id, server_id in pending:
+            self._log(self._departed, server_id, member_id, None, when)
+        self.settle()
+        self.telemetry.gauge("qos_open_sessions").set(self.open_records)
+
+    # -- report ---------------------------------------------------------
+
+    def section(self, snapshot: dict | None = None) -> dict:
+        """The ``qos`` report section of this ledger's live registry, or
+        of ``snapshot`` when given (the sharded tier passes its merged
+        one); ``{}`` when nothing was recorded."""
+        self.settle()
+        telemetry = (
+            self.telemetry if snapshot is None else Telemetry.from_snapshot(snapshot)
+        )
+        built = _qos_section(telemetry, self.slo_fps, self.budget_fraction)
+        return built if built is not None else {}
+
+    # -- journal --------------------------------------------------------
+
+    def _log(self, body, *args) -> None:
+        journal = self._journal
+        journal.append((body, self._now, self._evict_reason, args))
+        if len(journal) >= SETTLE_EVERY:
+            self.settle()
+
+    def _walk(self, journal: list) -> tuple[dict, dict]:
+        """Every composition ``journal`` forms, and every group it claims.
+
+        Membership is copied from ``_servers`` per server on first touch
+        (member id -> entry) and mutated the way the bodies will mutate
+        the records.  Both results are insertion-ordered sets.
+        """
+        cls = type(self)
+        copies: dict[int, dict[int, tuple]] = {}
+        formed: dict[tuple, None] = {}
+        claimed: dict[tuple, None] = {}
+        for body, _, _, args in journal:
+            kind = body.__func__
+            if kind is cls._event:
+                continue
+            server_id = args[0]
+            group = copies.get(server_id)
+            if group is None:
+                records = self._servers.get(server_id, {})
+                group = copies[server_id] = {m: r.entry for m, r in records.items()}
+            if kind is cls._evicted:
+                group.clear()
+                continue
+            member_id = args[1]
+            if kind is cls._departed:
+                if group.pop(member_id, None) is not None and group:
+                    formed[tuple(sorted(group.values()))] = None
+            elif kind is cls._placed or member_id in group:
+                # A placement, or a resolution change of a member still there.
+                group[member_id] = self._entry(args[-1])
+                sig = tuple(sorted(group.values()))
+                formed[sig] = claimed[sig] = None
+        return formed, claimed
+
+    def _measure(self, formed) -> int:
+        """Measure the compositions in ``formed`` not measured yet, in one batch."""
+        from repro.core.training import ColocationSpec
+        from repro.simulator.measurement import run_colocations
+
+        sigs = [sig for sig in formed if sig not in self._measured]
+        if sigs:
+            results = run_colocations(
+                [ColocationSpec(sig).instances(self.catalog) for sig in sigs],
+                server=self.server,
+                config=self.config,
+                engine=self._engine,
+            )
+            for sig, result in zip(sigs, results):
+                self._measured[sig] = tuple(float(f) for f in result.fps)
+            self.telemetry.counter("qos_measurements").inc(len(sigs))
+        return len(sigs)
+
+    def _price(self, claimed) -> int:
+        """Price the groups in ``claimed`` not priced yet.
+
+        ``predict_fps_batch([s])[0]`` is bitwise ``predict_fps(s)``, so a
+        price does not depend on its call; calls of at most
+        :data:`_PRICE_SLICE` groups bound the tree evaluation's
+        (trees x rows) arrays.
+        """
+        from repro.core.training import ColocationSpec
+
+        sigs = [sig for sig in claimed if sig not in self._promised]
+        for start in range(0, len(sigs), _PRICE_SLICE):
+            part = sigs[start:start + _PRICE_SLICE]
+            predicted = self.predictor.predict_fps_batch(
+                [ColocationSpec(sig) for sig in part]
+            )
+            for sig, fps in zip(part, predicted):
+                self._promised[sig] = tuple(float(f) for f in fps)
+        if sigs:
+            self.telemetry.counter("qos_predictions").inc(len(sigs))
+        return len(sigs)
+
+    # -- hook bodies: replayed by settle(), with the journaled clock -------
+
+    def _placed(self, now: float, _reason, server_id: int, member_id: int,
+                session: "Session") -> None:
         members = self._servers.setdefault(server_id, {})
-        self._accrue(server_id, members.values(), now)
+        self._accrue(members.values(), now)
         degraded = session.degraded
         record = _OpenRecord(
             member_id=member_id,
@@ -243,36 +421,31 @@ class QoSLedger:
             was_degraded=degraded,
         )
         members[member_id] = record
-        self._claim(record, self._recompute(server_id, members, op="place"))
+        sig = self._recompute(members)
+        record.promised_fps = self._promised[sig][record.slot]
         self.opened += 1
         t = self.telemetry
         t.counter("qos_sessions_opened").inc()
         t.gauge("qos_open_sessions").set(self.open_records)
 
-    def fleet_departed(
-        self, server_id: int, member_id: int, _session: "Session", when: float
-    ) -> None:
-        """A session departed normally at ``when``."""
+    def _departed(self, _now, _reason, server_id: int, member_id: int,
+                  _session: "Session", when: float) -> None:
         members = self._servers.get(server_id)
         if members is None or member_id not in members:
             return
-        self._accrue(server_id, members.values(), when)
+        self._accrue(members.values(), when)
         record = members.pop(member_id)
         self._close(record, reason="departed")
         if members:
-            self._recompute(server_id, members, op="depart")
+            self._recompute(members)
         else:
-            self._forget(server_id)
+            del self._servers[server_id]
 
-    def fleet_evicted(self, server_id: int, members: list) -> None:
-        """A whole server was evicted (crash or planned migration)."""
+    def _evicted(self, now: float, reason: str, server_id: int, members: list) -> None:
         open_members = self._servers.pop(server_id, None)
         if open_members is None:
             return
-        now = self._now
-        self._accrue(server_id, open_members.values(), now)
-        reason = self._evict_reason
-        self._evict_reason = "evicted"
+        self._accrue(open_members.values(), now)
         for member_id, _ in members:
             record = open_members.pop(member_id, None)
             if record is not None:
@@ -281,28 +454,17 @@ class QoSLedger:
         # closes, so conservation cannot silently break.
         for member_id in sorted(open_members):
             self._close(open_members[member_id], reason=reason)
-        self._pending.pop(server_id, None)
 
-    def fleet_resolution_changed(
-        self, server_id: int, member_id: int, _old: "Session", new: "Session"
-    ) -> None:
-        """A member's served resolution changed in place (restore loop).
-
-        Time up to now accrues at the old resolution's measured FPS,
-        then the whole group's ground truth is refreshed for the new
-        composition.  The changed member gets a fresh promise — like a
-        newly placed record, its promise reflects the resolution it is
-        *now* served at (its neighbours' promises stay fixed at their own
-        admission, exactly as on :meth:`fleet_placed`).  The change is
-        logged as a ``resolution_change`` event: together with the
-        placement records' degrade fields this is the per-session
-        resolution timeline.
-        """
+    def _resolution_changed(self, now: float, _reason, server_id: int,
+                            member_id: int, _old: "Session", new: "Session") -> None:
+        """Accrue at the old composition, then re-promise the changed
+        member at the one it is *now* served in (its neighbours keep their
+        admission promises) and log a ``resolution_change`` event: with the
+        placement records' degrade fields, the resolution timeline."""
         members = self._servers.get(server_id)
         if members is None or member_id not in members:
             return
-        now = self._now
-        self._accrue(server_id, members.values(), now)
+        self._accrue(members.values(), now)
         record = members[member_id]
         old_resolution = str(record.session.resolution)
         degraded = new.degraded
@@ -310,7 +472,8 @@ class QoSLedger:
         record.entry = self._entry(new)
         record.degraded = degraded
         record.was_degraded = record.was_degraded or degraded
-        self._claim(record, self._recompute(server_id, members, op="restore"))
+        sig = self._recompute(members)
+        record.promised_fps = self._promised[sig][record.slot]
         self.telemetry.event(
             "resolution_change",
             time=now,
@@ -320,57 +483,8 @@ class QoSLedger:
             new=str(new.resolution),
         )
 
-    def mark_eviction(self, reason: str) -> None:
-        """Label the *next* eviction's close reason (e.g. ``"migrated"``).
-
-        Consumed by the following :meth:`fleet_evicted`; resets to the
-        default ``"evicted"`` afterwards.
-        """
-        self._evict_reason = str(reason)
-
-    def finalize(self) -> None:
-        """Close every still-open record at its own departure time.
-
-        Called when the trace ends: remaining sessions run to their
-        scheduled departures, shrinking each group in departure order so
-        late sessions are credited with the (faster) thinner groups,
-        exactly as the fleet would have retired them.  Groups still queued
-        for pricing are priced first, even those only superseded claims
-        wait for, so ``qos_predictions`` counts every group ever claimed.
-        """
-        if self._claims:
-            self._price()
-        pending = [
-            (record.session.departure, record.member_id, server_id)
-            for server_id, members in self._servers.items()
-            for record in members.values()
-        ]
-        heapq.heapify(pending)
-        while pending:
-            when, member_id, server_id = heapq.heappop(pending)
-            members = self._servers.get(server_id)
-            if members is None or member_id not in members:
-                continue
-            self._accrue(server_id, members.values(), when)
-            record = members.pop(member_id)
-            self._close(record, reason="departed")
-            if members:
-                self._recompute(server_id, members, op="finalize")
-            else:
-                self._forget(server_id)
-        self.telemetry.gauge("qos_open_sessions").set(self.open_records)
-
-    # -- report ---------------------------------------------------------
-
-    def section(self, snapshot: dict | None = None) -> dict:
-        """The ``qos`` report section of this ledger's live registry, or
-        of ``snapshot`` when given (the sharded tier passes its merged
-        one); ``{}`` when nothing was recorded."""
-        telemetry = (
-            self.telemetry if snapshot is None else Telemetry.from_snapshot(snapshot)
-        )
-        built = _qos_section(telemetry, self.slo_fps, self.budget_fraction)
-        return built if built is not None else {}
+    def _event(self, _now, _reason, name: str, fields: dict) -> None:
+        self.telemetry.event(name, **fields)
 
     # -- internals ------------------------------------------------------
 
@@ -388,22 +502,8 @@ class QoSLedger:
             self._genres[game] = genre
         return genre
 
-    def _forget(self, server_id: int) -> None:
-        """Drop an emptied server, and whatever it was waiting to measure."""
-        del self._servers[server_id]
-        self._pending.pop(server_id, None)
-
-    def _accrue(self, server_id: int, records, until: float) -> None:
-        """Advance every record's integrals to ``until`` at current FPS.
-
-        ``records`` are server ``server_id``'s.  If its composition is not
-        measured yet and time has passed under it, this is the first read
-        of that ground truth — the one place a measurement is needed.
-        """
-        if server_id in self._pending and any(
-            until > record.last_time for record in records
-        ):
-            self._flush(server_id)
+    def _accrue(self, records, until: float) -> None:
+        """Advance every record's integrals to ``until`` at current FPS."""
         for record in records:
             dt = until - record.last_time
             if dt <= 0:
@@ -438,146 +538,23 @@ class QoSLedger:
             "slo_burn", game=record.session.game, server_id=record.server_id
         )
 
-    def _group_signature(self, members) -> tuple[tuple, list[_OpenRecord]]:
-        """Canonical signature of a live group and its slot-aligned members.
+    def _recompute(self, members: dict) -> tuple:
+        """Refresh every member's slot and ground-truth FPS; return the signature.
 
-        Members sort by (entry, member_id): identical entries (same game
-        and resolution colocated twice) map onto the measurement's slots
-        in admission order, so per-slot simulator noise lands on a
-        deterministic session.
+        Members sort by (entry, member_id), so identical entries map onto
+        the measurement's slots in admission order and per-slot simulator
+        noise lands on a deterministic session.
         """
-        ordered = sorted(members, key=lambda r: (r.entry, r.member_id))
-        return tuple(r.entry for r in ordered), ordered
-
-    def _recompute(self, server_id: int, members: dict, *, op: str) -> tuple:
-        """Refresh every member's slot, and its ground-truth FPS if known.
-
-        A composition met before is applied from the memo.  A new one is
-        only marked pending: no decision reads ground truth, and the
-        ledger's own first read is the next :meth:`_accrue` over elapsed
-        time (or the close of a zero-lifetime record), so a composition
-        replaced before then is never measured at all.  Until the flush,
-        members keep the previous composition's ``current_fps``, unread.
-
-        Returns the group's signature, so a caller that goes on to claim
-        a promise does not sort the group again.
-        """
-        sig, ordered = self._group_signature(members.values())
-        fps = self._measured.get(sig)
-        with self.tracer.span(
-            "qos", op=op, server_id=server_id, group=len(ordered),
-            cached=fps is not None,
-        ):
-            for slot, record in enumerate(ordered):
-                record.slot = slot
-            if fps is None:
-                self._pending[server_id] = (sig, ordered)
-            else:
-                self._pending.pop(server_id, None)
-                for record, value in zip(ordered, fps):
-                    record.current_fps = value
+        ordered = sorted(members.values(), key=lambda r: (r.entry, r.member_id))
+        sig = tuple(r.entry for r in ordered)
+        for slot, (record, fps) in enumerate(zip(ordered, self._measured[sig])):
+            record.slot = slot
+            record.current_fps = fps
         return sig
-
-    def _flush(self, server_id: int) -> None:
-        """Measure every pending composition, and what comes next, in one batch.
-
-        ``server_id`` is the server whose read forced the flush.  A solve
-        costs about the same however many compositions ride in it, so
-        each pending server still in ``_servers`` with two or more
-        members also brings the group it will have once its member with
-        the smallest ``(departure, member_id)`` — the fleet's own order —
-        leaves, unless that group is measured already (``ahead`` on the
-        span counts them); the departure then finds it in the memo.
-        Queued promises are priced first, in one predictor call.
-
-        Each distinct signature is measured once (``qos_measurements``
-        counts them) and written to the records it was marked with —
-        which may already have left ``_servers``: an evicted server is
-        accrued and closed after it is popped.  A measurement is a pure
-        function of its signature, whatever batch it rides in, so when
-        it runs cannot change what it returns.
-        """
-        from repro.core.training import ColocationSpec
-        from repro.simulator.measurement import run_colocations
-
-        pending = self._pending
-        with self.tracer.span("qos", op="flush", server_id=server_id) as span:
-            if self._claims:
-                self._price()
-            batch = dict.fromkeys(sig for sig, _ in pending.values())
-            forced = len(batch)
-            for sid, (_, ordered) in pending.items():
-                if len(ordered) < 2 or sid not in self._servers:
-                    continue
-                leaving = min(
-                    ordered, key=lambda r: (r.session.departure, r.member_id)
-                )
-                sig = tuple(r.entry for r in ordered if r is not leaving)
-                if sig not in self._measured:
-                    batch[sig] = None
-            sigs = list(batch)
-            span.set(compositions=len(sigs), ahead=len(sigs) - forced)
-            results = run_colocations(
-                [ColocationSpec(sig).instances(self.catalog) for sig in sigs],
-                server=self.server,
-                config=self.config,
-                engine=self._engine,
-            )
-            for sig, result in zip(sigs, results):
-                self._measured[sig] = tuple(float(f) for f in result.fps)
-            self.telemetry.counter("qos_measurements").inc(len(sigs))
-            for sig, ordered in pending.values():
-                for record, value in zip(ordered, self._measured[sig]):
-                    record.current_fps = value
-        self._pending = {}
-
-    def _claim(self, record: _OpenRecord, sig: tuple) -> None:
-        """Promise ``record`` the predictor's FPS for its slot of group ``sig``.
-
-        A group priced before is read at once; a new one is queued for
-        :meth:`_price`, and the claim replaces any older unpriced one.
-        """
-        promised = self._promised.get(sig)
-        if promised is not None:
-            record.promised_fps = promised[record.slot]
-            record.claim = None
-        else:
-            record.claim = (sig, record.slot)
-            self._claims.setdefault(sig, []).append(record)
-
-    def _price(self) -> None:
-        """Price every queued group with one predictor call, then its claims.
-
-        ``predict_fps_batch([s])[0]`` is bitwise ``predict_fps(s)``, so
-        batching changes when a promise is priced, never its value.
-        Every record reads its own newest claim: one an older claim
-        superseded is skipped.
-        """
-        from repro.core.training import ColocationSpec
-
-        sigs = list(self._claims)
-        predicted = self.predictor.predict_fps_batch(
-            [ColocationSpec(sig) for sig in sigs]
-        )
-        for sig, fps in zip(sigs, predicted):
-            self._promised[sig] = tuple(float(f) for f in fps)
-        self.telemetry.counter("qos_predictions").inc(len(sigs))
-        for records in self._claims.values():
-            for record in records:
-                if record.claim is not None:
-                    sig, slot = record.claim
-                    record.promised_fps = self._promised[sig][slot]
-                    record.claim = None
-        self._claims = {}
 
     def _close(self, record: _OpenRecord, *, reason: str) -> None:
         """Book the record's single calibration + SLO sample."""
         minutes = record.minutes
-        if minutes <= 0 and record.server_id in self._pending:
-            # A zero-lifetime record reads its FPS without ever accruing.
-            self._flush(record.server_id)
-        if record.claim is not None:
-            self._price()
         actual = record.fps_minutes / minutes if minutes > 0 else record.current_fps
         residual = record.promised_fps - actual
         game = record.session.game

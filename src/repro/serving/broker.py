@@ -254,7 +254,7 @@ class RequestBroker:
         ):
             promoted = self.controller.restore(self.fleet)
             if promoted:
-                self.controller.telemetry.event(
+                self._event(
                     "restore",
                     time=session.arrival,
                     arrival_index=index,
@@ -335,7 +335,7 @@ class RequestBroker:
         t.counter("sessions_migrated_out").inc(len(evicted))
         t.gauge("open_servers").set(self.fleet.n_open)
         extra = {} if reason == "migration" else {"reason": reason}
-        t.event(
+        self._event(
             "migration_out",
             time=now,
             arrival_index=index,
@@ -368,12 +368,18 @@ class RequestBroker:
             if self.keep_records:
                 self._migrations.append(record)
         if sessions:
-            t.event(
+            self._event(
                 "migration_in", arrival_index=index, sessions=len(sessions)
             )
         return records
 
     # -- internals ------------------------------------------------------
+
+    def _event(self, name: str, **fields) -> None:
+        """Log a telemetry event; through the ledger when one rides, whose
+        journal then keeps it in order with the ledger's own events."""
+        log = self.controller.telemetry if self.ledger is None else self.ledger
+        log.event(name, **fields)
 
     def _admit(
         self, session: Session, index: int, *, readmitted: bool, migrated: bool = False
@@ -415,7 +421,7 @@ class RequestBroker:
         evicted = self.fleet.crash(victim)
         telemetry.counter("server_crashes").inc()
         telemetry.counter("sessions_evicted").inc(len(evicted))
-        telemetry.event(
+        self._event(
             "server_crash",
             time=now,
             arrival_index=index,

@@ -8,6 +8,7 @@ reproducibility contract the CLI's ``serve`` subcommand exposes.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
@@ -36,8 +37,12 @@ class TraceConfig:
     def __post_init__(self) -> None:
         if self.n_requests < 1:
             raise ValueError("n_requests must be >= 1")
-        if self.arrival_rate <= 0 or self.mean_duration <= 0:
-            raise ValueError("arrival_rate and mean_duration must be positive")
+        # NaN fails every comparison, so the range is what must hold.
+        for rate in (self.arrival_rate, self.mean_duration):
+            if not 0 < rate < math.inf:
+                raise ValueError(
+                    "arrival_rate and mean_duration must be positive and finite"
+                )
 
     def to_dict(self) -> dict:
         """JSON-able form (for embedding in serving reports)."""

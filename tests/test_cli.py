@@ -337,6 +337,28 @@ class TestUserInputErrors:
         assert rc == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--arrival-rate", "nan"),
+            ("--arrival-rate", "inf"),
+            ("--mean-duration", "nan"),
+            ("--mean-duration", "inf"),
+        ],
+    )
+    def test_trace_parameters_must_be_positive_and_finite(
+        self, predictor_path, capsys, flag, value
+    ):
+        # NaN passed a `<= 0` check: with --arrival-rate nan no session
+        # ever departed and the report carried a bare NaN token.
+        rc = main(
+            ["serve", "--predictor", predictor_path, "--requests", "5", flag, value]
+        )
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "positive and finite" in err
+        assert len(err.strip().splitlines()) == 1  # no traceback
+
     @pytest.mark.parametrize("value", ["0", "-2"])
     def test_max_colocation_below_one_exit_1(self, predictor_path, capsys, value):
         # A server that may hold no game would open one server per
@@ -624,6 +646,36 @@ class TestServeShardChaos:
         assert err.startswith("error:")
         assert needle.lstrip("-").replace("-", "_") in err.replace("-", "_")
         assert len(err.strip().splitlines()) == 1  # no traceback
+
+    @pytest.mark.parametrize(
+        "flags,needle",
+        [
+            (["--min-healthy-shards", "7"], "require --shards"),
+            (["--shard-outage-chunks", "2"], "require --shards"),
+            (
+                ["--shards", "2", "--shard-outage-chunks", "3",
+                 "--min-healthy-shards", "2"],
+                "nonzero --shard-crash-rate",
+            ),
+            (
+                ["--shards", "2", "--shard-crash-rate", "0",
+                 "--shard-outage-chunks", "3"],
+                "nonzero --shard-crash-rate",
+            ),
+            (["--shards", "2", "--min-healthy-shards", "1"], "nonzero"),
+        ],
+    )
+    def test_outage_tuning_needs_shards_and_a_crash_rate(
+        self, predictor_path, capsys, flags, needle
+    ):
+        # Each of these exited 0 without a supervisor and dropped the
+        # values from the report's config: a mistyped chaos run read as
+        # a clean one.
+        rc = main(["serve", "--predictor", predictor_path, "--requests", "5", *flags])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert needle in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_chaos_flags_require_shards(self, predictor_path, capsys):
         rc = main(

@@ -173,6 +173,9 @@ class TestLedgerAccounting:
         ledger = make_ledger()
         s1 = Session("Alpha", RES, arrival=0.0, duration=8.0)
         ledger.fleet_placed(0, 0, s1)
+        # The hook only journals the placement; settling books it.
+        assert ledger.open_records == 0
+        ledger.settle()
         assert ledger.open_records == 1
         snap = ledger.telemetry.snapshot()
         assert snap["gauges"]["qos_open_sessions"] == 1
@@ -199,6 +202,7 @@ class TestLedgerAccounting:
         ledger = make_ledger()
         s1 = Session("Alpha", RES, arrival=0.0, duration=8.0)
         ledger.fleet_departed(7, 3, s1, 1.0)
+        ledger.settle()
         assert ledger.closed == 0
 
     def test_reset_keeps_caches_clears_run_state(self):

@@ -12,6 +12,8 @@ The load-bearing properties:
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.games import DegradeLadder
 from repro.games.resolution import Resolution
@@ -23,6 +25,7 @@ from repro.obs import (
     snapshot_to_prometheus,
     validate_prometheus,
 )
+from repro.obs.qos import SETTLE_EVERY
 from repro.placement.fleet import Session, degraded_to, promoted_to
 from repro.scheduling import generate_sessions
 from repro.serving import (
@@ -119,9 +122,10 @@ class TestBrokerLedger:
         broker.run(trace[:20])
         spans = [s for s in tracer.spans if s.name == "qos"]
         assert spans, "no qos spans recorded"
-        ops = {s.attributes["op"] for s in spans}
-        assert "place" in ops
-        assert all("server_id" in s.attributes for s in spans)
+        assert {s.attributes["op"] for s in spans} == {"settle"}
+        assert all(
+            {"compositions", "priced"} <= set(s.attributes) for s in spans
+        )
 
 
 class TestShardedLedger:
@@ -336,30 +340,25 @@ class TestGroundTruthDidNotMove:
 
 
 class EagerLedger(QoSLedger):
-    """Measures a new composition the moment it forms.
+    """Settles after every hook: a journal of one call at a time.
 
-    What the ledger did before it deferred ground truth to the first read:
-    every recompute that misses the memo is flushed on the spot, a batch
-    of one.  The deferred ledger must book the same report.
+    The ledger settles up to ``SETTLE_EVERY`` calls at once; when a call
+    settles, and with which others, must not change what is booked.
     """
 
-    def _recompute(self, server_id, members, *, op):
-        sig = super()._recompute(server_id, members, op=op)
-        if self._pending:
-            self._flush(server_id)
-        return sig
+    def _log(self, body, *args):
+        super()._log(body, *args)
+        self.settle()
 
 
-def without_measurement_count(payload):
-    """A normalized report minus the numbers deferral may change.
+def without_rm_calls(payload):
+    """A normalized report minus how often the predictor ran.
 
-    The count of measurements, and how often the predictor ran: promises
-    are priced in batches, so the ledger's RM stage calls (and the
-    predictor's per-stage histogram counts, shared with the CM) fall.
+    Promises are priced one predictor call per settle, so the ledger's RM
+    stage calls (and the predictor's per-stage histogram counts, shared
+    with the CM) depend on how the journal was cut.
     """
     telemetry = payload["telemetry"]
-    telemetry["counters"].pop("qos_measurements")
-    payload["qos"]["sessions"].pop("measurements")
     for name in ("predict_featurize_s", "predict_model_eval_s"):
         telemetry["histograms"].pop(name)
     stage_calls = telemetry["labeled"]["counters"]["predict_stage_calls"]
@@ -367,11 +366,11 @@ def without_measurement_count(payload):
     return payload
 
 
-def flush_spans(tracer):
-    """Attributes of every ground-truth flush the tracer recorded."""
+def settle_spans(tracer):
+    """Attributes of every settle the tracer recorded."""
     return [
         s.attributes for s in tracer.spans
-        if s.name == "qos" and s.attributes["op"] == "flush"
+        if s.name == "qos" and s.attributes["op"] == "settle"
     ]
 
 
@@ -421,15 +420,78 @@ def serve_chaos(minilab, ledger, tracer=None):
     return broker.finish()
 
 
-class TestDeferredGroundTruth:
-    """When a composition is measured cannot change what is booked.
+class RecordingLedger(QoSLedger):
+    """Keeps every journaled call with the clock and eviction reason it
+    carried, and every composition a replay gave a group."""
 
-    The deferred ledger measures on first read, in batches of whatever is
-    pending; :class:`EagerLedger` measures inside every hook, one at a
-    time.  A measurement is a pure function of the signature, and accrual,
-    burn events and closes run at the same points in both, so everything
-    but the count of measurements, the predictor's call counts (promises
-    are priced in batches) and wall-clock histograms is equal.
+    def reset(self):
+        self.calls = []
+        self.formed = set()
+        return super().reset()
+
+    def _log(self, body, *args):
+        self.calls.append((body.__name__, self._now, self._evict_reason, args))
+        super()._log(body, *args)
+
+    def _recompute(self, members):
+        sig = super()._recompute(members)
+        self.formed.add(sig)
+        return sig
+
+
+class HeldLedger(QoSLedger):
+    """Records how many calls each settle found journaled."""
+
+    def reset(self):
+        self.held = []
+        return super().reset()
+
+    def settle(self):
+        self.held.append(len(self._journal))
+        super().settle()
+
+
+@pytest.fixture(scope="module")
+def chaos_journal(minilab):
+    """One seeded chaos run's journal, and the ledger that recorded it."""
+    ledger = RecordingLedger(
+        minilab.catalog, minilab.predictor, slo_fps=45.0, server=minilab.server
+    )
+    serve_chaos(minilab, ledger)
+    return ledger
+
+
+def replay_journal(source, cuts):
+    """Replay ``source``'s journal into a fresh ledger, settling after
+    each call whose index is in ``cuts``; return its telemetry snapshot."""
+    ledger = QoSLedger(
+        source.catalog, source.predictor, slo_fps=45.0, server=source.server
+    )
+    # Both memos prefilled: every replay books from the same values
+    # without solving or predicting again.
+    ledger._measured = dict(source._measured)
+    ledger._promised = dict(source._promised)
+    for index, (name, now, reason, args) in enumerate(source.calls):
+        ledger.advance(now)
+        ledger.mark_eviction(reason)
+        ledger._log(getattr(ledger, name), *args)
+        if index in cuts:
+            ledger.settle()
+    ledger.finalize()
+    return ledger.telemetry.snapshot()
+
+
+class TestDeferredGroundTruth:
+    """When a call is booked cannot change what is booked.
+
+    (A call is *pending* from its hook until the settle that books it.)
+
+    Hooks journal; :meth:`QoSLedger.settle` measures every composition
+    the journal forms and prices every group it claims in one batch each,
+    then replays the calls in order.  A measurement is a pure function of
+    the composition, and accrual, burn events and closes run at the same
+    points however the journal was cut, so everything but the predictor's
+    call counts and wall-clock histograms is equal.
     """
 
     def serve(self, minilab, ledger_cls, tracer=None):
@@ -442,42 +504,69 @@ class TestDeferredGroundTruth:
 
     def test_chaos_run_books_the_same_report(self, minilab):
         tracer = Tracer(enabled=True)
-        deferred = self.serve(minilab, QoSLedger, tracer=tracer)
+        batched = self.serve(minilab, QoSLedger, tracer=tracer)
         eager = self.serve(minilab, EagerLedger)
-        counters = deferred["telemetry"]["counters"]
+        counters = batched["telemetry"]["counters"]
         for exercised in (
             "server_crashes", "readmissions", "faults_error",
             "fallbacks", "restore_queries", "migrations", "slo_burn_events",
         ):
             assert counters.get(exercised, 0) > 0, exercised
-        assert deferred["qos"]["degraded"]["sessions"] > 0
-        sessions = deferred["qos"]["sessions"]
+        assert batched["qos"]["degraded"]["sessions"] > 0
+        sessions = batched["qos"]["sessions"]
         assert sessions["opened"] == sessions["closed"] > 320
         assert sessions["close_reasons"]["migrated"] >= 2
-        # Deferral only skips compositions replaced before any time passed;
-        # what it adds is the look-ahead, which the flush spans count.
-        ahead = sum(flush["ahead"] for flush in flush_spans(tracer))
-        assert ahead > 0
-        assert 50 < counters["qos_measurements"] <= (
-            eager["telemetry"]["counters"]["qos_measurements"] + ahead
-        )
-        deferred, eager = map(without_measurement_count, (deferred, eager))
-        assert deferred["telemetry"]["events"] == eager["telemetry"]["events"]
-        assert deferred["qos"] == eager["qos"]
-        assert deferred == eager
+        events = {event["event"] for event in batched["telemetry"]["events"]}
+        assert {"server_crash", "restore", "migration_out", "migration_in",
+                "resolution_change", "slo_burn"} <= events
+        # Both measure each composition formed once, however they batch.
+        assert counters["qos_measurements"] > 50
+        assert counters == eager["telemetry"]["counters"]
+        batched, eager = map(without_rm_calls, (batched, eager))
+        assert batched["telemetry"]["events"] == eager["telemetry"]["events"]
+        assert batched["qos"] == eager["qos"]
+        assert batched == eager
 
-    def test_flush_spans_name_the_trigger_and_the_batch(self, minilab):
+    @given(data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_random_cut_points_book_the_same_snapshot(self, chaos_journal, data):
+        calls = len(chaos_journal.calls)
+        cuts = data.draw(st.sets(st.integers(0, calls - 1), max_size=40))
+        snapshot = replay_journal(chaos_journal, cuts)
+        assert snapshot == replay_journal(chaos_journal, set())
+        assert snapshot["events"]
+
+    def test_measurements_count_the_compositions_formed(self, chaos_journal):
+        counters = chaos_journal.telemetry.snapshot()["counters"]
+        assert counters["qos_measurements"] == len(chaos_journal.formed) > 50
+        assert set(chaos_journal._measured) == chaos_journal.formed
+
+    @pytest.mark.parametrize("chaos", [False, True])
+    def test_journal_never_holds_more_than_settle_every(
+        self, minilab, trace, chaos
+    ):
+        ledger = HeldLedger(
+            minilab.catalog, minilab.predictor, slo_fps=45.0, server=minilab.server
+        )
+        if chaos:
+            serve_chaos(minilab, ledger)
+        else:
+            run_broker(minilab, trace, ledger=ledger)
+        # The bound is reached, never passed.
+        assert max(ledger.held) == SETTLE_EVERY
+
+    def test_settle_spans_count_the_batch(self, minilab):
         tracer = Tracer(enabled=True)
         report = self.serve(minilab, QoSLedger, tracer=tracer)
-        flushes = flush_spans(tracer)
-        assert flushes
-        assert all("server_id" in flush for flush in flushes)
-        measured = sum(flush["compositions"] for flush in flushes)
-        assert measured == report["telemetry"]["counters"]["qos_measurements"]
-        # Need is the only trigger, yet most flushes find company.
-        assert measured > len(flushes)
+        counters = report["telemetry"]["counters"]
+        settles = settle_spans(tracer)
+        assert sum(s["compositions"] for s in settles) == counters["qos_measurements"]
+        assert sum(s["priced"] for s in settles) == counters["qos_predictions"]
+        # A settle that solves solves many compositions at once.
+        solving = [s for s in settles if s["compositions"]]
+        assert counters["qos_measurements"] > 10 * len(solving)
 
-    # -- the reads that force a flush, one at a time ---------------------
+    # -- the journal, call by call -----------------------------------------
 
     def pair(self, minilab):
         a, b = minilab.names[:2]
@@ -487,16 +576,15 @@ class TestDeferredGroundTruth:
         )
 
     def both(self, minilab, run):
-        """``run`` under a deferred and an eager ledger; books must agree."""
-        deferred = run(make_ledger(minilab))
+        """``run`` under a batched and an eager ledger; books must agree."""
+        batched = run(make_ledger(minilab))
         eager = run(EagerLedger(minilab.catalog, minilab.predictor, slo_fps=SLO_FPS))
-        booked = []
-        for ledger in (deferred, eager):
-            snapshot = ledger.telemetry.snapshot()
-            snapshot["counters"].pop("qos_measurements", None)
-            booked.append(json.dumps(snapshot, sort_keys=True))
+        booked = [
+            json.dumps(ledger.telemetry.snapshot(), sort_keys=True)
+            for ledger in (batched, eager)
+        ]
         assert booked[0] == booked[1]
-        return deferred, eager
+        return batched, eager
 
     def test_zero_lifetime_close_reads_ground_truth(self, minilab):
         def run(ledger):
@@ -504,15 +592,15 @@ class TestDeferredGroundTruth:
             ledger.advance(3.0)
             ledger.fleet_placed(0, 0, s1)
             ledger.fleet_placed(0, 1, s2)
-            # No time has passed: the close itself is the first read.
+            # No time has passed: the close reads the pair's ground truth.
             ledger.fleet_departed(0, 1, s2, 3.0)
             ledger.finalize()
             return ledger
 
-        deferred, _ = self.both(minilab, run)
-        counters = deferred.telemetry.snapshot()["counters"]
+        batched, _ = self.both(minilab, run)
+        counters = batched.telemetry.snapshot()["counters"]
         assert counters["qos_sessions_closed"] == 2
-        # The pair (read by the close) and s1 alone (read at finalize).
+        # s1 alone (formed twice) and the pair.
         assert counters["qos_measurements"] == 2
 
     def test_server_evicted_while_pending(self, minilab):
@@ -522,29 +610,28 @@ class TestDeferredGroundTruth:
             ledger.fleet_placed(4, 0, s1)
             ledger.fleet_placed(4, 1, s2)
             ledger.advance(6.0)
-            # The server is popped before it is accrued: the flush has to
-            # fill the records it was handed, not the ones it can look up.
+            # The journal fills the server and empties it again before it
+            # settles; the replay still books both records' ten minutes.
             ledger.fleet_evicted(4, [(0, s1), (1, s2)])
-            assert not ledger._pending and not ledger._servers
+            ledger.settle()
+            assert not ledger._journal and not ledger._servers
             return ledger
 
-        deferred, eager = self.both(minilab, run)
-        section = deferred.section()
+        batched, _ = self.both(minilab, run)
+        section = batched.section()
         assert section["sessions"]["close_reasons"] == {"evicted": 2}
         assert section["slo"]["session_minutes"] == 10.0
-        # s1 was alone for an instant only: that composition was replaced
-        # unread, so only the pair was ever measured.
-        assert section["sessions"]["measurements"] == 1
-        assert eager.section()["sessions"]["measurements"] == 2
+        # s1 alone for an instant, then the pair: each formed, each measured.
+        assert section["sessions"]["measurements"] == 2
 
     def test_reset_drops_pending_marks(self, minilab):
         s1, s2 = self.pair(minilab)
         ledger = make_ledger(minilab)
         ledger.advance(1.0)
         ledger.fleet_placed(0, 0, s1)
-        assert list(ledger._pending) == [0]
+        assert len(ledger._journal) == 1
         ledger.reset()
-        assert not ledger._pending
+        assert not ledger._journal
         # The next run reuses server id 0; nothing of the abandoned run's
         # composition is measured or written to.
         ledger.advance(2.0)
@@ -554,9 +641,20 @@ class TestDeferredGroundTruth:
         assert counters["qos_measurements"] == 1
         assert list(ledger._measured) == [((s2.game, s2.resolution),)]
 
-    # -- look-ahead and batched promises ---------------------------------
+    def test_reset_drops_unpriced_claims(self, minilab):
+        s1, s2 = self.pair(minilab)
+        ledger = make_ledger(minilab)
+        ledger.advance(1.0)
+        ledger.fleet_placed(0, 0, s1)
+        ledger.reset()
+        ledger.advance(2.0)
+        ledger.fleet_placed(0, 0, s2)
+        ledger.finalize()
+        counters = ledger.telemetry.snapshot()["counters"]
+        assert counters["qos_predictions"] == 1
+        assert list(ledger._promised) == [((s2.game, s2.resolution),)]
 
-    def test_next_departure_rides_the_first_flush(self, minilab):
+    def test_one_settle_measures_every_formed_composition(self, minilab):
         a, b = minilab.names[:2]
         first = Session(a, R1080, arrival=0.0, duration=10.0)
         second = Session(b, R1080, arrival=0.0, duration=20.0)
@@ -566,62 +664,48 @@ class TestDeferredGroundTruth:
             ledger.advance(0.0)
             ledger.fleet_placed(0, 0, first)
             ledger.fleet_placed(0, 1, second)
-            # The departure's accrual reads the pair; `second` alone rides
-            # along, so the group the departure leaves is known already.
             ledger.fleet_departed(0, 0, first, 10.0)
-            assert not ledger._pending
             ledger.finalize()
             return ledger
 
-        deferred, _ = self.both(minilab, run)
-        (flush,) = flush_spans(deferred.tracer)
-        assert (flush["compositions"], flush["ahead"]) == (2, 1)
-        assert list(deferred._measured)[1] == ((b, R1080),)
-
-    def test_reset_drops_unpriced_claims(self, minilab):
-        s1, s2 = self.pair(minilab)
-        ledger = make_ledger(minilab)
-        ledger.advance(1.0)
-        ledger.fleet_placed(0, 0, s1)
-        assert list(ledger._claims) == [((s1.game, s1.resolution),)]
-        ledger.reset()
-        assert not ledger._claims
-        ledger.advance(2.0)
-        ledger.fleet_placed(0, 0, s2)
-        ledger.finalize()
-        counters = ledger.telemetry.snapshot()["counters"]
-        assert counters["qos_predictions"] == 1
-        assert list(ledger._promised) == [((s2.game, s2.resolution),)]
+        batched, eager = self.both(minilab, run)
+        # `first` alone, the pair and `second` alone in one solve, the two
+        # placements' groups in one predictor call.
+        solving = [s for s in settle_spans(batched.tracer) if s["compositions"]]
+        assert [(s["compositions"], s["priced"]) for s in solving] == [(3, 2)]
+        pair = tuple(sorted([(a, R1080), (b, R1080)]))
+        assert list(batched._measured) == [((a, R1080),), pair, ((b, R1080),)]
+        # Settling after every call solves the same three, one at a time.
+        solving = [s for s in settle_spans(eager.tracer) if s["compositions"]]
+        assert [s["compositions"] for s in solving] == [1, 1, 1]
 
     def test_restore_keeps_its_own_price(self, minilab):
         game = minilab.names[0]
         full, low = ((game, R1080),), ((game, R720),)
 
         def run(ledger):
-            # A first session prices the full-resolution group.
+            # A first session's group is the full-resolution one.
             ledger.advance(0.0)
             ledger.fleet_placed(1, 0, Session(game, R1080, 0.0, 1.0))
             ledger.fleet_departed(1, 0, None, 1.0)
-            assert full in ledger._promised
-            # A degraded placement queues its claim; the restore, before
-            # any read, is priced at once.  The older claim must not
-            # overwrite it when the queue is priced.
+            # A degraded placement, restored before the journal settles:
+            # the replay prices the placement at the degraded group, then
+            # the restore at the full one, which is the price that stays.
             ledger.advance(1.0)
             degraded = degraded_to(Session(game, R1080, 1.0, 5.0), R720)
             ledger.fleet_placed(0, 1, degraded)
-            record = ledger._servers[0][1]
-            assert record.claim == (low, 0)
             ledger.fleet_resolution_changed(
                 0, 1, degraded, promoted_to(degraded, R1080)
             )
-            assert record.claim is None and list(ledger._claims) == [low]
-            ledger.finalize()
+            ledger.settle()
+            record = ledger._servers[0][1]
             assert record.promised_fps == ledger._promised[full][0]
             assert ledger._promised[low][0] != ledger._promised[full][0]
+            ledger.finalize()
             return ledger
 
-        deferred, _ = self.both(minilab, run)
-        counters = deferred.telemetry.snapshot()["counters"]
+        batched, _ = self.both(minilab, run)
+        counters = batched.telemetry.snapshot()["counters"]
         # The superseded group is still priced, as it was when claimed.
         assert counters["qos_predictions"] == 2
 
@@ -629,26 +713,27 @@ class TestDeferredGroundTruth:
         a, b = minilab.names[:2]
 
         def run(ledger):
-            ledger.instrument(tracer=Tracer(enabled=True))
             ledger.advance(0.0)
             ledger.fleet_placed(0, 0, Session(a, R1080, 0.0, 10.0))
             ledger.fleet_placed(0, 1, Session(b, R1080, 0.0, 20.0))
             ledger.fleet_departed(0, 0, None, 10.0)
-            # `b` alone was measured ahead, never priced: the new server is
-            # not pending, but its one record's promise is.
+            ledger.settle()
+            # `b` alone was measured at the departure, never priced: a
+            # record placed into it and evicted at once is priced and
+            # booked at its measured FPS in the next settle.
             ledger.advance(10.0)
             ledger.fleet_placed(1, 2, Session(b, R1080, 10.0, 5.0))
-            record = ledger._servers[1][2]
-            assert 1 not in ledger._pending and record.claim is not None
             ledger.fleet_evicted(1, [(2, None)])
-            assert record.claim is None
-            assert record.promised_fps == ledger._promised[((b, R1080),)][0]
+            ledger.settle()
+            solo = ((b, R1080),)
+            residual = ledger.section()["per_game"][b]["fps_residual_mae"]
+            promised, measured = ledger._promised[solo][0], ledger._measured[solo][0]
+            assert residual == abs(promised - measured)
             ledger.finalize()
             return ledger
 
-        deferred, _ = self.both(minilab, run)
-        assert len(flush_spans(deferred.tracer)) == 1
-        counters = deferred.telemetry.snapshot()["counters"]
+        batched, _ = self.both(minilab, run)
+        counters = batched.telemetry.snapshot()["counters"]
         assert counters["qos_sessions_closed"] == 3
         # `a` alone, the pair, `b` alone.
         assert counters["qos_predictions"] == 3
